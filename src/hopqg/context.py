@@ -7,7 +7,6 @@ those models itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import AnnotationError
@@ -139,8 +138,3 @@ class AnnotatedContext:
         ctx = AnnotatedContext(text, sentences, triples, clusters, nes)
         ctx.validate()
         return ctx
-
-
-def load_context(path: str) -> AnnotatedContext:
-    with open(path, encoding="utf-8") as fh:
-        return AnnotatedContext.from_json(json.load(fh))

@@ -149,10 +149,6 @@ def _serialize(gi: GeneratorInput) -> tuple[str, list[SegmentLabel]]:
     return " ".join(tokens), labels
 
 
-def serialize_input(gi: GeneratorInput) -> str:
-    return gi.text
-
-
 def parse_input(
     text: str, step: int = 0, parent_aliases: tuple[str, ...] = ()
 ) -> GeneratorInput:

@@ -13,13 +13,9 @@ import re
 import string
 from collections import Counter
 
-from ._lcs import lcs_length
 from .errors import MetricError
 
 TOKENIZER_SPEC = "lowercase; punctuation detached as separate tokens; whitespace split"
-
-# Corpus = list of (hypothesis, references) pairs.
-Corpus = "list[tuple[str, list[str]]]"
 
 _PUNCT_RE = re.compile(r"([^\w\s])")
 
@@ -83,16 +79,32 @@ def bleu_n(corpus, n: int) -> float:
     return bp * math.exp(log_sum)
 
 
+def lcs_length(a: list, b: list) -> int:
+    """Longest-common-subsequence length, bit-parallel over the tokens of a.
+
+    Allison & Dix (1986), as restated by Hyyro (2004): bit i of V is set
+    while a[i] is not yet matched; each token t of b updates
+    V' = (V + U) | (V - U) with U = V & M[t], where M[t] marks the
+    positions of t in a. The LCS length is the number of cleared bits.
+    """
+    masks: dict = {}
+    for i, t in enumerate(a):
+        masks[t] = masks.get(t, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for t in b:
+        u = v & masks.get(t, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
+
+
 def rouge_l(hyp: str, ref: str, beta: float = 1.2) -> float:
     """LCS-based F-measure; beta > 1 weights recall over precision."""
     hyp_toks = tokenize(hyp)
     ref_toks = tokenize(ref)
     if not hyp_toks or not ref_toks:
         return 0.0
-    vocab: dict[str, int] = {}
-    a = [vocab.setdefault(t, len(vocab)) for t in hyp_toks]
-    b = [vocab.setdefault(t, len(vocab)) for t in ref_toks]
-    lcs = lcs_length(a, b)
+    lcs = lcs_length(hyp_toks, ref_toks)
     if lcs == 0:
         return 0.0
     p = lcs / len(hyp_toks)

@@ -6,14 +6,18 @@ All services speak single-item POST, no batching:
     decomposer:  {"question"} -> {"subq1", "subq2"}
     single-hop QA: {"question", "context"} -> {"answer"}
 Requests are idempotent; failed calls retry up to the configured count before
-raising BackendError.
+raising BackendError. Each attempt is one standard-library urlopen call on its
+own connection, so the clients hold no shared state and are safe to call from
+worker threads.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
-
-import requests
+import urllib.error
+import urllib.request
 
 from .errors import BackendError
 from .geninput import GeneratorInput
@@ -26,23 +30,30 @@ def post_json(
     timeout: float = 10.0,
     retries: int = 2,
     backoff: float = 0.1,
-    session: requests.Session | None = None,
 ) -> dict:
     """POST payload as JSON; returns the decoded object or raises BackendError."""
-    sess = session or requests
+    data = json.dumps(payload).encode()
     last_error = None
     for attempt in range(retries + 1):
         try:
-            resp = sess.post(url, json=payload, timeout=timeout)
-            if resp.status_code // 100 != 2:
-                raise BackendError(f"{url} returned HTTP {resp.status_code}")
-            body = resp.json()
+            req = urllib.request.Request(
+                url, data=data, headers={"Content-Type": "application/json"}, method="POST"
+            )
+            # urlopen would also read file: and ftp: URLs; services are HTTP only.
+            if req.type not in ("http", "https"):
+                raise BackendError(f"{url}: not an http(s) URL")
+            # urlopen raises HTTPError for any status outside 200-299.
+            with urllib.request.urlopen(req, timeout=timeout) as resp:
+                body = json.loads(resp.read())
             if not isinstance(body, dict):
                 raise BackendError(f"{url} returned non-object JSON")
             return body
         except BackendError as exc:
             last_error = exc
-        except (requests.RequestException, ValueError) as exc:
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            last_error = BackendError(f"{url} returned HTTP {exc.code}")
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             last_error = BackendError(f"{url}: {exc}")
         if attempt < retries:
             time.sleep(backoff * (attempt + 1))
@@ -61,7 +72,6 @@ class RemoteGeneratorBackend:
         self.max_tokens = max_tokens
         self.timeout = timeout
         self.retries = retries
-        self.session = requests.Session()
 
     def _call(self, gi: GeneratorInput, step: int) -> str:
         payload = {
@@ -71,7 +81,7 @@ class RemoteGeneratorBackend:
             "max_tokens": self.max_tokens,
         }
         try:
-            body = post_json(self.url, payload, self.timeout, self.retries, session=self.session)
+            body = post_json(self.url, payload, self.timeout, self.retries)
         except BackendError as exc:
             exc.step = step
             raise

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hopqg
 from hopqg.cli import main
 from util import (
     comparison_record_doc,
@@ -213,13 +216,16 @@ def test_evaluate_identity_scores(tmp_path, capsys):
     assert "rouge-l" in table and "1.000000" in table
 
 
-def test_evaluate_multi_reference_lines(tmp_path, capsys):
+def test_evaluate_multi_reference_lines(tmp_path, capsys, monkeypatch):
+    # Without --out, evaluate writes its manifest into the working directory.
+    monkeypatch.chdir(tmp_path)
     hyp = write(tmp_path / "hyp.txt", "the cat sat\n")
     ref = write(tmp_path / "ref.txt", json.dumps(["a dog ran", "the cat sat"]) + "\n")
     code = main(["evaluate", "--hyp", hyp, "--ref", ref, "--metrics", "rouge-l"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["metrics"]["rouge-l"] == pytest.approx(1.0)
+    assert (tmp_path / "hopqg-evaluate-manifest.json").is_file()
 
 
 def test_evaluate_bad_inputs_exit_2(tmp_path):
@@ -362,3 +368,17 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exit_info.value.code == 0
     assert "hopqg 0.1.0" in capsys.readouterr().out
+
+
+# -------------------------------------------------------------- dependencies
+
+
+def test_cli_import_pulls_in_no_third_party_modules():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopqg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, hopqg.cli; "
+        "print(sorted(m for m in ('numpy', 'numba', 'requests', 'urllib3') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

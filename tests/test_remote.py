@@ -32,6 +32,12 @@ class StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         status, body = behavior(payload, len(self.server.requests))
+        if status is None:
+            # Raw reply: send body as is, with no status line of our own, and
+            # close the connection (an empty body just drops it).
+            self.wfile.write(body)
+            self.close_connection = True
+            return
         data = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -55,6 +61,7 @@ def stub_server():
         yield server, base
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 
@@ -144,3 +151,19 @@ def test_missing_answer_key_is_backend_error(stub_server):
 def test_connection_refused_is_backend_error():
     with pytest.raises(BackendError):
         post_json("http://127.0.0.1:9/never", {}, retries=0, timeout=0.5)
+
+
+@pytest.mark.parametrize("raw", [b"", b"NOT-HTTP garbage\r\n\r\n"], ids=["dropped", "bad-status-line"])
+def test_post_json_dropped_connection_retries_then_raises(stub_server, raw):
+    server, base = stub_server
+    server.behaviors["/drop"] = lambda payload, n: (None, raw)
+    with pytest.raises(BackendError, match="/drop: "):
+        post_json(base + "/drop", {}, retries=2, backoff=0.0)
+    assert len(server.requests) == 3
+
+
+def test_post_json_rejects_non_http_urls(tmp_path):
+    target = tmp_path / "answer.json"
+    target.write_text('{"answer": "leaked"}', encoding="utf-8")
+    with pytest.raises(BackendError, match="not an http"):
+        post_json(target.as_uri(), {}, retries=0)
