@@ -11,7 +11,7 @@ import argparse
 import json
 import logging
 import sys
-import time
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
@@ -34,10 +34,11 @@ from .evaluate import (
     read_jsonl,
     write_jsonl,
 )
-from .graph import build_context_graph
+from .graph import ContextGraph, build_context_graph
 from .hotpot import load_hotpot
-from .manifest import RunManifest, StageTimer
-from .pipeline import generate_for_context
+from .manifest import RunManifest, StageClock, StageTimer
+from .pipeline import generate_stepwise
+from .planner import plan_chain
 from .remote import (
     RemoteDecomposer,
     RemoteGeneratorBackend,
@@ -106,7 +107,7 @@ def _load_context_docs(path: str) -> list[AnnotatedContext]:
             docs = [json.loads(text)]
         except json.JSONDecodeError:
             # One JSON object per line.
-            docs = [json.loads(line) for line in text.splitlines() if line.strip()]
+            docs = read_jsonl(path)
     if not isinstance(docs, list):
         raise AnnotationError(f"{path} must hold a context object or array")
     return [AnnotatedContext.from_json(doc) for doc in docs]
@@ -145,6 +146,35 @@ def _generator_backend(name: str, config: PipelineConfig):
     )
 
 
+class _SharedGraph:
+    """One context's graph, shared by its seed jobs: the first job to run
+    builds it and the last to finish drops it, so only contexts with jobs
+    pending hold a graph."""
+
+    def __init__(self, ctx: AnnotatedContext, jobs: int):
+        self.ctx = ctx
+        self.pending = jobs
+        self.lock = threading.Lock()
+        self.graph: ContextGraph | None = None
+        self.error: HopqgError | None = None
+
+    def get(self, clock: StageClock) -> tuple[ContextGraph | None, HopqgError | None]:
+        with self.lock:
+            if self.graph is None and self.error is None:
+                try:
+                    with clock.timed("build"):
+                        self.graph = build_context_graph(self.ctx)
+                except HopqgError as exc:
+                    self.error = exc
+            return self.graph, self.error
+
+    def release(self) -> None:
+        with self.lock:
+            self.pending -= 1
+            if not self.pending:
+                self.graph = None
+
+
 def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
     manifest = _new_manifest(args, config, [args.context])
     if args.manifest_only:
@@ -152,31 +182,35 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
         return EXIT_OK
     backend = _generator_backend(args.backend, config)
     contexts = _load_context_docs(args.context)
+    shared = [_SharedGraph(ctx, args.count) for ctx in contexts]
     jobs = [
-        (index, ctx, args.seed + k)
-        for index, ctx in enumerate(contexts)
+        (index, args.seed + k)
+        for index in range(len(contexts))
         for k in range(args.count)
     ]
+    clock = StageClock("build", "plan", "generate")
 
     def run(job):
-        index, ctx, seed = job
+        index, seed = job
+        share = shared[index]
         try:
-            trace = generate_for_context(
-                ctx,
-                args.d,
-                seed,
-                backend,
-                answer_text=args.answer,
-                category_overrides=config.category_overrides,
-            )
+            graph, error = share.get(clock)
+            if error is not None:
+                return None, (index, seed, error)
+            with clock.timed("plan"):
+                chain = plan_chain(graph, args.d, seed=seed, answer_text=args.answer)
+            with clock.timed("generate"):
+                trace = generate_stepwise(
+                    share.ctx, graph, chain, backend, config.category_overrides
+                )
             return trace, None
         except HopqgError as exc:
             return None, (index, seed, exc)
+        finally:
+            share.release()
 
-    start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         results = list(pool.map(run, jobs))
-    elapsed = time.perf_counter() - start
 
     traces = [trace for trace, _ in results if trace is not None]
     failures = [failure for _, failure in results if failure is not None]
@@ -185,9 +219,9 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
     write_jsonl([t.to_json() for t in traces], args.out)
 
     rewrites = sum(len(t.steps) - 1 for t in traces)
-    manifest.stage("plan", len(traces), elapsed)
-    manifest.stage("initial", len(traces), elapsed)
-    manifest.stage("rewrite", rewrites, elapsed)
+    clock.record(manifest)
+    manifest.stage("initial", len(traces), 0.0)
+    manifest.stage("rewrite", rewrites, 0.0)
     manifest.stage("failed", len(failures), 0.0)
     _finish(manifest, args, [args.out])
     return EXIT_PARTIAL if failures else EXIT_OK

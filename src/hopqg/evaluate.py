@@ -8,7 +8,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import BackendError, MetricError
+from .errors import AnnotationError, BackendError, MetricError
 from .metrics import (
     TOKENIZER_SPEC,
     bleu_n,
@@ -209,10 +209,18 @@ def write_jsonl(records: list[dict], path: str) -> None:
 
 
 def read_jsonl(path: str) -> list[dict]:
+    """One JSON value per non-blank line; a bad line raises AnnotationError
+    naming ``path:line``."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise AnnotationError(
+                    f"{path}:{n}: invalid JSON: {exc.msg} (line {n}, column {exc.colno})"
+                ) from exc
     return records

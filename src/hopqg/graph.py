@@ -186,12 +186,21 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
         dst = group_of(t.object)
         raw_edges.append((src, dst, collapse(ctx.span_text(t.relation)), t.sentence_index))
 
+    # A cluster mention can only match group mentions of its own sentence.
+    mentions_by_sent: dict[int, list[tuple[Span, int]]] = {}
+    for gid, mentions in enumerate(group_mentions):
+        for m in mentions:
+            mentions_by_sent.setdefault(m.sent, []).append((m, gid))
+
     uf = _UnionFind(len(group_mentions))
     for cluster in ctx.coref_clusters:
-        matched = []
-        for gid, mentions in enumerate(group_mentions):
-            if any(_spans_match(m, cm) for m in mentions for cm in cluster):
-                matched.append(gid)
+        # The matching groups in ascending order, as an all-pairs scan lists them.
+        matched = sorted({
+            gid
+            for cm in cluster
+            for m, gid in mentions_by_sent.get(cm.sent, ())
+            if _spans_match(m, cm)
+        })
         for gid in matched[1:]:
             uf.union(matched[0], gid)
 
@@ -204,7 +213,7 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
             members[root] = []
             roots.append(root)
         members[root].append(gid)
-    root_to_id = {root: i for i, root in enumerate(sorted(roots, key=roots.index))}
+    root_to_id = {root: i for i, root in enumerate(roots)}
 
     nodes: list[Node] = []
     for root, node_id in root_to_id.items():
@@ -234,9 +243,12 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
         edges.append(Edge(s, d, rel, sent))
 
     if ctx.named_entities is not None:
+        nes_by_sent: dict[int, list[Span]] = {}
+        for ne in ctx.named_entities:
+            nes_by_sent.setdefault(ne.sent, []).append(ne)
         for node in nodes:
             node.is_named_entity = any(
-                _spans_match(m, ne) for m in node.mentions for ne in ctx.named_entities
+                _spans_match(m, ne) for m in node.mentions for ne in nes_by_sent.get(m.sent, ())
             )
     else:
         for node in nodes:

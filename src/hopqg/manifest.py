@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -72,3 +74,32 @@ class StageTimer:
 
     def __exit__(self, *exc) -> None:
         self.manifest.stage(self.name, self.count, time.perf_counter() - self._start)
+
+
+class StageClock:
+    """Per-stage totals summed over many timed calls, from any thread.
+
+    A stage's count is its calls that returned; its seconds cover every
+    call, including those that raised.
+    """
+
+    def __init__(self, *names: str):
+        self._lock = threading.Lock()
+        self.totals = {name: [0, 0.0] for name in names}
+
+    @contextmanager
+    def timed(self, name: str):
+        start = time.perf_counter()
+        returned = False
+        try:
+            yield
+            returned = True
+        finally:
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                self.totals[name][0] += returned
+                self.totals[name][1] += elapsed
+
+    def record(self, manifest: RunManifest) -> None:
+        for name, (count, seconds) in self.totals.items():
+            manifest.stage(name, count, seconds)

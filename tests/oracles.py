@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations for metric tests.
 
 These deliberately share no code path with hopqg.metrics beyond the
-tokenizer definition (which is part of the metric's published contract).
+tokenizer definition (which is part of the metric's published contract),
+and none with hopqg.graph beyond the node-identity key.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 
 from hopqg.metrics import light_stem, tokenize
+from hopqg.textutil import norm_key
 
 
 def oracle_lcs(a: list, b: list) -> int:
@@ -146,3 +148,59 @@ def oracle_meteor(hyp: str, ref: str, alpha=0.9, beta=3.0, gamma=0.5) -> float:
     ch = chunks(best[1])
     penalty = 0.0 if ch <= 1 else gamma * (ch / m) ** beta
     return f_mean * (1 - penalty)
+
+
+def _oracle_spans_match(a, b) -> bool:
+    if a.sent != b.sent:
+        return False
+    return (b.start <= a.start and a.end <= b.end) or (a.start <= b.start and b.end <= a.end)
+
+
+def oracle_graph_merges(ctx) -> list[tuple[list, bool]]:
+    """(sorted mentions, named-entity flag) per node, in node-id order.
+
+    Tests every group mention against every coreference mention and every
+    mention against every named-entity span, the all-pairs rule the
+    graph builder's per-sentence index must reproduce. Only meaningful for
+    contexts that carry named-entity annotations.
+    """
+    key_to_group: dict[str, int] = {}
+    groups: list[list] = []
+    for t in ctx.triples:
+        for span in (t.subject, t.object):
+            key = norm_key(ctx.span_text(span))
+            if key not in key_to_group:
+                key_to_group[key] = len(groups)
+                groups.append([])
+            if span not in groups[key_to_group[key]]:
+                groups[key_to_group[key]].append(span)
+
+    parent = list(range(len(groups)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for cluster in ctx.coref_clusters:
+        matched = []
+        for gid, mentions in enumerate(groups):
+            if any(_oracle_spans_match(m, cm) for m in mentions for cm in cluster):
+                matched.append(gid)
+        for gid in matched[1:]:
+            a, b = find(matched[0]), find(gid)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+
+    members: dict[int, list] = {}
+    for gid, mentions in enumerate(groups):
+        node = members.setdefault(find(gid), [])
+        node.extend(m for m in mentions if m not in node)
+    out = []
+    for mentions in members.values():
+        mentions = sorted(mentions)
+        is_ne = any(
+            _oracle_spans_match(m, ne) for m in mentions for ne in ctx.named_entities
+        )
+        out.append((mentions, is_ne))
+    return out

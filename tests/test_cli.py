@@ -1,16 +1,26 @@
 """End-to-end command tests: exit codes, outputs, manifests, reruns."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
+import weakref
 
 import pytest
 
 import hopqg
+import hopqg.cli
 from hopqg.cli import main
+from hopqg.context import AnnotatedContext
+from hopqg.evaluate import write_jsonl
+from hopqg.pipeline import generate_for_context
+from hopqg.template import TemplateBackend
 from util import (
     comparison_record_doc,
+    film3_context_doc,
     film_context_doc,
     prize_record_doc,
     remake_record_doc,
@@ -142,6 +152,138 @@ def test_generate_per_item_failures_exit_1(tmp_path, caplog):
     assert manifest["stages"]["failed"]["count"] == 1
 
 
+def count_builds(monkeypatch) -> list:
+    """Patch the CLI's graph builder; returns a weak reference per graph built."""
+    built = []
+    real_build = hopqg.cli.build_context_graph
+
+    def counting_build(ctx):
+        graph = real_build(ctx)
+        built.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(hopqg.cli, "build_context_graph", counting_build)
+    return built
+
+
+def test_generate_builds_one_graph_per_context(tmp_path, monkeypatch):
+    built = count_builds(monkeypatch)
+    ctx = write_json(tmp_path / "ctx.json", [film_context_doc(), film3_context_doc()])
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--d", "2", "--seed", "3", "--count", "4", "--out", out]
+    assert main(args) == 0
+    assert len(built) == 2
+    stages = read_manifest(out + ".manifest.json")["stages"]
+    assert stages["build"]["count"] == 2
+    assert stages["plan"]["count"] == stages["generate"]["count"] == 8
+
+
+def test_generate_drops_each_graph_after_its_last_seed(tmp_path, monkeypatch):
+    built = count_builds(monkeypatch)
+    alive_at_build = []
+    real_build = hopqg.cli.build_context_graph
+
+    def build_and_look(ctx):
+        # The planner's recursive closure leaves cycles that hold a graph
+        # until the cycle collector runs; collect them first.
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        return real_build(ctx)
+
+    monkeypatch.setattr(hopqg.cli, "build_context_graph", build_and_look)
+    docs = [film_context_doc(), film3_context_doc(), film_context_doc()]
+    ctx = write_json(tmp_path / "ctx.json", docs)
+    cfg = write_json(tmp_path / "cfg.json", {"concurrency": 1})
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--count", "3", "--config", cfg, "--out", out]
+    assert main(args) == 0
+    # With one worker a context's jobs finish before the next context's
+    # build, so no earlier graph is still held.
+    assert alive_at_build == [0, 0, 0]
+
+
+def test_generate_shared_state_under_thread_stress(tmp_path, monkeypatch):
+    built = count_builds(monkeypatch)
+    docs = [film_context_doc(), film3_context_doc()] * 3
+    ctx = write_json(tmp_path / "ctx.json", docs)
+    cfg = write_json(tmp_path / "cfg.json", {"concurrency": 8})
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--count", "8", "--config", cfg, "--out", out]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(args) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    # A lost check-then-act would build a graph twice; a lost update would
+    # drop a stage count.
+    assert len(built) == len(docs)
+    stages = read_manifest(out + ".manifest.json")["stages"]
+    assert stages["build"]["count"] == len(docs)
+    assert stages["plan"]["count"] == stages["generate"]["count"] == 8 * len(docs)
+    assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 8 * len(docs)
+
+
+def test_generate_shared_graph_output_equals_per_seed_helper(tmp_path):
+    docs = [film_context_doc(), film3_context_doc()]
+    ctx = write_json(tmp_path / "ctx.json", docs)
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--d", "2", "--seed", "3", "--count", "4", "--out", out]
+    assert main(args) == 0
+    expected = str(tmp_path / "expected.jsonl")
+    write_jsonl(
+        [
+            generate_for_context(AnnotatedContext.from_json(doc), 2, 3 + k, TemplateBackend()).to_json()
+            for doc in docs
+            for k in range(4)
+        ],
+        expected,
+    )
+    assert (tmp_path / "traces.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+def test_generate_seeds_of_one_context_run_in_parallel(tmp_path, monkeypatch):
+    class BarrierBackend(TemplateBackend):
+        # Each initial call waits for a second one: two seed jobs of the
+        # same context must be in flight at once, or the barrier breaks.
+        barrier = threading.Barrier(2, timeout=5)
+
+        def initial(self, gi, info):
+            self.barrier.wait()
+            return super().initial(gi, info)
+
+    monkeypatch.setattr(hopqg.cli, "_generator_backend", lambda name, config: BarrierBackend())
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    cfg = write_json(tmp_path / "cfg.json", {"concurrency": 2})
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--count", "2", "--config", cfg, "--out", out]
+    assert main(args) == 0
+    assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 2
+
+
+def test_generate_stage_seconds_within_wall_time(tmp_path):
+    ctx = write_json(tmp_path / "ctx.json", [film_context_doc(), film3_context_doc()])
+    cfg = write_json(tmp_path / "cfg.json", {"concurrency": 1})
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--d", "2", "--count", "3", "--config", cfg, "--out", out]
+    start = time.perf_counter()
+    assert main(args) == 0
+    wall = time.perf_counter() - start
+    stages = read_manifest(out + ".manifest.json")["stages"]
+    assert [stages[name]["count"] for name in ("build", "plan", "generate")] == [2, 6, 6]
+    timed = sum(stages[name]["seconds"] for name in ("build", "plan", "generate"))
+    assert 0 < timed <= wall
+    assert stages["initial"] == {"count": 6, "seconds": 0.0}
+    assert stages["rewrite"] == {"count": 6, "seconds": 0.0}
+
+
+def test_generate_bad_jsonl_line_names_path_and_line(tmp_path, capsys):
+    text = "\n" + json.dumps(film_context_doc()) + "\n" + '{"context": "x",\n'
+    ctx = write(tmp_path / "ctx.jsonl", text)
+    assert main(["generate", "--context", ctx, "--out", str(tmp_path / "t.jsonl")]) == 2
+    assert f"{ctx}:3: invalid JSON" in capsys.readouterr().err
+
+
 def test_generate_remote_without_endpoint_exits_2(tmp_path):
     ctx = write_json(tmp_path / "ctx.json", film_context_doc())
     code = main([
@@ -261,6 +403,15 @@ def test_filter_command(tmp_path):
     manifest = read_manifest(out + ".manifest.json")
     assert manifest["stages"]["filter"]["count"] == 2
     assert manifest["stages"]["dropped"]["count"] == 3
+
+
+def test_filter_bad_jsonl_line_names_path_and_line(tmp_path, capsys):
+    text = json.dumps({"question": "one two three four five six ?", "answer": "x"}) + '\n{"question": 5,,}\n'
+    traces = write(tmp_path / "t.jsonl", text)
+    out = str(tmp_path / "kept.jsonl")
+    assert main(["filter", "--traces", traces, "--out", out]) == 2
+    assert f"{traces}:2: invalid JSON" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_filter_respects_bound_flags(tmp_path):

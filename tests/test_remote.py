@@ -54,7 +54,10 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     server.requests = []
     server.behaviors = {}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return at once, not after 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     base = f"http://127.0.0.1:{server.server_port}"
     try:
