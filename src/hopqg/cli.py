@@ -24,7 +24,14 @@ from .dataset_builder import (
     RuleTypeClassifier,
     build_dataset,
 )
-from .errors import AnnotationError, ConfigError, HopqgError, MetricError
+from .errors import (
+    AnnotationError,
+    ConfigError,
+    HopqgError,
+    MetricError,
+    invalid_json,
+    load_json,
+)
 from .evaluate import (
     METRIC_NAMES,
     difficulty_probe,
@@ -97,17 +104,19 @@ def _finish(manifest: RunManifest, args: argparse.Namespace, outputs: list[str])
 
 def _load_context_docs(path: str) -> list[AnnotatedContext]:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().strip()
-    if not text:
+        text = fh.read()
+    if not text.strip():
         raise AnnotationError(f"{path} is empty")
-    if text.startswith("["):
+    try:
         docs = json.loads(text)
-    else:
-        try:
-            docs = [json.loads(text)]
-        except json.JSONDecodeError:
-            # One JSON object per line.
-            docs = read_jsonl(path)
+    except json.JSONDecodeError as exc:
+        # A whole first object followed by more is JSONL (one object per
+        # line); any other error is reported where the decoder stopped.
+        if exc.msg != "Extra data" or text.lstrip().startswith("["):
+            raise AnnotationError(invalid_json(path, exc)) from exc
+        docs = read_jsonl(path)
+    if isinstance(docs, dict):
+        docs = [docs]
     if not isinstance(docs, list):
         raise AnnotationError(f"{path} must hold a context object or array")
     return [AnnotatedContext.from_json(doc) for doc in docs]
@@ -176,11 +185,14 @@ class _SharedGraph:
 
 
 def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    for flag, value in (("--d", args.d), ("--count", args.count)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     manifest = _new_manifest(args, config, [args.context])
+    backend = _generator_backend(args.backend, config)
     if args.manifest_only:
         _finish(manifest, args, [])
         return EXIT_OK
-    backend = _generator_backend(args.backend, config)
     contexts = _load_context_docs(args.context)
     shared = [_SharedGraph(ctx, args.count) for ctx in contexts]
     jobs = [
@@ -275,16 +287,20 @@ def cmd_build_dataset(args: argparse.Namespace, config: PipelineConfig) -> int:
     return EXIT_PARTIAL if stats["errors"] else EXIT_OK
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """Non-blank lines with their 1-based line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+        return [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
 
 
-def _parse_refs(lines: list[str]) -> list[list[str]]:
+def _parse_refs(path: str) -> list[list[str]]:
     refs = []
-    for line in lines:
+    for n, line in _read_lines(path):
         if line.lstrip().startswith("["):
-            parsed = json.loads(line)
+            try:
+                parsed = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MetricError(invalid_json(path, exc, n)) from exc
             if not isinstance(parsed, list) or not all(isinstance(r, str) for r in parsed):
                 raise MetricError("reference lines must be strings or JSON string arrays")
             refs.append(parsed)
@@ -304,8 +320,8 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.manifest_only:
         _finish(manifest, args, [])
         return EXIT_OK
-    hyps = _read_lines(args.hyp)
-    refs = _parse_refs(_read_lines(args.ref))
+    hyps = [line for _, line in _read_lines(args.hyp)]
+    refs = _parse_refs(args.ref)
     if len(hyps) != len(refs):
         raise MetricError(
             f"hypothesis/reference line counts differ: {len(hyps)} vs {len(refs)}"
@@ -376,13 +392,8 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _load_qa_records(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().strip()
-    if text.startswith("["):
-        records = json.loads(text)
-        if not isinstance(records, list):
-            raise AnnotationError(f"{path}: expected a JSON array")
-        return records
-    return read_jsonl(path)
+        array = fh.read().lstrip().startswith("[")
+    return load_json(path) if array else read_jsonl(path)
 
 
 def cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -489,12 +500,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         return args.func(args, config)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

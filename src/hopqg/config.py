@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, load_json
 
 _ENDPOINT_ENV = {
     "generator": "HOPQG_GENERATOR_URL",
@@ -31,8 +31,6 @@ class Endpoints:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    seed: int = 0
-    d: int = 2
     concurrency: int = 8
     timeout: float = 10.0
     retries: int = 2
@@ -42,15 +40,9 @@ class PipelineConfig:
     category_overrides: dict[str, str] = field(default_factory=dict)
     min_words: int = 6
     max_words: int = 30
-    rouge_beta: float = 1.2
-    meteor_alpha: float = 0.9
-    meteor_beta: float = 3.0
-    meteor_gamma: float = 0.5
     oversample_ratio: float = 4.0
 
     def validate(self) -> None:
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.concurrency < 1:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
         if self.timeout <= 0:
@@ -103,7 +95,8 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(
-                f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
+                f"{path}:{exc.lineno}: config is not valid JSON: "
+                f"line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
@@ -129,8 +122,7 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
     if overrides_file is not None:
         if not os.path.exists(overrides_file):
             raise ConfigError(f"category_overrides_file not found: {overrides_file}")
-        with open(overrides_file, "r", encoding="utf-8") as fh:
-            extra = json.load(fh)
+        extra = load_json(overrides_file, ConfigError)
         if not isinstance(extra, dict):
             raise ConfigError("category_overrides_file must hold a JSON object")
         merged = dict(config.category_overrides)

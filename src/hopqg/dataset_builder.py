@@ -21,7 +21,7 @@ from .errors import AnnotationError, BackendError, ConfigError, NodeNotFoundErro
 from .graph import ContextGraph, Edge, Node, build_context_graph
 from .hotpot import HotpotRecord, record_context
 from .metrics import normalize_answer
-from .planner import ChainNode, EdgeDirection, ReasoningChain, RewriteType
+from .planner import ChainNode, ReasoningChain, RewriteType
 from .textutil import content_tokens, strip_punct
 
 logger = logging.getLogger("hopqg.builder")
@@ -373,17 +373,11 @@ def _best_node(graph: ContextGraph, tokens: set[str], exclude: set[int]) -> Node
     return best_node
 
 
-def _pick_edge(graph: ContextGraph, child: int, parent: int) -> tuple[Edge, EdgeDirection]:
+def _pick_edge(graph: ContextGraph, child: int, parent: int) -> Edge:
     edges = graph.edges_between(child, parent)
     if not edges:
         raise _Skip(SKIP_NODE)
-    edge = min(edges, key=lambda e: (e.sentence_index, e.relation, e.source != child))
-    direction = (
-        EdgeDirection.CHILD_TO_PARENT
-        if edge.source == child
-        else EdgeDirection.PARENT_TO_CHILD
-    )
-    return edge, direction
+    return min(edges, key=lambda e: (e.sentence_index, e.relation, e.source != child))
 
 
 def locate_chain(
@@ -413,36 +407,14 @@ def locate_chain(
     leaf = _best_node(graph, other_tokens, {root.id, middle.id})
     if leaf is None:
         raise _Skip(SKIP_NODE)
-    e2, dir2 = _pick_edge(graph, middle.id, root.id)
-    if tag is ReasoningTypeTag.BRIDGE:
-        e1, dir1 = _pick_edge(graph, leaf.id, middle.id)
-        leaf_parent = 1
-    else:
-        e1, dir1 = _pick_edge(graph, leaf.id, root.id)
-        leaf_parent = 0
+    bridge = tag is ReasoningTypeTag.BRIDGE
+    leaf_parent = middle if bridge else root
     nodes = [
         ChainNode(index=0, node_id=root.id, surface=root.surface),
-        ChainNode(
-            index=1,
-            node_id=middle.id,
-            surface=middle.surface,
-            parent=0,
-            edge_text=e2.relation,
-            edge_direction=dir2,
-            sentence=e2.sentence_index,
-            rewrite_type=RewriteType.BRIDGE,
-        ),
-        ChainNode(
-            index=2,
-            node_id=leaf.id,
-            surface=leaf.surface,
-            parent=leaf_parent,
-            edge_text=e1.relation,
-            edge_direction=dir1,
-            sentence=e1.sentence_index,
-            rewrite_type=(
-                RewriteType.BRIDGE if leaf_parent == 1 else RewriteType.INTERSECTION
-            ),
+        ChainNode.hop(1, middle, 0, _pick_edge(graph, middle.id, root.id), RewriteType.BRIDGE),
+        ChainNode.hop(
+            2, leaf, 1 if bridge else 0, _pick_edge(graph, leaf.id, leaf_parent.id),
+            RewriteType.BRIDGE if bridge else RewriteType.INTERSECTION,
         ),
     ]
     return ReasoningChain(nodes=nodes, d=2)

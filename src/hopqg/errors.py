@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and JSON loading that names
+`path:line` in its errors."""
 
 from __future__ import annotations
+
+import json
 
 
 class HopqgError(Exception):
@@ -58,3 +61,18 @@ class MetricError(HopqgError):
 
 class ConfigError(HopqgError):
     """Invalid pipeline configuration."""
+
+
+def invalid_json(path: str, exc: json.JSONDecodeError, line: int | None = None) -> str:
+    """Error text naming `path:line`; pass `line` when one line was decoded alone."""
+    line = exc.lineno if line is None else line
+    return f"{path}:{line}: invalid JSON: {exc.msg} (line {line}, column {exc.colno})"
+
+
+def load_json(path: str, error: type[HopqgError] = AnnotationError):
+    """Decode a whole JSON file; a syntax error raises `error` naming `path:line`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(invalid_json(path, exc)) from exc

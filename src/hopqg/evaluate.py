@@ -8,7 +8,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import AnnotationError, BackendError, MetricError
+from .errors import AnnotationError, BackendError, MetricError, invalid_json
 from .metrics import (
     TOKENIZER_SPEC,
     bleu_n,
@@ -220,7 +220,5 @@ def read_jsonl(path: str) -> list[dict]:
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise AnnotationError(
-                    f"{path}:{n}: invalid JSON: {exc.msg} (line {n}, column {exc.colno})"
-                ) from exc
+                raise AnnotationError(invalid_json(path, exc, n)) from exc
     return records

@@ -8,12 +8,11 @@ pattern-extracted annotation so the rest of the pipeline still runs.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from .context import AnnotatedContext, Sentence, Span, Triple
-from .errors import AnnotationError
+from .errors import AnnotationError, load_json
 from .textutil import collapse
 
 _WORD_RE = re.compile(r"\S+")
@@ -49,15 +48,7 @@ class HotpotRecord:
     answer: str
     paragraphs: list[Paragraph]
     supporting_facts: list[tuple[str, int]]
-    qtype: str | None = None
-    level: str | None = None
     annotations: dict | None = field(default=None, repr=False)
-
-    def paragraph(self, title: str) -> Paragraph:
-        for p in self.paragraphs:
-            if p.title == title:
-                return p
-        raise AnnotationError(f"paragraph {title!r} not in record {self.record_id}")
 
 
 def parse_record(obj: dict) -> HotpotRecord:
@@ -105,15 +96,12 @@ def parse_record(obj: dict) -> HotpotRecord:
         answer=answer,
         paragraphs=paragraphs,
         supporting_facts=facts,
-        qtype=obj.get("type"),
-        level=obj.get("level"),
         annotations=obj.get("annotations"),
     )
 
 
 def load_hotpot(path: str) -> list[HotpotRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_json(path)
     if not isinstance(data, list):
         raise AnnotationError("expected a JSON array of records")
     return [parse_record(obj) for obj in data]

@@ -9,12 +9,13 @@ adds one rewrite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 
 from .context import AnnotatedContext, Sentence
 from .errors import InsufficientContextError, PlanningError
-from .graph import ContextGraph, Edge
+from .graph import ContextGraph, Edge, Node
 
 
 class RewriteType(str, Enum):
@@ -37,6 +38,19 @@ class ChainNode:
     edge_direction: EdgeDirection | None = None
     sentence: int | None = None
     rewrite_type: RewriteType | None = None
+
+    @classmethod
+    def hop(
+        cls, index: int, node: Node, parent: int, edge: Edge, rewrite_type: RewriteType | None
+    ) -> "ChainNode":
+        """Chain node `index` for graph `node`, joined to chain node `parent` by
+        `edge`; the hop runs child to parent when the edge starts at `node`."""
+        direction = (
+            EdgeDirection.CHILD_TO_PARENT if edge.source == node.id else EdgeDirection.PARENT_TO_CHILD
+        )
+        return cls(
+            index, node.id, node.surface, parent, edge.relation, direction, edge.sentence_index, rewrite_type
+        )
 
 
 @dataclass
@@ -73,37 +87,17 @@ class ReasoningChain:
             ],
         }
 
-    @staticmethod
-    def from_json(doc: dict) -> "ReasoningChain":
-        nodes = []
-        for obj in doc["nodes"]:
-            nodes.append(
-                ChainNode(
-                    index=obj["i"],
-                    node_id=obj.get("node_id", doc["answer_node"] if obj["i"] == 0 else -1),
-                    surface=obj["surface"],
-                    parent=obj["parent"],
-                    edge_text=obj["edge"],
-                    edge_direction=EdgeDirection(obj["edge_dir"]) if obj.get("edge_dir") else None,
-                    sentence=obj["sentence"],
-                    rewrite_type=RewriteType(obj["rewrite_type"]) if obj.get("rewrite_type") else None,
-                )
-            )
-        return ReasoningChain(nodes, doc["d"])
-
 
 @dataclass
 class SpanningTree:
     root: int
     # child node id -> (parent node id, connecting edge)
     parent: dict[int, tuple[int, Edge]]
-    order: list[int] = field(default_factory=list)  # BFS visit order
+    # node id -> its children in BFS discovery order; one entry per tree node
+    children: dict[int, list[int]]
 
     def size(self) -> int:
-        return len(self.order)
-
-    def children_of(self, node_id: int) -> list[int]:
-        return [c for c, (p, _) in self.parent.items() if p == node_id]
+        return len(self.children)
 
 
 def eligible_answer_nodes(graph: ContextGraph) -> list[int]:
@@ -125,7 +119,8 @@ def sample_answer_node(graph: ContextGraph, seed: int) -> int:
     return random.Random(seed).choice(eligible)
 
 
-def _edge_sort_key(graph: ContextGraph, at: int, edge: Edge, other: int):
+def _edge_sort_key(graph: ContextGraph, incident: tuple[Edge, int]):
+    edge, other = incident
     direction = 0 if edge.source == other else 1
     return (edge.sentence_index, graph.node(other).surface, edge.relation, direction)
 
@@ -138,20 +133,22 @@ def spanning_tree(graph: ContextGraph, root: int) -> SpanningTree:
     Neighbor visit order: lower edge sentence index, then neighbor surface.
     """
     parent: dict[int, tuple[int, Edge]] = {}
-    order = [root]
-    visited = {root}
-    queue = [root]
+    children: dict[int, list[int]] = {root: []}
+    queue = deque([root])
     while queue:
-        u = queue.pop(0)
-        incident = sorted(graph.incident(u), key=lambda eo: _edge_sort_key(graph, u, eo[0], eo[1]))
-        for edge, other in incident:
-            if other in visited:
-                continue
-            visited.add(other)
-            parent[other] = (u, edge)
-            order.append(other)
-            queue.append(other)
-    return SpanningTree(root, parent, order)
+        u = queue.popleft()
+        kids = children[u]
+        for edge, other in sorted(graph.incident(u), key=lambda eo: _edge_sort_key(graph, eo)):
+            if other not in children:
+                parent[other] = (u, edge)
+                kids.append(other)
+                children[other] = []
+                queue.append(other)
+    return SpanningTree(root, parent, children)
+
+
+def _tree_edge_key(graph: ContextGraph, tree: SpanningTree, nid: int):
+    return (tree.parent[nid][1].sentence_index, graph.node(nid).surface, nid)
 
 
 def prune_tree(graph: ContextGraph, tree: SpanningTree, d: int) -> list[int]:
@@ -170,75 +167,41 @@ def prune_tree(graph: ContextGraph, tree: SpanningTree, d: int) -> list[int]:
         )
     kept = [tree.root]
     covered: set[int] = set()
-    frontier = set(tree.children_of(tree.root))
+    frontier = set(tree.children[tree.root])
     for _ in range(d):
-        def key(nid: int):
-            _, edge = tree.parent[nid]
-            return (edge.sentence_index, graph.node(nid).surface, nid)
-
         fresh = [n for n in frontier if tree.parent[n][1].sentence_index not in covered]
-        pool = fresh or sorted(frontier)
-        chosen = min(pool, key=key)
+        chosen = min(fresh or frontier, key=lambda n: _tree_edge_key(graph, tree, n))
         kept.append(chosen)
         covered.add(tree.parent[chosen][1].sentence_index)
         frontier.discard(chosen)
-        frontier.update(tree.children_of(chosen))
+        frontier.update(tree.children[chosen])
     return kept
 
 
 def index_chain(graph: ContextGraph, tree: SpanningTree, kept: list[int], d: int) -> ReasoningChain:
-    """Preorder-index the kept subtree; children ordered by (sentence, surface)."""
+    """Preorder-index the kept subtree; children ordered by (sentence, surface).
+
+    Node i >= 2 is a Bridge iff it is the first child of its parent, else an
+    Intersection; the answer node and the first hop carry no rewrite type.
+    """
     kept_set = set(kept)
-    children: dict[int, list[int]] = {nid: [] for nid in kept}
-    for nid in kept:
-        if nid == tree.root:
-            continue
-        p, _ = tree.parent[nid]
-        children[p].append(nid)
-    for p in children:
-        children[p].sort(key=lambda c: (tree.parent[c][1].sentence_index, graph.node(c).surface, c))
-
     nodes: list[ChainNode] = []
-    idx_of: dict[int, int] = {}
-
-    def visit(nid: int, parent_idx: int | None):
+    # (node id, parent's chain index, first child of that parent), popped in preorder
+    stack: list[tuple[int, int | None, bool]] = [(tree.root, None, False)]
+    while stack:
+        nid, parent_index, first = stack.pop()
         i = len(nodes)
-        idx_of[nid] = i
-        if parent_idx is None:
+        if parent_index is None:
             nodes.append(ChainNode(i, nid, graph.node(nid).surface))
         else:
-            _, edge = tree.parent[nid]
-            direction = EdgeDirection.CHILD_TO_PARENT if edge.source == nid else EdgeDirection.PARENT_TO_CHILD
-            nodes.append(
-                ChainNode(
-                    i, nid, graph.node(nid).surface,
-                    parent=parent_idx,
-                    edge_text=edge.relation,
-                    edge_direction=direction,
-                    sentence=edge.sentence_index,
-                )
-            )
-        for c in children[nid]:
-            visit(c, i)
-
-    visit(tree.root, None)
-    assert len(nodes) == d + 1 and set(idx_of) == kept_set
+            rewrite = None if i < 2 else RewriteType.BRIDGE if first else RewriteType.INTERSECTION
+            nodes.append(ChainNode.hop(i, graph.node(nid), parent_index, tree.parent[nid][1], rewrite))
+        kids = sorted(
+            (c for c in tree.children[nid] if c in kept_set), key=lambda c: _tree_edge_key(graph, tree, c)
+        )
+        stack.extend(reversed([(c, i, k == 0) for k, c in enumerate(kids)]))
+    assert len(nodes) == len(kept) == d + 1
     return ReasoningChain(nodes, d)
-
-
-def assign_rewrite_types(chain: ReasoningChain) -> ReasoningChain:
-    """Node i >= 2 is Bridge iff it is the first preorder child of its parent."""
-    first_child: dict[int, int] = {}
-    for n in chain.nodes[1:]:
-        first_child.setdefault(n.parent, n.index)
-    for n in chain.nodes:
-        if n.index >= 2:
-            n.rewrite_type = (
-                RewriteType.BRIDGE if first_child[n.parent] == n.index else RewriteType.INTERSECTION
-            )
-        else:
-            n.rewrite_type = None
-    return chain
 
 
 def context_sentence(ctx: AnnotatedContext, node: ChainNode) -> Sentence:
@@ -261,4 +224,4 @@ def plan_chain(
         root = sample_answer_node(graph, seed)
     tree = spanning_tree(graph, root)
     kept = prune_tree(graph, tree, d)
-    return assign_rewrite_types(index_chain(graph, tree, kept, d))
+    return index_chain(graph, tree, kept, d)

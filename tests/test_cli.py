@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,11 @@ def write_json(path, doc):
     return write(path, json.dumps(doc))
 
 
+def read_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.readlines()
+
+
 def read_manifest(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -65,9 +71,9 @@ def test_build_graph_idempotent_rerun(tmp_path):
     ctx = write_json(tmp_path / "ctx.json", film_context_doc())
     out = str(tmp_path / "graph.json")
     assert main(["build-graph", "--context", ctx, "--out", out]) == 0
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     assert main(["build-graph", "--context", ctx, "--out", out]) == 0
-    assert open(out, "rb").read() == first
+    assert Path(out).read_bytes() == first
 
 
 def test_build_graph_malformed_json_exits_2(tmp_path, capsys):
@@ -98,6 +104,14 @@ def test_manifest_only_skips_outputs(tmp_path):
     assert ctx in manifest["inputs"]
 
 
+def test_multi_line_context_errors_name_their_line(tmp_path, capsys):
+    pretty = write(tmp_path / "pretty.json", json.dumps(film_context_doc(), indent=2))
+    assert main(["build-graph", "--context", pretty, "--out", str(tmp_path / "g.json")]) == 0
+    ctx = write(tmp_path / "ctx.json", '{\n  "context": "x",\n  "sentences": [,]\n}\n')
+    assert main(["build-graph", "--context", ctx, "--out", str(tmp_path / "g2.json")]) == 2
+    assert f"{ctx}:3: invalid JSON" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- generate
 
 
@@ -109,7 +123,7 @@ def test_generate_template_d2(tmp_path):
         "--backend", "template", "--answer", "Tom Cruise", "--out", out,
     ])
     assert code == 0
-    lines = [json.loads(l) for l in open(out) if l.strip()]
+    lines = [json.loads(l) for l in read_lines(out) if l.strip()]
     assert len(lines) == 1
     trace = lines[0]
     assert trace["d"] == 2 and trace["answer"] == "Tom Cruise"
@@ -136,8 +150,8 @@ def test_generate_same_seed_identical_bytes(tmp_path):
     args = ["generate", "--context", ctx, "--d", "2", "--seed", "5", "--count", "3"]
     assert main(args + ["--out", out_a]) == 0
     assert main(args + ["--out", out_b]) == 0
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
-    assert len(open(out_a).readlines()) == 6
+    assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
+    assert len(read_lines(out_a)) == 6
 
 
 def test_generate_per_item_failures_exit_1(tmp_path, caplog):
@@ -147,7 +161,7 @@ def test_generate_per_item_failures_exit_1(tmp_path, caplog):
         "generate", "--context", ctx, "--answer", "No Such Entity", "--out", out,
     ])
     assert code == 1
-    assert open(out).read() == ""
+    assert Path(out).read_text() == ""
     manifest = read_manifest(out + ".manifest.json")
     assert manifest["stages"]["failed"]["count"] == 1
 
@@ -293,6 +307,28 @@ def test_generate_remote_without_endpoint_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--d", "0"), ("--count", "0"), ("--count", "-2")])
+def test_generate_rejects_d_or_count_below_one(tmp_path, capsys, flag, value):
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    out = tmp_path / "t.jsonl"
+    for extra in ([], ["--manifest-only"]):
+        assert main(["generate", "--context", ctx, flag, value, "--out", str(out)] + extra) == 2
+        assert f"error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "t.jsonl.manifest.json").exists()
+
+
+def test_generate_remote_manifest_only_without_endpoint_exits_2(tmp_path, monkeypatch):
+    monkeypatch.delenv("HOPQG_GENERATOR_URL", raising=False)
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    manifest = tmp_path / "m.json"
+    code = main([
+        "generate", "--context", ctx, "--backend", "remote", "--manifest-only",
+        "--manifest", str(manifest), "--out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == 2
+    assert not manifest.exists()
+
+
 # -------------------------------------------------------------- build-dataset
 
 
@@ -305,10 +341,10 @@ def test_build_dataset_three_records(tmp_path):
         "build-dataset", "--hotpot", hotpot, "--out", out, "--stats", stats_path,
     ])
     assert code == 0
-    examples = [json.loads(l) for l in open(out) if l.strip()]
+    examples = [json.loads(l) for l in read_lines(out) if l.strip()]
     assert len(examples) == 2
     assert {e["type"] for e in examples} == {"Bridge", "Intersection"}
-    stats = json.load(open(stats_path))
+    stats = json.loads(Path(stats_path).read_text())
     assert stats["records"] == 3
     assert stats["skips"]["type-filtered"] == 1
     assert stats["examples"] + sum(stats["skips"].values()) + stats["errors"] == 3
@@ -322,10 +358,10 @@ def test_build_dataset_rerun_is_byte_identical(tmp_path):
     hotpot = write_json(tmp_path / "hotpot.json", records)
     out = str(tmp_path / "examples.jsonl")
     assert main(["build-dataset", "--hotpot", hotpot, "--out", out]) == 0
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     assert main(["build-dataset", "--hotpot", hotpot, "--out", out]) == 0
     assert first != b""
-    assert open(out, "rb").read() == first
+    assert Path(out).read_bytes() == first
 
 
 def test_build_dataset_remote_without_endpoints_exits_2(tmp_path):
@@ -335,6 +371,12 @@ def test_build_dataset_remote_without_endpoints_exits_2(tmp_path):
     assert code == 2
     # Fails before any record is processed.
     assert not os.path.exists(out)
+
+
+def test_build_dataset_bad_json_names_path_and_line(tmp_path, capsys):
+    hotpot = write(tmp_path / "hotpot.json", '[\n  {"_id": "a",\n   "question": }\n]\n')
+    assert main(["build-dataset", "--hotpot", hotpot, "--out", str(tmp_path / "ex.jsonl")]) == 2
+    assert f"{hotpot}:3: invalid JSON" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- evaluate
@@ -347,7 +389,7 @@ def test_evaluate_identity_scores(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code = main(["evaluate", "--hyp", hyp, "--ref", ref, "--out", out, "--table"])
     assert code == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     metrics = report["metrics"]
     for name in ("bleu3", "bleu4", "rouge-l", "meteor-s"):
         assert metrics[name] == pytest.approx(1.0)
@@ -378,6 +420,13 @@ def test_evaluate_bad_inputs_exit_2(tmp_path):
     assert main(["evaluate", "--hyp", hyp, "--ref", ref2, "--metrics", "bleu9"]) == 2
 
 
+def test_evaluate_bad_reference_array_names_path_and_line(tmp_path, capsys):
+    hyp = write(tmp_path / "hyp.txt", "a b c\na b c\n")
+    ref = write(tmp_path / "ref.txt", 'a b c\n\n["a b c",]\n')
+    assert main(["evaluate", "--hyp", hyp, "--ref", ref, "--out", str(tmp_path / "r.json")]) == 2
+    assert f"{ref}:3: invalid JSON" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- filter
 
 
@@ -396,9 +445,9 @@ def test_filter_command(tmp_path):
     out = str(tmp_path / "kept.jsonl")
     rejects = str(tmp_path / "rejects.jsonl")
     assert main(["filter", "--traces", traces, "--out", out, "--rejects", rejects]) == 0
-    kept = [json.loads(l) for l in open(out)]
+    kept = [json.loads(l) for l in read_lines(out)]
     assert [len(k["question"].split()) for k in kept] == [6, 30]
-    dropped = [json.loads(l) for l in open(rejects)]
+    dropped = [json.loads(l) for l in read_lines(rejects)]
     assert [d["reason"] for d in dropped] == ["length", "length", "leak"]
     manifest = read_manifest(out + ".manifest.json")
     assert manifest["stages"]["filter"]["count"] == 2
@@ -419,7 +468,7 @@ def test_filter_respects_bound_flags(tmp_path):
     traces = write(tmp_path / "t.jsonl", json.dumps(items[0]) + "\n")
     out = str(tmp_path / "kept.jsonl")
     assert main(["filter", "--traces", traces, "--out", out, "--min-words", "2"]) == 0
-    assert len(open(out).readlines()) == 1
+    assert len(read_lines(out)) == 1
 
 
 # ---------------------------------------------------------------------- probe
@@ -449,7 +498,7 @@ def test_probe_rule_backend(tmp_path, capsys):
     out = str(tmp_path / "probe.json")
     code = main(["probe", "--traces", traces, "--backend", "rule", "--out", out])
     assert code == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert report["per_d"]["1"]["em"] == pytest.approx(1.0)
     assert report["per_d"]["1"]["count"] == 1
     assert report["backend"] == "rule-qa"
@@ -472,14 +521,14 @@ def test_augment_mix_counts(tmp_path):
     orig = write_json(tmp_path / "orig.json", originals)
     out = str(tmp_path / "mixed.jsonl")
     assert main(["augment", "--traces", traces, "--originals", orig, "--out", out]) == 0
-    mixed = [json.loads(l) for l in open(out)]
+    mixed = [json.loads(l) for l in read_lines(out)]
     # factor = ceil(4.0 * 2 / 3) = 3, so 3 * 3 originals + 2 generated.
     assert len(mixed) == 11
     assert sum(1 for m in mixed if m["source"] == "generated") == 2
 
     out2 = str(tmp_path / "mixed2.jsonl")
     assert main(["augment", "--traces", traces, "--originals", orig, "--out", out2]) == 0
-    assert open(out, "rb").read().replace(b"mixed", b"") == open(out2, "rb").read().replace(b"mixed2", b"")
+    assert Path(out).read_bytes().replace(b"mixed", b"") == Path(out2).read_bytes().replace(b"mixed2", b"")
 
 
 def test_augment_ratio_flag(tmp_path):
@@ -492,7 +541,15 @@ def test_augment_ratio_flag(tmp_path):
         "augment", "--traces", traces, "--originals", orig, "--ratio", "1.0", "--out", out,
     ])
     assert code == 0
-    assert len(open(out).readlines()) == 2
+    assert len(read_lines(out)) == 2
+
+
+def test_augment_bad_originals_array_names_path_and_line(tmp_path, capsys):
+    traces = write(tmp_path / "gen.jsonl", json.dumps({"question": "gen ?", "answer": "a"}) + "\n")
+    orig = write(tmp_path / "orig.json", '[\n  {"question": "q ?"},\n  {"question": }\n]\n')
+    code = main(["augment", "--traces", traces, "--originals", orig, "--out", str(tmp_path / "m.jsonl")])
+    assert code == 2
+    assert f"{orig}:3: invalid JSON" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- config
@@ -504,7 +561,7 @@ def test_cli_uses_config_file(tmp_path):
     traces = write(tmp_path / "t.jsonl", json.dumps(item) + "\n")
     out = str(tmp_path / "kept.jsonl")
     assert main(["filter", "--traces", traces, "--out", out, "--config", cfg]) == 0
-    assert len(open(out).readlines()) == 1
+    assert len(read_lines(out)) == 1
 
 
 def test_cli_invalid_config_exits_2(tmp_path):
@@ -519,6 +576,19 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exit_info.value.code == 0
     assert "hopqg 0.1.0" in capsys.readouterr().out
+
+
+def test_malformed_config_files_name_path_and_line(tmp_path, capsys):
+    item = {"question": "q one two three four five six ?", "answer": "z"}
+    traces = write(tmp_path / "t.jsonl", json.dumps(item) + "\n")
+    args = ["filter", "--traces", traces, "--out", str(tmp_path / "k.jsonl"), "--config"]
+    cfg = write(tmp_path / "cfg.json", '{\n  "min_words": }\n')
+    assert main(args + [cfg]) == 2
+    assert f"{cfg}:2: config is not valid JSON" in capsys.readouterr().err
+    cats = write(tmp_path / "cats.json", '{\n  "Top Gun": }\n')
+    cfg = write_json(tmp_path / "cfg2.json", {"category_overrides_file": cats})
+    assert main(args + [cfg]) == 2
+    assert f"{cats}:2: invalid JSON" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- dependencies

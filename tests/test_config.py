@@ -13,7 +13,7 @@ from hopqg.manifest import RunManifest, StageTimer, sha256_file
 def test_defaults_are_valid():
     config = load_config(None, env={})
     assert config == PipelineConfig()
-    assert config.d == 2 and config.concurrency == 8
+    assert config.retries == 2 and config.concurrency == 8
     assert (config.min_words, config.max_words) == (6, 30)
     assert config.top_p == 0.9 and config.oversample_ratio == 4.0
 
@@ -21,13 +21,13 @@ def test_defaults_are_valid():
 def test_load_config_file_and_env_override(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "seed": 7,
-        "d": 3,
+        "retries": 5,
+        "max_tokens": 32,
         "concurrency": 2,
         "endpoints": {"qa": "http://file-host/qa", "generator": "http://file-host/gen"},
     }))
     config = load_config(str(path), env={"HOPQG_QA_URL": "http://env-host/qa"})
-    assert config.seed == 7 and config.d == 3
+    assert config.retries == 5 and config.max_tokens == 32
     # Environment wins over the file, but only for the variables that are set.
     assert config.endpoints.qa == "http://env-host/qa"
     assert config.endpoints.generator == "http://file-host/gen"
@@ -44,9 +44,18 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(path), env={})
 
 
+def test_load_config_rejects_keys_nothing_reads(tmp_path):
+    path = tmp_path / "cfg.json"
+    for key, value in (("seed", 7), ("d", 3), ("rouge_beta", 1.2), ("meteor_alpha", 0.1),
+                       ("meteor_beta", 3.0), ("meteor_gamma", 0.5)):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+            load_config(str(path), env={})
+
+
 def test_load_config_rejects_bad_values(tmp_path):
     path = tmp_path / "cfg.json"
-    for doc in ({"d": 0}, {"concurrency": 0}, {"oversample_ratio": 0.5},
+    for doc in ({"retries": -1}, {"concurrency": 0}, {"oversample_ratio": 0.5},
                 {"min_words": 10, "max_words": 4}, {"top_p": 0.0}):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
@@ -82,7 +91,7 @@ def test_config_snapshot_is_json_serializable():
     snapshot = PipelineConfig(endpoints=Endpoints(qa="http://x")).to_json()
     parsed = json.loads(json.dumps(snapshot))
     assert parsed["endpoints"]["qa"] == "http://x"
-    assert parsed["rouge_beta"] == 1.2
+    assert parsed["oversample_ratio"] == 4.0
 
 
 def test_sha256_file_matches_hashlib(tmp_path):

@@ -1,14 +1,17 @@
+import gc
+import hashlib
+import json
 import random
+import weakref
 
 import pytest
 
 from hopqg.context import AnnotatedContext
 from hopqg.errors import InsufficientContextError, PlanningError
-from hopqg.graph import ContextGraph, Edge, Node
+from hopqg.graph import ContextGraph, Edge, Node, build_context_graph
 from hopqg.planner import (
     EdgeDirection,
     RewriteType,
-    assign_rewrite_types,
     eligible_answer_nodes,
     index_chain,
     plan_chain,
@@ -16,6 +19,8 @@ from hopqg.planner import (
     sample_answer_node,
     spanning_tree,
 )
+
+from util import film3_context_doc, film_context_doc, remake_context_doc, star_context_doc
 
 
 def dummy_graph(n_nodes, edges, ne_ids=()):
@@ -165,8 +170,64 @@ def test_plan_is_deterministic(film_graph):
 
 
 def test_index_chain_preorder_orders_children_by_sentence():
-    edges = [(1, 0, "r0", 2), (2, 0, "r1", 0), (3, 0, "r2", 1)]
-    g = dummy_graph(4, edges, ne_ids={0})
+    edges = [(1, 0, "r0", 2), (2, 0, "r1", 0), (3, 0, "r2", 1), (4, 2, "r3", 3)]
+    g = dummy_graph(5, edges, ne_ids={0})
     tree = spanning_tree(g, 0)
-    chain = assign_rewrite_types(index_chain(g, tree, [0, 1, 2, 3], 3))
+    assert tree.children == {0: [2, 3, 1], 1: [], 2: [4], 3: [], 4: []}
+    chain = index_chain(g, tree, [0, 1, 2, 3], 3)
     assert [n.node_id for n in chain.nodes] == [0, 2, 3, 1]
+    assert [n.rewrite_type for n in chain.nodes] == [
+        None, None, RewriteType.INTERSECTION, RewriteType.INTERSECTION
+    ]
+    chain = index_chain(g, tree, [0, 1, 2, 3, 4], 4)
+    assert [n.node_id for n in chain.nodes] == [0, 2, 4, 3, 1]
+    assert [n.parent for n in chain.nodes] == [None, 0, 1, 0, 0]
+    assert [n.rewrite_type for n in chain.nodes] == [
+        None, None, RewriteType.BRIDGE, RewriteType.INTERSECTION, RewriteType.INTERSECTION
+    ]
+
+
+# sha256 over the plans (or planning errors) of the seeded sweep below, so that
+# no planner edit changes a plan silently.
+PLAN_GOLDEN = "9125c4e0fa09c5780556722e2346d8d4c48f6316ca33a84942ebf8341cc5ab9f"
+
+
+def _plan_record(graph: ContextGraph, d: int, seed: int, answer_text=None):
+    try:
+        return plan_chain(graph, d, seed=seed, answer_text=answer_text).to_json()
+    except PlanningError as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "max_d", None)]
+
+
+def test_plan_golden_digest():
+    digest = hashlib.sha256()
+    records = []
+    rng = random.Random(5150)
+    for _ in range(120):
+        g = random_planner_graph(rng, rng.randrange(3, 31))
+        pinned = g.node(rng.randrange(len(g.nodes))).surface
+        for d in (0, 1, 2, 3, 4, 6):
+            records.append(_plan_record(g, d, rng.randrange(10**6)))
+            records.append(_plan_record(g, d, 0, answer_text=pinned))
+    for doc in (film_context_doc(), film3_context_doc(), star_context_doc(), remake_context_doc()):
+        g = build_context_graph(AnnotatedContext.from_json(doc))
+        for d in range(1, 6):
+            for seed in range(6):
+                records.append(_plan_record(g, d, seed))
+            for node in g.nodes:
+                records.append(_plan_record(g, d, 0, answer_text=node.surface))
+    for record in records:
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == PLAN_GOLDEN
+
+
+def test_plan_chain_leaves_no_reference_cycle(film_ctx):
+    graph = build_context_graph(film_ctx)
+    alive = weakref.ref(graph)
+    gc.disable()
+    try:
+        plan_chain(graph, d=3, answer_text="Tom Cruise")
+        del graph
+        assert alive() is None, "planning must not leave a cycle holding the graph"
+    finally:
+        gc.enable()
