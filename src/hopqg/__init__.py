@@ -12,7 +12,7 @@ from .planner import (
     plan_chain,
     sample_answer_node,
 )
-from .pipeline import QuestionTrace, generate_for_context, generate_stepwise
+from .pipeline import QuestionTrace, generate_stepwise
 from .template import TemplateBackend
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "ContextGraph", "Edge", "Node", "build_context_graph",
     "ChainNode", "EdgeDirection", "ReasoningChain", "RewriteType",
     "plan_chain", "sample_answer_node",
-    "QuestionTrace", "generate_for_context", "generate_stepwise",
+    "QuestionTrace", "generate_stepwise",
     "TemplateBackend",
     "__version__",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,7 @@ from .evaluate import (
     filter_generated,
     metric_report,
     read_jsonl,
+    read_traces,
     write_jsonl,
 )
 from .graph import ContextGraph, build_context_graph
@@ -72,13 +74,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _manifest_path(args: argparse.Namespace) -> str:
+def _manifest_path(args: argparse.Namespace, manifest: RunManifest) -> str:
     if args.manifest:
         return args.manifest
     out = getattr(args, "out", None)
     if out:
         return out + ".manifest.json"
-    return f"hopqg-{args.command}-manifest.json"
+    first_input = next(iter(manifest.inputs))
+    return os.path.join(os.path.dirname(first_input), f"hopqg-{args.command}-manifest.json")
 
 
 def _new_manifest(args: argparse.Namespace, config: PipelineConfig, inputs: list[str]) -> RunManifest:
@@ -99,7 +102,7 @@ def _new_manifest(args: argparse.Namespace, config: PipelineConfig, inputs: list
 def _finish(manifest: RunManifest, args: argparse.Namespace, outputs: list[str]) -> None:
     for path in outputs:
         manifest.add_output(path)
-    manifest.write(_manifest_path(args))
+    manifest.write(_manifest_path(args, manifest))
 
 
 def _load_context_docs(path: str) -> list[AnnotatedContext]:
@@ -330,6 +333,7 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     with StageTimer(manifest, "score") as stage:
         report = metric_report(list(zip(hyps, refs)), names)
         stage.count = len(hyps)
+    manifest.stage("meteor-fallback", report["meteor_fallbacks"], 0.0)
     text = _dump_json(report)
     if args.out:
         _write_text(args.out, text)
@@ -346,7 +350,7 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.manifest_only:
         _finish(manifest, args, [])
         return EXIT_OK
-    items = read_jsonl(args.traces)
+    items = read_traces(args.traces, ("question", "answer"))
     min_words = config.min_words if args.min_words is None else args.min_words
     max_words = config.max_words if args.max_words is None else args.max_words
     with StageTimer(manifest, "filter") as stage:
@@ -376,7 +380,7 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.manifest_only:
         _finish(manifest, args, [])
         return EXIT_OK
-    traces = read_jsonl(args.traces)
+    traces = read_traces(args.traces, ("question", "answer", "context", "d"))
     with StageTimer(manifest, "probe") as stage:
         result = difficulty_probe(traces, qa, concurrency=config.concurrency)
         stage.count = len(traces) - result.failures
@@ -393,7 +397,13 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _load_qa_records(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         array = fh.read().lstrip().startswith("[")
-    return load_json(path) if array else read_jsonl(path)
+    if not array:
+        return read_traces(path)
+    records = load_json(path)
+    for k, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise AnnotationError(f"{path}: record {k} of the array must be an object")
+    return records
 
 
 def cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -401,7 +411,7 @@ def cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.manifest_only:
         _finish(manifest, args, [])
         return EXIT_OK
-    generated = read_jsonl(args.traces)
+    generated = read_traces(args.traces)
     originals = _load_qa_records(args.originals)
     ratio = config.oversample_ratio if args.ratio is None else args.ratio
     with StageTimer(manifest, "mix") as stage:
@@ -422,7 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="pipeline config JSON")
-        p.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
+        p.add_argument(
+            "--manifest",
+            help="manifest path (default: <out>.manifest.json, else beside the first input)",
+        )
         p.add_argument(
             "--manifest-only",
             action="store_true",

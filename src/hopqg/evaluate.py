@@ -14,6 +14,7 @@ from .metrics import (
     bleu_n,
     cider,
     exact_match,
+    meteor_fallbacks,
     meteor_simplified,
     normalize_answer,
     rouge_l,
@@ -75,8 +76,11 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
 
     Pairwise metrics (ROUGE-L, METEOR-s) are aggregated as the mean over
     items of the best score against any reference; BLEU and CIDEr are
-    corpus-level by definition.
+    corpus-level by definition. ``meteor_fallbacks`` counts the METEOR-s
+    alignments whose search ran out of nodes, so their chunk count may be
+    above the fewest possible.
     """
+    fallbacks_before = meteor_fallbacks()
     scores: dict[str, float] = {}
     for name in names:
         if name in _CORPUS_LEVEL:
@@ -90,7 +94,12 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
             ) / len(corpus)
         else:
             raise MetricError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
-    return {"items": len(corpus), "tokenizer": TOKENIZER_SPEC, "metrics": scores}
+    return {
+        "items": len(corpus),
+        "tokenizer": TOKENIZER_SPEC,
+        "metrics": scores,
+        "meteor_fallbacks": meteor_fallbacks() - fallbacks_before,
+    }
 
 
 @dataclass
@@ -208,17 +217,58 @@ def write_jsonl(records: list[dict], path: str) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path: str) -> list[dict]:
-    """One JSON value per non-blank line; a bad line raises AnnotationError
-    naming ``path:line``."""
-    records = []
+def _jsonl_values(path: str):
+    """(line number, value) for each non-blank line; a bad line raises
+    AnnotationError naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise AnnotationError(invalid_json(path, exc, n)) from exc
-    return records
+            yield n, value
+
+
+def read_jsonl(path: str) -> list:
+    """One JSON value per non-blank line; a bad line raises AnnotationError
+    naming ``path:line``."""
+    return [value for _, value in _jsonl_values(path)]
+
+
+_JSON_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "an array", dict: "an object", type(None): "null",
+}
+
+
+class TraceRecord(dict):
+    """One question record as `filter`, `probe` and `augment` read it: the
+    JSON object itself, passed on untouched, once the fields its reader
+    needs are checked."""
+
+    FIELD_TYPES = {"question": str, "answer": str, "context": str, "d": int}
+
+    @classmethod
+    def from_json(cls, obj, path: str, line: int, fields: tuple[str, ...] = ()) -> "TraceRecord":
+        """Check that obj is an object holding each of ``fields`` with its
+        type; a violation raises AnnotationError naming ``path:line``."""
+        if not isinstance(obj, dict):
+            raise AnnotationError(f"{path}:{line}: record must be an object, got {_JSON_TYPE_NAMES[type(obj)]}")
+        for name in fields:
+            if name not in obj:
+                raise AnnotationError(f"{path}:{line}: record has no {name!r}")
+            kind, value = cls.FIELD_TYPES[name], obj[name]
+            if type(value) is not kind:
+                raise AnnotationError(
+                    f"{path}:{line}: {name!r} must be {_JSON_TYPE_NAMES[kind]}, "
+                    f"got {_JSON_TYPE_NAMES[type(value)]}"
+                )
+        return cls(obj)
+
+
+def read_traces(path: str, fields: tuple[str, ...] = ()) -> list[TraceRecord]:
+    """JSONL question records, each checked by TraceRecord.from_json."""
+    return [TraceRecord.from_json(obj, path, n, fields) for n, obj in _jsonl_values(path)]

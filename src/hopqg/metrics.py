@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import string
+import threading
 from collections import Counter
 
 from .errors import MetricError
@@ -144,66 +145,163 @@ def _chunk_count(matches: list[tuple[int, int]]) -> int:
     return chunks
 
 
-def _align(hyp: list[str], ref: list[str], node_budget: int = 100_000):
-    """Unigram alignment: max exact matches, then max stem matches, then
-    fewest chunks. Exhaustive search with a node budget; greedy beyond it."""
+# Search nodes one alignment may visit before it falls back (see _align).
+NODE_BUDGET = 100_000
+
+_fallbacks = threading.local()
+
+
+def meteor_fallbacks() -> int:
+    """Alignments on the calling thread that have used up NODE_BUDGET."""
+    return getattr(_fallbacks, "count", 0)
+
+
+def _chunk_floor(longest: list[int], width: int) -> list[list[int]]:
+    """floor[i][k]: the fewest chunks that can cover k hyp positions from i
+    on, for k < width, when no chunk from position p is longer than longest[p].
+
+    A run from p + 1 is at most one shorter than a run from p, so some
+    fewest cover takes every chunk but the last as long as it can be: at
+    each position a chunk either starts with its longest run or none does.
+    """
+    m = len(longest)
+    floor = [[]] * m + [[0] + [m + 1] * (width - 1)]
+    for i in range(m - 1, -1, -1):
+        row, step = floor[i + 1], longest[i]
+        if step:
+            take = floor[i + step]
+            tail = [a if a <= b else b + 1 for a, b in zip(row[step + 1 :], take[1:])]
+            row = [0] + [1] * min(step, width - 1) + tail
+        floor[i] = row
+    return floor
+
+
+def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
+    """Unigram alignment with the most exact matches, then the most matches,
+    then the fewest chunks, as (hyp, ref) index pairs in hyp order.
+
+    Equal tokens have equal stems, so both match maxima have a closed form
+    and hold together: exact = sum over tokens of min(hyp count, ref count),
+    total = the same sum over stem classes. Three slack counters hold every
+    branch to both maxima: per token, the hyp positions that may miss an
+    exact match (miss) and the ref positions stem matches may take (lend);
+    per stem class, the hyp positions that may stay unmatched (idle). A
+    branch stops before a counter would go below zero, so the depth-first
+    search over hyp positions looks only for the fewest chunks. It tries the
+    diagonal continuation first, then the longest common stem runs, and
+    cuts a branch once its chunks, plus a floor on the chunks the rest
+    needs, reach the best found.
+
+    Fewest chunks is a minimum common string partition, which is NP-hard,
+    so past node_budget nodes the search stops and the trip is counted
+    (meteor_fallbacks). It then returns the best complete alignment found,
+    or else a greedy exact-then-stem pass, which reaches both maxima.
+    """
     m, n = len(hyp), len(ref)
     hyp_stems = [light_stem(t) for t in hyp]
     ref_stems = [light_stem(t) for t in ref]
-    compat: list[list[tuple[int, int]]] = []
-    for i in range(m):
-        opts = []
-        for j in range(n):
-            if hyp[i] == ref[j]:
-                opts.append((j, 1))  # exact
-            elif hyp_stems[i] == ref_stems[j]:
-                opts.append((j, 0))  # stem
-        compat.append(opts)
+    hyp_count, ref_count = Counter(hyp), Counter(ref)
+    miss = {t: c - min(c, ref_count[t]) for t, c in hyp_count.items()}
+    lend = {t: c - min(c, hyp_count[t]) for t, c in ref_count.items()}
+    ref_class = Counter(ref_stems)
+    idle = {s: c - min(c, ref_class[s]) for s, c in Counter(hyp_stems).items()}
+    positions: dict[str, list[int]] = {}
+    for j, s in enumerate(ref_stems):
+        positions.setdefault(s, []).append(j)
+    # run[i][j]: length of the common stem run from (i, j), for each ref
+    # position j that shares hyp position i's stem; no chunk from (i, j) is
+    # longer. Candidates with longer runs are tried first.
+    run: list[dict[int, int]] = [{}] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        after = run[i + 1]
+        run[i] = {j: after.get(j + 1, 0) + 1 for j in positions.get(hyp_stems[i], ())}
+    compat = [sorted(row, key=row.get, reverse=True) for row in run[:m]]
+    total = m - sum(idle.values())
+    # The floor table costs about m * m steps, more than the whole search on
+    # most pairs, so it is built only once the search has taken as many nodes.
+    floor_at = m * m
+    floor: list[list[int]] = []
 
-    best: dict = {"key": (-1, -1, 0), "matches": []}
-    nodes = 0
+    used = [False] * n
+    path = [-1] * m
+    best: list[int] | None = None
+    best_chunks = m + 1
 
-    def run(i, used, matches, exact, total):
-        nonlocal nodes
-        if nodes > node_budget:
-            return
-        nodes += 1
-        if i == m:
-            key = (exact, total, -_chunk_count(matches))
-            if key > best["key"]:
-                best["key"] = key
-                best["matches"] = list(matches)
-            return
-        # optimistic bound: every remaining position could match exactly
-        remaining = sum(1 for k in range(i, m) if compat[k])
-        if (exact + remaining, total + remaining, 0) < best["key"]:
-            return
-        for j, is_exact in compat[i]:
-            if j in used:
+    def children(i: int, prev: int, chunks: int, skips: int):
+        """The children of a search node; skips counts the hyp positions
+        from i on that are still to stay unmatched. The counters, used and
+        path hold each child's choice until the next child is asked for."""
+        t = hyp[i]
+        diag = prev + 1
+        opts = compat[i]
+        if diag in run[i]:
+            opts = [diag] + [j for j in opts if j != diag]
+        for j in opts:
+            c = chunks + (j != diag)
+            if used[j] or c >= best_chunks:
                 continue
-            used.add(j)
-            matches.append((i, j))
-            run(i + 1, used, matches, exact + is_exact, total + 1)
-            matches.pop()
-            used.remove(j)
-        run(i + 1, used, matches, exact, total)
-
-    run(0, set(), [], 0, 0)
-    if nodes > node_budget:
-        # deterministic greedy fallback: exact pass then stem pass, in order
-        used: set[int] = set()
-        matches = []
-        for want_exact in (1, 0):
-            for i in range(m):
-                if any(i == mi for mi, _ in matches):
+            u = ref[j]
+            stem_match = u != t
+            if stem_match:
+                if not (miss[t] and lend[u]):
                     continue
-                for j, is_exact in compat[i]:
-                    if is_exact == want_exact and j not in used:
-                        used.add(j)
-                        matches.append((i, j))
+                miss[t] -= 1
+                lend[u] -= 1
+            used[j] = True
+            path[i] = j
+            yield i + 1, j, c, skips
+            used[j] = False
+            if stem_match:
+                miss[t] += 1
+                lend[u] += 1
+        s = hyp_stems[i]
+        if miss[t] and idle[s] and chunks < best_chunks:
+            miss[t] -= 1
+            idle[s] -= 1
+            path[i] = -1
+            yield i + 1, -2, chunks, skips - 1
+            miss[t] += 1
+            idle[s] += 1
+
+    # Depth-first on an explicit stack of child generators, so a long
+    # hypothesis does not run into the recursion limit.
+    stack = [iter([(0, -2, 0, m - total)])]
+    nodes = 0
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            _fallbacks.count = meteor_fallbacks() + 1
+            break
+        i, prev, chunks, skips = node
+        if i == m:
+            best, best_chunks = list(path), chunks
+            continue
+        if nodes == floor_at:
+            longest = [max(row.values(), default=0) for row in run[:m]]
+            floor = _chunk_floor(longest, total + 1)
+        if floor:
+            # The current chunk may go on for this many positions at no cost.
+            going = run[i].get(prev + 1, 0)
+            if chunks + floor[i + going][max(m - i - skips - going, 0)] >= best_chunks:
+                continue
+        stack.append(children(i, prev, chunks, skips))
+    if best is None:
+        taken = [False] * n
+        best = [-1] * m
+        for exact_pass in (True, False):
+            for i in range(m):
+                if best[i] >= 0:
+                    continue
+                for j in compat[i]:
+                    if not taken[j] and (ref[j] == hyp[i] or not exact_pass):
+                        taken[j] = True
+                        best[i] = j
                         break
-        return sorted(matches)
-    return sorted(best["matches"])
+    return [(i, j) for i, j in enumerate(best) if j >= 0]
 
 
 def meteor_simplified(

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from .context import AnnotatedContext
 from .errors import BackendError, GenerationError
 from .geninput import GeneratorInput, assemble_initial_input, assemble_rewrite_input
-from .graph import ContextGraph, build_context_graph
-from .planner import ReasoningChain, plan_chain
+from .graph import ContextGraph
+from .planner import ReasoningChain
 from .template import descriptor_category, guess_category
 
 
@@ -126,17 +126,3 @@ def generate_stepwise(
         context=ctx.context,
         backend=getattr(backend, "name", type(backend).__name__),
     )
-
-
-def generate_for_context(
-    ctx: AnnotatedContext,
-    d: int,
-    seed: int,
-    backend,
-    answer_text: str | None = None,
-    category_overrides: dict[str, str] | None = None,
-) -> QuestionTrace:
-    """Plan a chain on a fresh context graph and generate its question."""
-    graph = build_context_graph(ctx)
-    chain = plan_chain(graph, d, seed=seed, answer_text=answer_text)
-    return generate_stepwise(ctx, graph, chain, backend, category_overrides)

@@ -150,6 +150,24 @@ def oracle_meteor(hyp: str, ref: str, alpha=0.9, beta=3.0, gamma=0.5) -> float:
     return f_mean * (1 - penalty)
 
 
+def oracle_match_counts(hyp: list[str], ref: list[str]) -> tuple[int, int]:
+    """(exact, exact + stem) maxima of a unigram alignment, in closed form.
+
+    Exact matches pair equal tokens, min(hyp count, ref count) of each.
+    The tokens they leave over then pair up within each stem.
+    """
+    exact = sum(min(hyp.count(t), ref.count(t)) for t in set(hyp))
+    left_h, left_r = list(hyp), list(ref)
+    for t in set(hyp):
+        for _ in range(min(hyp.count(t), ref.count(t))):
+            left_h.remove(t)
+            left_r.remove(t)
+    stems_h = [light_stem(t) for t in left_h]
+    stems_r = [light_stem(t) for t in left_r]
+    stem = sum(min(stems_h.count(s), stems_r.count(s)) for s in set(stems_h))
+    return exact, exact + stem
+
+
 def _oracle_spans_match(a, b) -> bool:
     if a.sent != b.sent:
         return False

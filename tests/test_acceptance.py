@@ -19,7 +19,6 @@ from hopqg.graph import ContextGraph, Edge, Node, build_context_graph
 from hopqg.hotpot import parse_record
 from hopqg.metrics import bleu_n, cider, meteor_simplified, normalize_answer, rouge_l
 from hopqg.geninput import parse_input
-from hopqg.pipeline import generate_for_context
 from hopqg.planner import RewriteType, plan_chain, sample_answer_node
 from hopqg.template import TemplateBackend
 from hopqg.cli import main as cli_main
@@ -30,6 +29,7 @@ from test_metrics import METEOR_GOLDENS, random_corpus
 from util import (
     film3_context_doc,
     film_context_doc,
+    generate_for_context,
     remake_record_doc,
     star_context_doc,
 )

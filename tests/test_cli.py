@@ -17,12 +17,12 @@ import hopqg.cli
 from hopqg.cli import main
 from hopqg.context import AnnotatedContext
 from hopqg.evaluate import write_jsonl
-from hopqg.pipeline import generate_for_context
 from hopqg.template import TemplateBackend
 from util import (
     comparison_record_doc,
     film3_context_doc,
     film_context_doc,
+    generate_for_context,
     prize_record_doc,
     remake_record_doc,
 )
@@ -401,7 +401,7 @@ def test_evaluate_identity_scores(tmp_path, capsys):
 
 
 def test_evaluate_multi_reference_lines(tmp_path, capsys, monkeypatch):
-    # Without --out, evaluate writes its manifest into the working directory.
+    # Without --out, evaluate writes its manifest beside --hyp.
     monkeypatch.chdir(tmp_path)
     hyp = write(tmp_path / "hyp.txt", "the cat sat\n")
     ref = write(tmp_path / "ref.txt", json.dumps(["a dog ran", "the cat sat"]) + "\n")
@@ -425,6 +425,31 @@ def test_evaluate_bad_reference_array_names_path_and_line(tmp_path, capsys):
     ref = write(tmp_path / "ref.txt", 'a b c\n\n["a b c",]\n')
     assert main(["evaluate", "--hyp", hyp, "--ref", ref, "--out", str(tmp_path / "r.json")]) == 2
     assert f"{ref}:3: invalid JSON" in capsys.readouterr().err
+
+
+def test_evaluate_and_probe_manifests_land_beside_the_first_input(tmp_path, capsys, monkeypatch):
+    inputs, cwd = tmp_path / "inputs", tmp_path / "cwd"
+    inputs.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    hyp = write(inputs / "hyp.txt", "the cat sat\n")
+    ref = write(inputs / "ref.txt", "the cat sat\n")
+    assert main(["evaluate", "--hyp", hyp, "--ref", ref, "--metrics", "meteor-s"]) == 0
+    assert json.loads(capsys.readouterr().out)["meteor_fallbacks"] == 0
+    manifest = read_manifest(inputs / "hopqg-evaluate-manifest.json")
+    assert manifest["stages"]["meteor-fallback"]["count"] == 0
+    traces = write(inputs / "t.jsonl", json.dumps(probe_traces()[0]) + "\n")
+    assert main(["probe", "--traces", traces, "--backend", "rule"]) == 0
+    assert (inputs / "hopqg-probe-manifest.json").is_file()
+    assert list(cwd.iterdir()) == []
+    # An explicit --manifest wins, and so does <out>.manifest.json.
+    chosen = tmp_path / "chosen.json"
+    args = ["evaluate", "--hyp", hyp, "--ref", ref, "--metrics", "meteor-s", "--manifest", str(chosen)]
+    assert main(args) == 0
+    assert read_manifest(chosen)["command"] == "evaluate"
+    out = str(tmp_path / "probe.json")
+    assert main(["probe", "--traces", traces, "--backend", "rule", "--out", out]) == 0
+    assert read_manifest(out + ".manifest.json")["command"] == "probe"
 
 
 # --------------------------------------------------------------------- filter
@@ -461,6 +486,15 @@ def test_filter_bad_jsonl_line_names_path_and_line(tmp_path, capsys):
     assert main(["filter", "--traces", traces, "--out", out]) == 2
     assert f"{traces}:2: invalid JSON" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_filter_bad_record_schema_names_path_and_line(tmp_path, capsys):
+    good = {"question": "one two three four five six ?", "answer": "x"}
+    traces = write(tmp_path / "t.jsonl", json.dumps(good) + "\n" + json.dumps({"question": 5}) + "\n")
+    out = tmp_path / "kept.jsonl"
+    assert main(["filter", "--traces", traces, "--out", str(out)]) == 2
+    assert f"{traces}:2: 'question' must be a string, got an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_filter_respects_bound_flags(tmp_path):
@@ -504,6 +538,14 @@ def test_probe_rule_backend(tmp_path, capsys):
     assert report["backend"] == "rule-qa"
     table = capsys.readouterr().out
     assert "EM" in table and "F1" in table
+
+
+def test_probe_record_without_context_names_path_and_line(tmp_path, capsys):
+    first, second = probe_traces()
+    del second["context"]
+    traces = write(tmp_path / "t.jsonl", json.dumps(first) + "\n\n" + json.dumps(second) + "\n")
+    assert main(["probe", "--traces", traces, "--backend", "rule"]) == 2
+    assert f"{traces}:3: record has no 'context'" in capsys.readouterr().err
 
 
 def test_probe_remote_without_endpoint_exits_2(tmp_path):
@@ -550,6 +592,20 @@ def test_augment_bad_originals_array_names_path_and_line(tmp_path, capsys):
     code = main(["augment", "--traces", traces, "--originals", orig, "--out", str(tmp_path / "m.jsonl")])
     assert code == 2
     assert f"{orig}:3: invalid JSON" in capsys.readouterr().err
+
+
+def test_augment_non_object_records_name_where_they_are(tmp_path, capsys):
+    good = json.dumps({"question": "gen ?", "answer": "a"}) + "\n"
+    orig = write_json(tmp_path / "orig.json", [{"question": "q ?", "answer": "b"}])
+    out = tmp_path / "m.jsonl"
+    traces = write(tmp_path / "gen.jsonl", good + "[1,2]\n")
+    assert main(["augment", "--traces", traces, "--originals", orig, "--out", str(out)]) == 2
+    assert f"{traces}:2: record must be an object, got an array" in capsys.readouterr().err
+    traces = write(tmp_path / "gen2.jsonl", good)
+    bad_orig = write(tmp_path / "orig2.json", "[1, 2]\n")
+    assert main(["augment", "--traces", traces, "--originals", bad_orig, "--out", str(out)]) == 2
+    assert f"{bad_orig}: record 0 of the array must be an object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- config

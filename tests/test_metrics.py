@@ -1,24 +1,37 @@
 """Metric suite vs independent oracles plus published edge-case conventions."""
 
+import functools
 import math
 import random
 
 import pytest
 
+import hopqg.metrics
 from hopqg.errors import MetricError
+from hopqg.evaluate import metric_report
 from hopqg.metrics import (
+    _align,
+    _chunk_count,
     bleu_n,
     cider,
     exact_match,
     lcs_length,
     light_stem,
+    meteor_fallbacks,
     meteor_simplified,
     normalize_answer,
     rouge_l,
     token_f1,
     tokenize,
 )
-from oracles import oracle_bleu, oracle_cider, oracle_lcs, oracle_meteor, oracle_rouge_l
+from oracles import (
+    oracle_bleu,
+    oracle_cider,
+    oracle_lcs,
+    oracle_match_counts,
+    oracle_meteor,
+    oracle_rouge_l,
+)
 
 VOCAB = [
     "the", "cat", "sat", "on", "mat", "dog", "ran", "fast", "blue",
@@ -102,6 +115,67 @@ def test_meteor_matches_enumeration_on_short_random_pairs():
         hyp = " ".join(rng.choices(VOCAB, k=rng.randint(1, 6)))
         ref = " ".join(rng.choices(VOCAB, k=rng.randint(1, 6)))
         assert abs(meteor_simplified(hyp, ref) - oracle_meteor(hyp, ref)) <= 1e-9
+
+
+# A pair on which a search that visits alignments in plain order passes
+# 100,000 nodes; its greedy fallback found 5 chunks where 3 are possible.
+GOLDEN_GARDEN = (
+    "What is based in the one that is founded by the one that is based in the city "
+    "that Golden Garden 2 was born in?",
+    "What is in the one that is founded by the one that is based in the city "
+    "that Garden 2 was born in?",
+)
+
+STEM_VOCAB = VOCAB + ["directs", "directing", "runs", "running", "run", "cats"]
+
+
+def match_counts(hyp, ref, matches):
+    return sum(1 for i, j in matches if hyp[i] == ref[j]), len(matches)
+
+
+def test_meteor_golden_garden_pair_aligns_in_three_chunks():
+    hyp, ref = (tokenize(text) for text in GOLDEN_GARDEN)
+    before = meteor_fallbacks()
+    matches = _align(hyp, ref)
+    assert meteor_fallbacks() == before
+    assert match_counts(hyp, ref, matches) == oracle_match_counts(hyp, ref)
+    assert _chunk_count(matches) == 3
+    m = len(matches)
+    p, r = m / len(hyp), m / len(ref)
+    want = p * r / (0.9 * p + 0.1 * r) * (1 - 0.5 * (3 / m) ** 3)
+    assert abs(meteor_simplified(*GOLDEN_GARDEN) - want) <= 1e-9
+
+
+def test_align_reaches_closed_form_match_counts_on_long_pairs():
+    rng = random.Random(15)
+    for _ in range(200):
+        hyp = rng.choices(STEM_VOCAB, k=rng.randint(15, 30))
+        ref = rng.choices(STEM_VOCAB, k=rng.randint(15, 30))
+        matches = _align(hyp, ref)
+        assert sorted({i for i, _ in matches}) == [i for i, _ in matches]
+        assert len({j for _, j in matches}) == len(matches)
+        assert match_counts(hyp, ref, matches) == oracle_match_counts(hyp, ref)
+
+
+def test_align_fallback_reaches_both_maxima_and_is_counted(monkeypatch):
+    rng = random.Random(16)
+    pairs = [tuple(tokenize(text) for text in GOLDEN_GARDEN)] + [
+        (rng.choices(STEM_VOCAB, k=rng.randint(1, 30)), rng.choices(STEM_VOCAB, k=rng.randint(1, 30)))
+        for _ in range(50)
+    ]
+    for hyp, ref in pairs:
+        before = meteor_fallbacks()
+        matches = _align(hyp, ref, node_budget=1)
+        assert meteor_fallbacks() == before + 1
+        assert len({j for _, j in matches}) == len(matches)
+        assert match_counts(hyp, ref, matches) == oracle_match_counts(hyp, ref)
+
+    corpus = [(GOLDEN_GARDEN[0], [GOLDEN_GARDEN[1], "who directed the film ?"]), ("a b", ["a b"])]
+    assert metric_report(corpus, ["meteor-s"])["meteor_fallbacks"] == 0
+    monkeypatch.setattr(hopqg.metrics, "_align", functools.partial(_align, node_budget=1))
+    report = metric_report(corpus, ["meteor-s", "rouge-l"])
+    assert report["meteor_fallbacks"] == 3
+    assert set(report["metrics"]) == {"meteor-s", "rouge-l"}
 
 
 def test_identity_scores_are_one():

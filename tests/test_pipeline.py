@@ -2,9 +2,10 @@ import pytest
 
 from hopqg.errors import BackendError, GenerationError
 from hopqg.graph import build_context_graph
-from hopqg.pipeline import generate_for_context, generate_stepwise
+from hopqg.pipeline import generate_stepwise
 from hopqg.planner import plan_chain
 from hopqg.template import TemplateBackend
+from util import generate_for_context
 
 
 def test_film_two_hop_golden(film_ctx):

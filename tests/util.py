@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from hopqg.context import AnnotatedContext
+from hopqg.graph import build_context_graph
+from hopqg.pipeline import QuestionTrace, generate_stepwise
+from hopqg.planner import plan_chain
 
 
 def _find_span(context: str, sent_bounds: list[tuple[int, int]], sent: int, text: str) -> dict:
@@ -51,6 +54,21 @@ def make_context_doc(
 
 def make_context(*args, **kwargs) -> AnnotatedContext:
     return AnnotatedContext.from_json(make_context_doc(*args, **kwargs))
+
+
+def generate_for_context(
+    ctx: AnnotatedContext,
+    d: int,
+    seed: int,
+    backend,
+    answer_text: str | None = None,
+    category_overrides: dict[str, str] | None = None,
+) -> QuestionTrace:
+    """One question on a fresh context graph: the per-seed reference for
+    `generate`, which shares one graph across a context's seeds."""
+    graph = build_context_graph(ctx)
+    chain = plan_chain(graph, d, seed=seed, answer_text=answer_text)
+    return generate_stepwise(ctx, graph, chain, backend, category_overrides)
 
 
 # The film-star fixture: answer Tom Cruise, bridge hop through Top Gun.
