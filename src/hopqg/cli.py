@@ -350,7 +350,7 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.manifest_only:
         _finish(manifest, args, [])
         return EXIT_OK
-    items = read_traces(args.traces, ("question", "answer"))
+    items = read_traces(args.traces, optional=("question", "answer"))
     min_words = config.min_words if args.min_words is None else args.min_words
     max_words = config.max_words if args.max_words is None else args.max_words
     with StageTimer(manifest, "filter") as stage:
@@ -380,7 +380,7 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.manifest_only:
         _finish(manifest, args, [])
         return EXIT_OK
-    traces = read_traces(args.traces, ("question", "answer", "context", "d"))
+    traces = read_traces(args.traces, required=("question", "answer", "context", "d"))
     with StageTimer(manifest, "probe") as stage:
         result = difficulty_probe(traces, qa, concurrency=config.concurrency)
         stage.count = len(traces) - result.failures

@@ -244,31 +244,50 @@ _JSON_TYPE_NAMES = {
 }
 
 
+def _takes_int(value) -> bool:
+    try:
+        int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 class TraceRecord(dict):
     """One question record as `filter`, `probe` and `augment` read it: the
     JSON object itself, passed on untouched, once the fields its reader
     needs are checked."""
 
-    FIELD_TYPES = {"question": str, "answer": str, "context": str, "d": int}
+    # field -> (check, what the field must be)
+    FIELDS = {
+        "question": (lambda v: type(v) is str, "a string"),
+        "answer": (lambda v: type(v) is str, "a string"),
+        "context": (lambda v: type(v) is str, "a string"),
+        "d": (_takes_int, "an integer"),
+    }
 
     @classmethod
-    def from_json(cls, obj, path: str, line: int, fields: tuple[str, ...] = ()) -> "TraceRecord":
-        """Check that obj is an object holding each of ``fields`` with its
-        type; a violation raises AnnotationError naming ``path:line``."""
+    def from_json(
+        cls, obj, path: str, line: int, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()
+    ) -> "TraceRecord":
+        """Check that obj is an object holding each of ``required``, and
+        that each field of ``required`` or ``optional`` it holds is usable;
+        a violation raises AnnotationError naming ``path:line``."""
         if not isinstance(obj, dict):
             raise AnnotationError(f"{path}:{line}: record must be an object, got {_JSON_TYPE_NAMES[type(obj)]}")
-        for name in fields:
+        for name in required:
             if name not in obj:
                 raise AnnotationError(f"{path}:{line}: record has no {name!r}")
-            kind, value = cls.FIELD_TYPES[name], obj[name]
-            if type(value) is not kind:
+        for name in required + optional:
+            check, kind = cls.FIELDS[name]
+            if name in obj and not check(obj[name]):
                 raise AnnotationError(
-                    f"{path}:{line}: {name!r} must be {_JSON_TYPE_NAMES[kind]}, "
-                    f"got {_JSON_TYPE_NAMES[type(value)]}"
+                    f"{path}:{line}: {name!r} must be {kind}, got {_JSON_TYPE_NAMES[type(obj[name])]}"
                 )
         return cls(obj)
 
 
-def read_traces(path: str, fields: tuple[str, ...] = ()) -> list[TraceRecord]:
+def read_traces(
+    path: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()
+) -> list[TraceRecord]:
     """JSONL question records, each checked by TraceRecord.from_json."""
-    return [TraceRecord.from_json(obj, path, n, fields) for n, obj in _jsonl_values(path)]
+    return [TraceRecord.from_json(obj, path, n, required, optional) for n, obj in _jsonl_values(path)]

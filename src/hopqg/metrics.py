@@ -156,26 +156,6 @@ def meteor_fallbacks() -> int:
     return getattr(_fallbacks, "count", 0)
 
 
-def _chunk_floor(longest: list[int], width: int) -> list[list[int]]:
-    """floor[i][k]: the fewest chunks that can cover k hyp positions from i
-    on, for k < width, when no chunk from position p is longer than longest[p].
-
-    A run from p + 1 is at most one shorter than a run from p, so some
-    fewest cover takes every chunk but the last as long as it can be: at
-    each position a chunk either starts with its longest run or none does.
-    """
-    m = len(longest)
-    floor = [[]] * m + [[0] + [m + 1] * (width - 1)]
-    for i in range(m - 1, -1, -1):
-        row, step = floor[i + 1], longest[i]
-        if step:
-            take = floor[i + step]
-            tail = [a if a <= b else b + 1 for a, b in zip(row[step + 1 :], take[1:])]
-            row = [0] + [1] * min(step, width - 1) + tail
-        floor[i] = row
-    return floor
-
-
 def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
     """Unigram alignment with the most exact matches, then the most matches,
     then the fewest chunks, as (hyp, ref) index pairs in hyp order.
@@ -188,9 +168,8 @@ def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
     per stem class, the hyp positions that may stay unmatched (idle). A
     branch stops before a counter would go below zero, so the depth-first
     search over hyp positions looks only for the fewest chunks. It tries the
-    diagonal continuation first, then the longest common stem runs, and
-    cuts a branch once its chunks, plus a floor on the chunks the rest
-    needs, reach the best found.
+    diagonal continuation first and cuts a branch once its chunks reach the
+    best found; chunks never decrease along a path.
 
     Fewest chunks is a minimum common string partition, which is NP-hard,
     so past node_budget nodes the search stops and the trip is counted
@@ -208,33 +187,20 @@ def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
     positions: dict[str, list[int]] = {}
     for j, s in enumerate(ref_stems):
         positions.setdefault(s, []).append(j)
-    # run[i][j]: length of the common stem run from (i, j), for each ref
-    # position j that shares hyp position i's stem; no chunk from (i, j) is
-    # longer. Candidates with longer runs are tried first.
-    run: list[dict[int, int]] = [{}] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        after = run[i + 1]
-        run[i] = {j: after.get(j + 1, 0) + 1 for j in positions.get(hyp_stems[i], ())}
-    compat = [sorted(row, key=row.get, reverse=True) for row in run[:m]]
-    total = m - sum(idle.values())
-    # The floor table costs about m * m steps, more than the whole search on
-    # most pairs, so it is built only once the search has taken as many nodes.
-    floor_at = m * m
-    floor: list[list[int]] = []
+    compat = [positions.get(s, []) for s in hyp_stems]
 
     used = [False] * n
     path = [-1] * m
     best: list[int] | None = None
     best_chunks = m + 1
 
-    def children(i: int, prev: int, chunks: int, skips: int):
-        """The children of a search node; skips counts the hyp positions
-        from i on that are still to stay unmatched. The counters, used and
-        path hold each child's choice until the next child is asked for."""
+    def children(i: int, prev: int, chunks: int):
+        """The children of a search node. The counters, used and path hold
+        each child's choice until the next child is asked for."""
         t = hyp[i]
         diag = prev + 1
         opts = compat[i]
-        if diag in run[i]:
+        if 0 <= diag < n and ref_stems[diag] == hyp_stems[i]:
             opts = [diag] + [j for j in opts if j != diag]
         for j in opts:
             c = chunks + (j != diag)
@@ -249,7 +215,7 @@ def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
                 lend[u] -= 1
             used[j] = True
             path[i] = j
-            yield i + 1, j, c, skips
+            yield i + 1, j, c
             used[j] = False
             if stem_match:
                 miss[t] += 1
@@ -259,13 +225,13 @@ def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
             miss[t] -= 1
             idle[s] -= 1
             path[i] = -1
-            yield i + 1, -2, chunks, skips - 1
+            yield i + 1, -2, chunks
             miss[t] += 1
             idle[s] += 1
 
     # Depth-first on an explicit stack of child generators, so a long
     # hypothesis does not run into the recursion limit.
-    stack = [iter([(0, -2, 0, m - total)])]
+    stack = [iter([(0, -2, 0)])]
     nodes = 0
     while stack:
         node = next(stack[-1], None)
@@ -276,19 +242,11 @@ def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
         if nodes > node_budget:
             _fallbacks.count = meteor_fallbacks() + 1
             break
-        i, prev, chunks, skips = node
+        i, prev, chunks = node
         if i == m:
             best, best_chunks = list(path), chunks
             continue
-        if nodes == floor_at:
-            longest = [max(row.values(), default=0) for row in run[:m]]
-            floor = _chunk_floor(longest, total + 1)
-        if floor:
-            # The current chunk may go on for this many positions at no cost.
-            going = run[i].get(prev + 1, 0)
-            if chunks + floor[i + going][max(m - i - skips - going, 0)] >= best_chunks:
-                continue
-        stack.append(children(i, prev, chunks, skips))
+        stack.append(children(i, prev, chunks))
     if best is None:
         taken = [False] * n
         best = [-1] * m

@@ -497,6 +497,13 @@ def test_filter_bad_record_schema_names_path_and_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_filter_reads_a_missing_answer_as_empty(tmp_path):
+    traces = write(tmp_path / "t.jsonl", json.dumps({"question": "one two three four five six ?"}) + "\n")
+    out = tmp_path / "kept.jsonl"
+    assert main(["filter", "--traces", traces, "--out", str(out)]) == 0
+    assert len(read_lines(out)) == 1
+
+
 def test_filter_respects_bound_flags(tmp_path):
     items = [{"question": "one two three four", "answer": "z"}]
     traces = write(tmp_path / "t.jsonl", json.dumps(items[0]) + "\n")
@@ -546,6 +553,18 @@ def test_probe_record_without_context_names_path_and_line(tmp_path, capsys):
     traces = write(tmp_path / "t.jsonl", json.dumps(first) + "\n\n" + json.dumps(second) + "\n")
     assert main(["probe", "--traces", traces, "--backend", "rule"]) == 2
     assert f"{traces}:3: record has no 'context'" in capsys.readouterr().err
+
+
+def test_probe_accepts_any_d_that_int_reads(tmp_path, capsys):
+    first, second = probe_traces()
+    first["d"], second["d"] = 1.0, "x"
+    traces = write(tmp_path / "t.jsonl", json.dumps(first) + "\n")
+    out = tmp_path / "probe.json"
+    assert main(["probe", "--traces", traces, "--backend", "rule", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["per_d"]["1"]["count"] == 1
+    traces = write(tmp_path / "bad.jsonl", json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    assert main(["probe", "--traces", traces, "--backend", "rule"]) == 2
+    assert f"{traces}:2: 'd' must be an integer, got a string" in capsys.readouterr().err
 
 
 def test_probe_remote_without_endpoint_exits_2(tmp_path):

@@ -117,7 +117,7 @@ def test_meteor_matches_enumeration_on_short_random_pairs():
         assert abs(meteor_simplified(hyp, ref) - oracle_meteor(hyp, ref)) <= 1e-9
 
 
-# A pair on which a search that visits alignments in plain order passes
+# A pair on which an exhaustive search over every match count passes
 # 100,000 nodes; its greedy fallback found 5 chunks where 3 are possible.
 GOLDEN_GARDEN = (
     "What is based in the one that is founded by the one that is based in the city "
@@ -147,14 +147,18 @@ def test_meteor_golden_garden_pair_aligns_in_three_chunks():
 
 
 def test_align_reaches_closed_form_match_counts_on_long_pairs():
+    # The counts hold whether the search finishes or stops at its budget
+    # with the best alignment found so far; at 2,000 nodes both happen here.
     rng = random.Random(15)
+    before = meteor_fallbacks()
     for _ in range(200):
         hyp = rng.choices(STEM_VOCAB, k=rng.randint(15, 30))
         ref = rng.choices(STEM_VOCAB, k=rng.randint(15, 30))
-        matches = _align(hyp, ref)
+        matches = _align(hyp, ref, node_budget=2_000)
         assert sorted({i for i, _ in matches}) == [i for i, _ in matches]
         assert len({j for _, j in matches}) == len(matches)
         assert match_counts(hyp, ref, matches) == oracle_match_counts(hyp, ref)
+    assert 0 < meteor_fallbacks() - before < 200
 
 
 def test_align_fallback_reaches_both_maxima_and_is_counted(monkeypatch):
