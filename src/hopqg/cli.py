@@ -1,8 +1,10 @@
 """Command-line surface binding the pipeline stages together.
 
 Exit codes: 0 success, 1 partial (some items failed and were logged),
-2 invalid input or config. Every completed command writes a RunManifest
-recording its config snapshot, input/output digests and stage counts.
+2 invalid input or config. ``main`` writes the RunManifest of every
+completed command: its config snapshot, the digests of the input files its
+subparser names in ``inputs`` and of the outputs it returns, and the stages
+it recorded on the manifest.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import __version__
 from .config import PipelineConfig, load_config
 from .context import AnnotatedContext
-from .dataset_builder import (
-    BackendSuite,
-    RuleDecomposer,
-    RuleQa,
-    RuleTypeClassifier,
-    build_dataset,
-)
+from .dataset_builder import BackendSuite, RuleQa, build_dataset
 from .errors import (
     AnnotationError,
     ConfigError,
@@ -45,7 +41,7 @@ from .evaluate import (
 )
 from .graph import ContextGraph, build_context_graph
 from .hotpot import load_hotpot
-from .manifest import RunManifest, StageClock, StageTimer
+from .manifest import RunManifest
 from .pipeline import generate_stepwise
 from .planner import plan_chain
 from .remote import (
@@ -84,27 +80,6 @@ def _manifest_path(args: argparse.Namespace, manifest: RunManifest) -> str:
     return os.path.join(os.path.dirname(first_input), f"hopqg-{args.command}-manifest.json")
 
 
-def _new_manifest(args: argparse.Namespace, config: PipelineConfig, inputs: list[str]) -> RunManifest:
-    recorded = {
-        k: v for k, v in vars(args).items() if k not in ("func", "manifest_only")
-    }
-    manifest = RunManifest(
-        command=args.command,
-        version=__version__,
-        config=config.to_json(),
-        arguments=recorded,
-    )
-    for path in inputs:
-        manifest.add_input(path)
-    return manifest
-
-
-def _finish(manifest: RunManifest, args: argparse.Namespace, outputs: list[str]) -> None:
-    for path in outputs:
-        manifest.add_output(path)
-    manifest.write(_manifest_path(args, manifest))
-
-
 def _load_context_docs(path: str) -> list[AnnotatedContext]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -125,20 +100,22 @@ def _load_context_docs(path: str) -> list[AnnotatedContext]:
     return [AnnotatedContext.from_json(doc) for doc in docs]
 
 
-def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
-    manifest = _new_manifest(args, config, [args.context])
+# Each command does its work and returns its exit code and the output files
+# it wrote; main digests those and writes the manifest.
+Outcome = tuple[int, list[str]]
+
+
+def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     if args.manifest_only:
-        _finish(manifest, args, [])
-        return EXIT_OK
+        return EXIT_OK, []
     contexts = _load_context_docs(args.context)
     if len(contexts) != 1:
         raise AnnotationError("build-graph expects exactly one annotated context")
-    with StageTimer(manifest, "build") as stage:
+    with manifest.timed("build"):
         graph = build_context_graph(contexts[0])
-        stage.count = 1
+    manifest.count("build")
     _write_text(args.out, _dump_json(graph.to_json()))
-    _finish(manifest, args, [args.out])
-    return EXIT_OK
+    return EXIT_OK, [args.out]
 
 
 def _generator_backend(name: str, config: PipelineConfig):
@@ -170,12 +147,13 @@ class _SharedGraph:
         self.graph: ContextGraph | None = None
         self.error: HopqgError | None = None
 
-    def get(self, clock: StageClock) -> tuple[ContextGraph | None, HopqgError | None]:
+    def get(self, manifest: RunManifest) -> tuple[ContextGraph | None, HopqgError | None]:
         with self.lock:
             if self.graph is None and self.error is None:
                 try:
-                    with clock.timed("build"):
+                    with manifest.timed("build"):
                         self.graph = build_context_graph(self.ctx)
+                    manifest.count("build")
                 except HopqgError as exc:
                     self.error = exc
             return self.graph, self.error
@@ -187,15 +165,13 @@ class _SharedGraph:
                 self.graph = None
 
 
-def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     for flag, value in (("--d", args.d), ("--count", args.count)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
-    manifest = _new_manifest(args, config, [args.context])
     backend = _generator_backend(args.backend, config)
     if args.manifest_only:
-        _finish(manifest, args, [])
-        return EXIT_OK
+        return EXIT_OK, []
     contexts = _load_context_docs(args.context)
     shared = [_SharedGraph(ctx, args.count) for ctx in contexts]
     jobs = [
@@ -203,21 +179,26 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
         for index in range(len(contexts))
         for k in range(args.count)
     ]
-    clock = StageClock("build", "plan", "generate")
+    # Written even when no call returns: each stage counts the calls that
+    # returned and times all of them.
+    for stage in ("build", "plan", "generate"):
+        manifest.count(stage, 0)
 
     def run(job):
         index, seed = job
         share = shared[index]
         try:
-            graph, error = share.get(clock)
+            graph, error = share.get(manifest)
             if error is not None:
                 return None, (index, seed, error)
-            with clock.timed("plan"):
+            with manifest.timed("plan"):
                 chain = plan_chain(graph, args.d, seed=seed, answer_text=args.answer)
-            with clock.timed("generate"):
+            manifest.count("plan")
+            with manifest.timed("generate"):
                 trace = generate_stepwise(
                     share.ctx, graph, chain, backend, config.category_overrides
                 )
+            manifest.count("generate")
             return trace, None
         except HopqgError as exc:
             return None, (index, seed, exc)
@@ -233,13 +214,10 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
         logger.warning("context %d seed %d failed: %s", index, seed, exc)
     write_jsonl([t.to_json() for t in traces], args.out)
 
-    rewrites = sum(len(t.steps) - 1 for t in traces)
-    clock.record(manifest)
-    manifest.stage("initial", len(traces), 0.0)
-    manifest.stage("rewrite", rewrites, 0.0)
-    manifest.stage("failed", len(failures), 0.0)
-    _finish(manifest, args, [args.out])
-    return EXIT_PARTIAL if failures else EXIT_OK
+    manifest.count("initial", len(traces))
+    manifest.count("rewrite", sum(len(t.steps) - 1 for t in traces))
+    manifest.count("failed", len(failures))
+    return EXIT_PARTIAL if failures else EXIT_OK, [args.out]
 
 
 def _dataset_backends(name: str, config: PipelineConfig) -> BackendSuite:
@@ -267,27 +245,24 @@ def _dataset_backends(name: str, config: PipelineConfig) -> BackendSuite:
     )
 
 
-def cmd_build_dataset(args: argparse.Namespace, config: PipelineConfig) -> int:
-    manifest = _new_manifest(args, config, [args.hotpot])
+def cmd_build_dataset(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     # Backends resolve before any record is read so a missing endpoint
     # fails fast instead of after a long partial run.
     backends = _dataset_backends(args.backends, config)
     if args.manifest_only:
-        _finish(manifest, args, [])
-        return EXIT_OK
+        return EXIT_OK, []
     records = load_hotpot(args.hotpot)
-    with StageTimer(manifest, "build") as stage:
+    with manifest.timed("build"):
         examples, stats = build_dataset(records, backends, concurrency=config.concurrency)
-        stage.count = len(examples)
+    manifest.count("build", len(examples))
     write_jsonl([ex.to_json() for ex in examples], args.out)
     outputs = [args.out]
     if args.stats:
         _write_text(args.stats, _dump_json(stats))
         outputs.append(args.stats)
-    manifest.stage("skipped", sum(stats["skips"].values()), 0.0)
-    manifest.stage("errors", stats["errors"], 0.0)
-    _finish(manifest, args, outputs)
-    return EXIT_PARTIAL if stats["errors"] else EXIT_OK
+    manifest.count("skipped", sum(stats["skips"].values()))
+    manifest.count("errors", stats["errors"])
+    return EXIT_PARTIAL if stats["errors"] else EXIT_OK, outputs
 
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
@@ -318,11 +293,9 @@ def _metric_table(metrics: dict[str, float]) -> str:
     return "\n".join(lines)
 
 
-def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    manifest = _new_manifest(args, config, [args.hyp, args.ref])
+def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     if args.manifest_only:
-        _finish(manifest, args, [])
-        return EXIT_OK
+        return EXIT_OK, []
     hyps = [line for _, line in _read_lines(args.hyp)]
     refs = _parse_refs(args.ref)
     if len(hyps) != len(refs):
@@ -330,10 +303,10 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
             f"hypothesis/reference line counts differ: {len(hyps)} vs {len(refs)}"
         )
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
-    with StageTimer(manifest, "score") as stage:
+    with manifest.timed("score"):
         report = metric_report(list(zip(hyps, refs)), names)
-        stage.count = len(hyps)
-    manifest.stage("meteor-fallback", report["meteor_fallbacks"], 0.0)
+    manifest.count("score", len(hyps))
+    manifest.count("meteor-fallback", report["meteor_fallbacks"])
     text = _dump_json(report)
     if args.out:
         _write_text(args.out, text)
@@ -341,21 +314,18 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
         sys.stdout.write(text)
     if args.table:
         sys.stdout.write(_metric_table(report["metrics"]) + "\n")
-    _finish(manifest, args, [args.out] if args.out else [])
-    return EXIT_OK
+    return EXIT_OK, [args.out] if args.out else []
 
 
-def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
-    manifest = _new_manifest(args, config, [args.traces])
+def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     if args.manifest_only:
-        _finish(manifest, args, [])
-        return EXIT_OK
+        return EXIT_OK, []
     items = read_traces(args.traces, optional=("question", "answer"))
     min_words = config.min_words if args.min_words is None else args.min_words
     max_words = config.max_words if args.max_words is None else args.max_words
-    with StageTimer(manifest, "filter") as stage:
+    with manifest.timed("filter"):
         kept, dropped = filter_generated(items, min_words, max_words)
-        stage.count = len(kept)
+    manifest.count("filter", len(kept))
     write_jsonl(kept, args.out)
     outputs = [args.out]
     if args.rejects:
@@ -364,13 +334,11 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
             args.rejects,
         )
         outputs.append(args.rejects)
-    manifest.stage("dropped", len(dropped), 0.0)
-    _finish(manifest, args, outputs)
-    return EXIT_OK
+    manifest.count("dropped", len(dropped))
+    return EXIT_OK, outputs
 
 
-def cmd_probe(args: argparse.Namespace, config: PipelineConfig) -> int:
-    manifest = _new_manifest(args, config, [args.traces])
+def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     if args.backend == "rule":
         qa = RuleQa()
     else:
@@ -378,20 +346,18 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig) -> int:
             raise ConfigError("backend 'remote' needs endpoints.qa (or HOPQG_QA_URL)")
         qa = RemoteQa(config.endpoints.qa, timeout=config.timeout, retries=config.retries)
     if args.manifest_only:
-        _finish(manifest, args, [])
-        return EXIT_OK
+        return EXIT_OK, []
     traces = read_traces(args.traces, required=("question", "answer", "context", "d"))
-    with StageTimer(manifest, "probe") as stage:
+    with manifest.timed("probe"):
         result = difficulty_probe(traces, qa, concurrency=config.concurrency)
-        stage.count = len(traces) - result.failures
-    manifest.stage("failed", result.failures, 0.0)
+    manifest.count("probe", len(traces) - result.failures)
+    manifest.count("failed", result.failures)
     sys.stdout.write(result.format_table() + "\n")
     outputs = []
     if args.out:
         _write_text(args.out, _dump_json(result.to_json()))
         outputs.append(args.out)
-    _finish(manifest, args, outputs)
-    return EXIT_PARTIAL if result.incomplete else EXIT_OK
+    return EXIT_PARTIAL if result.incomplete else EXIT_OK, outputs
 
 
 def _load_qa_records(path: str) -> list[dict]:
@@ -406,20 +372,17 @@ def _load_qa_records(path: str) -> list[dict]:
     return records
 
 
-def cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
-    manifest = _new_manifest(args, config, [args.traces, args.originals])
+def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     if args.manifest_only:
-        _finish(manifest, args, [])
-        return EXIT_OK
+        return EXIT_OK, []
     generated = read_traces(args.traces)
     originals = _load_qa_records(args.originals)
     ratio = config.oversample_ratio if args.ratio is None else args.ratio
-    with StageTimer(manifest, "mix") as stage:
+    with manifest.timed("mix"):
         mixed = emit_augmentation(generated, originals, ratio=ratio, seed=args.seed)
-        stage.count = len(mixed)
+    manifest.count("mix", len(mixed))
     write_jsonl(mixed, args.out)
-    _finish(manifest, args, [args.out])
-    return EXIT_OK
+    return EXIT_OK, [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", required=True)
     p.add_argument("--out", required=True)
     common(p)
-    p.set_defaults(func=cmd_build_graph)
+    p.set_defaults(func=cmd_build_graph, inputs=("context",))
 
     p = sub.add_parser("generate", help="plan chains and generate question traces")
     p.add_argument("--context", required=True, help="context JSON, array, or JSONL")
@@ -457,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1, help="questions per context (seed+k)")
     p.add_argument("--out", required=True, help="traces JSONL")
     common(p)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, inputs=("context",))
 
     p = sub.add_parser("build-dataset", help="two-hop QA records -> training tuples")
     p.add_argument("--hotpot", required=True, help="records JSON array")
@@ -465,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="examples JSONL")
     p.add_argument("--stats", help="skip/error accounting JSON")
     common(p)
-    p.set_defaults(func=cmd_build_dataset)
+    p.set_defaults(func=cmd_build_dataset, inputs=("hotpot",))
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")
     p.add_argument("--hyp", required=True, help="one hypothesis per line")
@@ -474,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON (default: stdout)")
     p.add_argument("--table", action="store_true", help="also print an aligned table")
     common(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, inputs=("hyp", "ref"))
 
     p = sub.add_parser("filter", help="drop questions by length bounds and answer leaks")
     p.add_argument("--traces", required=True, help="JSONL with question/answer fields")
@@ -483,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-words", type=int, default=None)
     p.add_argument("--max-words", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_filter)
+    p.set_defaults(func=cmd_filter, inputs=("traces",))
 
     p = sub.add_parser("probe", help="per-difficulty EM/F1 of a single-hop QA backend")
     p.add_argument("--traces", required=True, help="traces JSONL")
     p.add_argument("--backend", choices=("rule", "remote"), default="remote")
     p.add_argument("--out", help="report JSON")
     common(p)
-    p.set_defaults(func=cmd_probe)
+    p.set_defaults(func=cmd_probe, inputs=("traces",))
 
     p = sub.add_parser("augment", help="mix generated questions into QA training data")
     p.add_argument("--traces", required=True, help="generated records JSONL")
@@ -499,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     common(p)
-    p.set_defaults(func=cmd_augment)
+    p.set_defaults(func=cmd_augment, inputs=("traces", "originals"))
 
     return parser
 
@@ -512,7 +475,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        return args.func(args, config)
+        manifest = RunManifest(
+            command=args.command,
+            version=__version__,
+            config=config.to_json(),
+            arguments={k: v for k, v in vars(args).items() if k not in ("func", "inputs", "manifest_only")},
+        )
+        # Each subparser names its input-file options in ``inputs``, a
+        # default set in build_parser rather than a flag.
+        for name in args.inputs:
+            manifest.add_input(getattr(args, name))
+        code, outputs = args.func(args, config, manifest)
+        for path in outputs:
+            manifest.add_output(path)
+        manifest.write(_manifest_path(args, manifest))
+        return code
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -54,11 +54,16 @@ class Triple:
 
 @dataclass
 class AnnotatedContext:
+    """Checked once, when made: every way of building one validates it."""
+
     context: str
     sentences: list[Sentence]
     triples: list[Triple]
     coref_clusters: list[tuple[Span, ...]] = field(default_factory=list)
     named_entities: list[Span] | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def span_text(self, span: Span) -> str:
         return self.context[span.start : span.end]
@@ -135,6 +140,4 @@ class AnnotatedContext:
         nes = None
         if "named_entities" in doc:
             nes = [Span.from_json(m) for m in doc["named_entities"]]
-        ctx = AnnotatedContext(text, sentences, triples, clusters, nes)
-        ctx.validate()
-        return ctx
+        return AnnotatedContext(text, sentences, triples, clusters, nes)

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-from .context import AnnotatedContext
 from .errors import AnnotationError, BackendError, ConfigError, NodeNotFoundError
 from .graph import ContextGraph, Edge, Node, build_context_graph
 from .hotpot import HotpotRecord, record_context

@@ -164,8 +164,6 @@ class _UnionFind:
 
 def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
     """Build the merged, deduplicated context graph for an annotated context."""
-    ctx.validate()
-
     key_to_group: dict[str, int] = {}
     group_mentions: list[list[Span]] = []
     raw_edges: list[tuple[int, int, str, int]] = []

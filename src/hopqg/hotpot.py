@@ -51,11 +51,21 @@ class HotpotRecord:
     annotations: dict | None = field(default=None, repr=False)
 
 
-def parse_record(obj: dict) -> HotpotRecord:
+def _is_pair(value, first: type, second: type | tuple[type, ...]) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and isinstance(value[0], first)
+        and isinstance(value[1], second)
+    )
+
+
+def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
     """Validate one distribution-schema dict and resolve its two paragraphs.
 
     The paragraphs the pipeline consumes are the ones named by supporting
-    facts, kept in first-mention order; there must be exactly two.
+    facts, kept in first-mention order; there must be exactly two. A field
+    of the wrong shape is reported at ``where`` (default: the record id).
     """
     try:
         record_id = str(obj["_id"])
@@ -67,10 +77,17 @@ def parse_record(obj: dict) -> HotpotRecord:
         raise AnnotationError(f"record missing field {exc}") from exc
     if not isinstance(question, str) or not question.strip():
         raise AnnotationError(f"record {record_id}: empty question")
-    by_title = {}
-    for entry in raw_context:
-        title, sentences = entry[0], list(entry[1])
-        by_title[title] = sentences
+    where = where or f"record {record_id}"
+    if not isinstance(answer, str):
+        raise AnnotationError(f"{where}: answer must be a string")
+    if not isinstance(raw_context, list) or not all(
+        _is_pair(entry, str, list) and all(isinstance(s, str) for s in entry[1])
+        for entry in raw_context
+    ):
+        raise AnnotationError(f"{where}: context must be a list of [title, [sentences]] pairs")
+    if not isinstance(raw_facts, list) or not all(_is_pair(f, str, (int, float)) for f in raw_facts):
+        raise AnnotationError(f"{where}: supporting_facts must be a list of [title, index] pairs")
+    by_title = {title: sentences for title, sentences in raw_context}
     facts: list[tuple[str, int]] = []
     titles: list[str] = []
     for title, idx in raw_facts:
@@ -104,7 +121,13 @@ def load_hotpot(path: str) -> list[HotpotRecord]:
     data = load_json(path)
     if not isinstance(data, list):
         raise AnnotationError("expected a JSON array of records")
-    return [parse_record(obj) for obj in data]
+    records = []
+    for k, obj in enumerate(data):
+        where = f"{path}: record {k}"
+        if not isinstance(obj, dict):
+            raise AnnotationError(f"{where} of the array must be an object")
+        records.append(parse_record(obj, where))
+    return records
 
 
 def _find_pivot(tokens: list[str]) -> tuple[int, int] | None:
@@ -188,22 +211,17 @@ def fallback_annotate(record: HotpotRecord) -> AnnotatedContext:
             parts.append(text)
             cursor += len(text)
             index += 1
-    context = " ".join(parts)
-    annotated = AnnotatedContext(
-        context=context,
+    return AnnotatedContext(
+        context=" ".join(parts),
         sentences=sentences,
         triples=triples,
         coref_clusters=[],
         named_entities=None,
     )
-    annotated.validate()
-    return annotated
 
 
 def record_context(record: HotpotRecord) -> AnnotatedContext:
     """The record's curated annotation when present, else the fallback."""
     if record.annotations is not None:
-        ctx = AnnotatedContext.from_json(record.annotations)
-        ctx.validate()
-        return ctx
+        return AnnotatedContext.from_json(record.annotations)
     return fallback_annotate(record)

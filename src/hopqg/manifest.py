@@ -25,6 +25,10 @@ def sha256_file(path: str) -> str:
 
 @dataclass
 class RunManifest:
+    """A run's record. Stages are recorded from any thread: ``timed`` adds a
+    block's wall time, whether or not it raises, and ``count`` adds to a
+    stage's count; a stage only counted keeps 0.0 s."""
+
     command: str
     version: str
     config: dict
@@ -32,6 +36,7 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
     stages: dict[str, dict] = field(default_factory=dict)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def add_input(self, path: str) -> None:
         self.inputs[path] = sha256_file(path)
@@ -39,8 +44,22 @@ class RunManifest:
     def add_output(self, path: str) -> None:
         self.outputs[path] = sha256_file(path)
 
-    def stage(self, name: str, count: int, seconds: float) -> None:
-        self.stages[name] = {"count": count, "seconds": round(seconds, 6)}
+    def _stage(self, name: str) -> dict:
+        return self.stages.setdefault(name, {"count": 0, "seconds": 0.0})
+
+    def count(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            self._stage(name)["count"] += n
+
+    @contextmanager
+    def timed(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                self._stage(name)["seconds"] += elapsed
 
     def to_json(self) -> dict:
         return {
@@ -50,56 +69,13 @@ class RunManifest:
             "arguments": self.arguments,
             "inputs": self.inputs,
             "outputs": self.outputs,
-            "stages": self.stages,
+            "stages": {
+                name: {"count": stage["count"], "seconds": round(stage["seconds"], 6)}
+                for name, stage in self.stages.items()
+            },
         }
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-class StageTimer:
-    """Context manager collecting a stage's wall time into a manifest."""
-
-    def __init__(self, manifest: RunManifest, name: str):
-        self.manifest = manifest
-        self.name = name
-        self.count = 0
-        self._start = 0.0
-
-    def __enter__(self) -> "StageTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.manifest.stage(self.name, self.count, time.perf_counter() - self._start)
-
-
-class StageClock:
-    """Per-stage totals summed over many timed calls, from any thread.
-
-    A stage's count is its calls that returned; its seconds cover every
-    call, including those that raised.
-    """
-
-    def __init__(self, *names: str):
-        self._lock = threading.Lock()
-        self.totals = {name: [0, 0.0] for name in names}
-
-    @contextmanager
-    def timed(self, name: str):
-        start = time.perf_counter()
-        returned = False
-        try:
-            yield
-            returned = True
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self.totals[name][0] += returned
-                self.totals[name][1] += elapsed
-
-    def record(self, manifest: RunManifest) -> None:
-        for name, (count, seconds) in self.totals.items():
-            manifest.stage(name, count, seconds)

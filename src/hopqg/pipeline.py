@@ -8,7 +8,7 @@ Template and remote-service implementations ship with the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .context import AnnotatedContext
 from .errors import BackendError, GenerationError

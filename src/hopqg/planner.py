@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .context import AnnotatedContext, Sentence
 from .errors import InsufficientContextError, PlanningError
 from .graph import ContextGraph, Edge, Node
 
@@ -202,13 +201,6 @@ def index_chain(graph: ContextGraph, tree: SpanningTree, kept: list[int], d: int
         stack.extend(reversed([(c, i, k == 0) for k, c in enumerate(kids)]))
     assert len(nodes) == len(kept) == d + 1
     return ReasoningChain(nodes, d)
-
-
-def context_sentence(ctx: AnnotatedContext, node: ChainNode) -> Sentence:
-    """The sentence the node's connecting relation was extracted from."""
-    if node.sentence is None:
-        raise PlanningError(f"chain node {node.index} has no source sentence (root?)")
-    return ctx.sentence_of(node.sentence)
 
 
 def plan_chain(

@@ -94,14 +94,52 @@ def test_build_graph_missing_file_exits_2(tmp_path):
     assert main(["build-graph", "--context", missing, "--out", str(tmp_path / "g.json")]) == 2
 
 
-def test_manifest_only_skips_outputs(tmp_path):
-    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
-    out = str(tmp_path / "graph.json")
-    assert main(["build-graph", "--context", ctx, "--out", out, "--manifest-only"]) == 0
+# Each command's input options; every other option is given its default.
+MANIFEST_ONLY_INPUTS = {
+    "build-graph": ("context",),
+    "generate": ("context",),
+    "build-dataset": ("hotpot",),
+    "evaluate": ("hyp", "ref"),
+    "filter": ("traces",),
+    "probe": ("traces",),
+    "augment": ("traces", "originals"),
+}
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_ONLY_INPUTS))
+def test_manifest_only_skips_outputs(tmp_path, command):
+    files = {
+        "context": write_json(tmp_path / "ctx.json", film_context_doc()),
+        "hotpot": write_json(tmp_path / "hotpot.json", [remake_record_doc()]),
+        "hyp": write(tmp_path / "hyp.txt", "a b c\n"),
+        "ref": write(tmp_path / "ref.txt", "a b c\n"),
+        "traces": write(tmp_path / "t.jsonl", json.dumps(probe_traces()[0]) + "\n"),
+        "originals": write_json(tmp_path / "orig.json", [{"question": "q ?", "answer": "b"}]),
+    }
+    out = str(tmp_path / "out")
+    options = {
+        "build-graph": {"out": out},
+        "generate": {"d": 2, "seed": 0, "backend": "template", "answer": None, "count": 1, "out": out},
+        "build-dataset": {"backends": "rule", "out": out, "stats": None},
+        "evaluate": {"metrics": hopqg.cli.DEFAULT_METRICS, "out": None, "table": False},
+        "filter": {"out": out, "rejects": None, "min_words": None, "max_words": None},
+        "probe": {"backend": "rule", "out": None},
+        "augment": {"ratio": None, "seed": 0, "out": out},
+    }[command]
+    inputs = {name: files[name] for name in MANIFEST_ONLY_INPUTS[command]}
+    argv = [command, "--manifest-only"]
+    for name, value in {**inputs, **options}.items():
+        if value is not None and value is not False:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    assert main(argv) == 0
     assert not os.path.exists(out)
-    manifest = read_manifest(out + ".manifest.json")
+    # Without --out the manifest lands beside the first input.
+    beside = tmp_path / f"hopqg-{command}-manifest.json"
+    manifest = read_manifest(out + ".manifest.json" if options["out"] else beside)
+    assert set(manifest["inputs"]) == set(inputs.values())
     assert manifest["outputs"] == {} and manifest["stages"] == {}
-    assert ctx in manifest["inputs"]
+    expected = {"command": command, "config": None, "manifest": None, **inputs, **options}
+    assert manifest["arguments"] == expected
 
 
 def test_multi_line_context_errors_name_their_line(tmp_path, capsys):
@@ -377,6 +415,27 @@ def test_build_dataset_bad_json_names_path_and_line(tmp_path, capsys):
     hotpot = write(tmp_path / "hotpot.json", '[\n  {"_id": "a",\n   "question": }\n]\n')
     assert main(["build-dataset", "--hotpot", hotpot, "--out", str(tmp_path / "ex.jsonl")]) == 2
     assert f"{hotpot}:3: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (None, "of the array must be an object"),
+        ({"context": None}, "context must be a list"),
+        ({"supporting_facts": [["A Perfect Murder", "1"], ["Dial M for Murder", 0]]}, "[title, index] pairs"),
+        ({"supporting_facts": [["A Perfect Murder"], ["Dial M for Murder", 0]]}, "[title, index] pairs"),
+        ({"answer": ["Alfred Hitchcock"]}, "answer must be a string"),
+    ],
+)
+def test_build_dataset_malformed_record_exits_2(tmp_path, capsys, fields, message):
+    # fields=None stands for a record that is not an object at all.
+    bad = ["not", "an", "object"] if fields is None else {**remake_record_doc(), **fields}
+    hotpot = write_json(tmp_path / "hotpot.json", [prize_record_doc(), bad])
+    out = tmp_path / "ex.jsonl"
+    assert main(["build-dataset", "--hotpot", hotpot, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {hotpot}: record 1" in err and message in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- evaluate

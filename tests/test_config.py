@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
 from hopqg.config import Endpoints, PipelineConfig, load_config
 from hopqg.errors import ConfigError
-from hopqg.manifest import RunManifest, StageTimer, sha256_file
+from hopqg.manifest import RunManifest, sha256_file
 
 
 def test_defaults_are_valid():
@@ -105,8 +107,14 @@ def test_manifest_write_and_stage_timer(tmp_path):
     blob.write_text("hello")
     manifest = RunManifest(command="x", version="0.0", config={"seed": 1})
     manifest.add_input(str(blob))
-    with StageTimer(manifest, "work") as stage:
-        stage.count = 3
+    with manifest.timed("work"):
+        pass
+    manifest.count("work", 3)
+    # A block that raises still adds its time; a count of 0 still shows.
+    with pytest.raises(ValueError):
+        with manifest.timed("broken"):
+            raise ValueError
+    manifest.count("failed", 0)
     out = tmp_path / "m.json"
     manifest.write(str(out))
     doc = json.loads(out.read_text())
@@ -114,3 +122,31 @@ def test_manifest_write_and_stage_timer(tmp_path):
     assert doc["inputs"][str(blob)] == hashlib.sha256(b"hello").hexdigest()
     assert doc["stages"]["work"]["count"] == 3
     assert doc["stages"]["work"]["seconds"] >= 0
+    assert doc["stages"]["broken"]["count"] == 0 and doc["stages"]["broken"]["seconds"] >= 0
+    assert doc["stages"]["failed"] == {"count": 0, "seconds": 0.0}
+
+
+def test_manifest_stage_recording_from_many_threads():
+    manifest = RunManifest(command="x", version="0.0", config={})
+    start = threading.Barrier(8, timeout=30)
+
+    def work():
+        start.wait()
+        for _ in range(1000):
+            with manifest.timed("work"):
+                manifest.count("work")
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    stage = manifest.to_json()["stages"]["work"]
+    assert stage["count"] == 8000
+    assert stage["seconds"] >= 0

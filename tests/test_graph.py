@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hopqg.context import AnnotatedContext
+from hopqg.context import AnnotatedContext, Sentence, Span, Triple
 from hopqg.errors import AnnotationError, NodeNotFoundError
 from hopqg.graph import build_context_graph
 
@@ -83,6 +83,14 @@ def test_out_of_bounds_span_names_triple():
     doc["triples"][0]["object"]["end"] = 999
     with pytest.raises(AnnotationError, match="triple 0"):
         AnnotatedContext.from_json(doc)
+
+
+def test_direct_construction_validates_spans():
+    # Not only from_json: building a context any way checks its spans.
+    sentence = Sentence(0, 0, 19, "Alpha follows Beta.")
+    triple = Triple(Span(0, 0, 5), Span(0, 6, 13), Span(0, 14, 40))
+    with pytest.raises(AnnotationError, match="triple 0 object"):
+        AnnotatedContext("Alpha follows Beta. Gamma follows Delta.", [sentence], [triple])
 
 
 def test_multi_sentence_triple_rejected():
