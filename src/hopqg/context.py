@@ -8,12 +8,12 @@ those models itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import AnnotationError
 
 
-@dataclass(frozen=True, order=True)
-class Span:
+class Span(NamedTuple):
     """A character span inside one sentence; offsets index the full context string."""
 
     sent: int

@@ -9,6 +9,7 @@ canonical node surface is the longest non-pronominal mention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .context import AnnotatedContext, Span
 from .errors import NodeNotFoundError
@@ -31,8 +32,7 @@ class Node:
         return [self.surface] + self.mention_texts
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: int
     target: int
     relation: str
@@ -44,24 +44,32 @@ class ContextGraph:
     context: AnnotatedContext
     nodes: list[Node]
     edges: list[Edge]
-    _incident: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    _incident: dict[int, list[tuple[Edge, int]]] = field(default_factory=dict, repr=False)
+    # Ids of the nodes a chain may be planned around, ascending. Like the
+    # rest of the graph, only read once built, so threads share it unlocked.
+    answer_nodes: tuple[int, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        for i, e in enumerate(self.edges):
-            self._incident.setdefault(e.source, []).append(i)
-            self._incident.setdefault(e.target, []).append(i)
+        for e in self.edges:
+            self._incident.setdefault(e.source, []).append((e, e.target))
+            self._incident.setdefault(e.target, []).append((e, e.source))
+        eligible = []
+        for node in self.nodes:
+            others = {other for _, other in self.incident(node.id)}
+            # A non-entity node links to its lowest-id named-entity neighbour.
+            node.entity_link = None if node.is_named_entity else min(
+                (o for o in others if self.nodes[o].is_named_entity), default=None
+            )
+            if len(others) > 1 and (node.is_named_entity or node.entity_link is not None):
+                eligible.append(node.id)
+        self.answer_nodes = tuple(eligible)
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
     def incident(self, node_id: int) -> list[tuple[Edge, int]]:
-        """All edges touching node_id, paired with the opposite endpoint."""
-        out = []
-        for idx in self._incident.get(node_id, []):
-            e = self.edges[idx]
-            other = e.target if e.source == node_id else e.source
-            out.append((e, other))
-        return out
+        """All edges touching node_id, paired with the opposite endpoint; do not mutate."""
+        return self._incident.get(node_id, [])
 
     def undirected_degree(self, node_id: int) -> int:
         """Distinct neighbors when edge direction is ignored; self-loops never exist."""
@@ -165,18 +173,19 @@ class _UnionFind:
 def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
     """Build the merged, deduplicated context graph for an annotated context."""
     key_to_group: dict[str, int] = {}
-    group_mentions: list[list[Span]] = []
+    # Per group: each argument span, in first-seen order, with its collapsed text.
+    group_mentions: list[dict[Span, str]] = []
     raw_edges: list[tuple[int, int, str, int]] = []
 
     def group_of(span: Span) -> int:
-        key = norm_key(ctx.span_text(span))
+        text = collapse(ctx.span_text(span))
+        key = text.casefold()  # norm_key(text), as text is already collapsed
         gid = key_to_group.get(key)
         if gid is None:
             gid = len(group_mentions)
             key_to_group[key] = gid
-            group_mentions.append([])
-        if span not in group_mentions[gid]:
-            group_mentions[gid].append(span)
+            group_mentions.append({})
+        group_mentions[gid][span] = text
         return gid
 
     for t in ctx.triples:
@@ -215,30 +224,22 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
 
     nodes: list[Node] = []
     for root, node_id in root_to_id.items():
-        mentions: list[Span] = []
+        text_of: dict[Span, str] = {}
         for gid in members[root]:
-            for m in group_mentions[gid]:
-                if m not in mentions:
-                    mentions.append(m)
-        mentions.sort()
-        texts = [collapse(ctx.span_text(m)) for m in mentions]
+            text_of.update(group_mentions[gid])
+        mentions = sorted(text_of)
+        texts = [text_of[m] for m in mentions]
         non_pronoun = [(t, m) for t, m in zip(texts, mentions) if not is_pronoun(t)]
         pool = non_pronoun or list(zip(texts, mentions))
         surface = max(pool, key=lambda tm: (len(tm[0]), (-tm[1].sent, -tm[1].start)))[0]
         nodes.append(Node(node_id, surface, mentions, texts))
 
-    edges: list[Edge] = []
-    seen = set()
+    edges: dict[Edge, None] = {}  # distinct edges in first-seen order
     for src, dst, rel, sent in raw_edges:
         s = root_to_id[uf.find(src)]
         d = root_to_id[uf.find(dst)]
-        if s == d:
-            continue  # self-loop created by a merge
-        sig = (s, d, rel, sent)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        edges.append(Edge(s, d, rel, sent))
+        if s != d:  # a merge can make a self-loop; drop it
+            edges.setdefault(Edge(s, d, rel, sent))
 
     if ctx.named_entities is not None:
         nes_by_sent: dict[int, list[Span]] = {}
@@ -254,9 +255,4 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
                 _capitalized_run(t, m, ctx) for t, m in zip(node.mention_texts, node.mentions)
             )
 
-    graph = ContextGraph(ctx, nodes, edges)
-    for node in nodes:
-        if not node.is_named_entity:
-            linked = sorted(o for _, o in graph.incident(node.id) if nodes[o].is_named_entity)
-            node.entity_link = linked[0] if linked else None
-    return graph
+    return ContextGraph(ctx, nodes, list(edges))

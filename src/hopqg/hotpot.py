@@ -85,7 +85,10 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
         for entry in raw_context
     ):
         raise AnnotationError(f"{where}: context must be a list of [title, [sentences]] pairs")
-    if not isinstance(raw_facts, list) or not all(_is_pair(f, str, (int, float)) for f in raw_facts):
+    # An index is an integral number: 1 or 1.0, never 1.7 or False.
+    if not isinstance(raw_facts, list) or not all(
+        _is_pair(f, str, (int, float)) and not isinstance(f[1], bool) and f[1] % 1 == 0 for f in raw_facts
+    ):
         raise AnnotationError(f"{where}: supporting_facts must be a list of [title, index] pairs")
     by_title = {title: sentences for title, sentences in raw_context}
     facts: list[tuple[str, int]] = []

@@ -99,15 +99,9 @@ class SpanningTree:
         return len(self.children)
 
 
-def eligible_answer_nodes(graph: ContextGraph) -> list[int]:
+def eligible_answer_nodes(graph: ContextGraph) -> tuple[int, ...]:
     """Nodes that are (or neighbor) a named entity and have degree above one."""
-    out = []
-    for node in graph.nodes:
-        if graph.undirected_degree(node.id) <= 1:
-            continue
-        if node.is_named_entity or any(graph.node(o).is_named_entity for _, o in graph.incident(node.id)):
-            out.append(node.id)
-    return out
+    return graph.answer_nodes
 
 
 def sample_answer_node(graph: ContextGraph, seed: int) -> int:
@@ -124,25 +118,29 @@ def _edge_sort_key(graph: ContextGraph, incident: tuple[Edge, int]):
     return (edge.sentence_index, graph.node(other).surface, edge.relation, direction)
 
 
-def spanning_tree(graph: ContextGraph, root: int) -> SpanningTree:
+def spanning_tree(graph: ContextGraph, root: int, depth: int | None = None) -> SpanningTree:
     """Breadth-first spanning tree of the undirected view, deterministic ties.
 
     All relations carry unit weight, so a maximum spanning tree over the
     component is any spanning tree; BFS keeps chains as short-path trees.
     Neighbor visit order: lower edge sentence index, then neighbor surface.
+    With `depth`, nodes at that depth are not expanded: the tree holds
+    layers 0..depth of the full tree, with the same parents and child order.
     """
     parent: dict[int, tuple[int, Edge]] = {}
     children: dict[int, list[int]] = {root: []}
-    queue = deque([root])
+    queue = deque([(root, 0)])
     while queue:
-        u = queue.popleft()
+        u, level = queue.popleft()
+        if level == depth:
+            continue
         kids = children[u]
         for edge, other in sorted(graph.incident(u), key=lambda eo: _edge_sort_key(graph, eo)):
             if other not in children:
                 parent[other] = (u, edge)
                 kids.append(other)
                 children[other] = []
-                queue.append(other)
+                queue.append((other, level + 1))
     return SpanningTree(root, parent, children)
 
 
@@ -214,6 +212,8 @@ def plan_chain(
         root = graph.find_node(answer_text).id
     else:
         root = sample_answer_node(graph, seed)
-    tree = spanning_tree(graph, root)
+    # Every kept node lies within depth d. A depth-d tree smaller than d + 1
+    # nodes has an empty layer, so it is the whole component and gives max_d.
+    tree = spanning_tree(graph, root, d)
     kept = prune_tree(graph, tree, d)
     return index_chain(graph, tree, kept, d)

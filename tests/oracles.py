@@ -1,15 +1,21 @@
-"""Independent brute-force reference implementations for metric tests.
+"""Independent brute-force reference implementations for tests.
 
 These deliberately share no code path with hopqg.metrics beyond the
 tokenizer definition (which is part of the metric's published contract),
-and none with hopqg.graph beyond the node-identity key.
+and none with hopqg.graph beyond the node-identity key. The planner
+oracle reads a graph only through its nodes and edge list, and shares
+with hopqg.planner only the pruning and indexing of a finished tree.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections import deque
 
+from hopqg.errors import PlanningError
 from hopqg.metrics import light_stem, tokenize
+from hopqg.planner import SpanningTree, index_chain, prune_tree
 from hopqg.textutil import norm_key
 
 
@@ -222,3 +228,69 @@ def oracle_graph_merges(ctx) -> list[tuple[list, bool]]:
         )
         out.append((mentions, is_ne))
     return out
+
+
+def _oracle_adjacency(graph) -> dict[int, list]:
+    """Per node id, (edge, other endpoint) for every edge touching it, in edge order."""
+    adjacency: dict[int, list] = {node.id: [] for node in graph.nodes}
+    for e in graph.edges:
+        adjacency[e.source].append((e, e.target))
+        adjacency[e.target].append((e, e.source))
+    return adjacency
+
+
+def oracle_entity_links(graph) -> list:
+    """Per node: its lowest-id named-entity neighbour, or None; None for entities."""
+    links = []
+    for node_id, incident in _oracle_adjacency(graph).items():
+        linked = sorted(o for _, o in incident if graph.nodes[o].is_named_entity)
+        links.append(linked[0] if linked and not graph.nodes[node_id].is_named_entity else None)
+    return links
+
+
+def oracle_eligible_answer_nodes(graph) -> list[int]:
+    """Rescan every node: more than one distinct neighbour, and a named
+    entity itself or next to one."""
+    out = []
+    adjacency = _oracle_adjacency(graph)
+    for node in graph.nodes:
+        others = {o for _, o in adjacency[node.id]}
+        if len(others) > 1 and (node.is_named_entity or any(graph.nodes[o].is_named_entity for o in others)):
+            out.append(node.id)
+    return out
+
+
+def oracle_spanning_tree(graph, root: int) -> SpanningTree:
+    """The BFS tree of root's whole component, each node's edges sorted by
+    (sentence, neighbour surface, relation, direction)."""
+
+    def key(incident):
+        edge, other = incident
+        return (edge.sentence_index, graph.nodes[other].surface, edge.relation, 0 if edge.source == other else 1)
+
+    adjacency = _oracle_adjacency(graph)
+    parent: dict = {}
+    children: dict = {root: []}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for edge, other in sorted(adjacency[u], key=key):
+            if other not in children:
+                parent[other] = (u, edge)
+                children[u].append(other)
+                children[other] = []
+                queue.append(other)
+    return SpanningTree(root, parent, children)
+
+
+def oracle_plan_chain(graph, d: int, seed: int = 0, answer_text: str | None = None):
+    """Plan over the full component tree, the answer sampled from a rescan."""
+    if answer_text is not None:
+        root = graph.find_node(answer_text).id
+    else:
+        eligible = oracle_eligible_answer_nodes(graph)
+        if not eligible:
+            raise PlanningError("no eligible answer node: need a named-entity-linked node with degree > 1")
+        root = random.Random(seed).choice(eligible)
+    tree = oracle_spanning_tree(graph, root)
+    return index_chain(graph, tree, prune_tree(graph, tree, d), d)

@@ -237,6 +237,14 @@ def test_assign_context_sentences_fig2():
     assert s2 == [("A Perfect Murder", 1)]
 
 
+def test_parse_record_reads_an_integral_float_index_as_int():
+    doc = remake_record_doc()
+    doc["supporting_facts"] = [["A Perfect Murder", 1.0], ["Dial M for Murder", 0]]
+    facts = parse_record(doc).supporting_facts
+    assert facts == [("A Perfect Murder", 1), ("Dial M for Murder", 0)]
+    assert all(type(idx) is int for _, idx in facts)
+
+
 def test_assign_context_sentences_tie_prefers_first_paragraph():
     doc = hotpot_record_doc(
         "tie-1",

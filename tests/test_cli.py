@@ -425,6 +425,8 @@ def test_build_dataset_bad_json_names_path_and_line(tmp_path, capsys):
         ({"supporting_facts": [["A Perfect Murder", "1"], ["Dial M for Murder", 0]]}, "[title, index] pairs"),
         ({"supporting_facts": [["A Perfect Murder"], ["Dial M for Murder", 0]]}, "[title, index] pairs"),
         ({"answer": ["Alfred Hitchcock"]}, "answer must be a string"),
+        ({"supporting_facts": [["A Perfect Murder", 1.7], ["Dial M for Murder", 0]]}, "[title, index] pairs"),
+        ({"supporting_facts": [["A Perfect Murder", 1], ["Dial M for Murder", False]]}, "[title, index] pairs"),
     ],
 )
 def test_build_dataset_malformed_record_exits_2(tmp_path, capsys, fields, message):

@@ -7,7 +7,7 @@ from hopqg.errors import AnnotationError, NodeNotFoundError
 from hopqg.graph import build_context_graph
 
 from oracles import oracle_graph_merges
-from util import make_context, make_context_doc
+from util import make_context, make_context_doc, random_context_doc
 
 
 def surfaces(graph):
@@ -162,40 +162,10 @@ def test_build_is_deterministic(film_ctx):
     assert a == b
 
 
-# Few words, so that argument texts repeat across sentences (one group) and
-# random runs of them nest and overlap.
-_WORDS = ["Alder", "Birch", "Cedar", "Dune", "Elm", "Fjord", "it", "the", "river", "of", "was", "near"]
-
-
-def _random_graph_doc(rng: random.Random) -> dict:
-    sentences = [
-        " ".join(rng.choice(_WORDS) for _ in range(rng.randint(5, 9))) + "."
-        for _ in range(rng.randint(2, 6))
-    ]
-    words = [s[:-1].split() for s in sentences]
-
-    def run(sent):
-        a = rng.randrange(len(words[sent]))
-        b = rng.randint(a + 1, min(len(words[sent]), a + 3))
-        return sent, " ".join(words[sent][a:b])
-
-    triples = []
-    for sent in range(len(sentences)):
-        for _ in range(rng.randint(1, 3)):
-            triples.append((sent, run(sent)[1], run(sent)[1], run(sent)[1]))
-    # Clusters draw their mentions from any sentence, so they cross sentences.
-    coref = [
-        [run(rng.randrange(len(sentences))) for _ in range(rng.randint(2, 4))]
-        for _ in range(rng.randint(0, 4))
-    ]
-    nes = [run(sent) for sent in range(len(sentences)) for _ in range(rng.randint(0, 4))]
-    return make_context_doc(sentences, triples, coref=coref, named_entities=nes)
-
-
 def test_indexed_matching_equals_all_pairs_rule():
     nodes = merged = named = 0
     for seed in range(200):
-        ctx = AnnotatedContext.from_json(_random_graph_doc(random.Random(seed)))
+        ctx = AnnotatedContext.from_json(random_context_doc(random.Random(seed)))
         graph = build_context_graph(ctx)
         expected = oracle_graph_merges(ctx)
         assert [(n.mentions, n.is_named_entity) for n in graph.nodes] == expected, seed

@@ -20,7 +20,13 @@ from hopqg.planner import (
     spanning_tree,
 )
 
-from util import film3_context_doc, film_context_doc, remake_context_doc, star_context_doc
+from oracles import (
+    oracle_eligible_answer_nodes,
+    oracle_entity_links,
+    oracle_plan_chain,
+    oracle_spanning_tree,
+)
+from util import film3_context_doc, film_context_doc, random_context_doc, remake_context_doc, star_context_doc
 
 
 def dummy_graph(n_nodes, edges, ne_ids=()):
@@ -53,6 +59,31 @@ def random_planner_graph(rng: random.Random, n_nodes: int) -> ContextGraph:
             rel += 1
     ne_ids = {0} | {rng.randrange(n_nodes) for _ in range(3)}
     return dummy_graph(n_nodes, edges, ne_ids)
+
+
+def random_sparse_graph(rng: random.Random) -> tuple[ContextGraph, list[int]]:
+    """A path, or a forest with a few chords, of 2-30 nodes; few named entities.
+
+    Forests drop some tree edges, so many graphs are disconnected. Returns
+    the graph and node ids to pin as answers: both ends of a path, else two
+    random nodes.
+    """
+    n = rng.randint(2, 30)
+    if rng.random() < 0.4:
+        order = rng.sample(range(n), n)
+        pairs = list(zip(order, order[1:]))
+        pins = [order[0], order[-1]]
+    else:
+        pairs = [(i, rng.randrange(i)) for i in range(1, n) if rng.random() < 0.85]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n // 2 + 1))]
+        pins = [rng.randrange(n), rng.randrange(n)]
+    # Few relations and sentences, so that sort keys tie on all but the surface.
+    edges = [
+        (a, b, f"rel{rng.randrange(4)}", rng.randrange(6)) if rng.random() < 0.5
+        else (b, a, f"rel{rng.randrange(4)}", rng.randrange(6))
+        for a, b in pairs
+    ]
+    return dummy_graph(n, edges, {i for i in range(n) if rng.random() < 0.3}), pins
 
 
 def check_chain_invariants(graph: ContextGraph, chain, d: int):
@@ -192,9 +223,9 @@ def test_index_chain_preorder_orders_children_by_sentence():
 PLAN_GOLDEN = "9125c4e0fa09c5780556722e2346d8d4c48f6316ca33a84942ebf8341cc5ab9f"
 
 
-def _plan_record(graph: ContextGraph, d: int, seed: int, answer_text=None):
+def _plan_record(graph: ContextGraph, d: int, seed: int, answer_text=None, plan=plan_chain):
     try:
-        return plan_chain(graph, d, seed=seed, answer_text=answer_text).to_json()
+        return plan(graph, d, seed=seed, answer_text=answer_text).to_json()
     except PlanningError as exc:
         return [type(exc).__name__, str(exc), getattr(exc, "max_d", None)]
 
@@ -231,3 +262,63 @@ def test_plan_chain_leaves_no_reference_cycle(film_ctx):
         assert alive() is None, "planning must not leave a cycle holding the graph"
     finally:
         gc.enable()
+
+
+def test_bounded_planner_equals_full_component_oracle():
+    rng = random.Random(8080)
+    outcomes: dict[str, int] = {}
+    disconnected = 0
+    for _ in range(300):
+        g, pins = random_sparse_graph(rng)
+        disconnected += oracle_spanning_tree(g, 0).size() < len(g.nodes)
+        for d in range(1, 9):
+            cases = [(rng.randrange(10**6), None)] + [(0, g.node(p).surface) for p in pins]
+            for seed, answer in cases:
+                got = _plan_record(g, d, seed, answer)
+                assert got == _plan_record(g, d, seed, answer, plan=oracle_plan_chain), (d, seed, answer)
+                outcome = got[0] if isinstance(got, list) else "plan"
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    # The sweep plans chains, meets components too small for d, and graphs
+    # with no eligible answer node.
+    assert disconnected > 0
+    assert set(outcomes) == {"plan", "InsufficientContextError", "PlanningError"}, outcomes
+
+
+def _incident_calls(monkeypatch, graph: ContextGraph, **plan_args) -> int:
+    calls = 0
+    incident = ContextGraph.incident
+
+    def counted(self, node_id):
+        nonlocal calls
+        calls += 1
+        return incident(self, node_id)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ContextGraph, "incident", counted)
+        plan_chain(graph, **plan_args)
+    return calls
+
+
+def test_planning_reads_only_the_answer_neighbourhood(monkeypatch):
+    # Planning expands only the nodes of BFS layers 0..d-1 around the answer.
+    path = dummy_graph(2000, [(i, i + 1, "next", i) for i in range(1999)], ne_ids={0})
+    assert _incident_calls(monkeypatch, path, d=3, answer_text="entity 00") <= 3
+    star = dummy_graph(2001, [(leaf, 0, "orbits", leaf) for leaf in range(1, 2001)], ne_ids={0})
+    assert list(eligible_answer_nodes(star)) == [0]
+    assert _incident_calls(monkeypatch, star, d=1, seed=7) <= 1
+
+
+def test_answer_nodes_and_entity_links_follow_the_neighbour_rules():
+    rng = random.Random(31337)
+    graphs = [random_sparse_graph(rng)[0] for _ in range(200)]
+    graphs += [
+        build_context_graph(AnnotatedContext.from_json(random_context_doc(random.Random(seed))))
+        for seed in range(50)
+    ]
+    linked = 0
+    for g in graphs:
+        assert list(eligible_answer_nodes(g)) == oracle_eligible_answer_nodes(g)
+        links = [n.entity_link for n in g.nodes]
+        assert links == oracle_entity_links(g)
+        linked += sum(link is not None for link in links)
+    assert linked > 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hopqg.context import AnnotatedContext
 from hopqg.graph import build_context_graph
 from hopqg.pipeline import QuestionTrace, generate_stepwise
@@ -296,3 +298,34 @@ def novel_record_doc() -> dict:
         facts=[("Ocean Letters", 0), ("Sea Post", 0)],
         qtype="bridge",
     )
+
+
+# Few words, so that argument texts repeat across sentences (one group) and
+# random runs of them nest and overlap.
+_GRAPH_WORDS = ["Alder", "Birch", "Cedar", "Dune", "Elm", "Fjord", "it", "the", "river", "of", "was", "near"]
+
+
+def random_context_doc(rng: random.Random) -> dict:
+    """A small random context for graph-builder property tests."""
+    sentences = [
+        " ".join(rng.choice(_GRAPH_WORDS) for _ in range(rng.randint(5, 9))) + "."
+        for _ in range(rng.randint(2, 6))
+    ]
+    words = [s[:-1].split() for s in sentences]
+
+    def run(sent):
+        a = rng.randrange(len(words[sent]))
+        b = rng.randint(a + 1, min(len(words[sent]), a + 3))
+        return sent, " ".join(words[sent][a:b])
+
+    triples = []
+    for sent in range(len(sentences)):
+        for _ in range(rng.randint(1, 3)):
+            triples.append((sent, run(sent)[1], run(sent)[1], run(sent)[1]))
+    # Clusters draw their mentions from any sentence, so they cross sentences.
+    coref = [
+        [run(rng.randrange(len(sentences))) for _ in range(rng.randint(2, 4))]
+        for _ in range(rng.randint(0, 4))
+    ]
+    nes = [run(sent) for sent in range(len(sentences)) for _ in range(rng.randint(0, 4))]
+    return make_context_doc(sentences, triples, coref=coref, named_entities=nes)
