@@ -34,6 +34,7 @@ from .evaluate import (
     difficulty_probe,
     emit_augmentation,
     filter_generated,
+    jsonl_values,
     metric_report,
     read_jsonl,
     read_traces,
@@ -48,6 +49,7 @@ from .remote import (
     RemoteDecomposer,
     RemoteGeneratorBackend,
     RemoteQa,
+    RemoteService,
     RemoteTypeClassifier,
 )
 from .template import TemplateBackend
@@ -80,24 +82,55 @@ def _manifest_path(args: argparse.Namespace, manifest: RunManifest) -> str:
     return os.path.join(os.path.dirname(first_input), f"hopqg-{args.command}-manifest.json")
 
 
+_JSON_WS = " \t\n\r"  # the whitespace JSON allows around a value
+
+
 def _load_context_docs(path: str) -> list[AnnotatedContext]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if not text.strip():
         raise AnnotationError(f"{path} is empty")
+    # json.loads(text) is this first decode plus a check that only
+    # whitespace follows; decoding by hand keeps the first value of JSONL.
+    start = len(text) - len(text.lstrip(_JSON_WS))
     try:
-        docs = json.loads(text)
+        if text.startswith("\ufeff"):
+            json.loads(text)  # raises its "Unexpected UTF-8 BOM" error
+        docs, end = json.JSONDecoder().raw_decode(text, start)
     except json.JSONDecodeError as exc:
-        # A whole first object followed by more is JSONL (one object per
-        # line); any other error is reported where the decoder stopped.
-        if exc.msg != "Extra data" or text.lstrip().startswith("["):
-            raise AnnotationError(invalid_json(path, exc)) from exc
-        docs = read_jsonl(path)
+        raise AnnotationError(invalid_json(path, exc)) from exc
+    extra = len(text) - len(text[end:].lstrip(_JSON_WS))
+    if extra < len(text):
+        # A whole first value followed by more is JSONL (one value per line);
+        # after an array, the error json.loads gives.
+        if text[start] == "[":
+            exc = json.JSONDecodeError("Extra data", text, extra)
+            raise AnnotationError(invalid_json(path, exc))
+        line_end = text.find("\n", end)
+        if line_end < 0:
+            line_end = len(text)
+        if "\n" in text[start:end] or text[end:line_end].strip():
+            # The first value is not a line of its own: fail on its line.
+            docs = read_jsonl(path)
+        else:
+            rest = jsonl_values(path, text[line_end + 1:].split("\n"), text.count("\n", 0, end) + 2)
+            docs = [docs] + [value for _, value in rest]
     if isinstance(docs, dict):
         docs = [docs]
     if not isinstance(docs, list):
         raise AnnotationError(f"{path} must hold a context object or array")
     return [AnnotatedContext.from_json(doc) for doc in docs]
+
+
+def _close_remote(manifest: RunManifest, *backends) -> None:
+    """Close the remote services among backends and record their counters
+    as count-only stages named remote.<role>.<counter>."""
+    for backend in backends:
+        if isinstance(backend, RemoteService):
+            client = backend.client
+            client.close()
+            for counter, n in client.counts.items():
+                manifest.count(f"remote.{client.role}.{counter}", n)
 
 
 # Each command does its work and returns its exit code and the output files
@@ -205,8 +238,11 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
         finally:
             share.release()
 
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        results = list(pool.map(run, jobs))
+    try:
+        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+            results = list(pool.map(run, jobs))
+    finally:
+        _close_remote(manifest, backend)
 
     traces = [trace for trace, _ in results if trace is not None]
     failures = [failure for _, failure in results if failure is not None]
@@ -252,8 +288,11 @@ def cmd_build_dataset(args: argparse.Namespace, config: PipelineConfig, manifest
     if args.manifest_only:
         return EXIT_OK, []
     records = load_hotpot(args.hotpot)
-    with manifest.timed("build"):
-        examples, stats = build_dataset(records, backends, concurrency=config.concurrency)
+    try:
+        with manifest.timed("build"):
+            examples, stats = build_dataset(records, backends, concurrency=config.concurrency)
+    finally:
+        _close_remote(manifest, backends.classifier, backends.decomposer, backends.qa)
     manifest.count("build", len(examples))
     write_jsonl([ex.to_json() for ex in examples], args.out)
     outputs = [args.out]
@@ -348,8 +387,11 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunMan
     if args.manifest_only:
         return EXIT_OK, []
     traces = read_traces(args.traces, required=("question", "answer", "context", "d"))
-    with manifest.timed("probe"):
-        result = difficulty_probe(traces, qa, concurrency=config.concurrency)
+    try:
+        with manifest.timed("probe"):
+            result = difficulty_probe(traces, qa, concurrency=config.concurrency)
+    finally:
+        _close_remote(manifest, qa)
     manifest.count("probe", len(traces) - result.failures)
     manifest.count("failed", result.failures)
     sys.stdout.write(result.format_table() + "\n")

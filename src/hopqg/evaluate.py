@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -217,19 +218,24 @@ def write_jsonl(records: list[dict], path: str) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def jsonl_values(path: str, lines: Iterable[str], first: int = 1):
+    """(line number, value) for each non-blank line of path's lines, the
+    first of them numbered first; a bad line raises AnnotationError naming
+    ``path:line``."""
+    for n, line in enumerate(lines, first):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise AnnotationError(invalid_json(path, exc, n)) from exc
+        yield n, value
+
+
 def _jsonl_values(path: str):
-    """(line number, value) for each non-blank line; a bad line raises
-    AnnotationError naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise AnnotationError(invalid_json(path, exc, n)) from exc
-            yield n, value
+        yield from jsonl_values(path, fh)
 
 
 def read_jsonl(path: str) -> list:

@@ -2,8 +2,9 @@
 
 Every triple contributes two nodes (subject and object) and one directed,
 relation-labeled edge. Argument spans with the same normalized text share a
-node; coreference clusters then merge nodes across differing surfaces. The
-canonical node surface is the longest non-pronominal mention.
+node, except pronouns, which start with a node per span; coreference
+clusters then merge nodes across differing surfaces. The canonical node
+surface is the longest non-pronominal mention.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from .context import AnnotatedContext, Span
 from .errors import NodeNotFoundError
-from .textutil import collapse, is_pronoun, match_tokens, norm_key
+from .textutil import PRONOUNS, collapse, is_pronoun, match_tokens, norm_key
 
 # Lowercase tokens tolerated inside a capitalized run ("Dial M for Murder").
 _NAME_CONNECTORS = {"of", "for", "the", "and", "de", "la", "von", "van", "da"}
@@ -48,6 +49,9 @@ class ContextGraph:
     # Ids of the nodes a chain may be planned around, ascending. Like the
     # rest of the graph, only read once built, so threads share it unlocked.
     answer_nodes: tuple[int, ...] = field(default=(), init=False, repr=False)
+    # norm_key of every surface and mention -> its first node in id order.
+    # Threads that build it at once build equal dicts, so it needs no lock.
+    _exact: dict[str, Node] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for e in self.edges:
@@ -85,10 +89,17 @@ class ContextGraph:
         the node with the highest token overlap. Ties go to the lowest node id;
         zero overlap raises NodeNotFoundError.
         """
-        key = norm_key(text)
-        for node in self.nodes:
-            if norm_key(node.surface) == key or any(norm_key(m) == key for m in node.mention_texts):
-                return node
+        exact = self._exact
+        if exact is None:
+            # Built on the first call, so planning without --answer pays nothing.
+            exact = {}
+            for node in self.nodes:
+                for t in node.all_texts():
+                    exact.setdefault(norm_key(t), node)
+            self._exact = exact
+        hit = exact.get(norm_key(text))
+        if hit is not None:
+            return hit
         qtokens = set(match_tokens(text))
         best, best_score = None, 0
         for node in self.nodes:
@@ -172,14 +183,18 @@ class _UnionFind:
 
 def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
     """Build the merged, deduplicated context graph for an annotated context."""
-    key_to_group: dict[str, int] = {}
+    key_to_group: dict[str | Span, int] = {}
     # Per group: each argument span, in first-seen order, with its collapsed text.
     group_mentions: list[dict[Span, str]] = []
     raw_edges: list[tuple[int, int, str, int]] = []
 
     def group_of(span: Span) -> int:
         text = collapse(ctx.span_text(span))
-        key = text.casefold()  # norm_key(text), as text is already collapsed
+        key: str | Span = text.casefold()  # norm_key(text), as text is already collapsed
+        if key in PRONOUNS:  # is_pronoun(text)
+            # A pronoun names nothing by itself; only a coreference cluster
+            # may merge it, so each one keeps a group of its own.
+            key = span
         gid = key_to_group.get(key)
         if gid is None:
             gid = len(group_mentions)

@@ -16,7 +16,7 @@ from collections import deque
 from hopqg.errors import PlanningError
 from hopqg.metrics import light_stem, tokenize
 from hopqg.planner import SpanningTree, index_chain, prune_tree
-from hopqg.textutil import norm_key
+from hopqg.textutil import PRONOUNS, norm_key
 
 
 def oracle_lcs(a: list, b: list) -> int:
@@ -188,11 +188,13 @@ def oracle_graph_merges(ctx) -> list[tuple[list, bool]]:
     graph builder's per-sentence index must reproduce. Only meaningful for
     contexts that carry named-entity annotations.
     """
-    key_to_group: dict[str, int] = {}
+    key_to_group: dict = {}
     groups: list[list] = []
     for t in ctx.triples:
         for span in (t.subject, t.object):
             key = norm_key(ctx.span_text(span))
+            if key in PRONOUNS:
+                key = span  # a pronoun merges only through a cluster
             if key not in key_to_group:
                 key_to_group[key] = len(groups)
                 groups.append([])

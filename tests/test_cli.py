@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, outputs, manifests, reruns."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import weakref
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from util import (
     generate_for_context,
     prize_record_doc,
     remake_record_doc,
+    serve_http,
 )
 
 HERE = os.path.dirname(__file__)
@@ -334,6 +337,22 @@ def test_generate_bad_jsonl_line_names_path_and_line(tmp_path, capsys):
     ctx = write(tmp_path / "ctx.jsonl", text)
     assert main(["generate", "--context", ctx, "--out", str(tmp_path / "t.jsonl")]) == 2
     assert f"{ctx}:3: invalid JSON" in capsys.readouterr().err
+
+
+def test_generate_decodes_each_jsonl_context_once(tmp_path, monkeypatch):
+    docs = [film_context_doc(), film3_context_doc(), film_context_doc()]
+    ctx = write(tmp_path / "ctx.jsonl", "\n" + "\n".join(json.dumps(d) for d in docs) + "\n")
+    decoded = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counting(self, s, idx=0):
+        decoded.append(s[idx:idx + 12])
+        return raw_decode(self, s, idx)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    assert len(hopqg.cli._load_context_docs(ctx)) == 3
+    # One decode per line: the first context is not decoded twice.
+    assert decoded == [json.dumps(d)[:12] for d in docs]
 
 
 def test_generate_remote_without_endpoint_exits_2(tmp_path):
@@ -725,6 +744,111 @@ def test_malformed_config_files_name_path_and_line(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg2.json", {"category_overrides_file": cats})
     assert main(args + [cfg]) == 2
     assert f"{cats}:2: invalid JSON" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ remote services
+
+
+class ServiceHandler(BaseHTTPRequestHandler):
+    """Keep-alive HTTP/1.1 stand-in for all four services. Each reply is a
+    function of the request alone and goes out in one write."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.connections.add(self.client_address)
+        tag = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:8]
+        reply = {
+            "/generate": {"question": f"Which one is {tag}?"},
+            "/classify": {"label": "Bridge"},
+            "/decompose": {"subq1": "Who made it?", "subq2": "Where is [ANSWER] based?"},
+            "/qa": {"answer": "Victor Reyes"},
+        }[self.path]
+        body = json.dumps(reply).encode()
+        head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        self.wfile.write(head.encode() + body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def service():
+    with serve_http(ServiceHandler) as (server, base):
+        server.connections = set()
+        yield server, base
+
+
+def remote_config(tmp_path, base, concurrency):
+    endpoints = {role: f"{base}/{path}" for role, path in (
+        ("generator", "generate"), ("classifier", "classify"), ("decomposer", "decompose"), ("qa", "qa"),
+    )}
+    return write_json(tmp_path / f"cfg{concurrency}.json", {
+        "concurrency": concurrency, "retries": 0, "endpoints": endpoints,
+    })
+
+
+def remote_stages(manifest, role):
+    return {
+        counter: manifest["stages"][f"remote.{role}.{counter}"]["count"]
+        for counter in ("requests", "retries", "failures", "connections")
+    }
+
+
+def test_generate_remote_output_and_counts_at_two_workers(tmp_path, service):
+    server, base = service
+    ctx = write_json(tmp_path / "ctx.json", [film_context_doc(), film3_context_doc()])
+    written = {}
+    for concurrency in (1, 2):
+        out = str(tmp_path / f"t{concurrency}.jsonl")
+        args = ["generate", "--context", ctx, "--backend", "remote", "--d", "2", "--count", "4",
+                "--config", remote_config(tmp_path, base, concurrency), "--out", out]
+        assert main(args) == 0
+        written[concurrency] = Path(out).read_bytes()
+        manifest = read_manifest(out + ".manifest.json")
+        stages = manifest["stages"]
+        steps = stages["initial"]["count"] + stages["rewrite"]["count"]
+        assert steps == 16
+        counts = remote_stages(manifest, "generator")
+        assert counts["requests"] == steps
+        assert counts["retries"] == counts["failures"] == 0
+        assert 1 <= counts["connections"] <= concurrency
+        assert all(stage["seconds"] == 0.0 for name, stage in stages.items() if name.startswith("remote."))
+    assert written[1] == written[2] and b"Which one is" in written[1]
+    # One connection at one worker, at most two at two.
+    assert 2 <= len(server.connections) <= 3
+    template_out = str(tmp_path / "template.jsonl")
+    assert main(["generate", "--context", ctx, "--out", template_out]) == 0
+    stages = read_manifest(template_out + ".manifest.json")["stages"]
+    assert not [name for name in stages if name.startswith("remote.")]
+
+
+def test_build_dataset_and_probe_count_each_remote_role(tmp_path, service):
+    server, base = service
+    cfg = remote_config(tmp_path, base, 2)
+    hotpot = write_json(tmp_path / "hotpot.json", [remake_record_doc(), prize_record_doc()])
+    out = str(tmp_path / "examples.jsonl")
+    code = main(["build-dataset", "--hotpot", hotpot, "--backends", "remote", "--config", cfg, "--out", out])
+    assert code in (0, 1)
+    manifest = read_manifest(out + ".manifest.json")
+    for role in ("classifier", "decomposer", "qa"):
+        counts = remote_stages(manifest, role)
+        assert counts["requests"] >= 1 and counts["failures"] == 0
+        assert 1 <= counts["connections"] <= 2
+    assert not [name for name in manifest["stages"] if name.startswith("remote.generator.")]
+
+    traces = write(tmp_path / "t.jsonl", "\n".join(json.dumps(t) for t in probe_traces()) + "\n")
+    probe_out = str(tmp_path / "probe.json")
+    assert main(["probe", "--traces", traces, "--config", cfg, "--out", probe_out]) == 0
+    manifest = read_manifest(probe_out + ".manifest.json")
+    counts = remote_stages(manifest, "qa")
+    assert counts["requests"] == 2 and counts["retries"] == counts["failures"] == 0
+    assert 1 <= counts["connections"] <= 2
+    rule_out = str(tmp_path / "rule.json")
+    assert main(["probe", "--traces", traces, "--backend", "rule", "--out", rule_out]) == 0
+    stages = read_manifest(rule_out + ".manifest.json")["stages"]
+    assert not [name for name in stages if name.startswith("remote.")]
 
 
 # -------------------------------------------------------------- dependencies

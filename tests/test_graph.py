@@ -44,6 +44,43 @@ def test_coref_merge_absorbs_pronoun(remake_ctx):
     assert len(g.edges) == 2
 
 
+def test_pronouns_merge_only_through_their_clusters():
+    ctx = make_context(
+        ["Alpha Corp makes engines.", "It is based in Oslo.",
+         "Beta Corp makes tyres.", "It is based in Rome."],
+        [
+            (0, "Alpha Corp", "makes", "engines"),
+            (1, "It", "is based in", "Oslo"),
+            (2, "Beta Corp", "makes", "tyres"),
+            (3, "It", "is based in", "Rome"),
+        ],
+        coref=[[(0, "Alpha Corp"), (1, "It")], [(2, "Beta Corp"), (3, "It")]],
+        named_entities=[(0, "Alpha Corp"), (1, "Oslo"), (2, "Beta Corp"), (3, "Rome")],
+    )
+    g = build_context_graph(ctx)
+    alpha, beta = g.find_node("Alpha Corp"), g.find_node("Beta Corp")
+    # Equal pronoun text is not coreference: the two "It"s stay apart.
+    assert alpha.id != beta.id
+    assert alpha.mention_texts == ["Alpha Corp", "It"]
+    assert beta.mention_texts == ["Beta Corp", "It"]
+    assert [m.sent for m in alpha.mentions] == [0, 1]
+    assert [m.sent for m in beta.mentions] == [2, 3]
+    oslo, rome = g.find_node("Oslo"), g.find_node("Rome")
+    assert g.edges_between(alpha.id, oslo.id) and not g.edges_between(beta.id, oslo.id)
+    assert g.edges_between(beta.id, rome.id) and not g.edges_between(alpha.id, rome.id)
+
+
+def test_unclustered_pronouns_stay_apart():
+    ctx = make_context(
+        ["It faces Oslo.", "It faces Rome."],
+        [(0, "It", "faces", "Oslo"), (1, "It", "faces", "Rome")],
+        named_entities=[(0, "Oslo"), (1, "Rome")],
+    )
+    g = build_context_graph(ctx)
+    assert [n.mention_texts for n in g.nodes] == [["It"], ["Oslo"], ["It"], ["Rome"]]
+    assert len(g.edges) == 2
+
+
 def test_merge_drops_self_loop():
     ctx = make_context(
         ["The Nile flows through Egypt.", "It nourished itself."],
@@ -122,6 +159,25 @@ def test_find_node_overlap_tie_lowest_id():
     g = build_context_graph(ctx)
     hit = g.find_node("Blue")
     assert hit.id == min(n.id for n in g.nodes)
+
+
+def test_find_node_exact_match_takes_the_lowest_id():
+    # "It" is a mention of both companies; the first node in id order wins,
+    # whether found first or after another lookup built the index.
+    ctx = make_context(
+        ["Alpha Corp makes engines.", "It is big.", "Beta Corp makes tyres.", "It is small."],
+        [
+            (0, "Alpha Corp", "makes", "engines"),
+            (1, "It", "is", "big"),
+            (2, "Beta Corp", "makes", "tyres"),
+            (3, "It", "is", "small"),
+        ],
+        coref=[[(0, "Alpha Corp"), (1, "It")], [(2, "Beta Corp"), (3, "It")]],
+    )
+    g = build_context_graph(ctx)
+    assert g.find_node(" it ").surface == "Alpha Corp"
+    assert g.find_node("TYRES").surface == "tyres"
+    assert g.find_node("It").id == 0
 
 
 def test_find_node_zero_overlap_raises(film_graph):

@@ -1,8 +1,11 @@
-"""Remote backend clients against an in-process HTTP stub."""
+"""Remote backend clients against in-process HTTP stubs."""
 
 import json
+import socket
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -11,16 +14,27 @@ from hopqg.geninput import assemble_initial_input
 from hopqg.pipeline import StepInfo
 from hopqg.planner import EdgeDirection
 from hopqg.remote import (
+    JsonClient,
     RemoteDecomposer,
     RemoteGeneratorBackend,
     RemoteQa,
     RemoteTypeClassifier,
     post_json,
 )
+from util import serve_http
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Routes POST bodies through the server's scripted behaviors."""
+    """Routes POST bodies through the server's scripted behaviors. Speaks
+    HTTP/1.0, so the server closes each connection after its response."""
+
+    def setup(self):
+        super().setup()
+        self.server.opened.append(self.client_address)
+
+    def finish(self):
+        super().finish()
+        self.server.closed.append(self.client_address)
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -29,6 +43,7 @@ class StubHandler(BaseHTTPRequestHandler):
         behavior = self.server.behaviors.get(self.path)
         if behavior is None:
             self.send_response(404)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         status, body = behavior(payload, len(self.server.requests))
@@ -49,23 +64,50 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class KeepAliveHandler(StubHandler):
+    """HTTP/1.1: the connection stays open between requests. As http.server
+    does, each response goes out in two writes, head then body, with Nagle's
+    algorithm on."""
+
+    protocol_version = "HTTP/1.1"
+
+
+class IdleDropHandler(KeepAliveHandler):
+    """Answers as HTTP/1.1 keep-alive, then closes the connection anyway, as
+    a server does to a connection that sits idle too long."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+def serve_stub(handler):
+    with serve_http(handler) as (server, base):
+        server.requests, server.behaviors = [], {}
+        server.opened, server.closed = [], []
+        yield server, base
+
+
 @pytest.fixture
 def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    server.requests = []
-    server.behaviors = {}
-    # A short poll interval lets shutdown() return at once, not after 0.5 s.
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_port}"
-    try:
-        yield server, base
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    yield from serve_stub(StubHandler)
+
+
+@pytest.fixture
+def keepalive_server():
+    yield from serve_stub(KeepAliveHandler)
+
+
+@pytest.fixture
+def idle_drop_server():
+    yield from serve_stub(IdleDropHandler)
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
 
 
 def ok(body):
@@ -170,3 +212,156 @@ def test_post_json_rejects_non_http_urls(tmp_path):
     target.write_text('{"answer": "leaked"}', encoding="utf-8")
     with pytest.raises(BackendError, match="not an http"):
         post_json(target.as_uri(), {}, retries=0)
+
+
+def test_keep_alive_calls_share_one_connection(keepalive_server):
+    server, base = keepalive_server
+    server.behaviors["/echo"] = lambda payload, n: (200, payload)
+    with JsonClient(base + "/echo", retries=0) as client:
+        for k in range(20):
+            assert client.post({"k": k}) == {"k": k}
+    assert client.counts == {"requests": 20, "retries": 0, "failures": 0, "connections": 1}
+    assert len(server.opened) == 1 and len(server.requests) == 20
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux only")
+def test_two_write_replies_do_not_wait_for_delayed_acks(keepalive_server):
+    # Without an immediate ACK each reply's body waits out the client's
+    # delayed ACK, about 40 ms on Linux: some 0.8 s for these 20 calls.
+    server, base = keepalive_server
+    server.behaviors["/echo"] = lambda payload, n: (200, payload)
+    with JsonClient(base + "/echo", retries=0) as client:
+        client.post({})
+        start = time.perf_counter()
+        for k in range(20):
+            client.post({"k": k})
+        elapsed = time.perf_counter() - start
+    assert client.counts["connections"] == 1
+    assert elapsed < 0.3, f"20 keep-alive calls took {elapsed:.3f} s"
+
+
+def test_client_counts_retries_and_failures_on_closing_server(stub_server):
+    server, base = stub_server
+    server.behaviors["/down"] = lambda payload, n: (503, {"error": "no"})
+    with JsonClient(base + "/down", retries=2, backoff=0.0) as client:
+        with pytest.raises(BackendError, match="returned HTTP 503"):
+            client.post({})
+    # HTTP/1.0: the server closes after each response, so each try connects.
+    assert client.counts == {"requests": 3, "retries": 2, "failures": 1, "connections": 3}
+    assert len(server.requests) == 3
+
+
+def test_idle_dropped_connection_reconnects_without_a_retry(idle_drop_server):
+    server, base = idle_drop_server
+    server.behaviors["/echo"] = lambda payload, n: (200, payload)
+    with JsonClient(base + "/echo", retries=0) as client:
+        assert client.post({"k": 1}) == {"k": 1}
+        wait_for(lambda: len(server.closed) == 1)
+        # The kept connection is dead; with no retry allowed, the call must
+        # still succeed on a new one.
+        assert client.post({"k": 2}) == {"k": 2}
+    assert client.counts == {"requests": 2, "retries": 0, "failures": 0, "connections": 2}
+    assert [payload for _, payload in server.requests] == [{"k": 1}, {"k": 2}]
+
+
+def test_proxy_gets_the_absolute_url(stub_server, monkeypatch):
+    server, base = stub_server
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", base)
+    url = "http://qa.service.invalid:8080/qa?v=1"
+    server.behaviors[url] = ok({"answer": "Alfred Hitchcock"})
+    qa = RemoteQa(url, retries=0)
+    try:
+        assert qa.answer("Who?", "ctx") == "Alfred Hitchcock"
+    finally:
+        qa.client.close()
+    assert server.requests == [(url, {"question": "Who?", "context": "ctx"})]
+
+
+def test_no_proxy_hosts_are_reached_directly(stub_server, monkeypatch):
+    server, base = stub_server
+    monkeypatch.delenv("NO_PROXY", raising=False)
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")  # nothing listens there
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server.behaviors["/qa"] = ok({"answer": "x"})
+    assert post_json(base + "/qa", {}, retries=0) == {"answer": "x"}
+    assert server.requests == [("/qa", {})]
+
+
+def test_close_shuts_connections_of_exited_threads(keepalive_server):
+    server, base = keepalive_server
+    server.behaviors["/echo"] = lambda payload, n: (200, payload)
+    client = JsonClient(base + "/echo", retries=0)
+    barrier = threading.Barrier(4, timeout=5)
+
+    def call(k):
+        barrier.wait()  # all four threads at once, so none reuses another's
+        client.post({"k": k})
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert client.counts["connections"] == 4 and len(server.opened) == 4
+    assert server.closed == []
+    client.close()
+    # The server sees each connection end only once the client shuts it.
+    wait_for(lambda: len(server.closed) == 4)
+    # Closed clients open new connections when used again.
+    assert client.post({"k": 5}) == {"k": 5}
+    assert client.counts["connections"] == 5
+    client.close()
+    wait_for(lambda: len(server.closed) == 5)
+
+
+def test_shared_client_under_thread_stress(keepalive_server):
+    server, base = keepalive_server
+    server.behaviors["/echo"] = lambda payload, n: (200, payload)
+    client = JsonClient(base + "/echo", retries=0)
+    workers, calls = 8, 25
+    barrier = threading.Barrier(workers, timeout=5)
+    results = {}
+
+    def work(w):
+        barrier.wait()
+        results[w] = [client.post({"w": w, "k": k}) for k in range(calls)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+    # Each thread got its own replies on its own connection; a lost update
+    # would drop a count or leave a connection open.
+    assert results == {w: [{"w": w, "k": k} for k in range(calls)] for w in range(workers)}
+    assert client.counts == {"requests": workers * calls, "retries": 0, "failures": 0, "connections": workers}
+    wait_for(lambda: len(server.closed) == workers)
+
+
+def test_every_client_counts_under_its_role(stub_server):
+    server, base = stub_server
+    server.behaviors["/generate"] = ok({"question": "Who?"})
+    server.behaviors["/classify"] = ok({"label": "Bridge"})
+    server.behaviors["/decompose"] = ok({"subq1": "A?", "subq2": "B?"})
+    server.behaviors["/qa"] = ok({"answer": "x"})
+    gi = assemble_initial_input("A", "B", "A is B.", "is", EdgeDirection.PARENT_TO_CHILD)
+    services = [
+        (RemoteGeneratorBackend(base + "/generate"), lambda s: s.initial(gi, StepInfo(1, "A", "B", "x", None))),
+        (RemoteTypeClassifier(base + "/classify"), lambda s: s.classify("Q?")),
+        (RemoteDecomposer(base + "/decompose"), lambda s: s.decompose("Q?")),
+        (RemoteQa(base + "/qa"), lambda s: s.answer("Q?", "ctx")),
+    ]
+    for service, call in services:
+        call(service)
+        service.client.close()
+        assert service.client.counts == {"requests": 1, "retries": 0, "failures": 0, "connections": 1}
+    assert [s.client.role for s, _ in services] == ["generator", "classifier", "decomposer", "qa"]

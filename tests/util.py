@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import threading
+from contextlib import contextmanager
+from http.server import ThreadingHTTPServer
 
 from hopqg.context import AnnotatedContext
 from hopqg.graph import build_context_graph
@@ -329,3 +332,27 @@ def random_context_doc(rng: random.Random) -> dict:
     ]
     nes = [run(sent) for sent in range(len(sentences)) for _ in range(rng.randint(0, 4))]
     return make_context_doc(sentences, triples, coref=coref, named_entities=nes)
+
+
+class _StubServer(ThreadingHTTPServer):
+    # Room for every test client to connect at once: past the default
+    # backlog of 5, a dropped SYN waits out a one-second retransmit.
+    request_queue_size = 64
+
+
+@contextmanager
+def serve_http(handler):
+    """A ThreadingHTTPServer for handler on a free 127.0.0.1 port, served from
+    a thread; yields (server, base URL)."""
+    server = _StubServer(("127.0.0.1", 0), handler)
+    # A short poll interval lets shutdown() return at once, not after 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
