@@ -304,26 +304,45 @@ def cmd_build_dataset(args: argparse.Namespace, config: PipelineConfig, manifest
     return EXIT_PARTIAL if stats["errors"] else EXIT_OK, outputs
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
-    """Non-blank lines with their 1-based line numbers."""
+def _read_lines(path: str) -> list[str]:
+    """Every line of path, without its newline, up to the last non-blank one."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
+        lines = [line.rstrip("\n") for line in fh]
+    while lines and not lines[-1].strip():
+        lines.pop()
+    return lines
 
 
-def _parse_refs(path: str) -> list[list[str]]:
-    refs = []
-    for n, line in _read_lines(path):
-        if line.lstrip().startswith("["):
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MetricError(invalid_json(path, exc, n)) from exc
-            if not isinstance(parsed, list) or not all(isinstance(r, str) for r in parsed):
-                raise MetricError("reference lines must be strings or JSON string arrays")
-            refs.append(parsed)
-        else:
-            refs.append([line])
-    return refs
+def _parse_ref(path: str, n: int, line: str) -> list[str] | None:
+    """The references on line n of path; None for a blank line."""
+    if not line.strip():
+        return None
+    if not line.lstrip().startswith("["):
+        return [line]
+    try:
+        parsed = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MetricError(invalid_json(path, exc, n)) from exc
+    if not parsed or not all(isinstance(r, str) for r in parsed):
+        raise MetricError(f"{path}:{n}: reference lines must be strings or non-empty JSON string arrays")
+    return parsed
+
+
+def _read_corpus(hyp_path: str, ref_path: str) -> list[tuple[str, list[str]]]:
+    """Hypotheses and references paired by line number. A blank line pairs
+    only with a blank line, and both are skipped."""
+    hyps = _read_lines(hyp_path)
+    refs = [_parse_ref(ref_path, n, line) for n, line in enumerate(_read_lines(ref_path), 1)]
+    corpus = []
+    for n, (hyp, ref) in enumerate(zip(hyps, refs), 1):
+        if bool(hyp.strip()) != (ref is not None):
+            blank, other = (hyp_path, ref_path) if ref is not None else (ref_path, hyp_path)
+            raise MetricError(f"{blank}:{n}: blank line opposite a non-blank line of {other}")
+        if ref is not None:
+            corpus.append((hyp, ref))
+    if len(hyps) != len(refs):
+        raise MetricError(f"hypothesis/reference line counts differ: {len(hyps)} vs {len(refs)}")
+    return corpus
 
 
 def _metric_table(metrics: dict[str, float]) -> str:
@@ -335,16 +354,13 @@ def _metric_table(metrics: dict[str, float]) -> str:
 def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     if args.manifest_only:
         return EXIT_OK, []
-    hyps = [line for _, line in _read_lines(args.hyp)]
-    refs = _parse_refs(args.ref)
-    if len(hyps) != len(refs):
-        raise MetricError(
-            f"hypothesis/reference line counts differ: {len(hyps)} vs {len(refs)}"
-        )
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
+    if not names:
+        raise MetricError(f"no metrics named (known: {', '.join(METRIC_NAMES)})")
+    corpus = _read_corpus(args.hyp, args.ref)
     with manifest.timed("score"):
-        report = metric_report(list(zip(hyps, refs)), names)
-    manifest.count("score", len(hyps))
+        report = metric_report(corpus, names)
+    manifest.count("score", len(corpus))
     manifest.count("meteor-fallback", report["meteor_fallbacks"])
     text = _dump_json(report)
     if args.out:

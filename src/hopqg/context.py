@@ -121,6 +121,8 @@ class AnnotatedContext:
         if not isinstance(doc, dict) or "context" not in doc:
             raise AnnotationError("annotated context must be an object with a 'context' field")
         text = doc["context"]
+        if not isinstance(text, str):
+            raise AnnotationError(f"'context' field must be a string, got {type(text).__name__}")
         sentences = []
         for i, s in enumerate(doc.get("sentences", [])):
             try:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .errors import AnnotationError, BackendError, MetricError, invalid_json
 from .metrics import (
     TOKENIZER_SPEC,
+    _NgramPass,
     bleu_n,
     cider,
     exact_match,
@@ -62,13 +63,8 @@ _PAIRWISE = {
     "rouge-l": rouge_l,
     "meteor-s": meteor_simplified,
 }
-_CORPUS_LEVEL = {
-    "bleu1": lambda c: bleu_n(c, 1),
-    "bleu2": lambda c: bleu_n(c, 2),
-    "bleu3": lambda c: bleu_n(c, 3),
-    "bleu4": lambda c: bleu_n(c, 4),
-    "cider": cider,
-}
+_BLEU_ORDERS = {f"bleu{n}": n for n in range(1, 5)}
+_CORPUS_LEVEL = (*_BLEU_ORDERS, "cider")
 METRIC_NAMES = tuple(sorted(_CORPUS_LEVEL) + sorted(_PAIRWISE))
 
 
@@ -77,15 +73,21 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
 
     Pairwise metrics (ROUGE-L, METEOR-s) are aggregated as the mean over
     items of the best score against any reference; BLEU and CIDEr are
-    corpus-level by definition. ``meteor_fallbacks`` counts the METEOR-s
-    alignments whose search ran out of nodes, so their chunk count may be
-    above the fewest possible.
+    corpus-level by definition and read one n-gram pass over the corpus,
+    of order 4 when CIDEr is named, else of the highest BLEU order named.
+    ``meteor_fallbacks`` counts the METEOR-s alignments whose search ran
+    out of nodes, so their chunk count may be above the fewest possible.
     """
     fallbacks_before = meteor_fallbacks()
+    with_cider = "cider" in names
+    order = 4 if with_cider else max((_BLEU_ORDERS.get(name, 0) for name in names), default=0)
+    ngrams = None
     scores: dict[str, float] = {}
     for name in names:
         if name in _CORPUS_LEVEL:
-            scores[name] = _CORPUS_LEVEL[name](corpus)
+            if ngrams is None:
+                ngrams = _NgramPass(corpus, order, cider=with_cider)
+            scores[name] = cider(ngrams) if name == "cider" else bleu_n(ngrams, _BLEU_ORDERS[name])
         elif name in _PAIRWISE:
             fn = _PAIRWISE[name]
             if not corpus:

@@ -36,7 +36,81 @@ def _check_corpus(corpus) -> None:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Counts of the order-n grams of tokens, in order of first occurrence."""
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
+
+
+class _NgramPass:
+    """One pass over a corpus's n-grams, orders 1..order, read by bleu_n and
+    cider alike.
+
+    Each text is tokenized once. Per order it keeps BLEU's sufficient
+    statistics (clipped and total gram counts) and, when ``cider`` is set,
+    adds each item's CIDEr term for that order to the item's running sum,
+    so the terms add up from order 1 upward. One order's Counters are
+    dropped before the next order is counted.
+    """
+
+    def __init__(self, corpus, order: int, cider: bool):
+        _check_corpus(corpus)
+        # One string object per distinct token: the tokens are held for the
+        # whole pass, and a corpus repeats most of its words.
+        vocab: dict[str, str] = {}
+
+        def tokens(text: str) -> list[str]:
+            return [vocab.setdefault(t, t) for t in tokenize(text)]
+
+        self.items = [(tokens(h), [tokens(r) for r in refs]) for h, refs in corpus]
+        self.order = order
+        self.clipped = [0] * (order + 1)
+        self.total = [0] * (order + 1)
+        self.hyp_len = sum(len(hyp) for hyp, _ in self.items)
+        # The reference length closest to the hypothesis's, ties toward the shorter.
+        self.ref_len = sum(
+            min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1] for hyp, refs in self.items
+        )
+        self.cider_items = [0.0] * len(self.items) if cider else None
+        for k in range(1, order + 1):
+            self._count_order(k)
+
+    def _count_order(self, k: int) -> None:
+        counted = []
+        df: Counter = Counter()
+        for hyp, refs in self.items:
+            hyp_counts = _ngrams(hyp, k)
+            ref_counts = [_ngrams(r, k) for r in refs]
+            max_ref = ref_counts[0]
+            for other in ref_counts[1:]:
+                max_ref = max_ref | other
+            if hyp_counts:
+                self.total[k] += len(hyp) - k + 1
+                self.clipped[k] += sum(min(c, max_ref[g]) for g, c in hyp_counts.items())
+            if self.cider_items is not None:
+                df.update(max_ref.keys())
+                counted.append((hyp_counts, ref_counts))
+        if self.cider_items is None:
+            return
+        # Document frequency counts an item once per gram any of its
+        # references holds; a gram no reference holds takes df 1.
+        n_items = len(self.items)
+        idf = {g: math.log(n_items / d) for g, d in df.items()}
+        unseen = math.log(n_items)
+        for i, (hyp_counts, ref_counts) in enumerate(counted):
+            hv, hn = _tfidf(hyp_counts, idf, unseen)
+            if hn == 0:
+                continue  # every cosine is 0
+            cosines = []
+            for counts in ref_counts:
+                rv, rn = _tfidf(counts, idf, unseen)
+                dot = sum(w * rv[g] for g, w in hv.items() if g in rv)
+                cosines.append(dot / (hn * rn) if rn else 0.0)
+            self.cider_items[i] += sum(cosines) / len(cosines)
+
+
+def _tfidf(counts: Counter, idf: dict, unseen: float) -> tuple[dict, float]:
+    """The tf-idf vector of counts, keyed in their order, and its norm."""
+    vec = {g: c * idf.get(g, unseen) for g, c in counts.items()}
+    return vec, math.sqrt(sum(w * w for w in vec.values()))
 
 
 def bleu_n(corpus, n: int) -> float:
@@ -45,37 +119,20 @@ def bleu_n(corpus, n: int) -> float:
     Geometric mean over orders 1..n, no smoothing: a zero precision at any
     order zeroes the score. Reference length is the closest to the
     hypothesis length, ties resolved toward the shorter reference.
+    ``corpus`` is a list of (hypothesis, references) pairs or an n-gram
+    pass over one, of order n or more.
     """
     if not 1 <= n <= 4:
         raise MetricError(f"bleu order must be in 1..4, got {n}")
-    _check_corpus(corpus)
-    clipped = [0] * (n + 1)
-    total = [0] * (n + 1)
-    hyp_len = 0
-    ref_len = 0
-    for hyp, refs in corpus:
-        hyp_toks = tokenize(hyp)
-        ref_toks = [tokenize(r) for r in refs]
-        hyp_len += len(hyp_toks)
-        ref_len += min((abs(len(r) - len(hyp_toks)), len(r)) for r in ref_toks)[1]
-        for k in range(1, n + 1):
-            counts = _ngrams(hyp_toks, k)
-            if not counts:
-                continue
-            max_ref = Counter()
-            for r in ref_toks:
-                for gram, c in _ngrams(r, k).items():
-                    if c > max_ref[gram]:
-                        max_ref[gram] = c
-            total[k] += sum(counts.values())
-            clipped[k] += sum(min(c, max_ref[gram]) for gram, c in counts.items())
+    ngrams = corpus if isinstance(corpus, _NgramPass) else _NgramPass(corpus, n, cider=False)
     log_sum = 0.0
     for k in range(1, n + 1):
-        if total[k] == 0 or clipped[k] == 0:
+        if ngrams.total[k] == 0 or ngrams.clipped[k] == 0:
             return 0.0
-        log_sum += math.log(clipped[k] / total[k]) / n
-    if hyp_len == 0:
+        log_sum += math.log(ngrams.clipped[k] / ngrams.total[k]) / n
+    if ngrams.hyp_len == 0:
         return 0.0
+    hyp_len, ref_len = ngrams.hyp_len, ngrams.ref_len
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum)
 
@@ -294,42 +351,17 @@ def cider(corpus, n_max: int = 4) -> float:
     """tf-idf n-gram cosine consensus, averaged over orders 1..n_max, x10.
 
     Document frequency counts each item once when any of its references
-    contains the n-gram; idf = log(N / max(df, 1)).
+    contains the n-gram; idf = log(N / max(df, 1)). ``corpus`` is a list of
+    (hypothesis, references) pairs or an n-gram pass over one, of order
+    n_max with its CIDEr terms.
     """
-    _check_corpus(corpus)
-    if len(corpus) < 2:
+    ngrams = corpus if isinstance(corpus, _NgramPass) else _NgramPass(corpus, n_max, cider=True)
+    if len(ngrams.items) < 2:
         raise MetricError("cider needs at least two items for meaningful idf")
-    items = [(tokenize(h), [tokenize(r) for r in refs]) for h, refs in corpus]
-    n_items = len(items)
-    df: list[Counter] = [Counter() for _ in range(n_max + 1)]
-    for _, refs in items:
-        for k in range(1, n_max + 1):
-            grams = set()
-            for r in refs:
-                grams.update(_ngrams(r, k))
-            for g in grams:
-                df[k][g] += 1
-
-    def vec(tokens, k):
-        counts = _ngrams(tokens, k)
-        return {g: c * math.log(n_items / max(df[k][g], 1)) for g, c in counts.items()}
-
-    def cos(u, v):
-        dot = sum(w * v[g] for g, w in u.items() if g in v)
-        nu = math.sqrt(sum(w * w for w in u.values()))
-        nv = math.sqrt(sum(w * w for w in v.values()))
-        if nu == 0 or nv == 0:
-            return 0.0
-        return dot / (nu * nv)
-
     total = 0.0
-    for hyp_toks, ref_toks in items:
-        item_score = 0.0
-        for k in range(1, n_max + 1):
-            hv = vec(hyp_toks, k)
-            item_score += sum(cos(hv, vec(r, k)) for r in ref_toks) / len(ref_toks)
+    for item_score in ngrams.cider_items:
         total += item_score / n_max
-    return 10.0 * total / n_items
+    return 10.0 * total / len(ngrams.items)
 
 
 def normalize_answer(text: str) -> str:

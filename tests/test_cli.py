@@ -92,6 +92,11 @@ def test_build_graph_invalid_context_exits_2(tmp_path):
     assert main(["build-graph", "--context", ctx, "--out", str(tmp_path / "g.json")]) == 2
 
 
+def test_build_graph_non_string_context_exits_2(tmp_path, capsys):
+    ctx = write_json(tmp_path / "ctx.json", {"context": 1})
+    assert main(["build-graph", "--context", ctx, "--out", str(tmp_path / "g.json")]) == 2
+    assert "'context' field must be a string, got int" in capsys.readouterr().err
+
 def test_build_graph_missing_file_exits_2(tmp_path):
     missing = str(tmp_path / "absent.json")
     assert main(["build-graph", "--context", missing, "--out", str(tmp_path / "g.json")]) == 2
@@ -506,6 +511,38 @@ def test_evaluate_bad_reference_array_names_path_and_line(tmp_path, capsys):
     assert main(["evaluate", "--hyp", hyp, "--ref", ref, "--out", str(tmp_path / "r.json")]) == 2
     assert f"{ref}:3: invalid JSON" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("line", ["[]", '["a b c", 1]'])
+def test_evaluate_bad_reference_lines_name_path_and_line(tmp_path, capsys, line):
+    hyp = write(tmp_path / "hyp.txt", "a b c\na b c\n")
+    ref = write(tmp_path / "ref.txt", f"a b c\n{line}\n")
+    args = ["evaluate", "--hyp", hyp, "--ref", ref, "--metrics", "rouge-l", "--out", str(tmp_path / "r.json")]
+    assert main(args) == 2
+    assert f"{ref}:2: reference lines must be strings or non-empty JSON string arrays" in capsys.readouterr().err
+
+
+def test_evaluate_pairs_lines_by_number(tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    # A blank line opposite a non-blank one would shift every later pair.
+    hyp = write(tmp_path / "hyp.txt", "a b c\n\nd e f\ng h i\n")
+    ref = write(tmp_path / "ref.txt", "a b c\nd e f\n\ng h i\n")
+    assert main(["evaluate", "--hyp", hyp, "--ref", ref, "--metrics", "bleu1", "--out", out]) == 2
+    assert f"{hyp}:2: blank line opposite a non-blank line of {ref}" in capsys.readouterr().err
+    # Blank lines opposite each other are skipped, and trailing ones are allowed.
+    hyp = write(tmp_path / "hyp.txt", "a b c\n\nx y z\n\n\n")
+    ref = write(tmp_path / "ref.txt", "a b c\n \nx y z")
+    assert main(["evaluate", "--hyp", hyp, "--ref", ref, "--metrics", "bleu1", "--out", out]) == 0
+    report = json.loads(Path(out).read_text())
+    assert report["items"] == 2 and report["metrics"]["bleu1"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("metrics", ["", " , ,"])
+def test_evaluate_without_metric_names_exits_2(tmp_path, capsys, metrics):
+    hyp = write(tmp_path / "hyp.txt", "a b c\n")
+    out = tmp_path / "r.json"
+    assert main(["evaluate", "--hyp", hyp, "--ref", hyp, "--metrics", metrics, "--out", str(out)]) == 2
+    assert "no metrics named" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_evaluate_and_probe_manifests_land_beside_the_first_input(tmp_path, capsys, monkeypatch):
     inputs, cwd = tmp_path / "inputs", tmp_path / "cwd"

@@ -1,6 +1,8 @@
 """Metric suite vs independent oracles plus published edge-case conventions."""
 
 import functools
+import hashlib
+import json
 import math
 import random
 
@@ -8,7 +10,7 @@ import pytest
 
 import hopqg.metrics
 from hopqg.errors import MetricError
-from hopqg.evaluate import metric_report
+from hopqg.evaluate import METRIC_NAMES, metric_report
 from hopqg.metrics import (
     _align,
     _chunk_count,
@@ -90,6 +92,59 @@ def test_cider_matches_oracle_on_random_corpora():
     for _ in range(50):
         corpus = random_corpus(rng, rng.randint(2, 5))
         assert abs(cider(corpus) - oracle_cider(corpus)) <= 1e-9
+
+
+
+# sha256 over the JSON reports of every metric on 50 seeded corpora, taken
+# when BLEU and CIDEr each counted their n-grams on their own.
+REPORT_GOLDEN = "aadc79966264fb1254104cb2c44af9a4856e3049591a7c7c073e14ffd37aaa66"
+
+
+def test_metric_report_golden_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(1010)
+    for _ in range(50):
+        corpus = random_corpus(rng, rng.randint(2, 9), max_refs=rng.randint(1, 4))
+        report = metric_report(corpus, list(METRIC_NAMES))
+        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == REPORT_GOLDEN
+
+
+def test_bleu_and_cider_alone_equal_the_report_entries():
+    # The report scores from one shared n-gram pass; each metric called on
+    # the plain corpus runs its own pass, of its own order.
+    rng = random.Random(2020)
+    for _ in range(30):
+        corpus = random_corpus(rng, rng.randint(2, 7))
+        metrics = metric_report(corpus, list(METRIC_NAMES))["metrics"]
+        for n in (1, 2, 3, 4):
+            assert bleu_n(corpus, n) == metrics[f"bleu{n}"]
+            assert metric_report(corpus, [f"bleu{n}"])["metrics"][f"bleu{n}"] == metrics[f"bleu{n}"]
+        assert cider(corpus) == metrics["cider"]
+
+
+NGRAM_EDGE_CORPORA = [
+    # Hypotheses shorter than the higher orders.
+    [("who", ["who directed top gun ?"]), ("top gun", ["top gun", "the top gun film"])],
+    [("a b", ["a b c d e"]), ("c", ["c"]), ("a b c", ["a b c"])],
+    # A hypothesis made only of punctuation.
+    [("? , !", ["who directed it ?"]), ("who directed it ?", ["who directed it ?"])],
+    [("?", ["?"]), ("...", ["who ?"]), ("the cat sat", ["the cat sat on the mat"])],
+    # References of different lengths, the closest one shorter or longer.
+    [("the cat sat on", ["the cat", "the cat sat on the mat", "a cat sat"]),
+     ("on the mat the cat sat", ["the cat sat on the mat", "cat"]),
+     ("the dog ran fast", ["the dog ran", "a dog ran very fast today"])],
+]
+
+
+@pytest.mark.parametrize("corpus", NGRAM_EDGE_CORPORA)
+def test_ngram_metrics_match_oracles_on_edge_cases(corpus):
+    metrics = metric_report(corpus, list(METRIC_NAMES))["metrics"]
+    for n in (1, 2, 3, 4):
+        assert abs(metrics[f"bleu{n}"] - oracle_bleu(corpus, n)) <= 1e-9
+        assert bleu_n(corpus, n) == metrics[f"bleu{n}"]
+    assert abs(metrics["cider"] - oracle_cider(corpus)) <= 1e-9
+    assert cider(corpus) == metrics["cider"]
 
 
 # Frozen outputs of the exhaustive-alignment oracle in oracles.py.
