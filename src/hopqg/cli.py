@@ -16,6 +16,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from . import __version__
 from .config import PipelineConfig, load_config
@@ -70,6 +71,14 @@ def _dump_json(doc: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _with_flags(config: PipelineConfig, **flags) -> PipelineConfig:
+    """config with each flag given on the command line in place of its field,
+    checked as the values of a config file are."""
+    config = replace(config, **{name: value for name, value in flags.items() if value is not None})
+    config.validate()
+    return config
 
 
 def _manifest_path(args: argparse.Namespace, manifest: RunManifest) -> str:
@@ -251,7 +260,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
     write_jsonl([t.to_json() for t in traces], args.out)
 
     manifest.count("initial", len(traces))
-    manifest.count("rewrite", sum(len(t.steps) - 1 for t in traces))
+    manifest.count("rewrite", sum(len(t.questions) - 1 for t in traces))
     manifest.count("failed", len(failures))
     return EXIT_PARTIAL if failures else EXIT_OK, [args.out]
 
@@ -373,13 +382,12 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
 
 
 def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+    config = _with_flags(config, min_words=args.min_words, max_words=args.max_words)
     if args.manifest_only:
         return EXIT_OK, []
     items = read_traces(args.traces, optional=("question", "answer"))
-    min_words = config.min_words if args.min_words is None else args.min_words
-    max_words = config.max_words if args.max_words is None else args.max_words
     with manifest.timed("filter"):
-        kept, dropped = filter_generated(items, min_words, max_words)
+        kept, dropped = filter_generated(items, config.min_words, config.max_words)
     manifest.count("filter", len(kept))
     write_jsonl(kept, args.out)
     outputs = [args.out]
@@ -431,13 +439,13 @@ def _load_qa_records(path: str) -> list[dict]:
 
 
 def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+    config = _with_flags(config, oversample_ratio=args.ratio)
     if args.manifest_only:
         return EXIT_OK, []
     generated = read_traces(args.traces)
     originals = _load_qa_records(args.originals)
-    ratio = config.oversample_ratio if args.ratio is None else args.ratio
     with manifest.timed("mix"):
-        mixed = emit_augmentation(generated, originals, ratio=ratio, seed=args.seed)
+        mixed = emit_augmentation(generated, originals, ratio=config.oversample_ratio, seed=args.seed)
     manifest.count("mix", len(mixed))
     write_jsonl(mixed, args.out)
     return EXIT_OK, [args.out]

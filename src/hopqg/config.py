@@ -8,6 +8,7 @@ HOPQG_QA_URL, which keeps CI scripts free of config-file templating.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -43,6 +44,15 @@ class PipelineConfig:
     oversample_ratio: float = 4.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # Annotations are strings here; isinstance counts a bool as an int.
+            kinds = {"int": int, "float": (int, float)}.get(f.type)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                kind = "an integer" if f.type == "int" else "a number"
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.concurrency < 1:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
         if self.timeout <= 0:

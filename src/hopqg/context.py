@@ -68,9 +68,6 @@ class AnnotatedContext:
     def span_text(self, span: Span) -> str:
         return self.context[span.start : span.end]
 
-    def sentence_of(self, index: int) -> Sentence:
-        return self.sentences[index]
-
     def validate(self) -> None:
         """Check all offsets; raises AnnotationError naming the offending item."""
         n = len(self.context)
@@ -101,20 +98,6 @@ class AnnotatedContext:
         sent = self.sentences[sp.sent]
         if not (sent.char_start <= sp.start < sp.end <= sent.char_end):
             raise AnnotationError(f"{what}: span [{sp.start},{sp.end}) outside its sentence")
-
-    def to_json(self) -> dict:
-        doc: dict = {
-            "context": self.context,
-            "sentences": [{"start": s.char_start, "end": s.char_end} for s in self.sentences],
-            "triples": [
-                {"subject": t.subject.to_json(), "relation": t.relation.to_json(), "object": t.object.to_json()}
-                for t in self.triples
-            ],
-            "coref_clusters": [[sp.to_json() for sp in cluster] for cluster in self.coref_clusters],
-        }
-        if self.named_entities is not None:
-            doc["named_entities"] = [sp.to_json() for sp in self.named_entities]
-        return doc
 
     @staticmethod
     def from_json(doc: dict) -> "AnnotatedContext":

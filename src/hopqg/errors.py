@@ -41,17 +41,13 @@ class RewriteError(HopqgError):
 class BackendError(HopqgError):
     """A backend call failed (network, bad status, malformed response)."""
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
 
 class GenerationError(HopqgError):
     """Stepwise generation aborted; carries the questions produced so far."""
 
-    def __init__(self, message: str, partial_steps: list, failed_step: int):
+    def __init__(self, message: str, partial_questions: list[str], failed_step: int):
         super().__init__(message)
-        self.partial_steps = partial_steps
+        self.partial_questions = partial_questions
         self.failed_step = failed_step
 
 

@@ -64,14 +64,6 @@ class GeneratorInput:
         self.parent_aliases = tuple(collapse(a) for a in self.parent_aliases if collapse(a))
         self.text, self.segments = _serialize(self)
 
-    def __eq__(self, other):
-        if not isinstance(other, GeneratorInput):
-            return NotImplemented
-        return self.text == other.text and self.step == other.step
-
-    def to_json(self) -> dict:
-        return {"text": self.text, "segments": [s.value for s in self.segments], "step": self.step}
-
 
 def _clean_field(what: str, value: str) -> str:
     value = collapse(value)
@@ -205,52 +197,5 @@ def parse_input(
         direction=direction,
         rewrite_type=rewrite_type,
         sub_question=sub_question,
-        parent_aliases=parent_aliases,
-    )
-
-
-def assemble_initial_input(
-    node_child: str,
-    node_parent: str,
-    sentence: str,
-    edge: str,
-    direction: EdgeDirection,
-    parent_aliases: tuple[str, ...] = (),
-) -> GeneratorInput:
-    """Step-1 input: no type or sub-question block."""
-    return GeneratorInput(
-        step=1,
-        sentence=sentence,
-        node_child=node_child,
-        edge=edge,
-        node_parent=node_parent,
-        direction=direction,
-        parent_aliases=parent_aliases,
-    )
-
-
-def assemble_rewrite_input(
-    q_prev: str,
-    node_child: str,
-    node_parent: str,
-    sentence: str,
-    edge: str,
-    rewrite_type: RewriteType,
-    direction: EdgeDirection,
-    step: int,
-    parent_aliases: tuple[str, ...] = (),
-) -> GeneratorInput:
-    """Step-i (i >= 2) input carrying the previous question and rewrite type."""
-    if not collapse(q_prev):
-        raise AssemblyError("previous question is empty")
-    return GeneratorInput(
-        step=step,
-        sentence=sentence,
-        node_child=node_child,
-        edge=edge,
-        node_parent=node_parent,
-        direction=direction,
-        rewrite_type=rewrite_type,
-        sub_question=q_prev,
         parent_aliases=parent_aliases,
     )

@@ -75,10 +75,6 @@ class ContextGraph:
         """All edges touching node_id, paired with the opposite endpoint; do not mutate."""
         return self._incident.get(node_id, [])
 
-    def undirected_degree(self, node_id: int) -> int:
-        """Distinct neighbors when edge direction is ignored; self-loops never exist."""
-        return len({other for _, other in self.incident(node_id)})
-
     def edges_between(self, a: int, b: int) -> list[Edge]:
         return [e for e, other in self.incident(a) if other == b]
 

@@ -3,7 +3,10 @@
 A backend is any object with
     initial(gi: GeneratorInput, info: StepInfo) -> str
     rewrite(gi: GeneratorInput, info: StepInfo) -> str
-Template and remote-service implementations ship with the package.
+where gi is the step's serialized input and info carries the answer's
+category (``answer_category``) and the parent node's descriptor category
+(``parent_category``, None when it has none). Template and remote-service
+implementations ship with the package.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .context import AnnotatedContext
 from .errors import BackendError, GenerationError
-from .geninput import GeneratorInput, assemble_initial_input, assemble_rewrite_input
+from .geninput import GeneratorInput
 from .graph import ContextGraph
 from .planner import ReasoningChain
 from .template import descriptor_category, guess_category
@@ -22,23 +25,13 @@ from .template import descriptor_category, guess_category
 class StepInfo:
     """Chain-side metadata a backend may use beyond the serialized input."""
 
-    step: int
-    child_surface: str
-    parent_surface: str
     answer_category: str = "other"
     parent_category: str | None = None
 
 
 @dataclass
-class TraceStep:
-    index: int
-    question: str
-    input: GeneratorInput
-
-
-@dataclass
 class QuestionTrace:
-    steps: list[TraceStep]
+    questions: list[str]
     answer: str
     d: int
     chain: ReasoningChain
@@ -47,11 +40,11 @@ class QuestionTrace:
 
     @property
     def question(self) -> str:
-        return self.steps[-1].question
+        return self.questions[-1]
 
     @property
     def intermediates(self) -> list[str]:
-        return [s.question for s in self.steps[:-1]]
+        return self.questions[:-1]
 
     def to_json(self) -> dict:
         return {
@@ -77,7 +70,7 @@ def generate_stepwise(
     Backend failure at step i raises GenerationError carrying the questions
     already produced (steps 1..i-1).
     """
-    steps: list[TraceStep] = []
+    questions: list[str] = []
     answer_node = graph.node(chain.nodes[0].node_id)
     answer_category = guess_category(answer_node.surface, answer_node.is_named_entity, category_overrides)
 
@@ -85,41 +78,40 @@ def generate_stepwise(
         i = node.index
         parent_chain_node = chain.nodes[node.parent]
         parent_node = graph.node(parent_chain_node.node_id)
-        sentence_text = ctx.sentence_of(node.sentence).text
-        aliases = tuple(parent_node.mention_texts)
         info = StepInfo(
-            step=i,
-            child_surface=node.surface,
-            parent_surface=parent_node.surface,
             answer_category=answer_category,
             parent_category=descriptor_category(graph, parent_node.id),
         )
+        # Step 1 has no rewrite type or previous question; later steps rewrite
+        # the question the step before produced.
+        gi = GeneratorInput(
+            step=i,
+            sentence=ctx.sentences[node.sentence].text,
+            node_child=node.surface,
+            edge=node.edge_text,
+            node_parent=parent_chain_node.surface,
+            direction=node.edge_direction,
+            rewrite_type=node.rewrite_type if i > 1 else None,
+            sub_question=questions[-1] if i > 1 else None,
+            parent_aliases=tuple(parent_node.mention_texts),
+        )
         try:
             if i == 1:
-                gi = assemble_initial_input(
-                    node.surface, parent_chain_node.surface, sentence_text,
-                    node.edge_text, node.edge_direction, parent_aliases=aliases,
-                )
                 question = backend.initial(gi, info)
             else:
-                gi = assemble_rewrite_input(
-                    steps[-1].question, node.surface, parent_chain_node.surface,
-                    sentence_text, node.edge_text, node.rewrite_type,
-                    node.edge_direction, step=i, parent_aliases=aliases,
-                )
                 question = backend.rewrite(gi, info)
         except BackendError as exc:
             raise GenerationError(
-                f"backend failed at step {i}: {exc}", partial_steps=steps, failed_step=i
+                f"backend failed at step {i}: {exc}", partial_questions=questions, failed_step=i
             ) from exc
         if not question or not question.strip():
             raise GenerationError(
-                f"backend returned an empty question at step {i}", partial_steps=steps, failed_step=i
+                f"backend returned an empty question at step {i}", partial_questions=questions, failed_step=i
             )
-        steps.append(TraceStep(i, question.strip(), gi))
+        questions.append(question.strip())
 
     return QuestionTrace(
-        steps=steps,
+        questions=questions,
         answer=chain.answer_surface,
         d=chain.d,
         chain=chain,

@@ -58,15 +58,8 @@ class ReasoningChain:
     d: int
 
     @property
-    def answer_node(self) -> ChainNode:
-        return self.nodes[0]
-
-    @property
     def answer_surface(self) -> str:
         return self.nodes[0].surface
-
-    def children_of(self, index: int) -> list[int]:
-        return [n.index for n in self.nodes if n.parent == index]
 
     def to_json(self) -> dict:
         return {
@@ -99,14 +92,9 @@ class SpanningTree:
         return len(self.children)
 
 
-def eligible_answer_nodes(graph: ContextGraph) -> tuple[int, ...]:
-    """Nodes that are (or neighbor) a named entity and have degree above one."""
-    return graph.answer_nodes
-
-
 def sample_answer_node(graph: ContextGraph, seed: int) -> int:
     """Uniform seeded choice among eligible answer nodes."""
-    eligible = eligible_answer_nodes(graph)
+    eligible = graph.answer_nodes
     if not eligible:
         raise PlanningError("no eligible answer node: need a named-entity-linked node with degree > 1")
     return random.Random(seed).choice(eligible)

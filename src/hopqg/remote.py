@@ -151,12 +151,6 @@ class JsonClient:
         for conn in conns:
             conn.close()
 
-    def __enter__(self) -> JsonClient:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def _count(self, counter: str) -> None:
         with self._lock:
             self.counts[counter] += 1
@@ -217,18 +211,6 @@ class JsonClient:
             self._local.conn = None
 
 
-def post_json(
-    url: str,
-    payload: dict,
-    timeout: float = 10.0,
-    retries: int = 2,
-    backoff: float = 0.1,
-) -> dict:
-    """POST payload as JSON through a client of its own, closed on return."""
-    with JsonClient(url, timeout=timeout, retries=retries, backoff=backoff) as client:
-        return client.post(payload)
-
-
 class RemoteService:
     """A service reached through one JsonClient, counted under ``role``."""
 
@@ -250,28 +232,24 @@ class RemoteGeneratorBackend(RemoteService):
         self.top_p = top_p
         self.max_tokens = max_tokens
 
-    def _call(self, gi: GeneratorInput, step: int) -> str:
+    def _call(self, gi: GeneratorInput) -> str:
         payload = {
             "text": gi.text,
             "segments": [s.value for s in gi.segments],
             "top_p": self.top_p,
             "max_tokens": self.max_tokens,
         }
-        try:
-            body = self.client.post(payload)
-        except BackendError as exc:
-            exc.step = step
-            raise
+        body = self.client.post(payload)
         question = body.get("question")
         if not isinstance(question, str) or not question.strip():
-            raise BackendError(f"{self.client.url} returned no question text", step=step)
+            raise BackendError(f"{self.client.url} returned no question text")
         return question.strip()
 
     def initial(self, gi: GeneratorInput, info: StepInfo) -> str:
-        return self._call(gi, info.step)
+        return self._call(gi)
 
     def rewrite(self, gi: GeneratorInput, info: StepInfo) -> str:
-        return self._call(gi, info.step)
+        return self._call(gi)
 
 
 class RemoteTypeClassifier(RemoteService):

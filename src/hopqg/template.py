@@ -22,10 +22,6 @@ WH_BY_CATEGORY = {"person": "Who", "location": "Which place", "other": "What"}
 _COPULAR = {"is", "was", "are", "were"}
 
 
-def wh_word(category: str) -> str:
-    return WH_BY_CATEGORY.get(category, "What")
-
-
 def guess_category(surface: str, is_named_entity: bool, overrides: dict[str, str] | None = None) -> str:
     """Crude answer-category guess; config overrides take precedence."""
     if overrides:
@@ -57,20 +53,16 @@ def descriptor_category(graph: ContextGraph, node_id: int) -> str | None:
 
 def template_generate_initial(
     n1: str,
-    n0: str,
-    s1: str,
     edge: str,
-    direction: EdgeDirection,
     answer_category: str = "other",
 ) -> str:
-    """Initial question asking for n0 given its relation to n1.
+    """Initial question asking for the answer given its relation to n1.
 
     The answer slot is replaced by the wh-word and never uttered; the
-    remaining statement keeps its relation and node. s1 is accepted for
-    signature parity with neural backends but templates only need the edge.
+    remaining statement keeps its relation and node. Templates need neither
+    the context sentence nor the edge's direction.
     """
-    del s1, direction
-    return f"{wh_word(answer_category)} {edge} {n1}?"
+    return f"{WH_BY_CATEGORY.get(answer_category, 'What')} {edge} {n1}?"
 
 
 def _find_span(q: str, candidates: tuple[str, ...]) -> tuple[int, int] | None:
@@ -85,7 +77,6 @@ def template_rewrite(
     q_prev: str,
     n_i: str,
     n_parent: str,
-    s_i: str,
     e_i: str,
     r_i: RewriteType,
     direction: EdgeDirection,
@@ -94,8 +85,7 @@ def template_rewrite(
 ) -> str:
     """One rewrite step. Bridge replaces the parent span by a clause built
     from the new hop; Intersection attaches one more restriction to it.
-    s_i is accepted for signature parity; templates only need the edge."""
-    del s_i
+    Templates need the edge, not the context sentence."""
     # direction is the new hop's orientation: PARENT_TO_CHILD means the parent
     # is the subject of e_i, otherwise the child is and the clause goes passive.
     head = e_i.split()[0].lower() if e_i.split() else ""
@@ -133,13 +123,13 @@ class TemplateBackend:
 
     def initial(self, gi: GeneratorInput, info) -> str:
         return template_generate_initial(
-            gi.node_child, gi.node_parent, gi.sentence, gi.edge, gi.direction,
+            gi.node_child, gi.edge,
             answer_category=info.answer_category,
         )
 
     def rewrite(self, gi: GeneratorInput, info) -> str:
         return template_rewrite(
-            gi.sub_question, gi.node_child, gi.node_parent, gi.sentence, gi.edge,
+            gi.sub_question, gi.node_child, gi.node_parent, gi.edge,
             gi.rewrite_type, gi.direction,
             parent_category=info.parent_category,
             parent_aliases=gi.parent_aliases,

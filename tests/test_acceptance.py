@@ -85,7 +85,7 @@ def check_plan_properties(graph: ContextGraph, chain, d: int) -> None:
             # input carries no type block, so node 1 has no rewrite type.
             assert node.rewrite_type is None
             continue
-        first_child = chain.children_of(node.parent)[0]
+        first_child = next(n.index for n in chain.nodes if n.parent == node.parent)
         want = RewriteType.BRIDGE if node.index == first_child else RewriteType.INTERSECTION
         assert node.rewrite_type is want
     assert len({n.node_id for n in chain.nodes}) == d + 1
@@ -302,8 +302,8 @@ def test_criterion_8_three_hop_questions_cover_all_chain_nodes():
         ctx = AnnotatedContext.from_json(doc)
         trace = generate_for_context(ctx, d=3, seed=1, backend=TemplateBackend())
         assert trace.d == 3
-        assert len(trace.steps) == 3
-        rewrites = trace.steps[1:]
+        assert len(trace.questions) == 3
+        rewrites = trace.questions[1:]
         assert len(rewrites) == 2
         question = trace.question.lower()
         covered_surfaces = 0

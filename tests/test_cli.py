@@ -629,6 +629,22 @@ def test_filter_respects_bound_flags(tmp_path):
     assert len(read_lines(out)) == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--min-words", "40", "--max-words", "5"], "filter bounds must satisfy 0 <= min <= max, got (40, 5)"),
+        (["--min-words", "-3"], "filter bounds must satisfy 0 <= min <= max, got (-3, 30)"),
+    ],
+    ids=["min-above-max", "negative-min"],
+)
+def test_filter_bad_bound_flags_exit_2(tmp_path, capsys, flags, message):
+    traces = write(tmp_path / "t.jsonl", json.dumps({"question": "one two three four", "answer": "z"}) + "\n")
+    out = tmp_path / "kept.jsonl"
+    assert main(["filter", "--traces", traces, "--out", str(out)] + flags) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- probe
 
 
@@ -722,6 +738,16 @@ def test_augment_ratio_flag(tmp_path):
     assert len(read_lines(out)) == 2
 
 
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_augment_non_finite_ratio_exits_2(tmp_path, capsys, ratio):
+    traces = write(tmp_path / "gen.jsonl", json.dumps({"question": "gen ?", "answer": "a"}) + "\n")
+    orig = write_json(tmp_path / "orig.json", [{"question": "orig ?", "answer": "b"}])
+    out = tmp_path / "mixed.jsonl"
+    assert main(["augment", "--traces", traces, "--originals", orig, "--ratio", ratio, "--out", str(out)]) == 2
+    assert f"error: oversample_ratio must be finite, got {ratio}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_augment_bad_originals_array_names_path_and_line(tmp_path, capsys):
     traces = write(tmp_path / "gen.jsonl", json.dumps({"question": "gen ?", "answer": "a"}) + "\n")
     orig = write(tmp_path / "orig.json", '[\n  {"question": "q ?"},\n  {"question": }\n]\n')
@@ -761,6 +787,13 @@ def test_cli_invalid_config_exits_2(tmp_path):
     item = {"question": "q ?", "answer": "z"}
     traces = write(tmp_path / "t.jsonl", json.dumps(item) + "\n")
     assert main(["filter", "--traces", traces, "--out", str(tmp_path / "k.jsonl"), "--config", cfg]) == 2
+
+
+def test_cli_config_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"concurrency": "8"})
+    traces = write(tmp_path / "t.jsonl", json.dumps({"question": "q ?", "answer": "z"}) + "\n")
+    assert main(["filter", "--traces", traces, "--out", str(tmp_path / "k.jsonl"), "--config", cfg]) == 2
+    assert "error: concurrency must be an integer, got '8'" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

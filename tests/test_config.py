@@ -64,6 +64,28 @@ def test_load_config_rejects_bad_values(tmp_path):
             load_config(str(path), env={})
 
 
+def test_load_config_rejects_wrong_types_naming_the_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    cases = [
+        ({"concurrency": "8"}, "concurrency must be an integer, got '8'"),
+        ({"retries": 1.5}, "retries must be an integer, got 1.5"),
+        ({"max_words": True}, "max_words must be an integer, got True"),
+        ({"timeout": True}, "timeout must be a number, got True"),
+        ({"top_p": "0.5"}, "top_p must be a number, got '0.5'"),
+        ({"timeout": float("nan")}, "timeout must be finite, got nan"),
+        ({"oversample_ratio": float("nan")}, "oversample_ratio must be finite, got nan"),
+        ({"oversample_ratio": float("inf")}, "oversample_ratio must be finite, got inf"),
+    ]
+    for doc, message in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(str(path), env={})
+        assert str(exc_info.value) == message
+    # An int is a number wherever a float belongs.
+    path.write_text(json.dumps({"timeout": 3, "oversample_ratio": 2}))
+    assert load_config(str(path), env={}).timeout == 3
+
+
 def test_load_config_missing_or_malformed_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "absent.json"), env={})

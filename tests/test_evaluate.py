@@ -96,7 +96,7 @@ class FlakyQa:
 
     def answer(self, question, context):
         if question in self.fail_on:
-            raise BackendError("boom", step=1)
+            raise BackendError("boom")
         return "alfred hitchcock"
 
 

@@ -7,8 +7,6 @@ from hopqg.geninput import (
     MARKERS,
     GeneratorInput,
     SegmentLabel,
-    assemble_initial_input,
-    assemble_rewrite_input,
     parse_input,
 )
 from hopqg.planner import EdgeDirection, RewriteType
@@ -16,9 +14,9 @@ from hopqg.textutil import strip_punct
 
 
 def test_initial_serialization_child_to_parent():
-    gi = assemble_initial_input(
-        "Top Gun", "Tom Cruise", "Top Gun starred Tom Cruise.", "starred",
-        EdgeDirection.CHILD_TO_PARENT,
+    gi = GeneratorInput(
+        step=1, sentence="Top Gun starred Tom Cruise.", node_child="Top Gun", edge="starred",
+        node_parent="Tom Cruise", direction=EdgeDirection.CHILD_TO_PARENT,
     )
     assert gi.text == (
         "<bos> Top Gun starred Tom Cruise. <nodeC> Top Gun <edge> starred <nodeP> Tom Cruise <eos>"
@@ -26,19 +24,19 @@ def test_initial_serialization_child_to_parent():
 
 
 def test_reversed_direction_swaps_node_blocks():
-    gi = assemble_initial_input(
-        "Silver Lake", "Marie Dubois", "Marie Dubois composed Silver Lake.", "composed",
-        EdgeDirection.PARENT_TO_CHILD,
+    gi = GeneratorInput(
+        step=1, sentence="Marie Dubois composed Silver Lake.", node_child="Silver Lake", edge="composed",
+        node_parent="Marie Dubois", direction=EdgeDirection.PARENT_TO_CHILD,
     )
     assert gi.text.index("<nodeP>") < gi.text.index("<nodeC>")
     assert "<nodeP> Marie Dubois <edge> composed <nodeC> Silver Lake" in gi.text
 
 
 def test_rewrite_serialization_carries_type_and_subq():
-    gi = assemble_rewrite_input(
-        "Who starred Top Gun?", "Tony Scott", "Top Gun",
-        "Top Gun is directed by Tony Scott.", "is directed by",
-        RewriteType.INTERSECTION, EdgeDirection.PARENT_TO_CHILD, step=2,
+    gi = GeneratorInput(
+        step=2, sentence="Top Gun is directed by Tony Scott.", node_child="Tony Scott",
+        edge="is directed by", node_parent="Top Gun", direction=EdgeDirection.PARENT_TO_CHILD,
+        rewrite_type=RewriteType.INTERSECTION, sub_question="Who starred Top Gun?",
     )
     assert "<type> Intersection <subq> Who starred Top Gun?" in gi.text
     assert gi.text.endswith("<eos>")
@@ -46,14 +44,17 @@ def test_rewrite_serialization_carries_type_and_subq():
 
 def test_marker_collision_rejected():
     with pytest.raises(AssemblyError, match="reserved marker"):
-        assemble_initial_input("a <edge> b", "c", "s", "rel", EdgeDirection.CHILD_TO_PARENT)
+        GeneratorInput(
+            step=1, sentence="s", node_child="a <edge> b", edge="rel", node_parent="c",
+            direction=EdgeDirection.CHILD_TO_PARENT,
+        )
 
 
 def test_segments_align_and_relabel_parent_tokens():
-    gi = assemble_rewrite_input(
-        "Who starred Top Gun?", "Tony Scott", "Top Gun",
-        "Top Gun is directed by Tony Scott.", "is directed by",
-        RewriteType.BRIDGE, EdgeDirection.PARENT_TO_CHILD, step=2,
+    gi = GeneratorInput(
+        step=2, sentence="Top Gun is directed by Tony Scott.", node_child="Tony Scott",
+        edge="is directed by", node_parent="Top Gun", direction=EdgeDirection.PARENT_TO_CHILD,
+        rewrite_type=RewriteType.BRIDGE, sub_question="Who starred Top Gun?",
         parent_aliases=("It",),
     )
     tokens = gi.text.split(" ")
@@ -92,11 +93,11 @@ def test_segments_align_and_relabel_parent_tokens():
 
 
 def test_coreferent_alias_relabeled():
-    gi = assemble_rewrite_input(
-        "What was a modern remake of Dial M for Murder?", "Dial M for Murder", "A Perfect Murder",
-        "It was a modern remake of Dial M for Murder.", "was a modern remake of",
-        RewriteType.BRIDGE, EdgeDirection.CHILD_TO_PARENT, step=2,
-        parent_aliases=("It",),
+    gi = GeneratorInput(
+        step=2, sentence="It was a modern remake of Dial M for Murder.", node_child="Dial M for Murder",
+        edge="was a modern remake of", node_parent="A Perfect Murder",
+        direction=EdgeDirection.CHILD_TO_PARENT, rewrite_type=RewriteType.BRIDGE,
+        sub_question="What was a modern remake of Dial M for Murder?", parent_aliases=("It",),
     )
     tokens = gi.text.split(" ")
     it_positions = [i for i, t in enumerate(tokens) if t == "It"]
@@ -135,7 +136,10 @@ def test_round_trip_identity_random():
 
 
 def test_parse_rejects_malformed():
-    good = assemble_initial_input("a b", "c", "s t", "rel", EdgeDirection.CHILD_TO_PARENT).text
+    good = GeneratorInput(
+        step=1, sentence="s t", node_child="a b", edge="rel", node_parent="c",
+        direction=EdgeDirection.CHILD_TO_PARENT,
+    ).text
     with pytest.raises(AssemblyError):
         parse_input(good.replace("<edge>", "<buckle>"))
     with pytest.raises(AssemblyError):
@@ -147,9 +151,10 @@ def test_parse_rejects_malformed():
 
 
 def test_marker_order_fixed_given_direction():
-    gi = assemble_rewrite_input(
-        "Who starred Top Gun?", "Tony Scott", "Top Gun", "s", "rel",
-        RewriteType.BRIDGE, EdgeDirection.CHILD_TO_PARENT, step=2,
+    gi = GeneratorInput(
+        step=2, sentence="s", node_child="Tony Scott", edge="rel", node_parent="Top Gun",
+        direction=EdgeDirection.CHILD_TO_PARENT, rewrite_type=RewriteType.BRIDGE,
+        sub_question="Who starred Top Gun?",
     )
     order = [t for t in gi.text.split(" ") if t in MARKERS]
     assert order == ["<bos>", "<nodeC>", "<edge>", "<nodeP>", "<type>", "<subq>", "<eos>"]

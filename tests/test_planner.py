@@ -12,7 +12,6 @@ from hopqg.graph import ContextGraph, Edge, Node, build_context_graph
 from hopqg.planner import (
     EdgeDirection,
     RewriteType,
-    eligible_answer_nodes,
     index_chain,
     plan_chain,
     prune_tree,
@@ -110,7 +109,7 @@ def check_chain_invariants(graph: ContextGraph, chain, d: int):
 
 
 def test_eligibility_film(film_graph):
-    ids = eligible_answer_nodes(film_graph)
+    ids = film_graph.answer_nodes
     names = {film_graph.node(i).surface for i in ids}
     assert names == {"Top Gun", "Tom Cruise"}
 
@@ -304,7 +303,7 @@ def test_planning_reads_only_the_answer_neighbourhood(monkeypatch):
     path = dummy_graph(2000, [(i, i + 1, "next", i) for i in range(1999)], ne_ids={0})
     assert _incident_calls(monkeypatch, path, d=3, answer_text="entity 00") <= 3
     star = dummy_graph(2001, [(leaf, 0, "orbits", leaf) for leaf in range(1, 2001)], ne_ids={0})
-    assert list(eligible_answer_nodes(star)) == [0]
+    assert list(star.answer_nodes) == [0]
     assert _incident_calls(monkeypatch, star, d=1, seed=7) <= 1
 
 
@@ -317,7 +316,7 @@ def test_answer_nodes_and_entity_links_follow_the_neighbour_rules():
     ]
     linked = 0
     for g in graphs:
-        assert list(eligible_answer_nodes(g)) == oracle_eligible_answer_nodes(g)
+        assert list(g.answer_nodes) == oracle_eligible_answer_nodes(g)
         links = [n.entity_link for n in g.nodes]
         assert links == oracle_entity_links(g)
         linked += sum(link is not None for link in links)

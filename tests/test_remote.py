@@ -5,12 +5,13 @@ import socket
 import sys
 import threading
 import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler
 
 import pytest
 
 from hopqg.errors import BackendError
-from hopqg.geninput import assemble_initial_input
+from hopqg.geninput import GeneratorInput
 from hopqg.pipeline import StepInfo
 from hopqg.planner import EdgeDirection
 from hopqg.remote import (
@@ -19,7 +20,6 @@ from hopqg.remote import (
     RemoteGeneratorBackend,
     RemoteQa,
     RemoteTypeClassifier,
-    post_json,
 )
 from util import serve_http
 
@@ -118,11 +118,11 @@ def test_generator_backend_protocol(stub_server):
     server, base = stub_server
     server.behaviors["/generate"] = ok({"question": "Who starred in Top Gun?"})
     backend = RemoteGeneratorBackend(base + "/generate", top_p=0.8, max_tokens=32)
-    gi = assemble_initial_input(
-        "Tom Cruise", "Top Gun", "Top Gun starred Tom Cruise.",
-        "starred", EdgeDirection.PARENT_TO_CHILD,
+    gi = GeneratorInput(
+        step=1, sentence="Top Gun starred Tom Cruise.", node_child="Tom Cruise",
+        edge="starred", node_parent="Top Gun", direction=EdgeDirection.PARENT_TO_CHILD,
     )
-    info = StepInfo(1, "Tom Cruise", "Top Gun", "person", None)
+    info = StepInfo("person", None)
     assert backend.initial(gi, info) == "Who starred in Top Gun?"
     path, payload = server.requests[0]
     assert path == "/generate"
@@ -160,7 +160,8 @@ def test_post_json_retries_then_succeeds(stub_server):
         return 200, {"ok": True}
 
     server.behaviors["/flaky"] = flaky
-    assert post_json(base + "/flaky", {}, retries=2, backoff=0.0) == {"ok": True}
+    with closing(JsonClient(base + "/flaky", retries=2, backoff=0.0)) as client:
+        assert client.post({}) == {"ok": True}
     assert len(server.requests) == 3
 
 
@@ -169,7 +170,8 @@ def test_post_json_exhausted_retries_raise(stub_server):
     server.behaviors["/down"] = ok({"error": "no"})
     server.behaviors["/down"] = lambda payload, n: (503, {"error": "no"})
     with pytest.raises(BackendError, match="503"):
-        post_json(base + "/down", {}, retries=1, backoff=0.0)
+        with closing(JsonClient(base + "/down", retries=1, backoff=0.0)) as client:
+            client.post({})
     assert len(server.requests) == 2
 
 
@@ -177,10 +179,12 @@ def test_post_json_rejects_non_object_and_bad_json(stub_server):
     server, base = stub_server
     server.behaviors["/list"] = ok([1, 2, 3])
     with pytest.raises(BackendError, match="non-object"):
-        post_json(base + "/list", {}, retries=0)
+        with closing(JsonClient(base + "/list", retries=0)) as client:
+            client.post({})
     server.behaviors["/garbage"] = ok(b"not json at all")
     with pytest.raises(BackendError):
-        post_json(base + "/garbage", {}, retries=0)
+        with closing(JsonClient(base + "/garbage", retries=0)) as client:
+            client.post({})
 
 
 def test_missing_answer_key_is_backend_error(stub_server):
@@ -195,7 +199,8 @@ def test_missing_answer_key_is_backend_error(stub_server):
 
 def test_connection_refused_is_backend_error():
     with pytest.raises(BackendError):
-        post_json("http://127.0.0.1:9/never", {}, retries=0, timeout=0.5)
+        with closing(JsonClient("http://127.0.0.1:9/never", retries=0, timeout=0.5)) as client:
+            client.post({})
 
 
 @pytest.mark.parametrize("raw", [b"", b"NOT-HTTP garbage\r\n\r\n"], ids=["dropped", "bad-status-line"])
@@ -203,7 +208,8 @@ def test_post_json_dropped_connection_retries_then_raises(stub_server, raw):
     server, base = stub_server
     server.behaviors["/drop"] = lambda payload, n: (None, raw)
     with pytest.raises(BackendError, match="/drop: "):
-        post_json(base + "/drop", {}, retries=2, backoff=0.0)
+        with closing(JsonClient(base + "/drop", retries=2, backoff=0.0)) as client:
+            client.post({})
     assert len(server.requests) == 3
 
 
@@ -211,13 +217,14 @@ def test_post_json_rejects_non_http_urls(tmp_path):
     target = tmp_path / "answer.json"
     target.write_text('{"answer": "leaked"}', encoding="utf-8")
     with pytest.raises(BackendError, match="not an http"):
-        post_json(target.as_uri(), {}, retries=0)
+        with closing(JsonClient(target.as_uri(), retries=0)) as client:
+            client.post({})
 
 
 def test_keep_alive_calls_share_one_connection(keepalive_server):
     server, base = keepalive_server
     server.behaviors["/echo"] = lambda payload, n: (200, payload)
-    with JsonClient(base + "/echo", retries=0) as client:
+    with closing(JsonClient(base + "/echo", retries=0)) as client:
         for k in range(20):
             assert client.post({"k": k}) == {"k": k}
     assert client.counts == {"requests": 20, "retries": 0, "failures": 0, "connections": 1}
@@ -230,7 +237,7 @@ def test_two_write_replies_do_not_wait_for_delayed_acks(keepalive_server):
     # delayed ACK, about 40 ms on Linux: some 0.8 s for these 20 calls.
     server, base = keepalive_server
     server.behaviors["/echo"] = lambda payload, n: (200, payload)
-    with JsonClient(base + "/echo", retries=0) as client:
+    with closing(JsonClient(base + "/echo", retries=0)) as client:
         client.post({})
         start = time.perf_counter()
         for k in range(20):
@@ -243,7 +250,7 @@ def test_two_write_replies_do_not_wait_for_delayed_acks(keepalive_server):
 def test_client_counts_retries_and_failures_on_closing_server(stub_server):
     server, base = stub_server
     server.behaviors["/down"] = lambda payload, n: (503, {"error": "no"})
-    with JsonClient(base + "/down", retries=2, backoff=0.0) as client:
+    with closing(JsonClient(base + "/down", retries=2, backoff=0.0)) as client:
         with pytest.raises(BackendError, match="returned HTTP 503"):
             client.post({})
     # HTTP/1.0: the server closes after each response, so each try connects.
@@ -254,7 +261,7 @@ def test_client_counts_retries_and_failures_on_closing_server(stub_server):
 def test_idle_dropped_connection_reconnects_without_a_retry(idle_drop_server):
     server, base = idle_drop_server
     server.behaviors["/echo"] = lambda payload, n: (200, payload)
-    with JsonClient(base + "/echo", retries=0) as client:
+    with closing(JsonClient(base + "/echo", retries=0)) as client:
         assert client.post({"k": 1}) == {"k": 1}
         wait_for(lambda: len(server.closed) == 1)
         # The kept connection is dead; with no retry allowed, the call must
@@ -285,7 +292,8 @@ def test_no_proxy_hosts_are_reached_directly(stub_server, monkeypatch):
     monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")  # nothing listens there
     monkeypatch.setenv("no_proxy", "127.0.0.1")
     server.behaviors["/qa"] = ok({"answer": "x"})
-    assert post_json(base + "/qa", {}, retries=0) == {"answer": "x"}
+    with closing(JsonClient(base + "/qa", retries=0)) as client:
+        assert client.post({}) == {"answer": "x"}
     assert server.requests == [("/qa", {})]
 
 
@@ -353,9 +361,12 @@ def test_every_client_counts_under_its_role(stub_server):
     server.behaviors["/classify"] = ok({"label": "Bridge"})
     server.behaviors["/decompose"] = ok({"subq1": "A?", "subq2": "B?"})
     server.behaviors["/qa"] = ok({"answer": "x"})
-    gi = assemble_initial_input("A", "B", "A is B.", "is", EdgeDirection.PARENT_TO_CHILD)
+    gi = GeneratorInput(
+        step=1, sentence="A is B.", node_child="A", edge="is", node_parent="B",
+        direction=EdgeDirection.PARENT_TO_CHILD,
+    )
     services = [
-        (RemoteGeneratorBackend(base + "/generate"), lambda s: s.initial(gi, StepInfo(1, "A", "B", "x", None))),
+        (RemoteGeneratorBackend(base + "/generate"), lambda s: s.initial(gi, StepInfo("x", None))),
         (RemoteTypeClassifier(base + "/classify"), lambda s: s.classify("Q?")),
         (RemoteDecomposer(base + "/decompose"), lambda s: s.decompose("Q?")),
         (RemoteQa(base + "/qa"), lambda s: s.answer("Q?", "ctx")),

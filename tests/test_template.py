@@ -11,32 +11,24 @@ from hopqg.template import (
 
 
 def test_initial_person_answer():
-    q = template_generate_initial(
-        "Dial M for Murder", "Alfred Hitchcock", "Alfred Hitchcock directed Dial M for Murder.",
-        "directed", EdgeDirection.CHILD_TO_PARENT, answer_category="person",
-    )
+    q = template_generate_initial("Dial M for Murder", "directed", answer_category="person")
     assert q == "Who directed Dial M for Murder?"
 
 
 def test_initial_second_example():
-    q = template_generate_initial(
-        "Top Gun", "Tom Cruise", "Top Gun starred Tom Cruise.",
-        "starred", EdgeDirection.CHILD_TO_PARENT, answer_category="person",
-    )
+    q = template_generate_initial("Top Gun", "starred", answer_category="person")
     assert q == "Who starred Top Gun?"
 
 
 def test_initial_non_person_uses_what():
-    q = template_generate_initial(
-        "the mill", "the river", "s", "powered", EdgeDirection.PARENT_TO_CHILD,
-    )
+    q = template_generate_initial("the mill", "powered")
     assert q.startswith("What ")
     assert q == "What powered the mill?"
 
 
 def test_bridge_rewrite_replaces_parent_with_clause():
     q = template_rewrite(
-        "Who starred Top Gun?", "Tony Scott", "Top Gun", "s", "is directed by",
+        "Who starred Top Gun?", "Tony Scott", "Top Gun", "is directed by",
         RewriteType.BRIDGE, EdgeDirection.PARENT_TO_CHILD, parent_category="film",
     )
     assert q == "Who starred the film that is directed by Tony Scott?"
@@ -45,7 +37,7 @@ def test_bridge_rewrite_replaces_parent_with_clause():
 
 def test_bridge_passive_when_child_is_subject():
     q = template_rewrite(
-        "Who starred Top Gun?", "Tony Scott", "Top Gun", "s", "directed",
+        "Who starred Top Gun?", "Tony Scott", "Top Gun", "directed",
         RewriteType.BRIDGE, EdgeDirection.CHILD_TO_PARENT, parent_category="film",
     )
     assert q == "Who starred the film that is directed by Tony Scott?"
@@ -55,7 +47,7 @@ def test_bridge_copular_relation_fronts_child_subject():
     # "is directed by" already carries its auxiliaries; a second passive
     # wrap would yield "is is directed by by".
     q = template_rewrite(
-        "Where was Tony Scott born?", "Top Gun", "Tony Scott", "s", "is directed by",
+        "Where was Tony Scott born?", "Top Gun", "Tony Scott", "is directed by",
         RewriteType.BRIDGE, EdgeDirection.CHILD_TO_PARENT, parent_category="person",
     )
     assert q == "Where was the person that Top Gun is directed by born?"
@@ -63,7 +55,7 @@ def test_bridge_copular_relation_fronts_child_subject():
 
 def test_intersection_copular_relation_no_doubled_auxiliaries():
     q = template_rewrite(
-        "Who was born in North Shields?", "Top Gun", "Tony Scott", "s",
+        "Who was born in North Shields?", "Top Gun", "Tony Scott",
         "is directed by", RewriteType.INTERSECTION, EdgeDirection.CHILD_TO_PARENT,
     )
     assert q == "Who was born in North Shields and also Top Gun is directed by?"
@@ -72,7 +64,7 @@ def test_intersection_copular_relation_no_doubled_auxiliaries():
 
 def test_bridge_without_category_uses_one():
     q = template_rewrite(
-        "Who starred Top Gun?", "Tony Scott", "Top Gun", "s", "is directed by",
+        "Who starred Top Gun?", "Tony Scott", "Top Gun", "is directed by",
         RewriteType.BRIDGE, EdgeDirection.PARENT_TO_CHILD,
     )
     assert "the one that is directed by Tony Scott" in q
@@ -81,14 +73,14 @@ def test_bridge_without_category_uses_one():
 def test_bridge_missing_parent_raises():
     with pytest.raises(RewriteError):
         template_rewrite(
-            "Who starred Days of Thunder?", "Tony Scott", "Top Gun", "s", "is directed by",
+            "Who starred Days of Thunder?", "Tony Scott", "Top Gun", "is directed by",
             RewriteType.BRIDGE, EdgeDirection.PARENT_TO_CHILD,
         )
 
 
 def test_intersection_attaches_after_parent_span():
     q = template_rewrite(
-        "Who starred Top Gun?", "a 1986 action film", "Top Gun", "s", "is",
+        "Who starred Top Gun?", "a 1986 action film", "Top Gun", "is",
         RewriteType.INTERSECTION, EdgeDirection.PARENT_TO_CHILD,
     )
     assert q == "Who starred Top Gun that also is a 1986 action film?"
@@ -96,7 +88,7 @@ def test_intersection_attaches_after_parent_span():
 
 def test_intersection_appends_when_parent_absent():
     q = template_rewrite(
-        "Who composed Silver Lake?", "the Lyon Conservatory", "Marie Dubois", "s", "founded",
+        "Who composed Silver Lake?", "the Lyon Conservatory", "Marie Dubois", "founded",
         RewriteType.INTERSECTION, EdgeDirection.PARENT_TO_CHILD,
     )
     assert q == "Who composed Silver Lake and also founded the Lyon Conservatory?"
@@ -105,7 +97,7 @@ def test_intersection_appends_when_parent_absent():
 def test_intersection_coreferent_alias_hit():
     q = template_rewrite(
         "What was a modern remake of Dial M for Murder?", "a 1998 American crime film",
-        "A Perfect Murder", "s", "is",
+        "A Perfect Murder", "is",
         RewriteType.INTERSECTION, EdgeDirection.PARENT_TO_CHILD,
         parent_aliases=("It",),
     )
