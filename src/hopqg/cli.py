@@ -1,10 +1,11 @@
 """Command-line surface binding the pipeline stages together.
 
 Exit codes: 0 success, 1 partial (some items failed and were logged),
-2 invalid input or config. ``main`` writes the RunManifest of every
-completed command: its config snapshot, the digests of the input files its
-subparser names in ``inputs`` and of the outputs it returns, and the stages
-it recorded on the manifest.
+2 invalid input or config. ``main`` sets up every run: it applies the
+command's flags to the config, builds the services of its roles, closes
+them, and writes the RunManifest of every completed command: the config
+the run used, the digests of the input files its subparser names in
+``inputs`` and of the outputs it returns, and the stages it recorded.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from . import __version__
+from . import __version__, remote
 from .config import PipelineConfig, load_config
 from .context import AnnotatedContext
-from .dataset_builder import BackendSuite, RuleQa, build_dataset
+from .dataset_builder import BackendSuite, RuleDecomposer, RuleQa, RuleTypeClassifier, build_dataset
 from .errors import (
     AnnotationError,
     ConfigError,
@@ -37,7 +38,6 @@ from .evaluate import (
     filter_generated,
     jsonl_values,
     metric_report,
-    read_jsonl,
     read_traces,
     write_jsonl,
 )
@@ -46,13 +46,6 @@ from .hotpot import load_hotpot
 from .manifest import RunManifest
 from .pipeline import generate_stepwise
 from .planner import plan_chain
-from .remote import (
-    RemoteDecomposer,
-    RemoteGeneratorBackend,
-    RemoteQa,
-    RemoteService,
-    RemoteTypeClassifier,
-)
 from .template import TemplateBackend
 
 logger = logging.getLogger("hopqg.cli")
@@ -79,6 +72,40 @@ def _with_flags(config: PipelineConfig, **flags) -> PipelineConfig:
     config = replace(config, **{name: value for name, value in flags.items() if value is not None})
     config.validate()
     return config
+
+
+# Each service role: its local stand-in, and its class in hopqg.remote with
+# the config fields that class takes besides timeout and retries. A remote
+# service posts to endpoints.<role>.
+_SERVICES = {
+    "generator": (TemplateBackend, "RemoteGeneratorBackend", ("top_p", "max_tokens")),
+    "classifier": (RuleTypeClassifier, "RemoteTypeClassifier", ()),
+    "decomposer": (RuleDecomposer, "RemoteDecomposer", ()),
+    "qa": (RuleQa, "RemoteQa", ()),
+}
+
+
+def _services(roles: tuple[str, ...], backend: str | None, config: PipelineConfig) -> dict[str, object]:
+    """The service of each role: its local stand-in, or its remote client
+    when backend is 'remote'. Every endpoint is checked before any client is
+    made, so a missing one fails before any input is read."""
+    if backend != "remote":
+        return {role: _SERVICES[role][0]() for role in roles}
+    missing = [role for role in roles if not getattr(config.endpoints, role)]
+    if missing:
+        raise ConfigError("backend 'remote' needs " + ", ".join(
+            f"endpoints.{role} (or HOPQG_{role.upper()}_URL)" for role in missing
+        ))
+    services = {}
+    for role in roles:
+        _, name, options = _SERVICES[role]
+        services[role] = getattr(remote, name)(
+            getattr(config.endpoints, role),
+            timeout=config.timeout,
+            retries=config.retries,
+            **{option: getattr(config, option) for option in options},
+        )
+    return services
 
 
 def _manifest_path(args: argparse.Namespace, manifest: RunManifest) -> str:
@@ -120,26 +147,24 @@ def _load_context_docs(path: str) -> list[AnnotatedContext]:
             line_end = len(text)
         if "\n" in text[start:end] or text[end:line_end].strip():
             # The first value is not a line of its own: fail on its line.
-            docs = read_jsonl(path)
+            values = list(jsonl_values(path, text.split("\n")))
         else:
             rest = jsonl_values(path, text[line_end + 1:].split("\n"), text.count("\n", 0, end) + 2)
-            docs = [docs] + [value for _, value in rest]
-    if isinstance(docs, dict):
-        docs = [docs]
-    if not isinstance(docs, list):
+            values = [(text.count("\n", 0, start) + 1, docs), *rest]
+        docs = [(f"{path}:{n}", doc) for n, doc in values]
+    elif isinstance(docs, list):
+        docs = [(f"{path}: context {k}", doc) for k, doc in enumerate(docs)]
+    elif isinstance(docs, dict):
+        docs = [(path, docs)]
+    else:
         raise AnnotationError(f"{path} must hold a context object or array")
-    return [AnnotatedContext.from_json(doc) for doc in docs]
-
-
-def _close_remote(manifest: RunManifest, *backends) -> None:
-    """Close the remote services among backends and record their counters
-    as count-only stages named remote.<role>.<counter>."""
-    for backend in backends:
-        if isinstance(backend, RemoteService):
-            client = backend.client
-            client.close()
-            for counter, n in client.counts.items():
-                manifest.count(f"remote.{client.role}.{counter}", n)
+    contexts = []
+    for where, doc in docs:
+        try:
+            contexts.append(AnnotatedContext.from_json(doc))
+        except AnnotationError as exc:
+            raise AnnotationError(f"{where}: {exc}") from exc
+    return contexts
 
 
 # Each command does its work and returns its exit code and the output files
@@ -158,23 +183,6 @@ def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig, manifest: 
     manifest.count("build")
     _write_text(args.out, _dump_json(graph.to_json()))
     return EXIT_OK, [args.out]
-
-
-def _generator_backend(name: str, config: PipelineConfig):
-    if name == "template":
-        return TemplateBackend()
-    url = config.endpoints.generator
-    if not url:
-        raise ConfigError(
-            "backend 'remote' needs endpoints.generator (or HOPQG_GENERATOR_URL)"
-        )
-    return RemoteGeneratorBackend(
-        url,
-        top_p=config.top_p,
-        max_tokens=config.max_tokens,
-        timeout=config.timeout,
-        retries=config.retries,
-    )
 
 
 class _SharedGraph:
@@ -207,11 +215,10 @@ class _SharedGraph:
                 self.graph = None
 
 
-def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, generator) -> Outcome:
     for flag, value in (("--d", args.d), ("--count", args.count)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
-    backend = _generator_backend(args.backend, config)
     if args.manifest_only:
         return EXIT_OK, []
     contexts = _load_context_docs(args.context)
@@ -238,7 +245,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
             manifest.count("plan")
             with manifest.timed("generate"):
                 trace = generate_stepwise(
-                    share.ctx, graph, chain, backend, config.category_overrides
+                    share.ctx, graph, chain, generator, config.category_overrides
                 )
             manifest.count("generate")
             return trace, None
@@ -247,11 +254,8 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
         finally:
             share.release()
 
-    try:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            results = list(pool.map(run, jobs))
-    finally:
-        _close_remote(manifest, backend)
+    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        results = list(pool.map(run, jobs))
 
     traces = [trace for trace, _ in results if trace is not None]
     failures = [failure for _, failure in results if failure is not None]
@@ -265,43 +269,15 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
     return EXIT_PARTIAL if failures else EXIT_OK, [args.out]
 
 
-def _dataset_backends(name: str, config: PipelineConfig) -> BackendSuite:
-    if name == "rule":
-        return BackendSuite.rule()
-    ep = config.endpoints
-    missing = [
-        role
-        for role, url in (
-            ("classifier", ep.classifier),
-            ("decomposer", ep.decomposer),
-            ("qa", ep.qa),
-        )
-        if not url
-    ]
-    if missing:
-        raise ConfigError(
-            "backend 'remote' needs endpoints for: " + ", ".join(missing)
-        )
-    kw = {"timeout": config.timeout, "retries": config.retries}
-    return BackendSuite(
-        classifier=RemoteTypeClassifier(ep.classifier, **kw),
-        decomposer=RemoteDecomposer(ep.decomposer, **kw),
-        qa=RemoteQa(ep.qa, **kw),
-    )
-
-
-def cmd_build_dataset(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
-    # Backends resolve before any record is read so a missing endpoint
-    # fails fast instead of after a long partial run.
-    backends = _dataset_backends(args.backends, config)
+def cmd_build_dataset(
+    args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, classifier, decomposer, qa
+) -> Outcome:
     if args.manifest_only:
         return EXIT_OK, []
     records = load_hotpot(args.hotpot)
-    try:
-        with manifest.timed("build"):
-            examples, stats = build_dataset(records, backends, concurrency=config.concurrency)
-    finally:
-        _close_remote(manifest, backends.classifier, backends.decomposer, backends.qa)
+    backends = BackendSuite(classifier, decomposer, qa)
+    with manifest.timed("build"):
+        examples, stats = build_dataset(records, backends, concurrency=config.concurrency)
     manifest.count("build", len(examples))
     write_jsonl([ex.to_json() for ex in examples], args.out)
     outputs = [args.out]
@@ -382,7 +358,6 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
 
 
 def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
-    config = _with_flags(config, min_words=args.min_words, max_words=args.max_words)
     if args.manifest_only:
         return EXIT_OK, []
     items = read_traces(args.traces, optional=("question", "answer"))
@@ -401,21 +376,12 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunMa
     return EXIT_OK, outputs
 
 
-def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
-    if args.backend == "rule":
-        qa = RuleQa()
-    else:
-        if not config.endpoints.qa:
-            raise ConfigError("backend 'remote' needs endpoints.qa (or HOPQG_QA_URL)")
-        qa = RemoteQa(config.endpoints.qa, timeout=config.timeout, retries=config.retries)
+def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, qa) -> Outcome:
     if args.manifest_only:
         return EXIT_OK, []
     traces = read_traces(args.traces, required=("question", "answer", "context", "d"))
-    try:
-        with manifest.timed("probe"):
-            result = difficulty_probe(traces, qa, concurrency=config.concurrency)
-    finally:
-        _close_remote(manifest, qa)
+    with manifest.timed("probe"):
+        result = difficulty_probe(traces, qa, concurrency=config.concurrency)
     manifest.count("probe", len(traces) - result.failures)
     manifest.count("failed", result.failures)
     sys.stdout.write(result.format_table() + "\n")
@@ -439,7 +405,6 @@ def _load_qa_records(path: str) -> list[dict]:
 
 
 def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
-    config = _with_flags(config, oversample_ratio=args.ratio)
     if args.manifest_only:
         return EXIT_OK, []
     generated = read_traces(args.traces)
@@ -470,6 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="validate config, digest inputs, write the manifest, do no work",
         )
+        # Not flags: the service roles main builds for the command, and the
+        # config field -> flag overrides main applies before the manifest.
+        p.set_defaults(roles=(), flags={})
 
     p = sub.add_parser("build-graph", help="annotated context JSON -> context graph JSON")
     p.add_argument("--context", required=True)
@@ -486,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1, help="questions per context (seed+k)")
     p.add_argument("--out", required=True, help="traces JSONL")
     common(p)
-    p.set_defaults(func=cmd_generate, inputs=("context",))
+    p.set_defaults(func=cmd_generate, inputs=("context",), roles=("generator",))
 
     p = sub.add_parser("build-dataset", help="two-hop QA records -> training tuples")
     p.add_argument("--hotpot", required=True, help="records JSON array")
@@ -494,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="examples JSONL")
     p.add_argument("--stats", help="skip/error accounting JSON")
     common(p)
-    p.set_defaults(func=cmd_build_dataset, inputs=("hotpot",))
+    p.set_defaults(func=cmd_build_dataset, inputs=("hotpot",), roles=("classifier", "decomposer", "qa"))
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")
     p.add_argument("--hyp", required=True, help="one hypothesis per line")
@@ -512,14 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-words", type=int, default=None)
     p.add_argument("--max-words", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_filter, inputs=("traces",))
+    p.set_defaults(
+        func=cmd_filter, inputs=("traces",), flags={"min_words": "min_words", "max_words": "max_words"}
+    )
 
     p = sub.add_parser("probe", help="per-difficulty EM/F1 of a single-hop QA backend")
     p.add_argument("--traces", required=True, help="traces JSONL")
     p.add_argument("--backend", choices=("rule", "remote"), default="remote")
     p.add_argument("--out", help="report JSON")
     common(p)
-    p.set_defaults(func=cmd_probe, inputs=("traces",))
+    p.set_defaults(func=cmd_probe, inputs=("traces",), roles=("qa",))
 
     p = sub.add_parser("augment", help="mix generated questions into QA training data")
     p.add_argument("--traces", required=True, help="generated records JSONL")
@@ -528,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     common(p)
-    p.set_defaults(func=cmd_augment, inputs=("traces", "originals"))
+    p.set_defaults(func=cmd_augment, inputs=("traces", "originals"), flags={"oversample_ratio": "ratio"})
 
     return parser
 
@@ -540,18 +510,35 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = _with_flags(
+            load_config(args.config), **{field: getattr(args, flag) for field, flag in args.flags.items()}
+        )
+        # build-dataset names its choice --backends, the others --backend.
+        backend = getattr(args, "backend", None) or getattr(args, "backends", None)
+        services = _services(args.roles, backend, config)
         manifest = RunManifest(
             command=args.command,
             version=__version__,
             config=config.to_json(),
-            arguments={k: v for k, v in vars(args).items() if k not in ("func", "inputs", "manifest_only")},
+            arguments={
+                k: v
+                for k, v in vars(args).items()
+                if k not in ("func", "inputs", "roles", "flags", "manifest_only")
+            },
         )
-        # Each subparser names its input-file options in ``inputs``, a
-        # default set in build_parser rather than a flag.
-        for name in args.inputs:
-            manifest.add_input(getattr(args, name))
-        code, outputs = args.func(args, config, manifest)
+        try:
+            # Each subparser names its input-file options in ``inputs``, a
+            # default set in build_parser rather than a flag.
+            for name in args.inputs:
+                manifest.add_input(getattr(args, name))
+            code, outputs = args.func(args, config, manifest, **services)
+        finally:
+            if backend == "remote":
+                for role, service in services.items():
+                    service.client.close()
+                    if not args.manifest_only:
+                        for counter, n in service.client.counts.items():
+                            manifest.count(f"remote.{role}.{counter}", n)
         for path in outputs:
             manifest.add_output(path)
         manifest.write(_manifest_path(args, manifest))

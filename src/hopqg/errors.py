@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and JSON loading that names
-`path:line` in its errors."""
+"""Exception types shared across the package, JSON loading that names
+`path:line` in its errors, and the one rule for a JSON integer."""
 
 from __future__ import annotations
 
@@ -63,6 +63,12 @@ def invalid_json(path: str, exc: json.JSONDecodeError, line: int | None = None) 
     """Error text naming `path:line`; pass `line` when one line was decoded alone."""
     line = exc.lineno if line is None else line
     return f"{path}:{line}: invalid JSON: {exc.msg} (line {line}, column {exc.colno})"
+
+
+def is_integral(value) -> bool:
+    """Whether a decoded JSON value is an integral number: 2 or 2.0, never
+    1.7, true or "3"."""
+    return type(value) in (int, float) and value % 1 == 0
 
 
 def load_json(path: str, error: type[HopqgError] = AnnotationError):

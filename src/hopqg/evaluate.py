@@ -9,8 +9,9 @@ from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import AnnotationError, BackendError, MetricError, invalid_json
+from .errors import AnnotationError, BackendError, MetricError, invalid_json, is_integral
 from .metrics import (
+    CIDER_ORDER,
     TOKENIZER_SPEC,
     _NgramPass,
     bleu_n,
@@ -74,13 +75,14 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
     Pairwise metrics (ROUGE-L, METEOR-s) are aggregated as the mean over
     items of the best score against any reference; BLEU and CIDEr are
     corpus-level by definition and read one n-gram pass over the corpus,
-    of order 4 when CIDEr is named, else of the highest BLEU order named.
+    of CIDER_ORDER when CIDEr is named, else of the highest BLEU order
+    named.
     ``meteor_fallbacks`` counts the METEOR-s alignments whose search ran
     out of nodes, so their chunk count may be above the fewest possible.
     """
     fallbacks_before = meteor_fallbacks()
     with_cider = "cider" in names
-    order = 4 if with_cider else max((_BLEU_ORDERS.get(name, 0) for name in names), default=0)
+    order = CIDER_ORDER if with_cider else max((_BLEU_ORDERS.get(name, 0) for name in names), default=0)
     ngrams = None
     scores: dict[str, float] = {}
     for name in names:
@@ -252,14 +254,6 @@ _JSON_TYPE_NAMES = {
 }
 
 
-def _takes_int(value) -> bool:
-    try:
-        int(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return True
-
-
 class TraceRecord(dict):
     """One question record as `filter`, `probe` and `augment` read it: the
     JSON object itself, passed on untouched, once the fields its reader
@@ -270,7 +264,7 @@ class TraceRecord(dict):
         "question": (lambda v: type(v) is str, "a string"),
         "answer": (lambda v: type(v) is str, "a string"),
         "context": (lambda v: type(v) is str, "a string"),
-        "d": (_takes_int, "an integer"),
+        "d": (is_integral, "an integer"),
     }
 
     @classmethod

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .context import AnnotatedContext, Sentence, Span, Triple
-from .errors import AnnotationError, load_json
+from .errors import AnnotationError, is_integral, load_json
 from .textutil import collapse
 
 _WORD_RE = re.compile(r"\S+")
@@ -64,8 +64,8 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
     """Validate one distribution-schema dict and resolve its two paragraphs.
 
     The paragraphs the pipeline consumes are the ones named by supporting
-    facts, kept in first-mention order; there must be exactly two. A field
-    of the wrong shape is reported at ``where`` (default: the record id).
+    facts, kept in first-mention order; there must be exactly two. Each
+    error names ``where`` (default: the record id).
     """
     try:
         record_id = str(obj["_id"])
@@ -74,10 +74,10 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
         raw_context = obj["context"]
         raw_facts = obj["supporting_facts"]
     except KeyError as exc:
-        raise AnnotationError(f"record missing field {exc}") from exc
-    if not isinstance(question, str) or not question.strip():
-        raise AnnotationError(f"record {record_id}: empty question")
+        raise AnnotationError(f"{where or 'record'} missing field {exc}") from exc
     where = where or f"record {record_id}"
+    if not isinstance(question, str) or not question.strip():
+        raise AnnotationError(f"{where}: empty question")
     if not isinstance(answer, str):
         raise AnnotationError(f"{where}: answer must be a string")
     if not isinstance(raw_context, list) or not all(
@@ -85,9 +85,8 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
         for entry in raw_context
     ):
         raise AnnotationError(f"{where}: context must be a list of [title, [sentences]] pairs")
-    # An index is an integral number: 1 or 1.0, never 1.7 or False.
     if not isinstance(raw_facts, list) or not all(
-        _is_pair(f, str, (int, float)) and not isinstance(f[1], bool) and f[1] % 1 == 0 for f in raw_facts
+        _is_pair(f, str, object) and is_integral(f[1]) for f in raw_facts
     ):
         raise AnnotationError(f"{where}: supporting_facts must be a list of [title, index] pairs")
     by_title = {title: sentences for title, sentences in raw_context}
@@ -95,20 +94,14 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
     titles: list[str] = []
     for title, idx in raw_facts:
         if title not in by_title:
-            raise AnnotationError(
-                f"record {record_id}: supporting fact names unknown paragraph {title!r}"
-            )
+            raise AnnotationError(f"{where}: supporting fact names unknown paragraph {title!r}")
         if not 0 <= idx < len(by_title[title]):
-            raise AnnotationError(
-                f"record {record_id}: supporting fact ({title!r}, {idx}) out of range"
-            )
+            raise AnnotationError(f"{where}: supporting fact ({title!r}, {idx}) out of range")
         facts.append((title, int(idx)))
         if title not in titles:
             titles.append(title)
     if len(titles) != 2:
-        raise AnnotationError(
-            f"record {record_id}: supporting facts span {len(titles)} paragraphs, need 2"
-        )
+        raise AnnotationError(f"{where}: supporting facts span {len(titles)} paragraphs, need 2")
     paragraphs = [Paragraph(t, by_title[t]) for t in titles]
     return HotpotRecord(
         record_id=record_id,

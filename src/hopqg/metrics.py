@@ -156,8 +156,11 @@ def lcs_length(a: list, b: list) -> int:
     return len(a) - v.bit_count()
 
 
-def rouge_l(hyp: str, ref: str, beta: float = 1.2) -> float:
-    """LCS-based F-measure; beta > 1 weights recall over precision."""
+ROUGE_BETA = 1.2  # > 1 weights recall over precision
+
+
+def rouge_l(hyp: str, ref: str) -> float:
+    """LCS-based F-measure with ROUGE_BETA."""
     hyp_toks = tokenize(hyp)
     ref_toks = tokenize(ref)
     if not hyp_toks or not ref_toks:
@@ -167,7 +170,8 @@ def rouge_l(hyp: str, ref: str, beta: float = 1.2) -> float:
         return 0.0
     p = lcs / len(hyp_toks)
     r = lcs / len(ref_toks)
-    return (1 + beta * beta) * p * r / (r + beta * beta * p)
+    beta2 = ROUGE_BETA * ROUGE_BETA
+    return (1 + beta2) * p * r / (r + beta2 * p)
 
 
 def light_stem(token: str) -> str:
@@ -319,17 +323,14 @@ def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
     return [(i, j) for i, j in enumerate(best) if j >= 0]
 
 
-def meteor_simplified(
-    hyp: str,
-    ref: str,
-    alpha: float = 0.9,
-    beta: float = 3.0,
-    gamma: float = 0.5,
-) -> float:
+METEOR_ALPHA, METEOR_BETA, METEOR_GAMMA = 0.9, 3.0, 0.5
+
+
+def meteor_simplified(hyp: str, ref: str) -> float:
     """Two-stage (exact, stem) unigram METEOR with fragmentation penalty.
 
-    penalty = gamma * (chunks / matches) ** beta, defined as 0 when the
-    alignment forms a single chunk so identical strings score exactly 1.
+    penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_BETA, defined as 0
+    when the alignment forms a single chunk so identical strings score 1.
     """
     hyp_toks = tokenize(hyp)
     ref_toks = tokenize(ref)
@@ -341,26 +342,29 @@ def meteor_simplified(
         return 0.0
     p = m / len(hyp_toks)
     r = m / len(ref_toks)
-    f_mean = p * r / (alpha * p + (1 - alpha) * r)
+    f_mean = p * r / (METEOR_ALPHA * p + (1 - METEOR_ALPHA) * r)
     chunks = _chunk_count(matches)
-    penalty = 0.0 if chunks <= 1 else gamma * (chunks / m) ** beta
+    penalty = 0.0 if chunks <= 1 else METEOR_GAMMA * (chunks / m) ** METEOR_BETA
     return f_mean * (1.0 - penalty)
 
 
-def cider(corpus, n_max: int = 4) -> float:
-    """tf-idf n-gram cosine consensus, averaged over orders 1..n_max, x10.
+CIDER_ORDER = 4
+
+
+def cider(corpus) -> float:
+    """tf-idf n-gram cosine consensus, averaged over orders 1..CIDER_ORDER, x10.
 
     Document frequency counts each item once when any of its references
     contains the n-gram; idf = log(N / max(df, 1)). ``corpus`` is a list of
     (hypothesis, references) pairs or an n-gram pass over one, of order
-    n_max with its CIDEr terms.
+    CIDER_ORDER with its CIDEr terms.
     """
-    ngrams = corpus if isinstance(corpus, _NgramPass) else _NgramPass(corpus, n_max, cider=True)
+    ngrams = corpus if isinstance(corpus, _NgramPass) else _NgramPass(corpus, CIDER_ORDER, cider=True)
     if len(ngrams.items) < 2:
         raise MetricError("cider needs at least two items for meaningful idf")
     total = 0.0
     for item_score in ngrams.cider_items:
-        total += item_score / n_max
+        total += item_score / CIDER_ORDER
     return 10.0 * total / len(ngrams.items)
 
 

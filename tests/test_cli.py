@@ -31,6 +31,7 @@ from util import (
 )
 
 HERE = os.path.dirname(__file__)
+MISSING = object()
 
 
 def write(path, text):
@@ -312,7 +313,7 @@ def test_generate_seeds_of_one_context_run_in_parallel(tmp_path, monkeypatch):
             self.barrier.wait()
             return super().initial(gi, info)
 
-    monkeypatch.setattr(hopqg.cli, "_generator_backend", lambda name, config: BarrierBackend())
+    monkeypatch.setitem(hopqg.cli._SERVICES, "generator", (BarrierBackend, *hopqg.cli._SERVICES["generator"][1:]))
     ctx = write_json(tmp_path / "ctx.json", film_context_doc())
     cfg = write_json(tmp_path / "cfg.json", {"concurrency": 2})
     out = str(tmp_path / "traces.jsonl")
@@ -342,6 +343,21 @@ def test_generate_bad_jsonl_line_names_path_and_line(tmp_path, capsys):
     ctx = write(tmp_path / "ctx.jsonl", text)
     assert main(["generate", "--context", ctx, "--out", str(tmp_path / "t.jsonl")]) == 2
     assert f"{ctx}:3: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "build-graph"])
+def test_context_error_names_the_context(tmp_path, capsys, command):
+    good, bad = film_context_doc(), film_context_doc()
+    bad["triples"][0]["object"]["end"] = 99
+    error = "triple 0 object: span"
+    for name, text, where in [
+        ("ctx.jsonl", "\n".join(json.dumps(doc) for doc in (good, good, bad)) + "\n", ":3"),
+        ("ctx.json", json.dumps([good, bad]), ": context 1"),
+        ("one.json", json.dumps(bad), ""),
+    ]:
+        ctx = write(tmp_path / name, text)
+        assert main([command, "--context", ctx, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {ctx}{where}: {error}" in capsys.readouterr().err
 
 
 def test_generate_decodes_each_jsonl_context_once(tmp_path, monkeypatch):
@@ -451,11 +467,20 @@ def test_build_dataset_bad_json_names_path_and_line(tmp_path, capsys):
         ({"answer": ["Alfred Hitchcock"]}, "answer must be a string"),
         ({"supporting_facts": [["A Perfect Murder", 1.7], ["Dial M for Murder", 0]]}, "[title, index] pairs"),
         ({"supporting_facts": [["A Perfect Murder", 1], ["Dial M for Murder", False]]}, "[title, index] pairs"),
+        ({"question": MISSING}, "missing field 'question'"),
+        ({"question": "  "}, "empty question"),
+        ({"supporting_facts": [["A Perfect Murder", 1], ["Nowhere", 0]]}, "unknown paragraph 'Nowhere'"),
+        ({"supporting_facts": [["A Perfect Murder", 9], ["Dial M for Murder", 0]]}, "out of range"),
+        ({"supporting_facts": [["A Perfect Murder", 0], ["A Perfect Murder", 1]]}, "span 1 paragraphs"),
     ],
 )
 def test_build_dataset_malformed_record_exits_2(tmp_path, capsys, fields, message):
-    # fields=None stands for a record that is not an object at all.
-    bad = ["not", "an", "object"] if fields is None else {**remake_record_doc(), **fields}
+    # fields=None stands for a record that is not an object at all; a field
+    # set to MISSING is left out.
+    if fields is None:
+        bad = ["not", "an", "object"]
+    else:
+        bad = {name: value for name, value in {**remake_record_doc(), **fields}.items() if value is not MISSING}
     hotpot = write_json(tmp_path / "hotpot.json", [prize_record_doc(), bad])
     out = tmp_path / "ex.jsonl"
     assert main(["build-dataset", "--hotpot", hotpot, "--out", str(out)]) == 2
@@ -700,6 +725,15 @@ def test_probe_accepts_any_d_that_int_reads(tmp_path, capsys):
     assert f"{traces}:2: 'd' must be an integer, got a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, kind", [(1.7, "a number"), (True, "a boolean"), ("3", "a string")])
+def test_probe_takes_d_only_as_an_integral_number(tmp_path, capsys, d, kind):
+    first, second = probe_traces()
+    second["d"] = d
+    traces = write(tmp_path / "t.jsonl", json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    assert main(["probe", "--traces", traces, "--backend", "rule"]) == 2
+    assert f"{traces}:2: 'd' must be an integer, got {kind}" in capsys.readouterr().err
+
+
 def test_probe_remote_without_endpoint_exits_2(tmp_path):
     traces = write(tmp_path / "t.jsonl", json.dumps(probe_traces()[0]) + "\n")
     assert main(["probe", "--traces", traces]) == 2
@@ -736,6 +770,22 @@ def test_augment_ratio_flag(tmp_path):
     ])
     assert code == 0
     assert len(read_lines(out)) == 2
+
+
+def test_manifest_config_holds_the_flags_the_run_used(tmp_path):
+    traces = write(tmp_path / "t.jsonl", json.dumps({"question": "one two three four", "answer": "z"}) + "\n")
+    orig = write_json(tmp_path / "orig.json", [{"question": "orig ?", "answer": "b"}])
+    out = str(tmp_path / "out.jsonl")
+    runs = [
+        (["filter", "--traces", traces, "--min-words", "2", "--max-words", "9"], {"min_words": 2, "max_words": 9}),
+        (["augment", "--traces", traces, "--originals", orig, "--ratio", "1.5"], {"oversample_ratio": 1.5}),
+    ]
+    for args, fields in runs:
+        for extra in ([], ["--manifest-only"]):
+            assert main(args + ["--out", out] + extra) == 0
+            config = read_manifest(out + ".manifest.json")["config"]
+            assert {name: config[name] for name in fields} == fields
+            os.remove(out + ".manifest.json")
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf"])
