@@ -29,14 +29,13 @@ from .errors import (
     HopqgError,
     MetricError,
     invalid_json,
-    load_json,
+    read_records,
 )
 from .evaluate import (
     METRIC_NAMES,
     difficulty_probe,
     emit_augmentation,
     filter_generated,
-    jsonl_values,
     metric_report,
     read_traces,
     write_jsonl,
@@ -118,48 +117,9 @@ def _manifest_path(args: argparse.Namespace, manifest: RunManifest) -> str:
     return os.path.join(os.path.dirname(first_input), f"hopqg-{args.command}-manifest.json")
 
 
-_JSON_WS = " \t\n\r"  # the whitespace JSON allows around a value
-
-
 def _load_context_docs(path: str) -> list[AnnotatedContext]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
-        raise AnnotationError(f"{path} is empty")
-    # json.loads(text) is this first decode plus a check that only
-    # whitespace follows; decoding by hand keeps the first value of JSONL.
-    start = len(text) - len(text.lstrip(_JSON_WS))
-    try:
-        if text.startswith("\ufeff"):
-            json.loads(text)  # raises its "Unexpected UTF-8 BOM" error
-        docs, end = json.JSONDecoder().raw_decode(text, start)
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(invalid_json(path, exc)) from exc
-    extra = len(text) - len(text[end:].lstrip(_JSON_WS))
-    if extra < len(text):
-        # A whole first value followed by more is JSONL (one value per line);
-        # after an array, the error json.loads gives.
-        if text[start] == "[":
-            exc = json.JSONDecodeError("Extra data", text, extra)
-            raise AnnotationError(invalid_json(path, exc))
-        line_end = text.find("\n", end)
-        if line_end < 0:
-            line_end = len(text)
-        if "\n" in text[start:end] or text[end:line_end].strip():
-            # The first value is not a line of its own: fail on its line.
-            values = list(jsonl_values(path, text.split("\n")))
-        else:
-            rest = jsonl_values(path, text[line_end + 1:].split("\n"), text.count("\n", 0, end) + 2)
-            values = [(text.count("\n", 0, start) + 1, docs), *rest]
-        docs = [(f"{path}:{n}", doc) for n, doc in values]
-    elif isinstance(docs, list):
-        docs = [(f"{path}: context {k}", doc) for k, doc in enumerate(docs)]
-    elif isinstance(docs, dict):
-        docs = [(path, docs)]
-    else:
-        raise AnnotationError(f"{path} must hold a context object or array")
     contexts = []
-    for where, doc in docs:
+    for where, doc in read_records(path, "context"):
         try:
             contexts.append(AnnotatedContext.from_json(doc))
         except AnnotationError as exc:
@@ -392,23 +352,11 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunMan
     return EXIT_PARTIAL if result.incomplete else EXIT_OK, outputs
 
 
-def _load_qa_records(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        array = fh.read().lstrip().startswith("[")
-    if not array:
-        return read_traces(path)
-    records = load_json(path)
-    for k, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise AnnotationError(f"{path}: record {k} of the array must be an object")
-    return records
-
-
 def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
     if args.manifest_only:
         return EXIT_OK, []
     generated = read_traces(args.traces)
-    originals = _load_qa_records(args.originals)
+    originals = read_traces(args.originals)
     with manifest.timed("mix"):
         mixed = emit_augmentation(generated, originals, ratio=config.oversample_ratio, seed=args.seed)
     manifest.count("mix", len(mixed))
@@ -446,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_graph, inputs=("context",))
 
     p = sub.add_parser("generate", help="plan chains and generate question traces")
-    p.add_argument("--context", required=True, help="context JSON, array, or JSONL")
+    p.add_argument("--context", required=True, help="contexts: one JSON object, an array, or JSONL")
     p.add_argument("--d", type=int, default=2, help="difficulty: inference hops")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", choices=("template", "remote"), default="template")
@@ -457,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate, inputs=("context",), roles=("generator",))
 
     p = sub.add_parser("build-dataset", help="two-hop QA records -> training tuples")
-    p.add_argument("--hotpot", required=True, help="records JSON array")
+    p.add_argument("--hotpot", required=True, help="records: one JSON object, an array, or JSONL")
     p.add_argument("--backends", choices=("rule", "remote"), default="rule")
     p.add_argument("--out", required=True, help="examples JSONL")
     p.add_argument("--stats", help="skip/error accounting JSON")
@@ -474,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate, inputs=("hyp", "ref"))
 
     p = sub.add_parser("filter", help="drop questions by length bounds and answer leaks")
-    p.add_argument("--traces", required=True, help="JSONL with question/answer fields")
+    p.add_argument("--traces", required=True, help="records with question/answer fields")
     p.add_argument("--out", required=True, help="kept records JSONL")
     p.add_argument("--rejects", help="dropped records JSONL with reasons")
     p.add_argument("--min-words", type=int, default=None)
@@ -485,15 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("probe", help="per-difficulty EM/F1 of a single-hop QA backend")
-    p.add_argument("--traces", required=True, help="traces JSONL")
+    p.add_argument("--traces", required=True, help="trace records")
     p.add_argument("--backend", choices=("rule", "remote"), default="remote")
     p.add_argument("--out", help="report JSON")
     common(p)
     p.set_defaults(func=cmd_probe, inputs=("traces",), roles=("qa",))
 
     p = sub.add_parser("augment", help="mix generated questions into QA training data")
-    p.add_argument("--traces", required=True, help="generated records JSONL")
-    p.add_argument("--originals", required=True, help="original records JSON/JSONL")
+    p.add_argument("--traces", required=True, help="generated records")
+    p.add_argument("--originals", required=True, help="original records")
     p.add_argument("--ratio", type=float, default=None, help="original:generated target")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

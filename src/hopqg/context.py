@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import AnnotationError
+from .errors import AnnotationError, is_integral, json_kind
 
 
 class Span(NamedTuple):
@@ -24,11 +24,30 @@ class Span(NamedTuple):
         return {"sent": self.sent, "start": self.start, "end": self.end}
 
     @staticmethod
-    def from_json(obj: dict) -> "Span":
+    def from_json(obj: dict, item: str, index: int) -> "Span":
+        """The span obj holds; an error names the item as ``item % index``."""
         try:
-            return Span(int(obj["sent"]), int(obj["start"]), int(obj["end"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AnnotationError(f"bad span object {obj!r}") from exc
+            sent, start, end = obj["sent"], obj["start"], obj["end"]
+        except (KeyError, TypeError) as exc:
+            raise AnnotationError(f"{item % index}: bad span object {obj!r}") from exc
+        if type(sent) is int and type(start) is int and type(end) is int:
+            return tuple.__new__(Span, (sent, start, end))
+        return Span(*_offsets(item, index, sent=sent, start=start, end=end))
+
+
+def _offsets(item: str, index: int, **offsets) -> list[int]:
+    """Each offset as an int. An offset is an integral JSON number: 3 or 3.0,
+    never 3.5, true or "3". An error names the item as ``item % index``."""
+    for key, value in offsets.items():
+        if not is_integral(value):
+            raise AnnotationError(f"{item % index}: {key!r} must be an integer, got {json_kind(value)}")
+    return [int(value) for value in offsets.values()]
+
+
+def _array(value, what: str) -> list:
+    if type(value) is not list:
+        raise AnnotationError(f"{what} must be an array, got {json_kind(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -107,22 +126,33 @@ class AnnotatedContext:
         if not isinstance(text, str):
             raise AnnotationError(f"'context' field must be a string, got {type(text).__name__}")
         sentences = []
-        for i, s in enumerate(doc.get("sentences", [])):
+        for i, s in enumerate(_array(doc.get("sentences", []), "'sentences'")):
             try:
-                start, end = int(s["start"]), int(s["end"])
-            except (KeyError, TypeError, ValueError) as exc:
+                start, end = s["start"], s["end"]
+            except (KeyError, TypeError) as exc:
                 raise AnnotationError(f"sentence {i}: expected start/end offsets") from exc
+            if type(start) is not int or type(end) is not int:
+                start, end = _offsets("sentence %d", i, start=start, end=end)
             sentences.append(Sentence(i, start, end, text[start:end]))
         triples = []
-        for i, t in enumerate(doc.get("triples", [])):
+        for i, t in enumerate(_array(doc.get("triples", []), "'triples'")):
             try:
-                triples.append(
-                    Triple(Span.from_json(t["subject"]), Span.from_json(t["relation"]), Span.from_json(t["object"]))
-                )
+                subject, relation, obj = t["subject"], t["relation"], t["object"]
             except (KeyError, TypeError) as exc:
                 raise AnnotationError(f"triple {i}: expected subject/relation/object spans") from exc
-        clusters = [tuple(Span.from_json(m) for m in cluster) for cluster in doc.get("coref_clusters", [])]
+            triples.append(Triple(
+                Span.from_json(subject, "triple %d subject", i),
+                Span.from_json(relation, "triple %d relation", i),
+                Span.from_json(obj, "triple %d object", i),
+            ))
+        clusters = [
+            tuple(Span.from_json(m, "coref cluster %d mention", c) for m in _array(cluster, f"coref cluster {c}"))
+            for c, cluster in enumerate(_array(doc.get("coref_clusters", []), "'coref_clusters'"))
+        ]
         nes = None
         if "named_entities" in doc:
-            nes = [Span.from_json(m) for m in doc["named_entities"]]
+            nes = [
+                Span.from_json(m, "named entity %d", k)
+                for k, m in enumerate(_array(doc["named_entities"], "'named_entities'"))
+            ]
         return AnnotatedContext(text, sentences, triples, clusters, nes)

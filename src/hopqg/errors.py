@@ -1,9 +1,11 @@
-"""Exception types shared across the package, JSON loading that names
-`path:line` in its errors, and the one rule for a JSON integer."""
+"""Exception types shared across the package, the one reader of a JSON
+records file, JSON loading that names `path:line` in its errors, and the
+one rule for a JSON integer."""
 
 from __future__ import annotations
 
 import json
+import re
 
 
 class HopqgError(Exception):
@@ -71,6 +73,17 @@ def is_integral(value) -> bool:
     return type(value) in (int, float) and value % 1 == 0
 
 
+_JSON_KINDS = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "an array", dict: "an object", type(None): "null",
+}
+
+
+def json_kind(value) -> str:
+    """What an error calls a decoded JSON value's type: "an array", "null", ..."""
+    return _JSON_KINDS[type(value)]
+
+
 def load_json(path: str, error: type[HopqgError] = AnnotationError):
     """Decode a whole JSON file; a syntax error raises `error` naming `path:line`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -78,3 +91,59 @@ def load_json(path: str, error: type[HopqgError] = AnnotationError):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(invalid_json(path, exc)) from exc
+
+
+_WS = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows around a value
+
+
+def read_records(path: str, noun: str) -> list[tuple[str, dict]]:
+    """Each record of a JSON records file, with where it sits in the file.
+
+    The file holds one JSON value, an array of records, or JSONL (one value
+    per line), and an empty file holds none. A record is named ``path`` when
+    it is the file's one value, ``path: <noun> k`` when it is item k (from
+    0) of the array, and ``path:line`` when it is a JSONL line. A syntax
+    error, or a record that is not an object, raises AnnotationError naming
+    where it is.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    start = _WS.match(text).end()
+    if start == len(text):
+        return []
+    # json.loads(text) is this first decode plus a check that only
+    # whitespace follows; decoding by hand keeps the first value of JSONL.
+    try:
+        if text.startswith("\ufeff"):
+            json.loads(text)  # raises its "Unexpected UTF-8 BOM" error
+        value, end = json.JSONDecoder().raw_decode(text, start)
+    except json.JSONDecodeError as exc:
+        raise AnnotationError(invalid_json(path, exc)) from exc
+    extra = _WS.match(text, end).end()
+    if extra == len(text) and type(value) is list:
+        records = [(f"{path}: {noun} {k}", record) for k, record in enumerate(value)]
+    elif extra == len(text):
+        records = [(path, value)]
+    elif text[start] == "[":  # more after an array: the error json.loads gives
+        raise AnnotationError(invalid_json(path, json.JSONDecodeError("Extra data", text, extra)))
+    else:
+        # A whole first value followed by more is JSONL (one value per line).
+        # The first value is kept when it is a line of its own; when it is
+        # not, decoding its line again fails there.
+        line_end = text.find("\n", end)
+        own_line = (
+            line_end >= 0 and text.find("\n", start, end) < 0 and _WS.match(text, end, line_end).end() == line_end
+        )
+        first = text.count("\n", 0, start) + 1 if own_line else 0  # its line number
+        records = [(f"{path}:{first}", value)] if own_line else []
+        for n, line in enumerate(text.split("\n")[first:], first + 1):
+            line = line.strip()
+            if line:
+                try:
+                    records.append((f"{path}:{n}", json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise AnnotationError(invalid_json(path, exc, n)) from exc
+    for where, record in records:
+        if type(record) is not dict:
+            raise AnnotationError(f"{where}: record must be an object, got {json_kind(record)}")
+    return records

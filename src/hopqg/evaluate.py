@@ -5,11 +5,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import AnnotationError, BackendError, MetricError, invalid_json, is_integral
+from .errors import AnnotationError, BackendError, MetricError, is_integral, json_kind, read_records
 from .metrics import (
     CIDER_ORDER,
     TOKENIZER_SPEC,
@@ -222,38 +221,6 @@ def write_jsonl(records: list[dict], path: str) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def jsonl_values(path: str, lines: Iterable[str], first: int = 1):
-    """(line number, value) for each non-blank line of path's lines, the
-    first of them numbered first; a bad line raises AnnotationError naming
-    ``path:line``."""
-    for n, line in enumerate(lines, first):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AnnotationError(invalid_json(path, exc, n)) from exc
-        yield n, value
-
-
-def _jsonl_values(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from jsonl_values(path, fh)
-
-
-def read_jsonl(path: str) -> list:
-    """One JSON value per non-blank line; a bad line raises AnnotationError
-    naming ``path:line``."""
-    return [value for _, value in _jsonl_values(path)]
-
-
-_JSON_TYPE_NAMES = {
-    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-    list: "an array", dict: "an object", type(None): "null",
-}
-
-
 class TraceRecord(dict):
     """One question record as `filter`, `probe` and `augment` read it: the
     JSON object itself, passed on untouched, once the fields its reader
@@ -269,27 +236,23 @@ class TraceRecord(dict):
 
     @classmethod
     def from_json(
-        cls, obj, path: str, line: int, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()
+        cls, obj: dict, where: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()
     ) -> "TraceRecord":
-        """Check that obj is an object holding each of ``required``, and
-        that each field of ``required`` or ``optional`` it holds is usable;
-        a violation raises AnnotationError naming ``path:line``."""
-        if not isinstance(obj, dict):
-            raise AnnotationError(f"{path}:{line}: record must be an object, got {_JSON_TYPE_NAMES[type(obj)]}")
+        """Check that obj holds each of ``required``, and that each field of
+        ``required`` or ``optional`` it holds is usable; a violation raises
+        AnnotationError naming ``where``."""
         for name in required:
             if name not in obj:
-                raise AnnotationError(f"{path}:{line}: record has no {name!r}")
+                raise AnnotationError(f"{where}: record has no {name!r}")
         for name in required + optional:
             check, kind = cls.FIELDS[name]
             if name in obj and not check(obj[name]):
-                raise AnnotationError(
-                    f"{path}:{line}: {name!r} must be {kind}, got {_JSON_TYPE_NAMES[type(obj[name])]}"
-                )
+                raise AnnotationError(f"{where}: {name!r} must be {kind}, got {json_kind(obj[name])}")
         return cls(obj)
 
 
 def read_traces(
     path: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()
 ) -> list[TraceRecord]:
-    """JSONL question records, each checked by TraceRecord.from_json."""
-    return [TraceRecord.from_json(obj, path, n, required, optional) for n, obj in _jsonl_values(path)]
+    """The question records of path, each checked by TraceRecord.from_json."""
+    return [TraceRecord.from_json(obj, where, required, optional) for where, obj in read_records(path, "record")]

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .context import AnnotatedContext, Sentence, Span, Triple
-from .errors import AnnotationError, is_integral, load_json
+from .errors import AnnotationError, is_integral, read_records
 from .textutil import collapse
 
 _WORD_RE = re.compile(r"\S+")
@@ -114,16 +114,8 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
 
 
 def load_hotpot(path: str) -> list[HotpotRecord]:
-    data = load_json(path)
-    if not isinstance(data, list):
-        raise AnnotationError("expected a JSON array of records")
-    records = []
-    for k, obj in enumerate(data):
-        where = f"{path}: record {k}"
-        if not isinstance(obj, dict):
-            raise AnnotationError(f"{where} of the array must be an object")
-        records.append(parse_record(obj, where))
-    return records
+    """The records of path, each checked by parse_record."""
+    return [parse_record(obj, where) for where, obj in read_records(path, "record")]
 
 
 def _find_pivot(tokens: list[str]) -> tuple[int, int] | None:

@@ -11,9 +11,9 @@ count, with linear backoff, before BackendError is raised.
 Each client posts through one JsonClient, which keeps one keep-alive
 HTTP/1.1 connection per calling thread, so a worker pays for a TCP
 handshake once rather than on every hop. It honours ``http_proxy``,
-``https_proxy`` and ``no_proxy`` as urllib does, counts the requests,
-retries, failures and connections of its role, and ``close()`` shuts every
-connection it opened, on any thread.
+``https_proxy`` and ``no_proxy`` as urllib does, counts its requests,
+retries, failures and connections, and ``close()`` shuts every connection
+it opened, on any thread.
 """
 
 from __future__ import annotations
@@ -90,10 +90,8 @@ class JsonClient:
     threads that have since exited. A client can be used again after it.
     """
 
-    def __init__(self, url: str, role: str = "remote", timeout: float = 10.0,
-                 retries: int = 2, backoff: float = 0.1):
+    def __init__(self, url: str, timeout: float = 10.0, retries: int = 2, backoff: float = 0.1):
         self.url = url
-        self.role = role
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -212,19 +210,16 @@ class JsonClient:
 
 
 class RemoteService:
-    """A service reached through one JsonClient, counted under ``role``."""
-
-    role = "remote"
+    """A service reached through one JsonClient."""
 
     def __init__(self, url: str, timeout: float = 10.0, retries: int = 2):
-        self.client = JsonClient(url, self.role, timeout, retries)
+        self.client = JsonClient(url, timeout, retries)
 
 
 class RemoteGeneratorBackend(RemoteService):
     """Question generator served over HTTP."""
 
     name = "remote"
-    role = "generator"
 
     def __init__(self, url: str, top_p: float = 0.9, max_tokens: int = 64,
                  timeout: float = 10.0, retries: int = 2):
@@ -254,7 +249,6 @@ class RemoteGeneratorBackend(RemoteService):
 
 class RemoteTypeClassifier(RemoteService):
     kind = "remote"
-    role = "classifier"
 
     def classify(self, question: str) -> str:
         body = self.client.post({"question": question})
@@ -266,7 +260,6 @@ class RemoteTypeClassifier(RemoteService):
 
 class RemoteDecomposer(RemoteService):
     kind = "remote"
-    role = "decomposer"
 
     def decompose(self, question: str, qtype: str | None = None) -> tuple[str, str]:
         # qtype is accepted for interface parity with the rule fallback; the
@@ -280,7 +273,6 @@ class RemoteDecomposer(RemoteService):
 
 class RemoteQa(RemoteService):
     kind = "remote"
-    role = "qa"
 
     def answer(self, question: str, context: str) -> str:
         body = self.client.post({"question": question, "context": context})

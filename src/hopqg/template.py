@@ -39,7 +39,7 @@ def guess_category(surface: str, is_named_entity: bool, overrides: dict[str, str
 def descriptor_category(graph: ContextGraph, node_id: int) -> str | None:
     """Head noun of a copular object descriptor, e.g. 'a 1986 action film' -> 'film'."""
     copular = [
-        e for e in graph.edges
+        e for e, _ in graph.incident(node_id)
         if e.source == node_id and e.relation.casefold() in _COPULAR
     ]
     copular.sort(key=lambda e: (e.sentence_index, e.relation, e.target))

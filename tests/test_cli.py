@@ -18,7 +18,8 @@ import hopqg
 import hopqg.cli
 from hopqg.cli import main
 from hopqg.context import AnnotatedContext
-from hopqg.evaluate import write_jsonl
+from hopqg.evaluate import read_traces, write_jsonl
+from hopqg.hotpot import load_hotpot
 from hopqg.template import TemplateBackend
 from util import (
     comparison_record_doc,
@@ -69,6 +70,41 @@ def test_build_graph_matches_golden(tmp_path):
     assert len(manifest["inputs"][ctx]) == 64
     assert out in manifest["outputs"]
     assert manifest["stages"]["build"]["count"] == 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["triples"][0]["object"].update(start=23.0), None),
+        (lambda doc: doc["triples"][0]["object"].update(start=23.7, end="33"),
+         "triple 0 object: 'start' must be an integer, got a number"),
+        (lambda doc: doc["triples"][1]["relation"].update(end="33"),
+         "triple 1 relation: 'end' must be an integer, got a string"),
+        (lambda doc: doc["sentences"][1].update(start=True), "sentence 1: 'start' must be an integer, got a boolean"),
+        (lambda doc: doc["named_entities"][2].update(sent=False),
+         "named entity 2: 'sent' must be an integer, got a boolean"),
+        (lambda doc: doc.update(coref_clusters=[[{"sent": 0, "start": 0.5, "end": 3}, {"sent": 0, "start": 0, "end": 3}]]),
+         "coref cluster 0 mention: 'start' must be an integer, got a number"),
+        (lambda doc: doc.update(sentences=5), "'sentences' must be an array, got an integer"),
+        (lambda doc: doc.update(triples={}), "'triples' must be an array, got an object"),
+        (lambda doc: doc.update(coref_clusters=[{"sent": 0}]), "coref cluster 0 must be an array, got an object"),
+        (lambda doc: doc.update(named_entities=None), "'named_entities' must be an array, got null"),
+    ],
+    ids=["integral-float", "fraction", "string", "boolean-sentence", "boolean-entity", "fraction-mention",
+         "sentences", "triples", "cluster", "named-entities"],
+)
+def test_build_graph_takes_offsets_only_as_integral_numbers(tmp_path, capsys, edit, message):
+    doc = film_context_doc()
+    edit(doc)
+    ctx = write_json(tmp_path / "ctx.json", doc)
+    out = tmp_path / "graph.json"
+    if message is None:
+        assert main(["build-graph", "--context", ctx, "--out", str(out)]) == 0
+        assert out.read_text() == Path(HERE, "data", "film_graph.json").read_text()
+        return
+    assert main(["build-graph", "--context", ctx, "--out", str(out)]) == 2
+    assert f"error: {ctx}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_graph_idempotent_rerun(tmp_path):
@@ -361,8 +397,12 @@ def test_context_error_names_the_context(tmp_path, capsys, command):
 
 
 def test_generate_decodes_each_jsonl_context_once(tmp_path, monkeypatch):
-    docs = [film_context_doc(), film3_context_doc(), film_context_doc()]
-    ctx = write(tmp_path / "ctx.jsonl", "\n" + "\n".join(json.dumps(d) for d in docs) + "\n")
+    # Contexts, --hotpot records and --traces records alike.
+    files = [
+        (hopqg.cli._load_context_docs, [film_context_doc(), film3_context_doc(), film_context_doc()]),
+        (load_hotpot, [remake_record_doc(), prize_record_doc()]),
+        (read_traces, probe_traces()),
+    ]
     decoded = []
     raw_decode = json.JSONDecoder.raw_decode
 
@@ -371,9 +411,12 @@ def test_generate_decodes_each_jsonl_context_once(tmp_path, monkeypatch):
         return raw_decode(self, s, idx)
 
     monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
-    assert len(hopqg.cli._load_context_docs(ctx)) == 3
-    # One decode per line: the first context is not decoded twice.
-    assert decoded == [json.dumps(d)[:12] for d in docs]
+    for k, (read, docs) in enumerate(files):
+        path = write(tmp_path / f"{k}.jsonl", "\n" + "\n".join(json.dumps(d) for d in docs) + "\n")
+        decoded.clear()
+        assert len(read(path)) == len(docs)
+        # One decode per line: the first record is not decoded twice.
+        assert decoded == [json.dumps(d)[:12] for d in docs]
 
 
 def test_generate_remote_without_endpoint_exits_2(tmp_path):
@@ -431,6 +474,16 @@ def test_build_dataset_three_records(tmp_path):
     assert manifest["stages"]["skipped"]["count"] == 1
 
 
+def test_build_dataset_counts_a_malformed_annotation_as_one_record_error(tmp_path):
+    bad = remake_record_doc()
+    bad["annotations"]["coref_clusters"] = 5
+    hotpot = write_json(tmp_path / "hotpot.json", [prize_record_doc(), bad])
+    out, stats = tmp_path / "ex.jsonl", tmp_path / "stats.json"
+    assert main(["build-dataset", "--hotpot", hotpot, "--out", str(out), "--stats", str(stats)]) == 1
+    assert json.loads(stats.read_text())["errors"] == 1
+    assert len(read_lines(out)) == 1
+
+
 def test_build_dataset_rerun_is_byte_identical(tmp_path):
     records = [remake_record_doc(), prize_record_doc()]
     hotpot = write_json(tmp_path / "hotpot.json", records)
@@ -460,7 +513,7 @@ def test_build_dataset_bad_json_names_path_and_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "fields,message",
     [
-        (None, "of the array must be an object"),
+        (None, "record must be an object, got an array"),
         ({"context": None}, "context must be a list"),
         ({"supporting_facts": [["A Perfect Murder", "1"], ["Dial M for Murder", 0]]}, "[title, index] pairs"),
         ({"supporting_facts": [["A Perfect Murder"], ["Dial M for Murder", 0]]}, "[title, index] pairs"),
@@ -816,8 +869,50 @@ def test_augment_non_object_records_name_where_they_are(tmp_path, capsys):
     traces = write(tmp_path / "gen2.jsonl", good)
     bad_orig = write(tmp_path / "orig2.json", "[1, 2]\n")
     assert main(["augment", "--traces", traces, "--originals", bad_orig, "--out", str(out)]) == 2
-    assert f"{bad_orig}: record 0 of the array must be an object" in capsys.readouterr().err
+    assert f"{bad_orig}: record 0: record must be an object, got an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --------------------------------------------------------------- records files
+
+
+def _records_run(command, tmp_path):
+    """The records one command reads from its records file, and its argv
+    for a records file and an output path."""
+    if command == "generate":
+        return [film_context_doc(), film3_context_doc()], lambda f, out: [
+            "generate", "--context", f, "--count", "2", "--out", out]
+    if command == "build-dataset":
+        return [remake_record_doc(), comparison_record_doc(), prize_record_doc()], lambda f, out: [
+            "build-dataset", "--hotpot", f, "--out", out]
+    items = [
+        {"question": "who directed the film that starred tom cruise ?", "answer": "tony scott"},
+        {"question": "too short ?", "answer": "x"},
+        {"question": "which film did tony scott direct in 1986 ?", "answer": "top gun", "d": 1},
+    ]
+    if command == "filter":
+        return items, lambda f, out: ["filter", "--traces", f, "--out", out]
+    traces = write(tmp_path / "gen.jsonl", json.dumps({"question": "gen ?", "answer": "a"}) + "\n")
+    return items, lambda f, out: ["augment", "--traces", traces, "--originals", f, "--seed", "3", "--out", out]
+
+
+@pytest.mark.parametrize("command", ["generate", "build-dataset", "filter", "augment"])
+def test_every_records_file_may_hold_one_value_an_array_or_jsonl(tmp_path, command):
+    records, argv = _records_run(command, tmp_path)
+
+    def run(name, text):
+        path = write(tmp_path / name, text)
+        out = str(tmp_path / (name + ".out"))
+        assert main(argv(path, out)) == 0
+        return Path(out).read_bytes()
+
+    array = run("array.json", json.dumps(records, indent=2))
+    assert array
+    assert run("lines.jsonl", "".join(json.dumps(r) + "\n" for r in records)) == array
+    one = run("one.json", json.dumps(records[0], indent=2))
+    assert one and one == run("one-array.json", json.dumps(records[:1]))
+    # An empty file holds no records, as [] does.
+    assert run("empty.json", "") == run("empty-array.json", "[]")
 
 
 # --------------------------------------------------------------------- config

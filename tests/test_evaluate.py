@@ -11,7 +11,7 @@ from hopqg.evaluate import (
     filter_generated,
     metric_report,
     oversample_factor,
-    read_jsonl,
+    read_traces,
     write_jsonl,
 )
 from hopqg.metrics import TOKENIZER_SPEC
@@ -189,7 +189,7 @@ def test_emit_augmentation_accounting_and_determinism(tmp_path):
 
     path = tmp_path / "aug.jsonl"
     write_jsonl(mixed, str(path))
-    assert read_jsonl(str(path)) == mixed
+    assert read_traces(str(path)) == mixed
 
 
 def test_emit_augmentation_ratio_one_no_duplication():

@@ -375,4 +375,3 @@ def test_every_client_counts_under_its_role(stub_server):
         call(service)
         service.client.close()
         assert service.client.counts == {"requests": 1, "retries": 0, "failures": 0, "connections": 1}
-    assert [s.client.role for s, _ in services] == ["generator", "classifier", "decomposer", "qa"]
