@@ -50,16 +50,14 @@ def _array(value, what: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     index: int
     char_start: int
     char_end: int
     text: str
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """One extracted <subject, relation, object> with provenance spans."""
 
     subject: Span
@@ -69,6 +67,20 @@ class Triple:
     @property
     def sentence_index(self) -> int:
         return self.subject.sent
+
+
+_ROLES = ("subject", "relation", "object")
+
+
+def _span_fault(span: Span, bounds: list[tuple[int, int]]) -> str:
+    """Why span lies outside its sentence of bounds, or "" if it does not."""
+    sent, start, end = span
+    if not 0 <= sent < len(bounds):
+        return f"sentence index {sent} out of range"
+    lo, hi = bounds[sent]
+    if not lo <= start < end <= hi:
+        return f"span [{start},{end}) outside its sentence"
+    return ""
 
 
 @dataclass
@@ -88,35 +100,40 @@ class AnnotatedContext:
         return self.context[span.start : span.end]
 
     def validate(self) -> None:
-        """Check all offsets; raises AnnotationError naming the offending item."""
+        """Check all offsets; raises AnnotationError naming the offending item.
+
+        A message is built only once a check has failed."""
         n = len(self.context)
+        bounds: list[tuple[int, int]] = []  # (char_start, char_end) per sentence
         prev_end = 0
-        for s in self.sentences:
-            if not (0 <= s.char_start < s.char_end <= n):
-                raise AnnotationError(f"sentence {s.index} out of bounds")
-            if s.char_start < prev_end:
-                raise AnnotationError(f"sentence {s.index} overlaps previous sentence")
-            prev_end = s.char_end
-        for t_idx, t in enumerate(self.triples):
-            sents = {t.subject.sent, t.relation.sent, t.object.sent}
-            if len(sents) != 1:
+        for index, start, end, _ in self.sentences:
+            if not (0 <= start < end <= n):
+                raise AnnotationError(f"sentence {index} out of bounds")
+            if start < prev_end:
+                raise AnnotationError(f"sentence {index} overlaps previous sentence")
+            prev_end = end
+            bounds.append((start, end))
+        count = len(bounds)
+        for t_idx, triple in enumerate(self.triples):
+            (sent, s1, e1), (sent2, s2, e2), (sent3, s3, e3) = triple
+            if sent2 != sent or sent3 != sent:
                 raise AnnotationError(f"triple {t_idx} spans multiple sentences")
-            for role, sp in (("subject", t.subject), ("relation", t.relation), ("object", t.object)):
-                self._check_span(sp, f"triple {t_idx} {role}")
+            if 0 <= sent < count:
+                lo, hi = bounds[sent]
+                if lo <= s1 < e1 <= hi and lo <= s2 < e2 <= hi and lo <= s3 < e3 <= hi:
+                    continue
+            for role, sp in zip(_ROLES, triple):
+                if fault := _span_fault(sp, bounds):
+                    raise AnnotationError(f"triple {t_idx} {role}: {fault}")
         for c_idx, cluster in enumerate(self.coref_clusters):
             if len(cluster) < 2:
                 raise AnnotationError(f"coref cluster {c_idx} has fewer than two mentions")
             for sp in cluster:
-                self._check_span(sp, f"coref cluster {c_idx} mention")
+                if fault := _span_fault(sp, bounds):
+                    raise AnnotationError(f"coref cluster {c_idx} mention: {fault}")
         for e_idx, sp in enumerate(self.named_entities or []):
-            self._check_span(sp, f"named entity {e_idx}")
-
-    def _check_span(self, sp: Span, what: str) -> None:
-        if sp.sent < 0 or sp.sent >= len(self.sentences):
-            raise AnnotationError(f"{what}: sentence index {sp.sent} out of range")
-        sent = self.sentences[sp.sent]
-        if not (sent.char_start <= sp.start < sp.end <= sent.char_end):
-            raise AnnotationError(f"{what}: span [{sp.start},{sp.end}) outside its sentence")
+            if fault := _span_fault(sp, bounds):
+                raise AnnotationError(f"named entity {e_idx}: {fault}")
 
     @staticmethod
     def from_json(doc: dict) -> "AnnotatedContext":
@@ -124,7 +141,7 @@ class AnnotatedContext:
             raise AnnotationError("annotated context must be an object with a 'context' field")
         text = doc["context"]
         if not isinstance(text, str):
-            raise AnnotationError(f"'context' field must be a string, got {type(text).__name__}")
+            raise AnnotationError(f"'context' field must be a string, got {json_kind(text)}")
         sentences = []
         for i, s in enumerate(_array(doc.get("sentences", []), "'sentences'")):
             try:
@@ -133,18 +150,18 @@ class AnnotatedContext:
                 raise AnnotationError(f"sentence {i}: expected start/end offsets") from exc
             if type(start) is not int or type(end) is not int:
                 start, end = _offsets("sentence %d", i, start=start, end=end)
-            sentences.append(Sentence(i, start, end, text[start:end]))
+            sentences.append(tuple.__new__(Sentence, (i, start, end, text[start:end])))
         triples = []
         for i, t in enumerate(_array(doc.get("triples", []), "'triples'")):
             try:
                 subject, relation, obj = t["subject"], t["relation"], t["object"]
             except (KeyError, TypeError) as exc:
                 raise AnnotationError(f"triple {i}: expected subject/relation/object spans") from exc
-            triples.append(Triple(
+            triples.append(tuple.__new__(Triple, (
                 Span.from_json(subject, "triple %d subject", i),
                 Span.from_json(relation, "triple %d relation", i),
                 Span.from_json(obj, "triple %d object", i),
-            ))
+            )))
         clusters = [
             tuple(Span.from_json(m, "coref cluster %d mention", c) for m in _array(cluster, f"coref cluster {c}"))
             for c, cluster in enumerate(_array(doc.get("coref_clusters", []), "'coref_clusters'"))

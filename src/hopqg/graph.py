@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .context import AnnotatedContext, Span
 from .errors import NodeNotFoundError
-from .textutil import PRONOUNS, collapse, is_pronoun, match_tokens, norm_key
+from .textutil import PRONOUNS, collapse, match_tokens, norm_key
 
 # Lowercase tokens tolerated inside a capitalized run ("Dial M for Murder").
 _NAME_CONNECTORS = {"of", "for", "the", "and", "de", "la", "von", "van", "da"}
@@ -54,16 +54,21 @@ class ContextGraph:
     _exact: dict[str, Node] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        incident = self._incident
         for e in self.edges:
-            self._incident.setdefault(e.source, []).append((e, e.target))
-            self._incident.setdefault(e.target, []).append((e, e.source))
+            source, target = e.source, e.target
+            incident.setdefault(source, []).append((e, target))
+            incident.setdefault(target, []).append((e, source))
+        nodes = self.nodes
         eligible = []
-        for node in self.nodes:
-            others = {other for _, other in self.incident(node.id)}
+        for node in nodes:
+            others = {other for _, other in incident.get(node.id, ())}
             # A non-entity node links to its lowest-id named-entity neighbour.
-            node.entity_link = None if node.is_named_entity else min(
-                (o for o in others if self.nodes[o].is_named_entity), default=None
-            )
+            if node.is_named_entity:
+                node.entity_link = None
+            else:
+                linked = [o for o in others if nodes[o].is_named_entity]
+                node.entity_link = min(linked) if linked else None
             if len(others) > 1 and (node.is_named_entity or node.entity_link is not None):
                 eligible.append(node.id)
         self.answer_nodes = tuple(eligible)
@@ -177,17 +182,34 @@ class _UnionFind:
             self.parent[hi] = lo
 
 
+def _normalize(known: dict[str, tuple[str, str, bool]], raw: str) -> tuple[str, str, bool]:
+    """raw's collapsed text, its key (norm_key) and whether it is a pronoun,
+    stored in known under raw."""
+    text = collapse(raw)
+    key = text.casefold()  # norm_key(raw), as text is already collapsed
+    known[raw] = entry = (text, key, key in PRONOUNS)
+    return entry
+
+
 def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
     """Build the merged, deduplicated context graph for an annotated context."""
+    context = ctx.context
+    # Each distinct raw span text, normalized once: arguments and relations repeat.
+    known: dict[str, tuple[str, str, bool]] = {}
     key_to_group: dict[str | Span, int] = {}
-    # Per group: each argument span, in first-seen order, with its collapsed text.
+    # Per group: each argument span, in first-seen order, with its collapsed
+    # text; and whether the group is a pronoun's.
     group_mentions: list[dict[Span, str]] = []
+    group_pronoun: list[bool] = []
     raw_edges: list[tuple[int, int, str, int]] = []
+    # Each argument span with its group, by sentence: a cluster mention or a
+    # named entity can only match an argument of its own sentence.
+    args_by_sent: dict[int, list[tuple[Span, int]]] = {}
 
     def group_of(span: Span) -> int:
-        text = collapse(ctx.span_text(span))
-        key: str | Span = text.casefold()  # norm_key(text), as text is already collapsed
-        if key in PRONOUNS:  # is_pronoun(text)
+        raw = context[span.start : span.end]
+        text, key, pronoun = known.get(raw) or _normalize(known, raw)
+        if pronoun:
             # A pronoun names nothing by itself; only a coreference cluster
             # may merge it, so each one keeps a group of its own.
             key = span
@@ -196,19 +218,17 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
             gid = len(group_mentions)
             key_to_group[key] = gid
             group_mentions.append({})
+            group_pronoun.append(pronoun)
         group_mentions[gid][span] = text
         return gid
 
-    for t in ctx.triples:
-        src = group_of(t.subject)
-        dst = group_of(t.object)
-        raw_edges.append((src, dst, collapse(ctx.span_text(t.relation)), t.sentence_index))
-
-    # A cluster mention can only match group mentions of its own sentence.
-    mentions_by_sent: dict[int, list[tuple[Span, int]]] = {}
-    for gid, mentions in enumerate(group_mentions):
-        for m in mentions:
-            mentions_by_sent.setdefault(m.sent, []).append((m, gid))
+    for subject, relation, obj in ctx.triples:
+        src = group_of(subject)
+        dst = group_of(obj)
+        raw = context[relation.start : relation.end]
+        sent = subject.sent
+        raw_edges.append((src, dst, (known.get(raw) or _normalize(known, raw))[0], sent))
+        args_by_sent.setdefault(sent, []).extend(((subject, src), (obj, dst)))
 
     uf = _UnionFind(len(group_mentions))
     for cluster in ctx.coref_clusters:
@@ -216,54 +236,57 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
         matched = sorted({
             gid
             for cm in cluster
-            for m, gid in mentions_by_sent.get(cm.sent, ())
+            for m, gid in args_by_sent.get(cm.sent, ())
             if _spans_match(m, cm)
         })
         for gid in matched[1:]:
             uf.union(matched[0], gid)
 
-    # Merged groups keyed by root, ordered by earliest creation index.
-    roots: list[int] = []
+    # Merged groups keyed by root. A root is the lowest group of its set, so
+    # the roots come in order of earliest creation index.
     members: dict[int, list[int]] = {}
     for gid in range(len(group_mentions)):
-        root = uf.find(gid)
-        if root not in members:
-            members[root] = []
-            roots.append(root)
-        members[root].append(gid)
-    root_to_id = {root: i for i, root in enumerate(roots)}
+        members.setdefault(uf.find(gid), []).append(gid)
+    node_of = [0] * len(group_mentions)
 
     nodes: list[Node] = []
-    for root, node_id in root_to_id.items():
-        text_of: dict[Span, str] = {}
-        for gid in members[root]:
-            text_of.update(group_mentions[gid])
+    for node_id, gids in enumerate(members.values()):
+        for gid in gids:
+            node_of[gid] = node_id
+        if len(gids) == 1:
+            text_of = group_mentions[gids[0]]
+        else:
+            text_of = {}
+            for gid in gids:
+                text_of.update(group_mentions[gid])
         mentions = sorted(text_of)
         texts = [text_of[m] for m in mentions]
-        non_pronoun = [(t, m) for t, m in zip(texts, mentions) if not is_pronoun(t)]
-        pool = non_pronoun or list(zip(texts, mentions))
-        surface = max(pool, key=lambda tm: (len(tm[0]), (-tm[1].sent, -tm[1].start)))[0]
-        nodes.append(Node(node_id, surface, mentions, texts))
+        # The surface is the longest mention of a non-pronoun group, if the
+        # node has one; among equals the first, as mentions are in text order.
+        pool = texts
+        if len(gids) > 1:
+            named = [gid for gid in gids if not group_pronoun[gid]]
+            if 0 < len(named) < len(gids):
+                keep = {m for gid in named for m in group_mentions[gid]}
+                pool = [t for m, t in zip(mentions, texts) if m in keep]
+        nodes.append(Node(node_id, max(pool, key=len), mentions, texts))
 
-    edges: dict[Edge, None] = {}  # distinct edges in first-seen order
-    for src, dst, rel, sent in raw_edges:
-        s = root_to_id[uf.find(src)]
-        d = root_to_id[uf.find(dst)]
-        if s != d:  # a merge can make a self-loop; drop it
-            edges.setdefault(Edge(s, d, rel, sent))
+    # Distinct edges in first-seen order; a merge can make a self-loop, which is dropped.
+    distinct = dict.fromkeys(
+        (node_of[src], node_of[dst], rel, sent) for src, dst, rel, sent in raw_edges if node_of[src] != node_of[dst]
+    )
+    edges = [tuple.__new__(Edge, e) for e in distinct]
 
     if ctx.named_entities is not None:
-        nes_by_sent: dict[int, list[Span]] = {}
+        # A node is a named entity if a mention of it matches one.
         for ne in ctx.named_entities:
-            nes_by_sent.setdefault(ne.sent, []).append(ne)
-        for node in nodes:
-            node.is_named_entity = any(
-                _spans_match(m, ne) for m in node.mentions for ne in nes_by_sent.get(m.sent, ())
-            )
+            for m, gid in args_by_sent.get(ne.sent, ()):
+                if _spans_match(m, ne):
+                    nodes[node_of[gid]].is_named_entity = True
     else:
         for node in nodes:
             node.is_named_entity = any(
                 _capitalized_run(t, m, ctx) for t, m in zip(node.mention_texts, node.mentions)
             )
 
-    return ContextGraph(ctx, nodes, list(edges))
+    return ContextGraph(ctx, nodes, edges)

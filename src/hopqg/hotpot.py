@@ -74,7 +74,7 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
         raw_context = obj["context"]
         raw_facts = obj["supporting_facts"]
     except KeyError as exc:
-        raise AnnotationError(f"{where or 'record'} missing field {exc}") from exc
+        raise AnnotationError(f"{where or 'record'}: missing field {exc}") from exc
     where = where or f"record {record_id}"
     if not isinstance(question, str) or not question.strip():
         raise AnnotationError(f"{where}: empty question")

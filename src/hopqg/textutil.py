@@ -50,7 +50,3 @@ def match_tokens(text: str) -> list[str]:
 
 def content_tokens(text: str) -> list[str]:
     return [t for t in match_tokens(text) if t not in STOPWORDS]
-
-
-def is_pronoun(text: str) -> bool:
-    return norm_key(text) in PRONOUNS

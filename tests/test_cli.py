@@ -132,7 +132,7 @@ def test_build_graph_invalid_context_exits_2(tmp_path):
 def test_build_graph_non_string_context_exits_2(tmp_path, capsys):
     ctx = write_json(tmp_path / "ctx.json", {"context": 1})
     assert main(["build-graph", "--context", ctx, "--out", str(tmp_path / "g.json")]) == 2
-    assert "'context' field must be a string, got int" in capsys.readouterr().err
+    assert "'context' field must be a string, got an integer" in capsys.readouterr().err
 
 def test_build_graph_missing_file_exits_2(tmp_path):
     missing = str(tmp_path / "absent.json")
@@ -538,7 +538,9 @@ def test_build_dataset_malformed_record_exits_2(tmp_path, capsys, fields, messag
     out = tmp_path / "ex.jsonl"
     assert main(["build-dataset", "--hotpot", hotpot, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"error: {hotpot}: record 1" in err and message in err
+    assert f"error: {hotpot}: record 1: " in err and message in err
+    if fields == {"question": MISSING}:
+        assert f"error: {hotpot}: record 1: missing field 'question'\n" in err
     assert not out.exists()
 
 

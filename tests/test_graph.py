@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,7 +9,15 @@ from hopqg.errors import AnnotationError, NodeNotFoundError
 from hopqg.graph import build_context_graph
 
 from oracles import oracle_graph_merges
-from util import make_context, make_context_doc, random_context_doc
+from util import (
+    film3_context_doc,
+    film_context_doc,
+    make_context,
+    make_context_doc,
+    random_context_doc,
+    remake_context_doc,
+    star_context_doc,
+)
 
 
 def surfaces(graph):
@@ -145,6 +155,74 @@ def test_multi_sentence_triple_rejected():
         AnnotatedContext.from_json(doc)
 
 
+def _validation_doc() -> dict:
+    # "Alpha follows Beta." is [0, 19) and "Gamma follows Delta." is [20, 40).
+    return make_context_doc(
+        ["Alpha follows Beta.", "Gamma follows Delta."],
+        [(0, "Alpha", "follows", "Beta"), (1, "Gamma", "follows", "Delta")],
+        coref=[[(0, "Beta"), (1, "Gamma")]],
+        named_entities=[(0, "Alpha"), (1, "Delta")],
+    )
+
+
+def _construct_directly(doc: dict) -> AnnotatedContext:
+    text = doc["context"]
+    return AnnotatedContext(
+        text,
+        [Sentence(i, s["start"], s["end"], text[s["start"] : s["end"]]) for i, s in enumerate(doc["sentences"])],
+        [Triple(Span(**t["subject"]), Span(**t["relation"]), Span(**t["object"])) for t in doc["triples"]],
+        [tuple(Span(**m) for m in cluster) for cluster in doc["coref_clusters"]],
+        [Span(**m) for m in doc["named_entities"]],
+    )
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(_set(["sentences", 1, "end"], 99), "sentence 1 out of bounds", id="sentence-bounds"),
+        pytest.param(_set(["sentences", 1, "start"], 10), "sentence 1 overlaps previous sentence", id="sentence-overlap"),
+        pytest.param(
+            _set(["triples", 1], {role: {"sent": 2, "start": 0, "end": 1} for role in ("subject", "relation", "object")}),
+            "triple 1 subject: sentence index 2 out of range",
+            id="sentence-index",
+        ),
+        pytest.param(
+            _set(["triples", 1, "object", "end"], 45), "triple 1 object: span [34,45) outside its sentence", id="span-outside"
+        ),
+        pytest.param(
+            _set(["triples", 0, "object"], {"sent": 1, "start": 20, "end": 25}),
+            "triple 0 spans multiple sentences",
+            id="multi-sentence",
+        ),
+        pytest.param(
+            lambda doc: doc["coref_clusters"][0].pop(), "coref cluster 0 has fewer than two mentions", id="lone-mention"
+        ),
+        pytest.param(
+            _set(["named_entities", 1], {"sent": 0, "start": 34, "end": 39}),
+            "named entity 1: span [34,39) outside its sentence",
+            id="named-entity",
+        ),
+    ],
+)
+def test_every_validation_error_names_its_item(edit, message):
+    doc = _validation_doc()
+    AnnotatedContext.from_json(doc)  # valid before the edit
+    edit(doc)
+    for build in (AnnotatedContext.from_json, _construct_directly):
+        with pytest.raises(AnnotationError) as err:
+            build(doc)
+        assert str(err.value) == message, build
+
+
 def test_find_node_exact_beats_overlap(film_graph):
     assert film_graph.find_node("tom cruise").surface == "Tom Cruise"
 
@@ -235,3 +313,45 @@ def test_indexed_matching_equals_all_pairs_rule():
         named += sum(flag for _, flag in expected)
     # The contexts exercise coreference merges and both NE outcomes.
     assert merged > 0 and 0 < named < nodes
+
+
+# sha256 over build_context_graph(ctx).to_json() for the contexts of
+# _golden_docs, so that no edit to the builder changes a graph silently.
+GRAPH_GOLDEN = "01b75ff48d0924df524f6c9148e38d5589377e62d78eefa93f538e7a787e5981"
+
+
+def _golden_docs() -> list[dict]:
+    docs = [film_context_doc(), film3_context_doc(), star_context_doc(), remake_context_doc()]
+    for seed in range(60):
+        # With named entities, and without them so the capitalized-run rule
+        # decides instead.
+        doc = random_context_doc(random.Random(seed))
+        docs.append(doc)
+        docs.append({k: v for k, v in doc.items() if k != "named_entities"})
+    # Pronouns, casing and spacing: clustered and unclustered pronouns, a
+    # node of pronouns only, equal keys under different case and spacing,
+    # and a cluster that merges two named groups.
+    pronouns = make_context_doc(
+        ["Alpha  Corp makes  engines in Oslo.", "It is based in Oslo.", "alpha corp hired Beta Ltd.",
+         "They sued it.", "ALPHA CORP bought Beta Ltd.", "He met She."],
+        [
+            (0, "Alpha  Corp", "makes  engines in", "Oslo"),
+            (1, "It", "is based in", "Oslo"),
+            (2, "alpha corp", "hired", "Beta Ltd"),
+            (3, "They", "sued", "it"),
+            (4, "ALPHA CORP", "bought", "Beta Ltd"),
+            (5, "He", "met", "She"),
+        ],
+        coref=[[(0, "Alpha  Corp"), (1, "It"), (3, "it")], [(2, "Beta Ltd"), (3, "They"), (4, "ALPHA CORP")]],
+    )
+    docs.append(pronouns)
+    docs.append(dict(pronouns, named_entities=[pronouns["triples"][0]["subject"]]))
+    return docs
+
+
+def test_graph_golden_digest():
+    digest = hashlib.sha256()
+    for doc in _golden_docs():
+        graph = build_context_graph(AnnotatedContext.from_json(doc))
+        digest.update(json.dumps(graph.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == GRAPH_GOLDEN
