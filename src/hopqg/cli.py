@@ -11,6 +11,7 @@ the run used, the digests of the input files its subparser names in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from . import __version__, remote
+from . import __version__
 from .config import PipelineConfig, load_config
 from .context import AnnotatedContext
 from .dataset_builder import BackendSuite, RuleDecomposer, RuleQa, RuleTypeClassifier, build_dataset
@@ -95,6 +96,8 @@ def _services(roles: tuple[str, ...], backend: str | None, config: PipelineConfi
         raise ConfigError("backend 'remote' needs " + ", ".join(
             f"endpoints.{role} (or HOPQG_{role.upper()}_URL)" for role in missing
         ))
+    from . import remote  # only remote runs load the HTTP client
+
     services = {}
     for role in roles:
         _, name, options = _SERVICES[role]
@@ -364,7 +367,10 @@ def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunM
     return EXIT_OK, [args.out]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it as it was, and a process may call main many times."""
     parser = argparse.ArgumentParser(
         prog="hopqg",
         description="Hop-controlled multi-hop question generation pipeline.",

@@ -12,6 +12,8 @@ from .errors import AnnotationError, BackendError, MetricError, is_integral, jso
 from .metrics import (
     CIDER_ORDER,
     TOKENIZER_SPEC,
+    TokenTable,
+    _check_corpus,
     _NgramPass,
     bleu_n,
     cider,
@@ -75,29 +77,31 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
     items of the best score against any reference; BLEU and CIDEr are
     corpus-level by definition and read one n-gram pass over the corpus,
     of CIDER_ORDER when CIDEr is named, else of the highest BLEU order
-    named.
+    named. Every metric reads one TokenTable, so each distinct text is
+    tokenized once per report, and each distinct token stemmed once.
     ``meteor_fallbacks`` counts the METEOR-s alignments whose search ran
     out of nodes, so their chunk count may be above the fewest possible.
     """
+    for name in names:
+        if name not in _CORPUS_LEVEL and name not in _PAIRWISE:
+            raise MetricError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
+    _check_corpus(corpus)
     fallbacks_before = meteor_fallbacks()
     with_cider = "cider" in names
     order = CIDER_ORDER if with_cider else max((_BLEU_ORDERS.get(name, 0) for name in names), default=0)
+    table = TokenTable()
     ngrams = None
     scores: dict[str, float] = {}
     for name in names:
         if name in _CORPUS_LEVEL:
             if ngrams is None:
-                ngrams = _NgramPass(corpus, order, cider=with_cider)
+                ngrams = _NgramPass(corpus, order, with_cider, table)
             scores[name] = cider(ngrams) if name == "cider" else bleu_n(ngrams, _BLEU_ORDERS[name])
-        elif name in _PAIRWISE:
-            fn = _PAIRWISE[name]
-            if not corpus:
-                raise MetricError("empty corpus")
-            scores[name] = sum(
-                max(fn(hyp, ref) for ref in refs) for hyp, refs in corpus
-            ) / len(corpus)
         else:
-            raise MetricError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
+            fn = _PAIRWISE[name]
+            scores[name] = sum(
+                max(fn(hyp, ref, table) for ref in refs) for hyp, refs in corpus
+            ) / len(corpus)
     return {
         "items": len(corpus),
         "tokenizer": TOKENIZER_SPEC,

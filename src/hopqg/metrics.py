@@ -13,6 +13,7 @@ import re
 import string
 import threading
 from collections import Counter
+from operator import mul
 
 from .errors import MetricError
 
@@ -33,6 +34,40 @@ def _check_corpus(corpus) -> None:
             raise MetricError(f"item {i}: hypothesis must be a string")
         if not refs:
             raise MetricError(f"item {i}: at least one reference required")
+        if isinstance(refs, str) or not all(isinstance(ref, str) for ref in refs):
+            raise MetricError(f"item {i}: references must be a list of strings")
+
+
+class TokenTable:
+    """The tokens of each distinct text, tokenized once, and on request its
+    stems, with each distinct token stemmed once. One table serves every
+    metric of a report. It keeps one string object per distinct token: the
+    tokens are held for the whole report, and a corpus repeats most of its
+    words."""
+
+    def __init__(self):
+        self._tokens: dict[str, list[str]] = {}
+        self._stems: dict[str, list[str]] = {}
+        self._vocab: dict[str, str] = {}
+        self._stem_of: dict[str, str] = {}
+
+    def tokens(self, text: str) -> list[str]:
+        tokens = self._tokens.get(text)
+        if tokens is None:
+            vocab = self._vocab
+            tokens = self._tokens[text] = [vocab.setdefault(t, t) for t in tokenize(text)]
+        return tokens
+
+    def stems(self, text: str) -> list[str]:
+        stems = self._stems.get(text)
+        if stems is None:
+            stem_of = self._stem_of
+            tokens = self.tokens(text)
+            for t in tokens:
+                if t not in stem_of:
+                    stem_of[t] = light_stem(t)
+            stems = self._stems[text] = [stem_of[t] for t in tokens]
+        return stems
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -44,22 +79,15 @@ class _NgramPass:
     """One pass over a corpus's n-grams, orders 1..order, read by bleu_n and
     cider alike.
 
-    Each text is tokenized once. Per order it keeps BLEU's sufficient
-    statistics (clipped and total gram counts) and, when ``cider`` is set,
-    adds each item's CIDEr term for that order to the item's running sum,
-    so the terms add up from order 1 upward. One order's Counters are
-    dropped before the next order is counted.
+    The texts' tokens come from a TokenTable. Per order it keeps BLEU's
+    sufficient statistics (clipped and total gram counts) and, when
+    ``cider`` is set, adds each item's CIDEr term for that order to the
+    item's running sum, so the terms add up from order 1 upward. One order's
+    Counters are dropped before the next order is counted.
     """
 
-    def __init__(self, corpus, order: int, cider: bool):
-        _check_corpus(corpus)
-        # One string object per distinct token: the tokens are held for the
-        # whole pass, and a corpus repeats most of its words.
-        vocab: dict[str, str] = {}
-
-        def tokens(text: str) -> list[str]:
-            return [vocab.setdefault(t, t) for t in tokenize(text)]
-
+    def __init__(self, corpus, order: int, cider: bool, table: TokenTable):
+        tokens = table.tokens
         self.items = [(tokens(h), [tokens(r) for r in refs]) for h, refs in corpus]
         self.order = order
         self.clipped = [0] * (order + 1)
@@ -73,44 +101,61 @@ class _NgramPass:
         for k in range(1, order + 1):
             self._count_order(k)
 
+    @classmethod
+    def of(cls, corpus, order: int, cider: bool) -> "_NgramPass":
+        """corpus itself if it is a pass, else a checked pass over it."""
+        if isinstance(corpus, cls):
+            return corpus
+        _check_corpus(corpus)
+        return cls(corpus, order, cider, TokenTable())
+
     def _count_order(self, k: int) -> None:
         counted = []
         df: Counter = Counter()
         for hyp, refs in self.items:
             hyp_counts = _ngrams(hyp, k)
             ref_counts = [_ngrams(r, k) for r in refs]
+            # Each gram's highest count in any one reference.
             max_ref = ref_counts[0]
-            for other in ref_counts[1:]:
-                max_ref = max_ref | other
+            if len(ref_counts) > 1:
+                max_ref = dict(max_ref)
+                for other in ref_counts[1:]:
+                    for g, c in other.items():
+                        if c > max_ref.get(g, 0):
+                            max_ref[g] = c
             if hyp_counts:
                 self.total[k] += len(hyp) - k + 1
-                self.clipped[k] += sum(min(c, max_ref[g]) for g, c in hyp_counts.items())
+                self.clipped[k] += sum(min(c, max_ref.get(g, 0)) for g, c in hyp_counts.items())
             if self.cider_items is not None:
                 df.update(max_ref.keys())
                 counted.append((hyp_counts, ref_counts))
         if self.cider_items is None:
             return
         # Document frequency counts an item once per gram any of its
-        # references holds; a gram no reference holds takes df 1.
+        # references holds; a gram no reference holds takes df 1. So every
+        # reference gram has an idf, and a hypothesis gram may not.
         n_items = len(self.items)
-        idf = {g: math.log(n_items / d) for g, d in df.items()}
+        log_of = {d: math.log(n_items / d) for d in set(df.values())}
+        idf = {g: log_of[d] for g, d in df.items()}
         unseen = math.log(n_items)
+        # A vector's weights are count * idf, in its Counter's order, and
+        # norms and dot products add them in that order. The dot product
+        # takes a reference weight from the Counter and the idf table, not
+        # from a dict of the reference's vector.
         for i, (hyp_counts, ref_counts) in enumerate(counted):
-            hv, hn = _tfidf(hyp_counts, idf, unseen)
+            hyp_idf = [idf.get(g, unseen) for g in hyp_counts]
+            hyp_w = list(map(mul, hyp_counts.values(), hyp_idf))
+            hn = math.sqrt(sum(map(mul, hyp_w, hyp_w)))
             if hn == 0:
                 continue  # every cosine is 0
             cosines = []
             for counts in ref_counts:
-                rv, rn = _tfidf(counts, idf, unseen)
-                dot = sum(w * rv[g] for g, w in hv.items() if g in rv)
+                ref_w = list(map(mul, counts.values(), map(idf.__getitem__, counts)))
+                rn = math.sqrt(sum(map(mul, ref_w, ref_w)))
+                ref_count = counts.get
+                dot = sum(w * (c * f) for g, w, f in zip(hyp_counts, hyp_w, hyp_idf) if (c := ref_count(g)))
                 cosines.append(dot / (hn * rn) if rn else 0.0)
             self.cider_items[i] += sum(cosines) / len(cosines)
-
-
-def _tfidf(counts: Counter, idf: dict, unseen: float) -> tuple[dict, float]:
-    """The tf-idf vector of counts, keyed in their order, and its norm."""
-    vec = {g: c * idf.get(g, unseen) for g, c in counts.items()}
-    return vec, math.sqrt(sum(w * w for w in vec.values()))
 
 
 def bleu_n(corpus, n: int) -> float:
@@ -124,7 +169,7 @@ def bleu_n(corpus, n: int) -> float:
     """
     if not 1 <= n <= 4:
         raise MetricError(f"bleu order must be in 1..4, got {n}")
-    ngrams = corpus if isinstance(corpus, _NgramPass) else _NgramPass(corpus, n, cider=False)
+    ngrams = _NgramPass.of(corpus, n, cider=False)
     log_sum = 0.0
     for k in range(1, n + 1):
         if ngrams.total[k] == 0 or ngrams.clipped[k] == 0:
@@ -159,10 +204,13 @@ def lcs_length(a: list, b: list) -> int:
 ROUGE_BETA = 1.2  # > 1 weights recall over precision
 
 
-def rouge_l(hyp: str, ref: str) -> float:
-    """LCS-based F-measure with ROUGE_BETA."""
-    hyp_toks = tokenize(hyp)
-    ref_toks = tokenize(ref)
+def rouge_l(hyp: str, ref: str, table: TokenTable | None = None) -> float:
+    """LCS-based F-measure with ROUGE_BETA; the texts' tokens come from
+    ``table`` when one is given."""
+    if table is None:
+        table = TokenTable()
+    hyp_toks = table.tokens(hyp)
+    ref_toks = table.tokens(ref)
     if not hyp_toks or not ref_toks:
         return 0.0
     lcs = lcs_length(hyp_toks, ref_toks)
@@ -217,9 +265,16 @@ def meteor_fallbacks() -> int:
     return getattr(_fallbacks, "count", 0)
 
 
-def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
+def _align(
+    hyp: list[str],
+    ref: list[str],
+    hyp_stems: list[str],
+    ref_stems: list[str],
+    node_budget: int = NODE_BUDGET,
+):
     """Unigram alignment with the most exact matches, then the most matches,
-    then the fewest chunks, as (hyp, ref) index pairs in hyp order.
+    then the fewest chunks, as (hyp, ref) index pairs in hyp order. The
+    stems are those of the tokens of hyp and ref.
 
     Equal tokens have equal stems, so both match maxima have a closed form
     and hold together: exact = sum over tokens of min(hyp count, ref count),
@@ -238,8 +293,6 @@ def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
     or else a greedy exact-then-stem pass, which reaches both maxima.
     """
     m, n = len(hyp), len(ref)
-    hyp_stems = [light_stem(t) for t in hyp]
-    ref_stems = [light_stem(t) for t in ref]
     hyp_count, ref_count = Counter(hyp), Counter(ref)
     miss = {t: c - min(c, ref_count[t]) for t, c in hyp_count.items()}
     lend = {t: c - min(c, hyp_count[t]) for t, c in ref_count.items()}
@@ -326,17 +379,20 @@ def _align(hyp: list[str], ref: list[str], node_budget: int = NODE_BUDGET):
 METEOR_ALPHA, METEOR_BETA, METEOR_GAMMA = 0.9, 3.0, 0.5
 
 
-def meteor_simplified(hyp: str, ref: str) -> float:
+def meteor_simplified(hyp: str, ref: str, table: TokenTable | None = None) -> float:
     """Two-stage (exact, stem) unigram METEOR with fragmentation penalty.
 
     penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_BETA, defined as 0
     when the alignment forms a single chunk so identical strings score 1.
+    The texts' tokens and stems come from ``table`` when one is given.
     """
-    hyp_toks = tokenize(hyp)
-    ref_toks = tokenize(ref)
+    if table is None:
+        table = TokenTable()
+    hyp_toks = table.tokens(hyp)
+    ref_toks = table.tokens(ref)
     if not hyp_toks or not ref_toks:
         return 0.0
-    matches = _align(hyp_toks, ref_toks)
+    matches = _align(hyp_toks, ref_toks, table.stems(hyp), table.stems(ref))
     m = len(matches)
     if m == 0:
         return 0.0
@@ -359,7 +415,7 @@ def cider(corpus) -> float:
     (hypothesis, references) pairs or an n-gram pass over one, of order
     CIDER_ORDER with its CIDEr terms.
     """
-    ngrams = corpus if isinstance(corpus, _NgramPass) else _NgramPass(corpus, CIDER_ORDER, cider=True)
+    ngrams = _NgramPass.of(corpus, CIDER_ORDER, cider=True)
     if len(ngrams.items) < 2:
         raise MetricError("cider needs at least two items for meaningful idf")
     total = 0.0

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, outputs, manifests, reruns."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -1080,3 +1081,50 @@ def test_cli_import_pulls_in_no_third_party_modules():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def run_commands_argv(tmp_path):
+    """A template generate and an evaluate, each with the output it writes."""
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    hyp = write(tmp_path / "hyp.txt", "who directed top gun ?\nthe cat sat\n")
+    ref = write(tmp_path / "ref.txt", json.dumps(["who directs top gun", "top gun ?"]) + "\nthe cat sat on the mat\n")
+    traces, report = str(tmp_path / "traces.jsonl"), str(tmp_path / "report.json")
+    return [
+        (["generate", "--context", ctx, "--d", "2", "--count", "2", "--out", traces], traces),
+        (["evaluate", "--hyp", hyp, "--ref", ref, "--out", report], report),
+    ]
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    hopqg.cli.build_parser.cache_clear()
+    runs = []
+    for _ in range(2):
+        for argv, out in run_commands_argv(tmp_path):
+            assert main(argv) == 0
+            manifest = read_manifest(out + ".manifest.json")
+            for stage in manifest["stages"].values():
+                stage["seconds"] = 0.0
+            runs.append((Path(out).read_bytes(), manifest))
+    assert len(parsers) == 4 and all(parser is parsers[0] for parser in parsers)
+    assert runs[:2] == runs[2:]
+
+
+def test_template_and_metric_runs_load_no_http_client(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopqg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    modules = ("hopqg.remote", "http.client", "urllib.request", "ssl", "email.parser")
+    lines = ["import sys", "from hopqg.cli import main"]
+    for argv, _ in run_commands_argv(tmp_path):
+        lines += [f"assert main({argv!r}) == 0", f"print(sorted(m for m in {modules!r} if m in sys.modules))"]
+    out = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["[]", "[]"]

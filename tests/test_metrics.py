@@ -1,14 +1,18 @@
 """Metric suite vs independent oracles plus published edge-case conventions."""
 
+import collections
 import functools
 import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
+import hopqg.evaluate
 import hopqg.metrics
+from hopqg.cli import DEFAULT_METRICS
 from hopqg.errors import MetricError
 from hopqg.evaluate import METRIC_NAMES, metric_report
 from hopqg.metrics import (
@@ -147,6 +151,123 @@ def test_ngram_metrics_match_oracles_on_edge_cases(corpus):
     assert cider(corpus) == metrics["cider"]
 
 
+# Stem variants, and words no other text is likely to hold.
+SHARED_VOCAB = VOCAB + ["glasses", "glass", "passed", "passes", "running", "runs", "run", "unseen"]
+
+SHARED_TEXT_CORPORA = [
+    # A hypothesis repeated across items, one item's hypothesis as another
+    # item's reference, a reference repeated within an item, stem variants,
+    # and a hypothesis gram ("unseen") that no reference holds.
+    [("who passed the glasses ?", ["who passes the glass ?", "the dog runs", "who passes the glass ?"]),
+     ("who passed the glasses ?", ["the running dog passed"]),
+     ("the running dog passed", ["who passed the glasses ?", "the dog runs"]),
+     ("an unseen running sky", ["the dog runs", "the dog runs"])],
+    [("a b", ["a b", "a b"]), ("a b", ["a b"]), ("b a", ["a b", "b a"])],
+]
+
+
+def shared_text_corpus(rng):
+    """Items drawn from a small pool of texts, so that hypotheses repeat,
+    references repeat within an item, and hypotheses serve as references."""
+    pool = [" ".join(rng.choices(SHARED_VOCAB, k=rng.randint(1, 12))) for _ in range(rng.randint(3, 6))]
+    corpus = []
+    for _ in range(rng.randint(2, 8)):
+        refs = rng.choices(pool + [hyp for hyp, _ in corpus], k=rng.randint(1, 4))
+        corpus.append((rng.choice(pool), refs))
+    return corpus
+
+
+# sha256 over the JSON reports of each metric alone and of the default set on
+# corpora that share texts, taken when every metric tokenized its own texts.
+SHARED_TEXT_GOLDEN = "a6929c8309dc22082c12107ccc05c55175b51981be2f0494c39a2897e1bd9034"
+
+
+def test_metric_report_golden_digest_on_shared_texts():
+    rng = random.Random(1515)
+    corpora = SHARED_TEXT_CORPORA + [shared_text_corpus(rng) for _ in range(40)]
+    digest = hashlib.sha256()
+    for corpus in corpora:
+        for names in [[name] for name in METRIC_NAMES] + [DEFAULT_METRICS.split(",")]:
+            report = metric_report(corpus, names)
+            digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == SHARED_TEXT_GOLDEN
+
+
+def count_calls(monkeypatch, name):
+    """Calls of hopqg.metrics.<name>, counted by first argument."""
+    calls = collections.Counter()
+    fn = getattr(hopqg.metrics, name)
+
+    def counted(arg, *rest, **kwargs):
+        calls[arg] += 1
+        return fn(arg, *rest, **kwargs)
+
+    monkeypatch.setattr(hopqg.metrics, name, counted)
+    return calls
+
+
+def corpus_texts(corpus):
+    return {hyp for hyp, _ in corpus} | {ref for _, refs in corpus for ref in refs}
+
+
+@pytest.mark.parametrize("corpus", SHARED_TEXT_CORPORA)
+def test_report_tokenizes_each_text_once_and_stems_each_token_once(monkeypatch, corpus):
+    tokenized = count_calls(monkeypatch, "tokenize")
+    stemmed = count_calls(monkeypatch, "light_stem")
+    metric_report(corpus, list(METRIC_NAMES))
+    assert tokenized == dict.fromkeys(corpus_texts(corpus), 1)
+    assert stemmed and set(stemmed.values()) == {1}
+
+    tokenized.clear()
+    stemmed.clear()
+    metric_report(corpus, [name for name in METRIC_NAMES if name != "meteor-s"])
+    assert tokenized == dict.fromkeys(corpus_texts(corpus), 1)
+    assert not stemmed
+
+
+def test_rebound_metric_functions_see_each_call(monkeypatch):
+    # Rebound as a tracer rebinds them: every module attribute and every
+    # module-level dict value that holds the function.
+    calls = collections.Counter()
+    for name in ("bleu_n", "cider", "rouge_l", "meteor_simplified"):
+        fn = getattr(hopqg.metrics, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (hopqg.metrics, hopqg.evaluate):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+                elif isinstance(value, dict):
+                    for key, item in list(value.items()):
+                        if item is fn:
+                            monkeypatch.setitem(value, key, counted)
+    tokenized = count_calls(monkeypatch, "tokenize")
+    corpus = SHARED_TEXT_CORPORA[0]
+    pairs = sum(len(refs) for _, refs in corpus)
+    metric_report(corpus, list(METRIC_NAMES))
+    assert calls == {"bleu_n": 4, "cider": 1, "rouge_l": pairs, "meteor_simplified": pairs}
+    assert tokenized == dict.fromkeys(corpus_texts(corpus), 1)
+
+
+BAD_CORPORA = [
+    ([], "empty corpus"),
+    ([("a b", [])], "item 0: at least one reference required"),
+    ([(5, ["a"])], "item 0: hypothesis must be a string"),
+    ([("a b", ["a b"]), ("a", ["a", 5])], "item 1: references must be a list of strings"),
+    ([("a b", "a b")], "item 0: references must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+@pytest.mark.parametrize("corpus,message", BAD_CORPORA)
+def test_every_metric_rejects_a_bad_corpus(name, corpus, message):
+    with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+        metric_report(corpus, [name])
+
+
 # Frozen outputs of the exhaustive-alignment oracle in oracles.py.
 METEOR_GOLDENS = [
     ("who directed the film ?", "who directed the movie ?", 0.7500000000000001),
@@ -184,6 +305,10 @@ GOLDEN_GARDEN = (
 STEM_VOCAB = VOCAB + ["directs", "directing", "runs", "running", "run", "cats"]
 
 
+def align(hyp, ref, **kwargs):
+    return _align(hyp, ref, [light_stem(t) for t in hyp], [light_stem(t) for t in ref], **kwargs)
+
+
 def match_counts(hyp, ref, matches):
     return sum(1 for i, j in matches if hyp[i] == ref[j]), len(matches)
 
@@ -191,7 +316,7 @@ def match_counts(hyp, ref, matches):
 def test_meteor_golden_garden_pair_aligns_in_three_chunks():
     hyp, ref = (tokenize(text) for text in GOLDEN_GARDEN)
     before = meteor_fallbacks()
-    matches = _align(hyp, ref)
+    matches = align(hyp, ref)
     assert meteor_fallbacks() == before
     assert match_counts(hyp, ref, matches) == oracle_match_counts(hyp, ref)
     assert _chunk_count(matches) == 3
@@ -209,7 +334,7 @@ def test_align_reaches_closed_form_match_counts_on_long_pairs():
     for _ in range(200):
         hyp = rng.choices(STEM_VOCAB, k=rng.randint(15, 30))
         ref = rng.choices(STEM_VOCAB, k=rng.randint(15, 30))
-        matches = _align(hyp, ref, node_budget=2_000)
+        matches = align(hyp, ref, node_budget=2_000)
         assert sorted({i for i, _ in matches}) == [i for i, _ in matches]
         assert len({j for _, j in matches}) == len(matches)
         assert match_counts(hyp, ref, matches) == oracle_match_counts(hyp, ref)
@@ -224,7 +349,7 @@ def test_align_fallback_reaches_both_maxima_and_is_counted(monkeypatch):
     ]
     for hyp, ref in pairs:
         before = meteor_fallbacks()
-        matches = _align(hyp, ref, node_budget=1)
+        matches = align(hyp, ref, node_budget=1)
         assert meteor_fallbacks() == before + 1
         assert len({j for _, j in matches}) == len(matches)
         assert match_counts(hyp, ref, matches) == oracle_match_counts(hyp, ref)
