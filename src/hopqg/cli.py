@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import logging
 import os
@@ -22,31 +23,8 @@ from dataclasses import replace
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .context import AnnotatedContext
-from .dataset_builder import BackendSuite, RuleDecomposer, RuleQa, RuleTypeClassifier, build_dataset
-from .errors import (
-    AnnotationError,
-    ConfigError,
-    HopqgError,
-    MetricError,
-    invalid_json,
-    read_records,
-)
-from .evaluate import (
-    METRIC_NAMES,
-    difficulty_probe,
-    emit_augmentation,
-    filter_generated,
-    metric_report,
-    read_traces,
-    write_jsonl,
-)
-from .graph import ContextGraph, build_context_graph
-from .hotpot import load_hotpot
+from .errors import AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, read_records
 from .manifest import RunManifest
-from .pipeline import generate_stepwise
-from .planner import plan_chain
-from .template import TemplateBackend
 
 logger = logging.getLogger("hopqg.cli")
 
@@ -74,15 +52,21 @@ def _with_flags(config: PipelineConfig, **flags) -> PipelineConfig:
     return config
 
 
-# Each service role: its local stand-in, and its class in hopqg.remote with
-# the config fields that class takes besides timeout and retries. A remote
-# service posts to endpoints.<role>.
+# Each service role: the module and class of its local stand-in, its class
+# in hopqg.remote, and the config fields that class takes besides timeout
+# and retries. A remote service posts to endpoints.<role>.
 _SERVICES = {
-    "generator": (TemplateBackend, "RemoteGeneratorBackend", ("top_p", "max_tokens")),
-    "classifier": (RuleTypeClassifier, "RemoteTypeClassifier", ()),
-    "decomposer": (RuleDecomposer, "RemoteDecomposer", ()),
-    "qa": (RuleQa, "RemoteQa", ()),
+    "generator": ("template", "TemplateBackend", "RemoteGeneratorBackend", ("top_p", "max_tokens")),
+    "classifier": ("dataset_builder", "RuleTypeClassifier", "RemoteTypeClassifier", ()),
+    "decomposer": ("dataset_builder", "RuleDecomposer", "RemoteDecomposer", ()),
+    "qa": ("dataset_builder", "RuleQa", "RemoteQa", ()),
 }
+
+
+def _service_class(module: str, name: str) -> type:
+    """Class name of hopqg.<module>, loading that module on first use: only
+    remote runs load the HTTP client, only rule runs the dataset builder."""
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def _services(roles: tuple[str, ...], backend: str | None, config: PipelineConfig) -> dict[str, object]:
@@ -90,18 +74,16 @@ def _services(roles: tuple[str, ...], backend: str | None, config: PipelineConfi
     when backend is 'remote'. Every endpoint is checked before any client is
     made, so a missing one fails before any input is read."""
     if backend != "remote":
-        return {role: _SERVICES[role][0]() for role in roles}
+        return {role: _service_class(*_SERVICES[role][:2])() for role in roles}
     missing = [role for role in roles if not getattr(config.endpoints, role)]
     if missing:
         raise ConfigError("backend 'remote' needs " + ", ".join(
             f"endpoints.{role} (or HOPQG_{role.upper()}_URL)" for role in missing
         ))
-    from . import remote  # only remote runs load the HTTP client
-
     services = {}
     for role in roles:
-        _, name, options = _SERVICES[role]
-        services[role] = getattr(remote, name)(
+        _, _, name, options = _SERVICES[role]
+        services[role] = _service_class("remote", name)(
             getattr(config.endpoints, role),
             timeout=config.timeout,
             retries=config.retries,
@@ -121,6 +103,8 @@ def _manifest_path(args: argparse.Namespace, manifest: RunManifest) -> str:
 
 
 def _load_context_docs(path: str) -> list[AnnotatedContext]:
+    from .context import AnnotatedContext
+
     contexts = []
     for where, doc in read_records(path, "context"):
         try:
@@ -131,11 +115,15 @@ def _load_context_docs(path: str) -> list[AnnotatedContext]:
 
 
 # Each command does its work and returns its exit code and the output files
-# it wrote; main digests those and writes the manifest.
+# it wrote; main digests those and writes the manifest. A command imports the
+# modules it runs as its first statement, so a launch loads only those, and
+# --manifest-only loads the same ones as a real run.
 Outcome = tuple[int, list[str]]
 
 
 def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+    from .graph import build_context_graph
+
     if args.manifest_only:
         return EXIT_OK, []
     contexts = _load_context_docs(args.context)
@@ -163,6 +151,8 @@ class _SharedGraph:
     def get(self, manifest: RunManifest) -> tuple[ContextGraph | None, HopqgError | None]:
         with self.lock:
             if self.graph is None and self.error is None:
+                from .graph import build_context_graph
+
                 try:
                     with manifest.timed("build"):
                         self.graph = build_context_graph(self.ctx)
@@ -179,6 +169,9 @@ class _SharedGraph:
 
 
 def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, generator) -> Outcome:
+    from .pipeline import generate_stepwise
+    from .planner import plan_chain
+
     for flag, value in (("--d", args.d), ("--count", args.count)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
@@ -224,7 +217,8 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
     failures = [failure for _, failure in results if failure is not None]
     for index, seed, exc in failures:
         logger.warning("context %d seed %d failed: %s", index, seed, exc)
-    write_jsonl([t.to_json() for t in traces], args.out)
+    # Written as evaluate.write_jsonl writes, without loading the metrics.
+    _write_text(args.out, "".join(json.dumps(t.to_json(), ensure_ascii=False) + "\n" for t in traces))
 
     manifest.count("initial", len(traces))
     manifest.count("rewrite", sum(len(t.questions) - 1 for t in traces))
@@ -235,6 +229,10 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
 def cmd_build_dataset(
     args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, classifier, decomposer, qa
 ) -> Outcome:
+    from .dataset_builder import BackendSuite, build_dataset
+    from .evaluate import write_jsonl
+    from .hotpot import load_hotpot
+
     if args.manifest_only:
         return EXIT_OK, []
     records = load_hotpot(args.hotpot)
@@ -300,6 +298,8 @@ def _metric_table(metrics: dict[str, float]) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+    from .evaluate import METRIC_NAMES, metric_report
+
     if args.manifest_only:
         return EXIT_OK, []
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
@@ -321,6 +321,8 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
 
 
 def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+    from .evaluate import filter_generated, read_traces, write_jsonl
+
     if args.manifest_only:
         return EXIT_OK, []
     items = read_traces(args.traces, optional=("question", "answer"))
@@ -340,6 +342,8 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunMa
 
 
 def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, qa) -> Outcome:
+    from .evaluate import difficulty_probe, read_traces
+
     if args.manifest_only:
         return EXIT_OK, []
     traces = read_traces(args.traces, required=("question", "answer", "context", "d"))
@@ -356,6 +360,8 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunMan
 
 
 def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+    from .evaluate import emit_augmentation, read_traces, write_jsonl
+
     if args.manifest_only:
         return EXIT_OK, []
     generated = read_traces(args.traces)
@@ -421,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score hypotheses against references")
     p.add_argument("--hyp", required=True, help="one hypothesis per line")
     p.add_argument("--ref", required=True, help="reference per line: string or JSON array")
-    p.add_argument("--metrics", default=DEFAULT_METRICS, help=f"comma list from: {','.join(METRIC_NAMES)}")
+    p.add_argument("--metrics", default=DEFAULT_METRICS, help="comma list of metric names (an unknown one lists them all)")
     p.add_argument("--out", help="report JSON (default: stdout)")
     p.add_argument("--table", action="store_true", help="also print an aligned table")
     common(p)

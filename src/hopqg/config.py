@@ -14,6 +14,10 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError, load_json
 
+# The answer categories a question's wh-word follows (the keys of
+# template.WH_BY_CATEGORY): the values a category override may take.
+CATEGORIES = ("person", "location", "other")
+
 _ENDPOINT_ENV = {
     "generator": "HOPQG_GENERATOR_URL",
     "classifier": "HOPQG_CLASSIFIER_URL",
@@ -72,9 +76,21 @@ class PipelineConfig:
             raise ConfigError(
                 f"oversample_ratio must be >= 1, got {self.oversample_ratio}"
             )
+        _check_categories(self.category_overrides)
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+def _check_categories(overrides, source: str = "") -> None:
+    """overrides must map surfaces to CATEGORIES; a violation names the key,
+    after the file it came from, if any."""
+    where = f"{source}: category_overrides" if source else "category_overrides"
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {overrides!r}")
+    for surface, category in overrides.items():
+        if category not in CATEGORIES:
+            raise ConfigError(f"{where}[{surface!r}] must be one of {', '.join(CATEGORIES)}, got {category!r}")
 
 
 def _apply_env(config: PipelineConfig, env: dict[str, str]) -> PipelineConfig:
@@ -133,11 +149,9 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
         if not os.path.exists(overrides_file):
             raise ConfigError(f"category_overrides_file not found: {overrides_file}")
         extra = load_json(overrides_file, ConfigError)
-        if not isinstance(extra, dict):
-            raise ConfigError("category_overrides_file must hold a JSON object")
-        merged = dict(config.category_overrides)
-        merged.update(extra)
-        config = replace(config, category_overrides=merged)
+        _check_categories(config.category_overrides)
+        _check_categories(extra, overrides_file)
+        config = replace(config, category_overrides={**config.category_overrides, **extra})
 
     config = _apply_env(config, env)
     config.validate()

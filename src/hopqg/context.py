@@ -96,9 +96,6 @@ class AnnotatedContext:
     def __post_init__(self) -> None:
         self.validate()
 
-    def span_text(self, span: Span) -> str:
-        return self.context[span.start : span.end]
-
     def validate(self) -> None:
         """Check all offsets; raises AnnotationError naming the offending item.
 

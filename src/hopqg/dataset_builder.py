@@ -265,10 +265,6 @@ class BackendSuite:
     decomposer: object
     qa: object
 
-    @classmethod
-    def rule(cls) -> "BackendSuite":
-        return cls(RuleTypeClassifier(), RuleDecomposer(), RuleQa())
-
     def validate(self) -> None:
         for role in ("classifier", "decomposer", "qa"):
             if getattr(self, role) is None:

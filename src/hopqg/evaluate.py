@@ -252,6 +252,9 @@ class TraceRecord(dict):
             check, kind = cls.FIELDS[name]
             if name in obj and not check(obj[name]):
                 raise AnnotationError(f"{where}: {name!r} must be {kind}, got {json_kind(obj[name])}")
+        # d counts inference hops, as generate's --d does: at least one.
+        if "d" in required + optional and "d" in obj and obj["d"] < 1:
+            raise AnnotationError(f"{where}: 'd' must be >= 1, got {obj['d']}")
         return cls(obj)
 
 

@@ -140,62 +140,3 @@ def _serialize(gi: GeneratorInput) -> tuple[str, list[SegmentLabel]]:
             _relabel_parent_tokens(tokens, labels, lo, hi, alias_seqs)
     return " ".join(tokens), labels
 
-
-def parse_input(
-    text: str, step: int = 0, parent_aliases: tuple[str, ...] = ()
-) -> GeneratorInput:
-    """Invert serialization; raises AssemblyError on malformed sequences."""
-    tokens = text.split(" ")
-    positions: dict[str, int] = {}
-    for i, tok in enumerate(tokens):
-        if tok in MARKERS:
-            if tok in positions:
-                raise AssemblyError(f"marker {tok} occurs more than once")
-            positions[tok] = i
-    for required in (BOS, NODE_C, EDGE, NODE_P, EOS):
-        if required not in positions:
-            raise AssemblyError(f"marker {required} missing")
-    if positions[BOS] != 0 or positions[EOS] != len(tokens) - 1:
-        raise AssemblyError("sequence must start with <bos> and end with <eos>")
-    if (TYPE in positions) != (SUBQ in positions):
-        raise AssemblyError("<type> and <subq> must appear together")
-
-    direction = (
-        EdgeDirection.CHILD_TO_PARENT if positions[NODE_C] < positions[NODE_P] else EdgeDirection.PARENT_TO_CHILD
-    )
-    first_node = min(positions[NODE_C], positions[NODE_P])
-    second_node = max(positions[NODE_C], positions[NODE_P])
-    if not (positions[BOS] < first_node < positions[EDGE] < second_node):
-        raise AssemblyError("node and edge blocks out of order")
-    if TYPE in positions and not (second_node < positions[TYPE] < positions[SUBQ] < positions[EOS]):
-        raise AssemblyError("type and sub-question blocks out of order")
-
-    bounds = sorted(positions.values())
-
-    def between(marker: str) -> str:
-        start = positions[marker] + 1
-        end = min(b for b in bounds if b > positions[marker])
-        piece = " ".join(tokens[start:end])
-        if not piece:
-            raise AssemblyError(f"empty block after {marker}")
-        return piece
-
-    rewrite_type = None
-    sub_question = None
-    if TYPE in positions:
-        try:
-            rewrite_type = RewriteType(between(TYPE))
-        except ValueError as exc:
-            raise AssemblyError(f"unknown rewrite type {between(TYPE)!r}") from exc
-        sub_question = between(SUBQ)
-    return GeneratorInput(
-        step=step,
-        sentence=between(BOS),
-        node_child=between(NODE_C),
-        edge=between(EDGE),
-        node_parent=between(NODE_P),
-        direction=direction,
-        rewrite_type=rewrite_type,
-        sub_question=sub_question,
-        parent_aliases=parent_aliases,
-    )

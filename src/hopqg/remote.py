@@ -28,8 +28,6 @@ import urllib.parse
 import urllib.request
 
 from .errors import BackendError
-from .geninput import GeneratorInput
-from .pipeline import StepInfo
 
 # What a JsonClient counts; the CLI writes each as remote.<role>.<counter>.
 # A request is one attempt: a call makes 1 + retries of them. A call whose

@@ -5,6 +5,8 @@ tokenizer definition (which is part of the metric's published contract),
 and none with hopqg.graph beyond the node-identity key. The planner
 oracle reads a graph only through its nodes and edge list, and shares
 with hopqg.planner only the pruning and indexing of a finished tree.
+The input parser inverts hopqg.geninput's serialization and shares with it
+only the marker tokens and the GeneratorInput it rebuilds.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import math
 import random
 from collections import deque
 
-from hopqg.errors import PlanningError
+from hopqg.errors import AssemblyError, PlanningError
+from hopqg.geninput import BOS, EDGE, EOS, MARKERS, NODE_C, NODE_P, SUBQ, TYPE, GeneratorInput
 from hopqg.metrics import light_stem, tokenize
-from hopqg.planner import SpanningTree, index_chain, prune_tree
+from hopqg.planner import EdgeDirection, RewriteType, SpanningTree, index_chain, prune_tree
 from hopqg.textutil import PRONOUNS, norm_key
 
 
@@ -174,6 +177,10 @@ def oracle_match_counts(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     return exact, exact + stem
 
 
+def span_text(ctx, span) -> str:
+    return ctx.context[span.start : span.end]
+
+
 def _oracle_spans_match(a, b) -> bool:
     if a.sent != b.sent:
         return False
@@ -192,7 +199,7 @@ def oracle_graph_merges(ctx) -> list[tuple[list, bool]]:
     groups: list[list] = []
     for t in ctx.triples:
         for span in (t.subject, t.object):
-            key = norm_key(ctx.span_text(span))
+            key = norm_key(span_text(ctx, span))
             if key in PRONOUNS:
                 key = span  # a pronoun merges only through a cluster
             if key not in key_to_group:
@@ -296,3 +303,61 @@ def oracle_plan_chain(graph, d: int, seed: int = 0, answer_text: str | None = No
         root = random.Random(seed).choice(eligible)
     tree = oracle_spanning_tree(graph, root)
     return index_chain(graph, tree, prune_tree(graph, tree, d), d)
+
+
+def parse_input(text: str, step: int = 0, parent_aliases: tuple[str, ...] = ()) -> GeneratorInput:
+    """Invert GeneratorInput serialization; raises AssemblyError on malformed sequences."""
+    tokens = text.split(" ")
+    positions: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        if tok in MARKERS:
+            if tok in positions:
+                raise AssemblyError(f"marker {tok} occurs more than once")
+            positions[tok] = i
+    for required in (BOS, NODE_C, EDGE, NODE_P, EOS):
+        if required not in positions:
+            raise AssemblyError(f"marker {required} missing")
+    if positions[BOS] != 0 or positions[EOS] != len(tokens) - 1:
+        raise AssemblyError("sequence must start with <bos> and end with <eos>")
+    if (TYPE in positions) != (SUBQ in positions):
+        raise AssemblyError("<type> and <subq> must appear together")
+
+    direction = (
+        EdgeDirection.CHILD_TO_PARENT if positions[NODE_C] < positions[NODE_P] else EdgeDirection.PARENT_TO_CHILD
+    )
+    first_node = min(positions[NODE_C], positions[NODE_P])
+    second_node = max(positions[NODE_C], positions[NODE_P])
+    if not (positions[BOS] < first_node < positions[EDGE] < second_node):
+        raise AssemblyError("node and edge blocks out of order")
+    if TYPE in positions and not (second_node < positions[TYPE] < positions[SUBQ] < positions[EOS]):
+        raise AssemblyError("type and sub-question blocks out of order")
+
+    bounds = sorted(positions.values())
+
+    def between(marker: str) -> str:
+        start = positions[marker] + 1
+        end = min(b for b in bounds if b > positions[marker])
+        piece = " ".join(tokens[start:end])
+        if not piece:
+            raise AssemblyError(f"empty block after {marker}")
+        return piece
+
+    rewrite_type = None
+    sub_question = None
+    if TYPE in positions:
+        try:
+            rewrite_type = RewriteType(between(TYPE))
+        except ValueError as exc:
+            raise AssemblyError(f"unknown rewrite type {between(TYPE)!r}") from exc
+        sub_question = between(SUBQ)
+    return GeneratorInput(
+        step=step,
+        sentence=between(BOS),
+        node_child=between(NODE_C),
+        edge=between(EDGE),
+        node_parent=between(NODE_P),
+        direction=direction,
+        rewrite_type=rewrite_type,
+        sub_question=sub_question,
+        parent_aliases=parent_aliases,
+    )

@@ -12,18 +12,17 @@ import time
 import pytest
 
 from hopqg.context import AnnotatedContext
-from hopqg.dataset_builder import BackendSuite, ReasoningTypeTag, process_record
+from hopqg.dataset_builder import ReasoningTypeTag, process_record
 from hopqg.errors import HopqgError
 from hopqg.evaluate import difficulty_probe, filter_generated
 from hopqg.graph import ContextGraph, Edge, Node, build_context_graph
 from hopqg.hotpot import parse_record
 from hopqg.metrics import bleu_n, cider, meteor_simplified, normalize_answer, rouge_l
-from hopqg.geninput import parse_input
 from hopqg.planner import RewriteType, plan_chain, sample_answer_node
 from hopqg.template import TemplateBackend
 from hopqg.cli import main as cli_main
 
-from oracles import oracle_bleu, oracle_cider, oracle_meteor, oracle_rouge_l
+from oracles import oracle_bleu, oracle_cider, oracle_meteor, oracle_rouge_l, parse_input
 from test_geninput import random_input
 from test_metrics import METEOR_GOLDENS, random_corpus
 from util import (
@@ -31,6 +30,7 @@ from util import (
     film_context_doc,
     generate_for_context,
     remake_record_doc,
+    rule_suite,
     star_context_doc,
 )
 
@@ -130,7 +130,7 @@ def test_criterion_2_two_hop_question_hides_intermediates():
 
 def test_criterion_3_two_hop_record_decomposition_golden():
     record = parse_record(remake_record_doc())
-    kind, example, label = process_record(record, BackendSuite.rule())
+    kind, example, label = process_record(record, rule_suite())
     assert kind == "example"
     assert example.rewrite_type is ReasoningTypeTag.BRIDGE
     assert example.q1 == "Who directed Dial M for Murder?"

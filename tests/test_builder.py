@@ -33,12 +33,14 @@ from hopqg.hotpot import (
 )
 from hopqg.planner import RewriteType
 from hopqg.textutil import content_tokens
+from oracles import span_text
 from util import (
     comparison_record_doc,
     hotpot_record_doc,
     novel_record_doc,
     prize_record_doc,
     remake_record_doc,
+    rule_suite,
 )
 
 FIG2_QUESTION = "Who directed the film to which A Perfect Murder was a modern remake?"
@@ -301,7 +303,7 @@ def test_locate_chain_unfound_nodes_skip():
 
 def test_process_record_fig2_golden():
     record = parse_record(remake_record_doc())
-    kind, example, label = process_record(record, BackendSuite.rule())
+    kind, example, label = process_record(record, rule_suite())
     assert kind == "example" and label == "Bridge"
     assert example.rewrite_type is ReasoningTypeTag.BRIDGE
     assert example.q1 == "Who directed Dial M for Murder?"
@@ -317,7 +319,7 @@ def test_process_record_fig2_golden():
 
 def test_process_record_intersection_star():
     record = parse_record(prize_record_doc())
-    kind, example, label = process_record(record, BackendSuite.rule())
+    kind, example, label = process_record(record, rule_suite())
     assert kind == "example" and label == "Intersection"
     assert example.q1 == "Who starred in Heat Wave?"
     assert example.a1 == "Victor Reyes"
@@ -336,7 +338,7 @@ def test_process_record_intersection_star():
 def test_process_record_fallback_annotation_path():
     record = parse_record(novel_record_doc())
     assert record.annotations is None
-    kind, example, label = process_record(record, BackendSuite.rule())
+    kind, example, label = process_record(record, rule_suite())
     assert kind == "example" and label == "Bridge"
     assert example.q1 == "Who wrote Sea Post?"
     assert example.a1 == "Nora Hale"
@@ -356,7 +358,7 @@ def all_records():
 
 
 def test_build_dataset_three_record_fixture():
-    examples, stats = build_dataset(all_records(), BackendSuite.rule())
+    examples, stats = build_dataset(all_records(), rule_suite())
     assert len(examples) == 2
     assert stats["records"] == 3
     assert stats["examples"] == 2
@@ -374,7 +376,7 @@ def test_build_dataset_three_record_fixture():
 
 
 def test_build_dataset_chain_edges_exist_in_graph():
-    examples, _ = build_dataset(all_records(), BackendSuite.rule())
+    examples, _ = build_dataset(all_records(), rule_suite())
     by_id = {
         "remake-1": remake_record_doc(),
         "prize-1": prize_record_doc(),
@@ -397,9 +399,9 @@ def test_build_dataset_chain_edges_exist_in_graph():
 
 
 def test_build_dataset_deterministic_and_concurrent_parity():
-    serial_a, stats_a = build_dataset(all_records(), BackendSuite.rule())
-    serial_b, stats_b = build_dataset(all_records(), BackendSuite.rule())
-    pool, stats_c = build_dataset(all_records(), BackendSuite.rule(), concurrency=4)
+    serial_a, stats_a = build_dataset(all_records(), rule_suite())
+    serial_b, stats_b = build_dataset(all_records(), rule_suite())
+    pool, stats_c = build_dataset(all_records(), rule_suite(), concurrency=4)
     dump = lambda exs: json.dumps([e.to_json() for e in exs], sort_keys=True)
     assert dump(serial_a) == dump(serial_b) == dump(pool)
     assert stats_a == stats_b == stats_c
@@ -455,15 +457,15 @@ def test_fallback_annotate_patterns():
     assert len(ctx.sentences) == 2
     assert len(ctx.triples) == 2
     subj, rel, obj = (
-        ctx.span_text(ctx.triples[0].subject),
-        ctx.span_text(ctx.triples[0].relation),
-        ctx.span_text(ctx.triples[0].object),
+        span_text(ctx, ctx.triples[0].subject),
+        span_text(ctx, ctx.triples[0].relation),
+        span_text(ctx, ctx.triples[0].object),
     )
     assert (subj, rel, obj) == ("The film Ocean Letters", "was inspired by", "Sea Post")
     subj2, rel2, obj2 = (
-        ctx.span_text(ctx.triples[1].subject),
-        ctx.span_text(ctx.triples[1].relation),
-        ctx.span_text(ctx.triples[1].object),
+        span_text(ctx, ctx.triples[1].subject),
+        span_text(ctx, ctx.triples[1].relation),
+        span_text(ctx, ctx.triples[1].object),
     )
     assert (subj2, rel2, obj2) == ("Nora Hale", "wrote", "Sea Post")
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -17,6 +18,8 @@ import pytest
 
 import hopqg
 import hopqg.cli
+import hopqg.graph
+import hopqg.template
 from hopqg.cli import main
 from hopqg.context import AnnotatedContext
 from hopqg.evaluate import read_traces, write_jsonl
@@ -251,16 +254,17 @@ def test_generate_per_item_failures_exit_1(tmp_path, caplog):
 
 
 def count_builds(monkeypatch) -> list:
-    """Patch the CLI's graph builder; returns a weak reference per graph built."""
+    """Patch the graph builder the CLI calls; returns a weak reference per
+    graph built."""
     built = []
-    real_build = hopqg.cli.build_context_graph
+    real_build = hopqg.graph.build_context_graph
 
     def counting_build(ctx):
         graph = real_build(ctx)
         built.append(weakref.ref(graph))
         return graph
 
-    monkeypatch.setattr(hopqg.cli, "build_context_graph", counting_build)
+    monkeypatch.setattr(hopqg.graph, "build_context_graph", counting_build)
     return built
 
 
@@ -279,7 +283,7 @@ def test_generate_builds_one_graph_per_context(tmp_path, monkeypatch):
 def test_generate_drops_each_graph_after_its_last_seed(tmp_path, monkeypatch):
     built = count_builds(monkeypatch)
     alive_at_build = []
-    real_build = hopqg.cli.build_context_graph
+    real_build = hopqg.graph.build_context_graph
 
     def build_and_look(ctx):
         # The planner's recursive closure leaves cycles that hold a graph
@@ -288,7 +292,7 @@ def test_generate_drops_each_graph_after_its_last_seed(tmp_path, monkeypatch):
         alive_at_build.append(sum(ref() is not None for ref in built))
         return real_build(ctx)
 
-    monkeypatch.setattr(hopqg.cli, "build_context_graph", build_and_look)
+    monkeypatch.setattr(hopqg.graph, "build_context_graph", build_and_look)
     docs = [film_context_doc(), film3_context_doc(), film_context_doc()]
     ctx = write_json(tmp_path / "ctx.json", docs)
     cfg = write_json(tmp_path / "cfg.json", {"concurrency": 1})
@@ -350,7 +354,7 @@ def test_generate_seeds_of_one_context_run_in_parallel(tmp_path, monkeypatch):
             self.barrier.wait()
             return super().initial(gi, info)
 
-    monkeypatch.setitem(hopqg.cli._SERVICES, "generator", (BarrierBackend, *hopqg.cli._SERVICES["generator"][1:]))
+    monkeypatch.setattr(hopqg.template, "TemplateBackend", BarrierBackend)
     ctx = write_json(tmp_path / "ctx.json", film_context_doc())
     cfg = write_json(tmp_path / "cfg.json", {"concurrency": 2})
     out = str(tmp_path / "traces.jsonl")
@@ -781,6 +785,15 @@ def test_probe_accepts_any_d_that_int_reads(tmp_path, capsys):
     assert f"{traces}:2: 'd' must be an integer, got a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [0, -2, 0.0])
+def test_probe_rejects_d_below_one(tmp_path, capsys, d):
+    first, second = probe_traces()
+    second["d"] = d
+    traces = write(tmp_path / "t.jsonl", json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    assert main(["probe", "--traces", traces, "--backend", "rule"]) == 2
+    assert f"{traces}:2: 'd' must be >= 1, got {d}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("d, kind", [(1.7, "a number"), (True, "a boolean"), ("3", "a string")])
 def test_probe_takes_d_only_as_an_integral_number(tmp_path, capsys, d, kind):
     first, second = probe_traces()
@@ -935,6 +948,18 @@ def test_cli_invalid_config_exits_2(tmp_path):
     item = {"question": "q ?", "answer": "z"}
     traces = write(tmp_path / "t.jsonl", json.dumps(item) + "\n")
     assert main(["filter", "--traces", traces, "--out", str(tmp_path / "k.jsonl"), "--config", cfg]) == 2
+
+
+def test_cli_category_override_outside_the_categories_exits_2(tmp_path, capsys):
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    args = ["generate", "--context", ctx, "--out", str(tmp_path / "t.jsonl"), "--config"]
+    cfg = write_json(tmp_path / "cfg.json", {"category_overrides": ["Tom Cruise"]})
+    assert main(args + [cfg]) == 2
+    assert "error: category_overrides must be a JSON object, got ['Tom Cruise']" in capsys.readouterr().err
+    cfg = write_json(tmp_path / "cfg.json", {"category_overrides": {"Tom Cruise": "actor"}})
+    assert main(args + [cfg]) == 2
+    assert "error: category_overrides['Tom Cruise'] must be one of person, location, other" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_cli_config_of_wrong_type_exits_2(tmp_path, capsys):
@@ -1117,14 +1142,64 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
     assert runs[:2] == runs[2:]
 
 
-def test_template_and_metric_runs_load_no_http_client(tmp_path):
+def fresh_python(lines: list[str]) -> list[str]:
+    """The output lines of a new interpreter that imports hopqg from this
+    checkout and runs lines."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopqg.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_template_and_metric_runs_load_no_http_client(tmp_path):
     modules = ("hopqg.remote", "http.client", "urllib.request", "ssl", "email.parser")
     lines = ["import sys", "from hopqg.cli import main"]
     for argv, _ in run_commands_argv(tmp_path):
         lines += [f"assert main({argv!r}) == 0", f"print(sorted(m for m in {modules!r} if m in sys.modules))"]
-    out = subprocess.run(
-        [sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert fresh_python(lines) == ["[]", "[]"]
+
+
+# The package modules a command must leave unloaded: evaluate runs no
+# generation step, and a template generate neither scores nor builds
+# training data.
+NOT_RUN = {
+    "generate": ("hopqg.metrics", "hopqg.evaluate", "hopqg.dataset_builder", "hopqg.hotpot"),
+    "evaluate": (
+        "hopqg.graph", "hopqg.planner", "hopqg.pipeline", "hopqg.template",
+        "hopqg.geninput", "hopqg.dataset_builder", "hopqg.hotpot",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_RUN))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    argv = next(argv for argv, _ in run_commands_argv(tmp_path) if argv[0] == command)
+    for extra in ([], ["--manifest-only"]):
+        lines = [
+            "import sys",
+            "from hopqg.cli import main",
+            f"assert main({argv + extra!r}) == 0",
+            f"print(sorted(m for m in {NOT_RUN[command]!r} if m in sys.modules))",
+        ]
+        assert fresh_python(lines) == ["[]"]
+
+
+def test_bare_package_root_loads_no_submodule():
+    lines = ["import sys, hopqg", "print(sorted(m for m in sys.modules if m.startswith('hopqg.')))"]
+    assert fresh_python(lines) == ["[]"]
+
+
+def test_every_module_imports_on_its_own():
+    # Each module first in a clean package, so that no import order of
+    # another module can hide an import cycle.
+    names = sorted(info.name for info in pkgutil.iter_modules(hopqg.__path__, "hopqg."))
+    lines = [
+        "import importlib, sys",
+        f"for name in {names!r}:",
+        "    for loaded in [m for m in sys.modules if m == 'hopqg' or m.startswith('hopqg.')]:",
+        "        del sys.modules[loaded]",
+        "    importlib.import_module(name)",
+        "    print(name)",
+    ]
+    assert "hopqg.cli" in names and fresh_python(lines) == names

@@ -7,9 +7,10 @@ import threading
 
 import pytest
 
-from hopqg.config import Endpoints, PipelineConfig, load_config
+from hopqg.config import CATEGORIES, Endpoints, PipelineConfig, load_config
 from hopqg.errors import ConfigError
 from hopqg.manifest import RunManifest, sha256_file
+from hopqg.template import WH_BY_CATEGORY
 
 
 def test_defaults_are_valid():
@@ -109,6 +110,34 @@ def test_category_overrides_file_merges(tmp_path):
     path.write_text(json.dumps({"category_overrides_file": str(tmp_path / "nope.json")}))
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(path), env={})
+
+
+@pytest.mark.parametrize(
+    "doc, extra, message",
+    [
+        ({"category_overrides": ["Tom Cruise"]}, None, "category_overrides must be a JSON object, got ['Tom Cruise']"),
+        ({"category_overrides": {"Top Gun": "film"}}, None, "category_overrides['Top Gun'] must be one of"),
+        ({"category_overrides": ["Tom Cruise"]}, {"Top Gun": "other"}, "category_overrides must be a JSON object"),
+        ({"category_overrides": {"Top Gun": "other"}}, {"Tom Cruise": 1}, ": category_overrides['Tom Cruise'] must be"),
+        ({}, ["Tom Cruise"], ": category_overrides must be a JSON object, got ['Tom Cruise']"),
+    ],
+)
+def test_category_overrides_must_map_to_a_category(tmp_path, doc, extra, message):
+    if extra is not None:
+        cats = tmp_path / "cats.json"
+        cats.write_text(json.dumps(extra))
+        doc = dict(doc, category_overrides_file=str(cats))
+        if message.startswith(":"):
+            message = str(cats) + message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path), env={})
+    assert str(info.value).startswith(message)
+
+
+def test_config_categories_are_the_template_categories():
+    assert set(CATEGORIES) == set(WH_BY_CATEGORY)
 
 
 def test_config_snapshot_is_json_serializable():

@@ -3,14 +3,11 @@ import random
 import pytest
 
 from hopqg.errors import AssemblyError
-from hopqg.geninput import (
-    MARKERS,
-    GeneratorInput,
-    SegmentLabel,
-    parse_input,
-)
+from hopqg.geninput import MARKERS, GeneratorInput, SegmentLabel
 from hopqg.planner import EdgeDirection, RewriteType
 from hopqg.textutil import strip_punct
+
+from oracles import parse_input
 
 
 def test_initial_serialization_child_to_parent():

@@ -8,7 +8,7 @@ from hopqg.context import AnnotatedContext, Sentence, Span, Triple
 from hopqg.errors import AnnotationError, NodeNotFoundError
 from hopqg.graph import build_context_graph
 
-from oracles import oracle_graph_merges
+from oracles import oracle_graph_merges, span_text
 from util import (
     film3_context_doc,
     film_context_doc,
@@ -309,7 +309,7 @@ def test_indexed_matching_equals_all_pairs_rule():
         expected = oracle_graph_merges(ctx)
         assert [(n.mentions, n.is_named_entity) for n in graph.nodes] == expected, seed
         nodes += len(expected)
-        merged += sum(len({ctx.span_text(m).casefold() for m in ms}) > 1 for ms, _ in expected)
+        merged += sum(len({span_text(ctx, m).casefold() for m in ms}) > 1 for ms, _ in expected)
         named += sum(flag for _, flag in expected)
     # The contexts exercise coreference merges and both NE outcomes.
     assert merged > 0 and 0 < named < nodes

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from http.server import ThreadingHTTPServer
 
 from hopqg.context import AnnotatedContext
+from hopqg.dataset_builder import BackendSuite, RuleDecomposer, RuleQa, RuleTypeClassifier
 from hopqg.graph import build_context_graph
 from hopqg.pipeline import QuestionTrace, generate_stepwise
 from hopqg.planner import plan_chain
@@ -74,6 +75,11 @@ def generate_for_context(
     graph = build_context_graph(ctx)
     chain = plan_chain(graph, d, seed=seed, answer_text=answer_text)
     return generate_stepwise(ctx, graph, chain, backend, category_overrides)
+
+
+def rule_suite() -> BackendSuite:
+    """The rule stand-ins of all three dataset-construction services."""
+    return BackendSuite(RuleTypeClassifier(), RuleDecomposer(), RuleQa())
 
 
 # The film-star fixture: answer Tom Cruise, bridge hop through Top Gun.
