@@ -171,6 +171,7 @@ class _SharedGraph:
 def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, generator) -> Outcome:
     from .pipeline import generate_stepwise
     from .planner import plan_chain
+    from .template import key_overrides
 
     for flag, value in (("--d", args.d), ("--count", args.count)):
         if value < 1:
@@ -178,6 +179,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
     if args.manifest_only:
         return EXIT_OK, []
     contexts = _load_context_docs(args.context)
+    overrides = key_overrides(config.category_overrides)
     shared = [_SharedGraph(ctx, args.count) for ctx in contexts]
     jobs = [
         (index, args.seed + k)
@@ -200,9 +202,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
                 chain = plan_chain(graph, args.d, seed=seed, answer_text=args.answer)
             manifest.count("plan")
             with manifest.timed("generate"):
-                trace = generate_stepwise(
-                    share.ctx, graph, chain, generator, config.category_overrides
-                )
+                trace = generate_stepwise(share.ctx, graph, chain, generator, overrides)
             manifest.count("generate")
             return trace, None
         except HopqgError as exc:

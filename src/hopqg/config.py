@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError, load_json
@@ -24,6 +25,10 @@ _ENDPOINT_ENV = {
     "decomposer": "HOPQG_DECOMPOSER_URL",
     "qa": "HOPQG_QA_URL",
 }
+
+# An http(s) URL with a host: the scheme, '//' and at least one character
+# before the path, query or fragment, as the remote client reads a URL.
+_SERVICE_URL = re.compile(r"https?://[^/?#]", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,12 @@ class PipelineConfig:
                 f"oversample_ratio must be >= 1, got {self.oversample_ratio}"
             )
         _check_categories(self.category_overrides)
+        for role, var in _ENDPOINT_ENV.items():
+            url = getattr(self.endpoints, role)
+            if url is not None and not (isinstance(url, str) and _SERVICE_URL.match(url)):
+                raise ConfigError(
+                    f"endpoints.{role} (or {var}) must be an http(s) URL with a host, got {url!r}"
+                )
 
     def to_json(self) -> dict:
         return asdict(self)

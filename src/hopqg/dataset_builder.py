@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +22,7 @@ from .graph import ContextGraph, Edge, Node, build_context_graph
 from .hotpot import HotpotRecord, record_context
 from .metrics import normalize_answer
 from .planner import ChainNode, ReasoningChain, RewriteType
-from .textutil import content_tokens, strip_punct
+from .textutil import clean_tokens, content_set, content_tokens, strip_punct
 
 logger = logging.getLogger("hopqg.builder")
 
@@ -181,21 +182,24 @@ _GLUE = {
 }
 
 
-def _clean(token: str) -> str:
-    return strip_punct(token).casefold()
-
-
 def _longest_common_run(a: list[str], b: list[str]) -> tuple[int, int, int]:
-    """(length, end_in_a, end_in_b) of the longest common contiguous run."""
+    """(length, end_in_a, end_in_b) of the longest common contiguous run; of
+    equal runs, the one ending first in a, then in b.
+
+    The run-length table, kept only where the tokens match: each a token
+    extends the runs ending just before its matches in b.
+    """
+    where: dict[str, list[int]] = {}
+    for j, tok in enumerate(b, 1):
+        where.setdefault(tok, []).append(j)
     best = (0, 0, 0)
-    prev = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        row = [0] * (len(b) + 1)
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                row[j] = prev[j - 1] + 1
-                if row[j] > best[0]:
-                    best = (row[j], i, j)
+    prev: dict[int, int] = {}
+    for i, tok in enumerate(a, 1):
+        row = {}
+        for j in where.get(tok, ()):
+            run = row[j] = prev.get(j - 1, 0) + 1
+            if run > best[0]:
+                best = (run, i, j)
         prev = row
     return best
 
@@ -212,25 +216,46 @@ class RuleQa:
     one keeping more tokens wins (the short side is usually a dangling
     adjunct); ties go to the right-hand span, matching subject-verb-object
     reading order.
+
+    Each thread keeps the sentence table of the last context it answered
+    on: the context's sentences, each with its cleaned tokens and its
+    content-token set. A record's two sub-questions are asked on one
+    context, so the second call splits and tokenizes no sentence.
     """
 
     kind = "rule"
     name = "rule-qa"
 
+    def __init__(self) -> None:
+        self._last = threading.local()
+
+    def _sentences(self, context: str) -> list[tuple[str, list[str], set[str]]]:
+        last = self._last
+        if getattr(last, "context", None) != context:
+            table = []
+            for sentence in _SENT_SPLIT_RE.split(context):
+                tokens = clean_tokens(sentence)
+                table.append((sentence, tokens, content_set(tokens)))
+            last.sentences = table
+            last.context = context
+        return last.sentences
+
     def answer(self, question: str, context: str) -> str:
-        q_tokens = [_clean(t) for t in question.split()]
+        q_tokens = clean_tokens(question)
         q_set = set(q_tokens)
-        q_content = set(content_tokens(question))
-        best_sentence = None
+        q_content = content_set(q_tokens)
+        best = None
         best_overlap = 0
-        for sentence in _SENT_SPLIT_RE.split(context):
-            overlap = len(q_content & set(content_tokens(sentence)))
+        for entry in self._sentences(context):
+            overlap = len(q_content & entry[2])
             if overlap > best_overlap:
-                best_overlap, best_sentence = overlap, sentence
-        if best_sentence is None:
+                best_overlap, best = overlap, entry
+        if best is None:
             return ""
+        best_sentence, s_tokens, _ = best
+        # _TOKEN_RE and str.split agree on whitespace, so the matches line
+        # up with the cleaned tokens.
         matches = list(_TOKEN_RE.finditer(best_sentence))
-        s_tokens = [_clean(m.group()) for m in matches]
         run_len, _, run_end_b = _longest_common_run(q_tokens, s_tokens)
         if run_len == 0:
             return ""
@@ -336,8 +361,11 @@ def assign_context_sentences(
 ) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
     """Split supporting facts into (facts of the paragraph Q_1 concerns, rest)."""
     q_content = set(content_tokens(q1))
+    # Tokens ignore the whitespace between them: the sentences need no
+    # collapsing.
     overlaps = [
-        len(q_content & set(content_tokens(p.text()))) for p in record.paragraphs
+        len(q_content & set(content_tokens(" ".join(p.sentences))))
+        for p in record.paragraphs
     ]
     if all(o == 0 for o in overlaps):
         raise _Skip(SKIP_OVERLAP)
@@ -348,18 +376,16 @@ def assign_context_sentences(
     return s1, s2
 
 
-def _node_tokens(node: Node) -> set[str]:
-    return set(content_tokens(" ".join(node.all_texts())))
-
-
-def _best_node(graph: ContextGraph, tokens: set[str], exclude: set[int]) -> Node | None:
-    """Highest content-token-overlap node outside the excluded set."""
+def _best_node(
+    candidates: list[tuple[Node, set[str]]], tokens: set[str], exclude: int | None = None
+) -> Node | None:
+    """Highest content-token-overlap candidate other than node exclude."""
     best: tuple[int, int] | None = None
     best_node = None
-    for node in graph.nodes:
-        if node.id in exclude:
+    for node, node_tokens in candidates:
+        if node.id == exclude:
             continue
-        overlap = len(_node_tokens(node) & tokens)
+        overlap = len(node_tokens & tokens)
         if overlap == 0:
             continue
         key = (overlap, -node.id)
@@ -394,12 +420,17 @@ def locate_chain(
         root = graph.find_node(a2)
     except NodeNotFoundError:
         raise _Skip(SKIP_NODE) from None
-    q1_tokens = set(content_tokens(q1_subq))
-    other_tokens = set(content_tokens(other_subq))
-    middle = _best_node(graph, q1_tokens, {root.id})
+    # Each node's tokens, once for both lookups; the root is never a candidate.
+    # A text the surface repeats, or two mentions share, is tokenized once.
+    candidates = [
+        (node, set(content_tokens(" ".join(dict.fromkeys(node.all_texts())))))
+        for node in graph.nodes
+        if node.id != root.id
+    ]
+    middle = _best_node(candidates, set(content_tokens(q1_subq)))
     if middle is None:
         raise _Skip(SKIP_NODE)
-    leaf = _best_node(graph, other_tokens, {root.id, middle.id})
+    leaf = _best_node(candidates, set(content_tokens(other_subq)), exclude=middle.id)
     if leaf is None:
         raise _Skip(SKIP_NODE)
     bridge = tag is ReasoningTypeTag.BRIDGE

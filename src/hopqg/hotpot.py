@@ -37,9 +37,6 @@ class Paragraph:
     title: str
     sentences: list[str]
 
-    def text(self) -> str:
-        return " ".join(collapse(s) for s in self.sentences)
-
 
 @dataclass
 class HotpotRecord:

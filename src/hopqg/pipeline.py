@@ -67,6 +67,9 @@ def generate_stepwise(
 ) -> QuestionTrace:
     """Run the initial generator plus d-1 rewrites along the chain.
 
+    category_overrides is keyed by template.key_overrides: a run keys its
+    overrides once, not once per chain.
+
     Backend failure at step i raises GenerationError carrying the questions
     already produced (steps 1..i-1).
     """

@@ -22,10 +22,17 @@ WH_BY_CATEGORY = {"person": "Who", "location": "Which place", "other": "What"}
 _COPULAR = {"is", "was", "are", "were"}
 
 
+def key_overrides(overrides: dict[str, str]) -> dict[str, str]:
+    """Category overrides keyed by norm_key, as guess_category reads them.
+    Of two surfaces with one key, the later wins."""
+    return {norm_key(k): v for k, v in overrides.items()}
+
+
 def guess_category(surface: str, is_named_entity: bool, overrides: dict[str, str] | None = None) -> str:
-    """Crude answer-category guess; config overrides take precedence."""
+    """Crude answer-category guess; overrides, keyed by key_overrides, take
+    precedence."""
     if overrides:
-        hit = {norm_key(k): v for k, v in overrides.items()}.get(norm_key(surface))
+        hit = overrides.get(norm_key(surface))
         if hit:
             return hit
     tokens = surface.split()

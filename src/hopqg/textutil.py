@@ -38,15 +38,31 @@ def strip_punct(token: str) -> str:
     return token.strip(_PUNCT)
 
 
+def clean_tokens(text: str) -> list[str]:
+    """Casefolded whitespace tokens with edge punctuation removed, one per
+    token of text.split(): a token of punctuation only becomes ''."""
+    return [raw.strip(_PUNCT) for raw in text.casefold().split()]
+
+
+def content_set(tokens: list[str]) -> set[str]:
+    """The set of content_tokens(text), from clean_tokens(text)."""
+    return {t for t in tokens if t and t not in STOPWORDS}
+
+
 def match_tokens(text: str) -> list[str]:
-    """Casefolded tokens with edge punctuation removed; empty tokens dropped."""
-    out = []
-    for tok in text.split():
-        tok = strip_punct(tok).casefold()
-        if tok:
-            out.append(tok)
-    return out
+    """Casefolded tokens with edge punctuation removed; empty tokens dropped.
+
+    The text is casefolded once, before it is split. Casefolding maps each
+    character on its own to a non-empty string holding no whitespace and no
+    ASCII punctuation, and leaves whitespace and ASCII punctuation as they
+    are, so the tokens are those of casefolding each stripped token.
+    """
+    return [tok for raw in text.casefold().split() if (tok := raw.strip(_PUNCT))]
 
 
 def content_tokens(text: str) -> list[str]:
-    return [t for t in match_tokens(text) if t not in STOPWORDS]
+    """match_tokens without STOPWORDS."""
+    return [
+        tok for raw in text.casefold().split()
+        if (tok := raw.strip(_PUNCT)) and tok not in STOPWORDS
+    ]

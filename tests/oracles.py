@@ -6,13 +6,16 @@ and none with hopqg.graph beyond the node-identity key. The planner
 oracle reads a graph only through its nodes and edge list, and shares
 with hopqg.planner only the pruning and indexing of a finished tree.
 The input parser inverts hopqg.geninput's serialization and shares with it
-only the marker tokens and the GeneratorInput it rebuilds.
+only the marker tokens and the GeneratorInput it rebuilds. The match-token
+and common-run oracles are the per-token and full-table forms of
+hopqg.textutil.match_tokens and the rule QA's run search.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import string
 from collections import deque
 
 from hopqg.errors import AssemblyError, PlanningError
@@ -175,6 +178,31 @@ def oracle_match_counts(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     stems_r = [light_stem(t) for t in left_r]
     stem = sum(min(stems_h.count(s), stems_r.count(s)) for s in set(stems_h))
     return exact, exact + stem
+
+
+def oracle_match_tokens(text: str) -> list[str]:
+    """Each whitespace token stripped of ASCII punctuation, then casefolded;
+    empty ones dropped."""
+    out = []
+    for tok in text.split():
+        tok = tok.strip(string.punctuation).casefold()
+        if tok:
+            out.append(tok)
+    return out
+
+
+def oracle_longest_common_run(a: list, b: list) -> tuple[int, int, int]:
+    """(length, end in a, end in b) of the first longest common contiguous
+    run, over the full run-length table in row order."""
+    best = (0, 0, 0)
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+                if table[i][j] > best[0]:
+                    best = (table[i][j], i, j)
+    return best
 
 
 def span_text(ctx, span) -> str:

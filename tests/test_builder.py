@@ -1,9 +1,15 @@
 """Dataset construction: rule backends, stage functions, full builds."""
 
+import hashlib
 import json
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import hopqg.dataset_builder as builder
+from hopqg.cli import main
 from hopqg.dataset_builder import (
     PLACEHOLDER,
     SKIP_ANSWER,
@@ -16,6 +22,7 @@ from hopqg.dataset_builder import (
     RuleDecomposer,
     RuleQa,
     RuleTypeClassifier,
+    _longest_common_run,
     _Skip,
     assign_context_sentences,
     build_dataset,
@@ -33,10 +40,11 @@ from hopqg.hotpot import (
 )
 from hopqg.planner import RewriteType
 from hopqg.textutil import content_tokens
-from oracles import span_text
+from oracles import oracle_longest_common_run, span_text
 from util import (
     comparison_record_doc,
     hotpot_record_doc,
+    make_context_doc,
     novel_record_doc,
     prize_record_doc,
     remake_record_doc,
@@ -488,3 +496,200 @@ def test_record_context_prefers_curated_annotations():
     ctx = record_context(record)
     # The curated annotation carries the coref cluster; the fallback never does.
     assert len(ctx.coref_clusters) == 1
+
+
+def test_longest_common_run_matches_the_full_table():
+    rng = random.Random(0)
+    words = ["a", "b", "c", "", "the"]
+    for _ in range(3000):
+        a = [rng.choice(words) for _ in range(rng.randint(0, 10))]
+        b = [rng.choice(words) for _ in range(rng.randint(0, 10))]
+        assert _longest_common_run(a, b) == oracle_longest_common_run(a, b), (a, b)
+
+
+def test_each_text_is_tokenized_once_per_record(monkeypatch):
+    """Both QA calls on a record share one tokenizing of its context's
+    sentences, and locate_chain tokenizes each node once."""
+    record = parse_record(remake_record_doc())
+    phase: list[str] = []
+    seen: dict[str, list[str]] = {"qa": [], "locate": []}
+
+    def counted(tokenize):
+        def wrapped(text):
+            if phase:
+                seen[phase[-1]].append(text)
+            return tokenize(text)
+        return wrapped
+
+    for name in ("content_tokens", "clean_tokens"):
+        monkeypatch.setattr(builder, name, counted(getattr(builder, name)))
+
+    suite = rule_suite()
+    answer, questions = suite.qa.answer, []
+
+    def qa_answer(question, context):
+        questions.append(question)
+        phase.append("qa")
+        try:
+            return answer(question, context)
+        finally:
+            phase.pop()
+
+    # Wrapped on the instance, as a tracer wraps a suite's members.
+    suite.qa.answer = qa_answer
+    locate, graphs = builder.locate_chain, []
+
+    def locate_chain(graph, a2, q1_subq, other_subq, tag):
+        graphs.append((graph, q1_subq, other_subq))
+        phase.append("locate")
+        try:
+            return locate(graph, a2, q1_subq, other_subq, tag)
+        finally:
+            phase.pop()
+
+    monkeypatch.setattr(builder, "locate_chain", locate_chain)
+    kind, _, _ = process_record(record, suite)
+    assert kind == "example"
+
+    sentences = builder._SENT_SPLIT_RE.split(record_context(record).context)
+    assert len(sentences) == 3 and len(questions) == 2
+    assert [seen["qa"].count(s) for s in sentences] == [1, 1, 1]
+    assert sorted(t for t in seen["qa"] if t not in sentences) == sorted(questions)
+    [(graph, q1_subq, other_subq)] = graphs
+    node_texts = [t for t in seen["locate"] if t not in (q1_subq, other_subq)]
+    assert len(graph.nodes) == 4
+    assert len(node_texts) <= len(graph.nodes)
+    assert len(set(node_texts)) == len(node_texts)
+
+
+def test_rule_qa_answers_as_a_fresh_one_across_contexts_and_threads():
+    docs = (remake_record_doc(), prize_record_doc(), novel_record_doc())
+    contexts = [record_context(parse_record(doc)).context for doc in docs]
+    questions = [
+        "To which film A Perfect Murder was a modern remake?",
+        "Who directed Dial M for Murder?",
+        "Who won the Marlowe Prize?",
+        "Who wrote Sea Post?",
+    ]
+    fresh = {(q, c): RuleQa().answer(q, c) for q in questions for c in contexts}
+    assert len(set(fresh.values())) >= 4
+    qa = RuleQa()
+    for context in (contexts[0], contexts[1], contexts[0]):
+        assert [qa.answer(q, context) for q in questions] == [fresh[q, context] for q in questions]
+    # One instance, more threads than cores, switching often: each thread
+    # keeps its own table.
+    rng = random.Random(3)
+    jobs = [(q, c) for _ in range(200) for q in questions for c in contexts]
+    rng.shuffle(jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda job: qa.answer(*job), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [fresh[job] for job in jobs]
+
+
+# --------------------------------------------------------- build-dataset golden
+
+_FIRST = ["Alfred", "Jürgen", "Zoë", "Émile", "Ana-María", "Søren", "İlkay", "Nora", "ＫＥＮ", "Ōta"]
+_LAST = ["Hitchcock", "Groß", "Saldaña", "Zola", "O'Neil", "Kierkegaard", "Şahin", "Hale", "ΣΟΦΟΣ", "Lévesque"]
+_TITLE = ["Murder", "Straße", "Night", "Train", "Ōkami", "Blue", "Ｔｏｋｙｏ", "Heat", "Wave", "Harbor", "Ocean", "Ĳssel"]
+
+
+def _golden_record(rng: random.Random, k: int) -> dict:
+    """Record k of a fixed set: curated and fallback Bridge records,
+    curated Intersection records, fallback Comparison and one-hop records,
+    an answer that no sub-answer matches, and a broken annotation, with
+    names whose casefolds change length and whitespace outside ASCII."""
+    person = f"{rng.choice(_FIRST)} {rng.choice(_LAST)}"
+    a, b = (" ".join(rng.sample(_TITLE, 2)) for _ in range(2))
+    if a == b:
+        b = f"The {b}"
+    year = rng.randint(1950, 2019)
+    distractor = (f"Other {k}", [f"Other {k} is a {year} film.", f"{person} directed Other {k}."])
+    kind = k % 7
+    if kind in (0, 5, 6):
+        sep = "\u2028" if kind == 5 else " "
+        sents = [
+            f"{a} is a {year} American crime film.",
+            f"It is a modern remake{sep}of the film {b}.",
+            f"{b} was directed by {person}.",
+        ]
+        annotations = make_context_doc(
+            sents,
+            [(0, a, "is", f"a {year} American crime film"), (1, "It", f"is a modern remake{sep}of", b),
+             (2, b, "was directed by", person)],
+            coref=[[(0, a), (1, "It")]],
+            named_entities=[(0, a), (1, b), (2, b), (2, person)],
+        )
+        if kind == 6:
+            annotations["triples"][0]["object"]["end"] = len(annotations["context"]) + 5
+        answer = person if kind != 5 else f"{person} Jr"
+        return hotpot_record_doc(
+            f"bridge-{k}", f"Who directed the film to which {a} was a modern remake?", answer,
+            [(b, [sents[2]]), distractor, (a, sents[:2])], [(a, 1), (b, 0)], annotations,
+        )
+    if kind == 1:
+        prize = f"The {b.split()[0]} Prize"
+        sents = [
+            f"{a} is a {year} thriller film.",
+            f"{person} starred in {a}.",
+            f"{prize} is awarded annually for screen acting.",
+            f"{person} won the {b.split()[0]} Prize in {year + 1}.",
+        ]
+        annotations = make_context_doc(
+            sents,
+            [(0, a, "is", f"a {year} thriller film"), (1, person, "starred in", a),
+             (2, prize, "is awarded annually for", "screen acting"), (3, person, "won", f"the {b.split()[0]} Prize")],
+            named_entities=[(0, a), (1, person), (1, a), (2, prize), (3, person)],
+        )
+        return hotpot_record_doc(
+            f"prize-{k}", f"Who starred in {a} and won the {b.split()[0]} Prize?", person,
+            [(a, sents[:2]), (prize, sents[2:]), distractor], [(a, 1), (prize, 1)], annotations,
+        )
+    if kind == 2:
+        return hotpot_record_doc(
+            f"novel-{k}", f"Who wrote the novel which inspired the film {a}?", person,
+            [(a, [f"The film {a} was  inspired by {b}."]), distractor, (b, [f"{person}\u00a0wrote {b}."])],
+            [(a, 0), (b, 0)],
+        )
+    if kind == 3:
+        x, y = rng.sample(range(80, 180), 2)
+        return hotpot_record_doc(
+            f"compare-{k}", f"Which film is longer, {a} or {b}?", a if x > y else b,
+            [(a, [f"{a} is a {year} drama film.", f"{a} runs {x} minutes."]),
+             (b, [f"{b} is a {year + 1} drama film.", f"{b} runs {y} minutes."])],
+            [(a, 1), (b, 1)],
+        )
+    return hotpot_record_doc(
+        f"onehop-{k}", f"Who directed {a}?", person,
+        [(a, [f"{a} was directed by {person}."]), (b, [f"{b} is a {year} film."])], [(a, 0), (b, 0)],
+    )
+
+
+# sha256 over the examples and stats files that build-dataset writes for
+# the records of _golden_record, at concurrency 1 and at 4, so that no edit
+# to dataset construction changes its output silently.
+BUILD_DATASET_GOLDEN = "806b0a45b4105407ef629f7e62e27a50e56f06103c51531ce55c04824ab0bd36"
+
+
+def test_build_dataset_golden_digest(tmp_path):
+    rng = random.Random(17)
+    records = tmp_path / "records.jsonl"
+    lines = [json.dumps(_golden_record(rng, k), ensure_ascii=False) + "\n" for k in range(70)]
+    records.write_text("".join(lines), encoding="utf-8")
+    digests = []
+    for concurrency in (1, 4):
+        config = tmp_path / f"config-{concurrency}.json"
+        config.write_text(json.dumps({"concurrency": concurrency}))
+        out, stats = tmp_path / f"examples-{concurrency}.jsonl", tmp_path / f"stats-{concurrency}.json"
+        argv = ["build-dataset", "--hotpot", str(records), "--out", str(out), "--stats", str(stats)]
+        # 1: the broken annotations are record errors.
+        assert main(argv + ["--config", str(config)]) == 1
+        digests.append(hashlib.sha256(out.read_bytes() + stats.read_bytes()).hexdigest())
+    summary = json.loads(stats.read_text())
+    assert summary["types"] == {"Bridge": 40, "Comparison": 10, "Intersection": 10, "OneHop": 10}
+    assert summary["examples"] >= 15 and summary["errors"] == 10
+    assert digests == [BUILD_DATASET_GOLDEN] * 2

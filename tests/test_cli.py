@@ -962,6 +962,44 @@ def test_cli_category_override_outside_the_categories_exits_2(tmp_path, capsys):
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def test_generate_keys_the_overrides_once_per_run(tmp_path, monkeypatch):
+    ctx = write_json(tmp_path / "ctx.json", [film_context_doc(), film_context_doc()])
+    overrides = {"  tom   CRUISE ": "location", "Top Gun": "other"}
+    cfg = write_json(tmp_path / "cfg.json", {"category_overrides": overrides})
+    keyed = []
+    norm_key = hopqg.template.norm_key
+
+    def counted(text):
+        keyed.append(text)
+        return norm_key(text)
+
+    monkeypatch.setattr(hopqg.template, "norm_key", counted)
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--d", "2", "--count", "3", "--answer", "Tom Cruise", "--config", cfg]
+    assert main(args + ["--out", out]) == 0
+    questions = [json.loads(line)["question"] for line in read_lines(out)]
+    assert len(questions) == 6 and all(q.startswith("Which place ") for q in questions)
+    # Each override is keyed once per run, not once per (context, seed) job.
+    assert sorted(t for t in keyed if t in overrides) == sorted(overrides)
+    # The manifest shows the overrides as the config wrote them.
+    assert read_manifest(out + ".manifest.json")["config"]["category_overrides"] == overrides
+
+
+def test_cli_endpoint_that_is_no_http_url_exits_2(tmp_path, capsys, monkeypatch):
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    out = tmp_path / "t.jsonl"
+    cfg = write_json(tmp_path / "cfg.json", {"endpoints": {"generator": 5}})
+    for backend in ("remote", "template"):
+        args = ["generate", "--context", ctx, "--backend", backend, "--out", str(out), "--config", cfg]
+        assert main(args) == 2
+        assert "error: endpoints.generator (or HOPQG_GENERATOR_URL) must be an http(s) URL with a host, got 5" in capsys.readouterr().err
+    monkeypatch.setenv("HOPQG_QA_URL", "ftp://x")
+    hotpot = write_json(tmp_path / "hotpot.json", [remake_record_doc()])
+    assert main(["build-dataset", "--hotpot", hotpot, "--backends", "remote", "--out", str(out)]) == 2
+    assert "error: endpoints.qa (or HOPQG_QA_URL) must be an http(s) URL with a host, got 'ftp://x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_of_wrong_type_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"concurrency": "8"})
     traces = write(tmp_path / "t.jsonl", json.dumps({"question": "q ?", "answer": "z"}) + "\n")

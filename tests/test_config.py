@@ -136,6 +136,30 @@ def test_category_overrides_must_map_to_a_category(tmp_path, doc, extra, message
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("url", [5, "ftp://x", "http://", "https:///path", "", True, ["http://x"]])
+def test_endpoint_must_be_an_http_url_with_a_host(tmp_path, url):
+    message = f"endpoints.generator (or HOPQG_GENERATOR_URL) must be an http(s) URL with a host, got {url!r}"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"endpoints": {"qa": "http://qa-host/qa", "generator": url}}))
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path), env={})
+    assert str(info.value) == message
+    if isinstance(url, str) and url:
+        # An endpoint from the environment is checked as one from the file.
+        with pytest.raises(ConfigError) as info:
+            load_config(None, env={"HOPQG_GENERATOR_URL": url})
+        assert str(info.value) == message
+
+
+def test_endpoints_may_be_null_or_http_urls(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"endpoints": {"qa": None, "generator": "HTTPS://gen-host:8443/v1?x=1"}}))
+    config = load_config(str(path), env={"HOPQG_CLASSIFIER_URL": "http://127.0.0.1:9/classify"})
+    assert config.endpoints == Endpoints(
+        generator="HTTPS://gen-host:8443/v1?x=1", classifier="http://127.0.0.1:9/classify"
+    )
+
+
 def test_config_categories_are_the_template_categories():
     assert set(CATEGORIES) == set(WH_BY_CATEGORY)
 

@@ -5,6 +5,7 @@ from hopqg.planner import EdgeDirection, RewriteType
 from hopqg.template import (
     descriptor_category,
     guess_category,
+    key_overrides,
     template_generate_initial,
     template_rewrite,
 )
@@ -110,6 +111,14 @@ def test_guess_category_and_overrides():
     assert guess_category("a 1986 action film", False) == "other"
     assert guess_category("Top Gun", True, {"top gun": "other"}) == "other"
     assert guess_category("Reykjavik", True, {"reykjavik": "location"}) == "location"
+
+
+def test_overrides_are_keyed_as_node_identity():
+    keyed = key_overrides({"Top  Gun": "other", "REYKJAVIK": "location", "top gun": "location"})
+    # Of two surfaces with one key, the later wins.
+    assert keyed == {"top gun": "location", "reykjavik": "location"}
+    assert guess_category(" TOP GUN", True, keyed) == "location"
+    assert guess_category("Tom Cruise", True, keyed) == "person"
 
 
 def test_descriptor_category_from_graph(film_graph):
