@@ -146,20 +146,16 @@ class _SharedGraph:
         self.pending = jobs
         self.lock = threading.Lock()
         self.graph: ContextGraph | None = None
-        self.error: HopqgError | None = None
 
-    def get(self, manifest: RunManifest) -> tuple[ContextGraph | None, HopqgError | None]:
+    def get(self, manifest: RunManifest) -> ContextGraph:
         with self.lock:
-            if self.graph is None and self.error is None:
+            if self.graph is None:
                 from .graph import build_context_graph
 
-                try:
-                    with manifest.timed("build"):
-                        self.graph = build_context_graph(self.ctx)
-                    manifest.count("build")
-                except HopqgError as exc:
-                    self.error = exc
-            return self.graph, self.error
+                with manifest.timed("build"):
+                    self.graph = build_context_graph(self.ctx)
+                manifest.count("build")
+            return self.graph
 
     def release(self) -> None:
         with self.lock:
@@ -195,9 +191,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
         index, seed = job
         share = shared[index]
         try:
-            graph, error = share.get(manifest)
-            if error is not None:
-                return None, (index, seed, error)
+            graph = share.get(manifest)
             with manifest.timed("plan"):
                 chain = plan_chain(graph, args.d, seed=seed, answer_text=args.answer)
             manifest.count("plan")

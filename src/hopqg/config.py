@@ -77,10 +77,10 @@ class PipelineConfig:
                 f"filter bounds must satisfy 0 <= min <= max, got "
                 f"({self.min_words}, {self.max_words})"
             )
-        if self.oversample_ratio < 1:
-            raise ConfigError(
-                f"oversample_ratio must be >= 1, got {self.oversample_ratio}"
-            )
+        # Past 1000 the generated questions are under 0.1% of the mix, and a
+        # huge ratio would copy the originals until memory runs out.
+        if not 1 <= self.oversample_ratio <= 1000:
+            raise ConfigError(f"oversample_ratio must be in [1, 1000], got {self.oversample_ratio}")
         _check_categories(self.category_overrides)
         for role, var in _ENDPOINT_ENV.items():
             url = getattr(self.endpoints, role)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import AnnotationError, BackendError, ConfigError, NodeNotFoundError
-from .graph import ContextGraph, Edge, Node, build_context_graph
+from .graph import ContextGraph, Edge, build_context_graph
 from .hotpot import HotpotRecord, record_context
 from .metrics import normalize_answer
 from .planner import ChainNode, ReasoningChain, RewriteType
@@ -376,24 +376,6 @@ def assign_context_sentences(
     return s1, s2
 
 
-def _best_node(
-    candidates: list[tuple[Node, set[str]]], tokens: set[str], exclude: int | None = None
-) -> Node | None:
-    """Highest content-token-overlap candidate other than node exclude."""
-    best: tuple[int, int] | None = None
-    best_node = None
-    for node, node_tokens in candidates:
-        if node.id == exclude:
-            continue
-        overlap = len(node_tokens & tokens)
-        if overlap == 0:
-            continue
-        key = (overlap, -node.id)
-        if best is None or key > best:
-            best, best_node = key, node
-    return best_node
-
-
 def _pick_edge(graph: ContextGraph, child: int, parent: int) -> Edge:
     edges = graph.edges_between(child, parent)
     if not edges:
@@ -420,17 +402,12 @@ def locate_chain(
         root = graph.find_node(a2)
     except NodeNotFoundError:
         raise _Skip(SKIP_NODE) from None
-    # Each node's tokens, once for both lookups; the root is never a candidate.
-    # A text the surface repeats, or two mentions share, is tokenized once.
-    candidates = [
-        (node, set(content_tokens(" ".join(dict.fromkeys(node.all_texts())))))
-        for node in graph.nodes
-        if node.id != root.id
-    ]
-    middle = _best_node(candidates, set(content_tokens(q1_subq)))
+    # Content tokens hold no stopword, so their overlap with a node's match
+    # tokens is their overlap with its content tokens.
+    middle = graph.overlap_node(set(content_tokens(q1_subq)), exclude=(root.id,))
     if middle is None:
         raise _Skip(SKIP_NODE)
-    leaf = _best_node(candidates, set(content_tokens(other_subq)), exclude=middle.id)
+    leaf = graph.overlap_node(set(content_tokens(other_subq)), exclude=(root.id, middle.id))
     if leaf is None:
         raise _Skip(SKIP_NODE)
     bridge = tag is ReasoningTypeTag.BRIDGE

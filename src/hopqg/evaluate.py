@@ -225,41 +225,33 @@ def write_jsonl(records: list[dict], path: str) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-class TraceRecord(dict):
-    """One question record as `filter`, `probe` and `augment` read it: the
-    JSON object itself, passed on untouched, once the fields its reader
-    needs are checked."""
-
-    # field -> (check, what the field must be)
-    FIELDS = {
-        "question": (lambda v: type(v) is str, "a string"),
-        "answer": (lambda v: type(v) is str, "a string"),
-        "context": (lambda v: type(v) is str, "a string"),
-        "d": (is_integral, "an integer"),
-    }
-
-    @classmethod
-    def from_json(
-        cls, obj: dict, where: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()
-    ) -> "TraceRecord":
-        """Check that obj holds each of ``required``, and that each field of
-        ``required`` or ``optional`` it holds is usable; a violation raises
-        AnnotationError naming ``where``."""
-        for name in required:
-            if name not in obj:
-                raise AnnotationError(f"{where}: record has no {name!r}")
-        for name in required + optional:
-            check, kind = cls.FIELDS[name]
-            if name in obj and not check(obj[name]):
-                raise AnnotationError(f"{where}: {name!r} must be {kind}, got {json_kind(obj[name])}")
-        # d counts inference hops, as generate's --d does: at least one.
-        if "d" in required + optional and "d" in obj and obj["d"] < 1:
-            raise AnnotationError(f"{where}: 'd' must be >= 1, got {obj['d']}")
-        return cls(obj)
+# What `filter`, `probe` and `augment` may read of a question record:
+# field -> (check, what the field must be).
+_TRACE_FIELDS = {
+    "question": (lambda v: type(v) is str, "a string"),
+    "answer": (lambda v: type(v) is str, "a string"),
+    "context": (lambda v: type(v) is str, "a string"),
+    "d": (is_integral, "an integer"),
+}
 
 
-def read_traces(
-    path: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()
-) -> list[TraceRecord]:
-    """The question records of path, each checked by TraceRecord.from_json."""
-    return [TraceRecord.from_json(obj, where, required, optional) for where, obj in read_records(path, "record")]
+def _check_trace(obj: dict, where: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> dict:
+    """obj, once it holds each of ``required`` and each field of ``required``
+    or ``optional`` it holds is usable; a violation raises AnnotationError
+    naming ``where``."""
+    for name in required:
+        if name not in obj:
+            raise AnnotationError(f"{where}: record has no {name!r}")
+    for name in required + optional:
+        check, kind = _TRACE_FIELDS[name]
+        if name in obj and not check(obj[name]):
+            raise AnnotationError(f"{where}: {name!r} must be {kind}, got {json_kind(obj[name])}")
+    # d counts inference hops, as generate's --d does: at least one.
+    if "d" in required + optional and "d" in obj and obj["d"] < 1:
+        raise AnnotationError(f"{where}: 'd' must be >= 1, got {obj['d']}")
+    return obj
+
+
+def read_traces(path: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> list[dict]:
+    """The question records of path, each checked by _check_trace."""
+    return [_check_trace(obj, where, required, optional) for where, obj in read_records(path, "record")]

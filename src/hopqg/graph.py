@@ -49,9 +49,14 @@ class ContextGraph:
     # Ids of the nodes a chain may be planned around, ascending. Like the
     # rest of the graph, only read once built, so threads share it unlocked.
     answer_nodes: tuple[int, ...] = field(default=(), init=False, repr=False)
-    # norm_key of every surface and mention -> its first node in id order.
-    # Threads that build it at once build equal dicts, so it needs no lock.
-    _exact: dict[str, Node] | None = field(default=None, init=False, repr=False, compare=False)
+    # The node lookup table: norm_key of every surface and mention -> its
+    # first node in id order, and each node's match tokens over its surface
+    # and mentions. Built on the first lookup, so planning without --answer
+    # pays nothing; threads that build it at once build equal tables, so it
+    # needs no lock.
+    _lookup: tuple[dict[str, Node], list[set[str]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         incident = self._incident
@@ -83,35 +88,43 @@ class ContextGraph:
     def edges_between(self, a: int, b: int) -> list[Edge]:
         return [e for e, other in self.incident(a) if other == b]
 
+    def _table(self) -> tuple[dict[str, Node], list[set[str]]]:
+        table = self._lookup
+        if table is None:
+            exact: dict[str, Node] = {}
+            tokens = []
+            for node in self.nodes:
+                texts = node.all_texts()
+                for t in texts:
+                    exact.setdefault(norm_key(t), node)
+                # Tokens never span a space, so these are the union of the
+                # tokens of each distinct text.
+                tokens.append(set(match_tokens(" ".join(dict.fromkeys(texts)))))
+            self._lookup = table = (exact, tokens)
+        return table
+
     def find_node(self, text: str) -> Node:
         """Locate the node best matching text.
 
         Exact normalized match against any surface or mention wins; otherwise
-        the node with the highest token overlap. Ties go to the lowest node id;
-        zero overlap raises NodeNotFoundError.
+        overlap_node on its match tokens. Zero overlap raises NodeNotFoundError.
         """
-        exact = self._exact
-        if exact is None:
-            # Built on the first call, so planning without --answer pays nothing.
-            exact = {}
-            for node in self.nodes:
-                for t in node.all_texts():
-                    exact.setdefault(norm_key(t), node)
-            self._exact = exact
-        hit = exact.get(norm_key(text))
-        if hit is not None:
-            return hit
-        qtokens = set(match_tokens(text))
+        hit = self._table()[0].get(norm_key(text))
+        if hit is None:
+            hit = self.overlap_node(set(match_tokens(text)))
+            if hit is None:
+                raise NodeNotFoundError(f"no node overlaps {text!r}")
+        return hit
+
+    def overlap_node(self, tokens: set[str], exclude: tuple[int, ...] = ()) -> Node | None:
+        """The node, other than those of exclude, sharing the most of tokens
+        with its surface and mentions' match tokens; ties go to the lowest
+        node id, and None when no node shares one."""
         best, best_score = None, 0
-        for node in self.nodes:
-            ntokens: set[str] = set()
-            for t in node.all_texts():
-                ntokens.update(match_tokens(t))
-            score = len(qtokens & ntokens)
-            if score > best_score:
+        for node, node_tokens in zip(self.nodes, self._table()[1]):
+            score = len(tokens & node_tokens)
+            if score > best_score and node.id not in exclude:
                 best, best_score = node, score
-        if best is None:
-            raise NodeNotFoundError(f"no node overlaps {text!r}")
         return best
 
     def to_json(self) -> dict:

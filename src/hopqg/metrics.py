@@ -424,10 +424,13 @@ def cider(corpus) -> float:
     return 10.0 * total / len(ngrams.items)
 
 
+# str.translate table deleting each ASCII punctuation character.
+_DROP_PUNCT = str.maketrans("", "", string.punctuation)
+
+
 def normalize_answer(text: str) -> str:
     """SQuAD-style: lowercase, strip punctuation and articles, squeeze spaces."""
-    text = text.lower()
-    text = "".join(ch for ch in text if ch not in string.punctuation)
+    text = text.lower().translate(_DROP_PUNCT)
     text = re.sub(r"\b(a|an|the)\b", " ", text)
     return " ".join(text.split())
 

@@ -8,21 +8,23 @@ with hopqg.planner only the pruning and indexing of a finished tree.
 The input parser inverts hopqg.geninput's serialization and shares with it
 only the marker tokens and the GeneratorInput it rebuilds. The match-token
 and common-run oracles are the per-token and full-table forms of
-hopqg.textutil.match_tokens and the rule QA's run search.
+hopqg.textutil.match_tokens and the rule QA's run search. The node lookup
+oracles rescan every node's texts on each call.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 import string
 from collections import deque
 
-from hopqg.errors import AssemblyError, PlanningError
+from hopqg.errors import AssemblyError, NodeNotFoundError, PlanningError
 from hopqg.geninput import BOS, EDGE, EOS, MARKERS, NODE_C, NODE_P, SUBQ, TYPE, GeneratorInput
 from hopqg.metrics import light_stem, tokenize
 from hopqg.planner import EdgeDirection, RewriteType, SpanningTree, index_chain, prune_tree
-from hopqg.textutil import PRONOUNS, norm_key
+from hopqg.textutil import PRONOUNS, STOPWORDS, norm_key
 
 
 def oracle_lcs(a: list, b: list) -> int:
@@ -180,6 +182,14 @@ def oracle_match_counts(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     return exact, exact + stem
 
 
+def oracle_normalize_answer(text: str) -> str:
+    """SQuAD answer normalization, deleting punctuation one character at a time."""
+    text = text.lower()
+    text = "".join(ch for ch in text if ch not in string.punctuation)
+    text = re.sub(r"\b(a|an|the)\b", " ", text)
+    return " ".join(text.split())
+
+
 def oracle_match_tokens(text: str) -> list[str]:
     """Each whitespace token stripped of ASCII punctuation, then casefolded;
     empty ones dropped."""
@@ -189,6 +199,44 @@ def oracle_match_tokens(text: str) -> list[str]:
         if tok:
             out.append(tok)
     return out
+
+
+def oracle_find_node(graph, text: str):
+    """ContextGraph.find_node as a rescan: the first node in id order with a
+    surface or mention of text's norm_key, else the first with the most
+    match tokens in common, each node's texts tokenized one by one."""
+    key = norm_key(text)
+    for node in graph.nodes:
+        if any(norm_key(t) == key for t in node.all_texts()):
+            return node
+    query = set(oracle_match_tokens(text))
+    best, best_score = None, 0
+    for node in graph.nodes:
+        tokens: set[str] = set()
+        for t in node.all_texts():
+            tokens.update(oracle_match_tokens(t))
+        if len(query & tokens) > best_score:
+            best, best_score = node, len(query & tokens)
+    if best is None:
+        raise NodeNotFoundError(f"no node overlaps {text!r}")
+    return best
+
+
+def oracle_best_node(graph, tokens: set[str], exclude: tuple[int, ...] = ()):
+    """The chain locator's node lookup as a candidate list: each node not in
+    exclude with the content tokens of its joined texts; the highest
+    non-zero overlap with tokens, ties to the lowest id, or None."""
+    candidates = [
+        (node, {t for t in oracle_match_tokens(" ".join(node.all_texts())) if t not in STOPWORDS})
+        for node in graph.nodes
+        if node.id not in exclude
+    ]
+    best, best_node = None, None
+    for node, node_tokens in candidates:
+        overlap = len(node_tokens & tokens)
+        if overlap and (best is None or (overlap, -node.id) > best):
+            best, best_node = (overlap, -node.id), node
+    return best_node
 
 
 def oracle_longest_common_run(a: list, b: list) -> tuple[int, int, int]:
@@ -323,7 +371,7 @@ def oracle_spanning_tree(graph, root: int) -> SpanningTree:
 def oracle_plan_chain(graph, d: int, seed: int = 0, answer_text: str | None = None):
     """Plan over the full component tree, the answer sampled from a rescan."""
     if answer_text is not None:
-        root = graph.find_node(answer_text).id
+        root = oracle_find_node(graph, answer_text).id
     else:
         eligible = oracle_eligible_answer_nodes(graph)
         if not eligible:

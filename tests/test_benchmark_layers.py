@@ -1,4 +1,5 @@
-"""Every layer the benchmark traces still names a function of the package.
+"""Every layer the benchmark traces still names a function of the package,
+and every suite member it wraps still names a method of each service.
 
 The tracer reports a layer it cannot find as absent and runs on, so a
 rename or deletion would otherwise lose the layer without failing anything.
@@ -7,6 +8,10 @@ rename or deletion would otherwise lose the layer without failing anything.
 import importlib
 import importlib.util
 import os
+from dataclasses import fields
+
+from hopqg.cli import _SERVICES
+from hopqg.dataset_builder import BackendSuite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,3 +41,18 @@ def test_every_benchmark_layer_resolves():
         # rebinds it there.
         found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         assert callable(found) or isinstance(found, staticmethod), f"{layer}: {mod_name}.{path} is gone"
+
+
+def test_every_traced_suite_member_resolves():
+    """Each BackendSuite member the tracer wraps is a field of the suite,
+    and each service class the CLI may put there, rule or remote, defines
+    the traced method."""
+    members = load_tracing().SUITE_MEMBERS
+    assert members
+    suite_fields = {f.name for f in fields(BackendSuite)}
+    for layer, member, method in members:
+        assert member in suite_fields, f"{layer}: BackendSuite has no {member!r}"
+        module, rule, remote, _ = _SERVICES[member]
+        for mod_name, name in ((module, rule), ("remote", remote)):
+            cls = getattr(importlib.import_module(f"hopqg.{mod_name}"), name)
+            assert callable(getattr(cls, method, None)), f"{layer}: hopqg.{mod_name}.{name}.{method} is gone"

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import hopqg.dataset_builder as builder
+import hopqg.graph
 from hopqg.cli import main
 from hopqg.dataset_builder import (
     PLACEHOLDER,
@@ -30,7 +31,8 @@ from hopqg.dataset_builder import (
     process_record,
     select_initial_pair,
 )
-from hopqg.errors import AnnotationError, ConfigError
+from hopqg.context import AnnotatedContext
+from hopqg.errors import AnnotationError, ConfigError, NodeNotFoundError
 from hopqg.graph import build_context_graph
 from hopqg.hotpot import (
     fallback_annotate,
@@ -40,15 +42,20 @@ from hopqg.hotpot import (
 )
 from hopqg.planner import RewriteType
 from hopqg.textutil import content_tokens
-from oracles import oracle_longest_common_run, span_text
+from oracles import oracle_best_node, oracle_find_node, oracle_longest_common_run, span_text
 from util import (
     comparison_record_doc,
+    film3_context_doc,
+    film_context_doc,
     hotpot_record_doc,
     make_context_doc,
     novel_record_doc,
     prize_record_doc,
+    random_context_doc,
+    remake_context_doc,
     remake_record_doc,
     rule_suite,
+    star_context_doc,
 )
 
 FIG2_QUESTION = "Who directed the film to which A Perfect Murder was a modern remake?"
@@ -509,7 +516,8 @@ def test_longest_common_run_matches_the_full_table():
 
 def test_each_text_is_tokenized_once_per_record(monkeypatch):
     """Both QA calls on a record share one tokenizing of its context's
-    sentences, and locate_chain tokenizes each node once."""
+    sentences, and locate_chain tokenizes each node once, through the
+    graph's lookup table."""
     record = parse_record(remake_record_doc())
     phase: list[str] = []
     seen: dict[str, list[str]] = {"qa": [], "locate": []}
@@ -523,6 +531,7 @@ def test_each_text_is_tokenized_once_per_record(monkeypatch):
 
     for name in ("content_tokens", "clean_tokens"):
         monkeypatch.setattr(builder, name, counted(getattr(builder, name)))
+    monkeypatch.setattr(hopqg.graph, "match_tokens", counted(hopqg.graph.match_tokens))
 
     suite = rule_suite()
     answer, questions = suite.qa.answer, []
@@ -558,7 +567,8 @@ def test_each_text_is_tokenized_once_per_record(monkeypatch):
     [(graph, q1_subq, other_subq)] = graphs
     node_texts = [t for t in seen["locate"] if t not in (q1_subq, other_subq)]
     assert len(graph.nodes) == 4
-    assert len(node_texts) <= len(graph.nodes)
+    # Every node is tokenized, for the lookups of the middle and leaf nodes.
+    assert len(node_texts) == len(graph.nodes)
     assert len(set(node_texts)) == len(node_texts)
 
 
@@ -589,6 +599,53 @@ def test_rule_qa_answers_as_a_fresh_one_across_contexts_and_threads():
     finally:
         sys.setswitchinterval(interval)
     assert got == [fresh[job] for job in jobs]
+
+
+def _lookup_graphs():
+    """Fixture graphs, random graphs and the graphs of the golden records."""
+    docs = [film_context_doc(), film3_context_doc(), star_context_doc(), remake_context_doc()]
+    docs += [random_context_doc(random.Random(seed)) for seed in range(20)]
+    graphs = [build_context_graph(AnnotatedContext.from_json(doc)) for doc in docs]
+    rng = random.Random(17)
+    records = [remake_record_doc(), prize_record_doc(), novel_record_doc(), comparison_record_doc()]
+    records += [_golden_record(rng, k) for k in range(35)]
+    for doc in records:
+        try:
+            graphs.append(build_context_graph(record_context(parse_record(doc))))
+        except AnnotationError:
+            continue
+    return graphs
+
+
+def test_node_lookup_matches_the_rescanning_oracles():
+    """find_node and overlap_node on the graph's one table pick the nodes
+    that the old per-call rescans picked, with and without exclusions."""
+    rng = random.Random(18)
+    extra = ["the", "of", "who", "Zebra", "quartet", "film", "IT", " ", "Murder?", "(Blue)", "--"]
+    checked = 0
+    for graph in _lookup_graphs():
+        texts = [t for node in graph.nodes for t in node.all_texts()]
+        words = [w for t in texts for w in t.split()] + extra
+        for _ in range(40):
+            if rng.random() < 0.2:
+                query = rng.choice(texts)
+                query = rng.choice([query, query.upper(), f"  {query} ", query.swapcase()])
+            else:
+                query = " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+            try:
+                want = oracle_find_node(graph, query)
+            except NodeNotFoundError:
+                with pytest.raises(NodeNotFoundError):
+                    graph.find_node(query)
+            else:
+                assert graph.find_node(query) is want, query
+            tokens = set(content_tokens(query))
+            ids = range(len(graph.nodes))
+            for exclude in ((), (rng.choice(ids),), tuple(rng.sample(ids, min(2, len(ids))))):
+                want = oracle_best_node(graph, tokens, exclude)
+                assert graph.overlap_node(tokens, exclude) is want, (query, exclude)
+                checked += want is not None
+    assert checked > 1000
 
 
 # --------------------------------------------------------- build-dataset golden

@@ -280,6 +280,29 @@ def test_generate_builds_one_graph_per_context(tmp_path, monkeypatch):
     assert stages["plan"]["count"] == stages["generate"]["count"] == 8
 
 
+def test_generate_answer_tokenizes_each_node_once_per_graph(tmp_path, monkeypatch):
+    """--answer with no exact match: the seeds of a context share the
+    graph's node token sets, so only each seed's query is tokenized again."""
+    doc = film_context_doc()
+    nodes = len(hopqg.graph.build_context_graph(AnnotatedContext.from_json(doc)).nodes)
+    calls = []
+    real_tokens = hopqg.graph.match_tokens
+
+    def counting_tokens(text):
+        calls.append(text)
+        return real_tokens(text)
+
+    monkeypatch.setattr(hopqg.graph, "match_tokens", counting_tokens)
+    ctx = write_json(tmp_path / "ctx.json", doc)
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--answer", "Cruise", "--d", "1", "--count", "50", "--out", out]
+    assert main(args) == 0
+    assert len(read_lines(out)) == 50
+    assert {json.loads(line)["answer"] for line in read_lines(out)} == {"Tom Cruise"}
+    assert len(calls) <= nodes + 50
+    assert calls.count("Cruise") == 50
+
+
 def test_generate_drops_each_graph_after_its_last_seed(tmp_path, monkeypatch):
     built = count_builds(monkeypatch)
     alive_at_build = []

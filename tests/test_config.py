@@ -76,6 +76,8 @@ def test_load_config_rejects_wrong_types_naming_the_key(tmp_path):
         ({"timeout": float("nan")}, "timeout must be finite, got nan"),
         ({"oversample_ratio": float("nan")}, "oversample_ratio must be finite, got nan"),
         ({"oversample_ratio": float("inf")}, "oversample_ratio must be finite, got inf"),
+        ({"oversample_ratio": 1e300}, "oversample_ratio must be in [1, 1000], got 1e+300"),
+        ({"oversample_ratio": 0.5}, "oversample_ratio must be in [1, 1000], got 0.5"),
     ]
     for doc, message in cases:
         path.write_text(json.dumps(doc))

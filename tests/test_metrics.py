@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import string
 
 import pytest
 
@@ -36,6 +37,7 @@ from oracles import (
     oracle_lcs,
     oracle_match_counts,
     oracle_meteor,
+    oracle_normalize_answer,
     oracle_rouge_l,
 )
 
@@ -429,6 +431,16 @@ def test_normalize_answer_and_squad_scores():
     assert token_f1("", "") == 1.0
     assert token_f1("Cruise", "") == 0.0
     assert token_f1("", "Cruise") == 0.0
+
+
+def test_normalize_answer_matches_the_per_character_oracle():
+    cases = [string.punctuation, "“Top” Gun…", "«Ｔｏｐ»—Gun¿", "The A-Team's: (an) 'the' end."]
+    cases += [ch + " a" + ch + "x" for ch in string.punctuation]
+    rng = random.Random(5)
+    alphabet = string.punctuation + "aAtThHeEnN xÉß\t\u00a0“”…–’¡¿«»、。"
+    cases += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24))) for _ in range(3000)]
+    for text in cases:
+        assert normalize_answer(text) == oracle_normalize_answer(text), text
 
 
 def test_metric_error_cases():
