@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import urllib.parse
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError, load_json
@@ -29,6 +30,22 @@ _ENDPOINT_ENV = {
 # An http(s) URL with a host: the scheme, '//' and at least one character
 # before the path, query or fragment, as the remote client reads a URL.
 _SERVICE_URL = re.compile(r"https?://[^/?#]", re.IGNORECASE)
+# What http.client refuses in a request target: the controls, space and DEL.
+_UNSAFE_URL_CHAR = re.compile(r"[\x00-\x20\x7f]")
+
+
+def url_fault(url: str) -> str | None:
+    """Why a service URL can never be posted to, or None: a space or control
+    character, or a port other than a number in 1-65535."""
+    if _UNSAFE_URL_CHAR.search(url):
+        return "must not contain a space or control character"
+    try:
+        port = urllib.parse.urlsplit(url).port
+    except ValueError:
+        port = 0
+    if port == 0:
+        return "must be a valid URL with any port in 1-65535"
+    return None
 
 
 @dataclass(frozen=True)
@@ -84,10 +101,15 @@ class PipelineConfig:
         _check_categories(self.category_overrides)
         for role, var in _ENDPOINT_ENV.items():
             url = getattr(self.endpoints, role)
-            if url is not None and not (isinstance(url, str) and _SERVICE_URL.match(url)):
+            if url is None:
+                continue
+            if not (isinstance(url, str) and _SERVICE_URL.match(url)):
                 raise ConfigError(
                     f"endpoints.{role} (or {var}) must be an http(s) URL with a host, got {url!r}"
                 )
+            fault = url_fault(url)
+            if fault is not None:
+                raise ConfigError(f"endpoints.{role} (or {var}) {fault}, got {url!r}")
 
     def to_json(self) -> dict:
         return asdict(self)

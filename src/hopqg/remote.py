@@ -14,6 +14,19 @@ handshake once rather than on every hop. It honours ``http_proxy``,
 ``https_proxy`` and ``no_proxy`` as urllib does, counts its requests,
 retries, failures and connections, and ``close()`` shuts every connection
 it opened, on any thread.
+
+http.client opens each connection (TCP_NODELAY, a proxy's CONNECT tunnel,
+TLS); the client writes and reads the messages on it itself (RFC 9112).
+A request goes out in one write. Its head holds the bytes http.client
+writes for it, and is built once per client: each call adds only its
+Content-Length and body. Replies are read through one buffered reader per
+connection. It skips 1xx interim replies, and takes a body as framed by
+Content-Length, by chunks (extensions and trailers are read past) or by
+the end of the connection; 204 and 304 replies have none. After HTTP/1.0,
+``Connection: close`` or a body that runs to the end, the connection is
+dropped. As in http.client, a line may hold 65,536 bytes and a head 100
+header lines. Past those limits, and on a bad status line, Content-Length
+or chunk size, or a reply cut short, the attempt fails.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import time
 import urllib.parse
 import urllib.request
 
+from .config import url_fault
 from .errors import BackendError
 
 # What a JsonClient counts; the CLI writes each as remote.<role>.<counter>.
@@ -45,11 +59,28 @@ _STALE = (ConnectionResetError, BrokenPipeError)
 # delayed ACK before it sends the body (RFC 896, RFC 1122).
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
+# http.client's limits on a reply: bytes per line, header lines per head.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# The headers that frame a reply, as _read_fields keeps them.
+_FRAMING = frozenset((b"content-length", b"transfer-encoding", b"connection"))
+# The body length _read_head gives a chunked reply; None is "to the end of
+# the connection".
+_CHUNKED = -1
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+# A body is read at most this many bytes at a time, so a huge length that a
+# reply claims costs only the bytes that arrive.
+_READ_PIECE = 1 << 20
+
 
 def _route(url: str) -> tuple[type, str, str, str | None, dict]:
     """(connection class, host to connect to, request target, tunnel host,
     proxy headers) for url, through the environment's proxy as urlopen
     would go."""
+    # A CR LF in the target would add headers to the head.
+    fault = url_fault(url)
+    if fault is not None:
+        raise BackendError(f"{url!r} {fault}")
     try:
         req = urllib.request.Request(url)
     except ValueError as exc:
@@ -77,7 +108,150 @@ def _route(url: str) -> tuple[type, str, str, str | None, dict]:
         else:
             scheme, target = proxy_scheme, req.full_url
     connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-    return connection, host, target, tunnel, headers
+    return connection, host, target or "/", tunnel, headers
+
+
+def _host_bytes(name: str) -> bytes:
+    try:
+        return name.encode("ascii")
+    except UnicodeEncodeError:
+        return name.encode("idna")
+
+
+def _request_head(connection: type, authority: str, target: str, headers: dict) -> tuple[bytes, bytes]:
+    """The head of a POST of target as http.client writes it, split where
+    the Content-Length value goes. Host is the URL's own for an absolute
+    target, else authority's (the server or tunnel end), with the port only
+    where it is not the scheme's default; headers follow Content-Length."""
+    if target.startswith("http"):
+        host, zone, _ = _host_bytes(urllib.parse.urlsplit(target).netloc).partition(b"%")
+        if zone:
+            host += b"]"
+    else:
+        name, port = authority, connection.default_port
+        colon = name.rfind(":")
+        if colon > name.rfind("]"):
+            name, port = name[:colon], int(name[colon + 1:] or port)
+        if name[:1] == "[" and name[-1:] == "]":
+            name = name[1:-1]
+        host = _host_bytes(name)
+        if ":" in name:
+            host = b"[" + host.partition(b"%")[0] + b"]"
+        if port != connection.default_port:
+            host += b":%d" % port
+    start = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\nContent-Length: " % (
+        target.encode("ascii"), host,
+    )
+    end = "".join(f"\r\n{name}: {value}" for name, value in headers.items()) + "\r\n\r\n"
+    return start, end.encode("latin-1")
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("reply line")
+    return line
+
+
+def _read_fields(reader) -> list[tuple[bytes, bytes]]:
+    """Reads header or trailer lines through the blank line that ends them;
+    returns the framing fields among them as (lowercase name, value)."""
+    found = []
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return found
+        if not line:
+            raise http.client.HTTPException("reply cut off in its head")
+        name, _, value = line.partition(b":")
+        name = name.lower()
+        if name in _FRAMING:
+            found.append((name, value.strip()))
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_head(reader) -> tuple[int, int | None, bool]:
+    """Reads the status line and headers of the next final reply: (status,
+    body length, whether the connection stays open after the body). The
+    length is _CHUNKED for a chunked body and None for one that runs to the
+    end of the connection."""
+    while True:
+        line = _read_line(reader)
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        parts = line.split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") or len(parts[1]) != 3 or not parts[1].isdigit():
+            raise http.client.BadStatusLine(line.decode("latin-1").strip())
+        status = int(parts[1])
+        fields = _read_fields(reader)
+        if not 100 <= status < 200:
+            break
+    length = encoding = None
+    close = parts[0] == b"HTTP/1.0"
+    for name, value in fields:
+        if name == b"content-length":
+            # Framing no reader could trust (RFC 9112 section 6.3).
+            if not value.isdigit() or length not in (None, int(value)):
+                raise http.client.HTTPException(f"bad Content-Length {value.decode('latin-1')!r}")
+            length = int(value)
+        elif name == b"transfer-encoding":
+            encoding = value.lower()
+        elif b"close" in value.lower():
+            close = True
+    if status in (204, 304):
+        length = 0
+    elif encoding is not None:
+        length = _CHUNKED if encoding == b"chunked" else None
+    return status, length, not close and length is not None
+
+
+def _read_exact(reader, n: int) -> bytes:
+    pieces = []
+    while n:
+        piece = reader.read(min(n, _READ_PIECE))
+        if not piece:
+            raise http.client.IncompleteRead(b"".join(pieces), n)
+        pieces.append(piece)
+        n -= len(piece)
+    return b"".join(pieces)
+
+
+def _read_body(reader, length: int | None) -> bytes:
+    if length is None:
+        return reader.read()
+    if length != _CHUNKED:
+        return _read_exact(reader, length)
+    chunks = []
+    while True:
+        size = _read_line(reader).split(b";", 1)[0].strip()
+        if not size or size.strip(_HEX_DIGITS):
+            raise http.client.HTTPException(f"bad chunk size {size.decode('latin-1')!r}")
+        size = int(size, 16)
+        if not size:
+            break
+        chunks.append(_read_exact(reader, size))
+        if _read_line(reader) not in (b"\r\n", b"\n"):
+            raise http.client.HTTPException("chunk data not followed by CRLF")
+    _read_fields(reader)  # the trailer
+    return b"".join(chunks)
+
+
+class _Connection:
+    """An open socket and the one buffered reader its replies are read
+    through. Closing it closes both: the reader alone keeps the socket's
+    descriptor open."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = None
 
 
 class JsonClient:
@@ -95,37 +269,41 @@ class JsonClient:
         self.backoff = backoff
         self.counts = dict.fromkeys(COUNTERS, 0)
         self._lock = threading.Lock()
-        self._open: set[http.client.HTTPConnection] = set()
+        self._open: set[_Connection] = set()
         self._local = threading.local()
         # A URL that can never be posted to fails each call, not the set-up.
         self._refusal: BackendError | None = None
         try:
-            self._connection, self._host, self._target, self._tunnel, proxy_headers = _route(url)
+            self._connection, self._host, target, self._tunnel, proxy_headers = _route(url)
         except BackendError as exc:
             self._refusal = exc
             return
         # Through a tunnel the proxy's headers go to CONNECT only.
         self._tunnel_headers = proxy_headers
-        self._headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json"}
         if self._tunnel is None:
-            self._headers.update(proxy_headers)
+            headers.update(proxy_headers)
+        try:
+            self._head = _request_head(self._connection, self._tunnel or self._host, target, headers)
+        except ValueError as exc:  # a target or host name http.client cannot encode either
+            self._refusal = BackendError(f"{url}: {exc}")
 
     def post(self, payload: dict) -> dict:
         """POST payload as JSON; returns the decoded object or raises BackendError."""
         if self._refusal is not None:
             self._count("failures")
             raise self._refusal
-        # http.client writes the head, then this body, at once: it turns on
-        # TCP_NODELAY for every connection, so Nagle's algorithm never holds
-        # the body back waiting for the server to acknowledge the head.
+        # Head and body go out in one write on a TCP_NODELAY socket (set by
+        # http.client), so the server gets the whole request at once.
         data = json.dumps(payload).encode()
+        request = b"%s%d%s%s" % (self._head[0], len(data), self._head[1], data)
         last_error = None
         for attempt in range(self.retries + 1):
             self._count("requests")
             if attempt:
                 self._count("retries")
             try:
-                status, raw = self._exchange(data)
+                status, raw = self._exchange(request)
                 if not 200 <= status < 300:
                     raise BackendError(f"{self.url} returned HTTP {status}")
                 body = json.loads(raw)
@@ -151,7 +329,7 @@ class JsonClient:
         with self._lock:
             self.counts[counter] += 1
 
-    def _exchange(self, data: bytes) -> tuple[int, bytes]:
+    def _exchange(self, request: bytes) -> tuple[int, bytes]:
         """One request on this thread's connection: (status, body)."""
         conn = getattr(self._local, "conn", None)
         # close() may have shut it from another thread.
@@ -160,46 +338,47 @@ class JsonClient:
             if not reused:
                 conn = self._connect()
             try:
-                resp = self._send(conn, data)
+                status, length, keep = self._send(conn, request)
             except _STALE:
                 if not reused:
                     raise
                 self._drop(conn)
                 conn = self._connect()
-                resp = self._send(conn, data)
-            with resp:
-                body = resp.read()
-            # HTTP/1.0 or "Connection: close": the server ends it.
-            if resp.will_close:
+                status, length, keep = self._send(conn, request)
+            body = _read_body(conn.reader, length)
+            if not keep:
                 self._drop(conn)
-            return resp.status, body
+            return status, body
         except BaseException:
             if conn is not None:
                 self._drop(conn)
             raise
 
-    def _connect(self) -> http.client.HTTPConnection:
-        conn = self._connection(self._host, timeout=self.timeout)
+    def _connect(self) -> _Connection:
+        opener = self._connection(self._host, timeout=self.timeout)
         if self._tunnel is not None:
-            conn.set_tunnel(self._tunnel, headers=self._tunnel_headers)
+            opener.set_tunnel(self._tunnel, headers=self._tunnel_headers)
         try:
-            conn.connect()
+            opener.connect()
         except BaseException:
-            conn.close()  # a failed tunnel or TLS handshake leaves a socket
+            opener.close()  # a failed tunnel or TLS handshake leaves a socket
             raise
+        conn = _Connection(opener.sock)
         with self._lock:
             self._open.add(conn)
             self.counts["connections"] += 1
         self._local.conn = conn
         return conn
 
-    def _send(self, conn: http.client.HTTPConnection, data: bytes) -> http.client.HTTPResponse:
-        conn.request("POST", self._target, body=data, headers=self._headers)
+    def _send(self, conn: _Connection, request: bytes) -> tuple[int, int | None, bool]:
+        """Writes request and reads the reply's head: (status, body length,
+        keep the connection)."""
+        conn.sock.sendall(request)
         if _QUICKACK is not None:
             conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-        return conn.getresponse()
+        return _read_head(conn.reader)
 
-    def _drop(self, conn: http.client.HTTPConnection) -> None:
+    def _drop(self, conn: _Connection) -> None:
         conn.close()
         with self._lock:
             self._open.discard(conn)

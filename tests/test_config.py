@@ -153,6 +153,25 @@ def test_endpoint_must_be_an_http_url_with_a_host(tmp_path, url):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("url,fault", [
+    ("http://127.0.0.1:abc/x", "must be a valid URL with any port in 1-65535"),
+    ("http://127.0.0.1:99999/x", "must be a valid URL with any port in 1-65535"),
+    ("http://127.0.0.1:0/x", "must be a valid URL with any port in 1-65535"),
+    ("http://127.0.0.1/a b", "must not contain a space or control character"),
+    ("http://127.0.0.1/a\x01b", "must not contain a space or control character"),
+    ("http://127.0.0.1/a\r\nX-Injected: 1", "must not contain a space or control character"),
+    ("http://127.0.0.1/a\x7f", "must not contain a space or control character"),
+])
+def test_endpoint_that_can_never_be_posted_to_is_rejected(tmp_path, url, fault):
+    message = f"endpoints.qa (or HOPQG_QA_URL) {fault}, got {url!r}"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"endpoints": {"qa": url}}))
+    for source, env in ((str(path), {}), (None, {"HOPQG_QA_URL": url})):
+        with pytest.raises(ConfigError) as info:
+            load_config(source, env=env)
+        assert str(info.value) == message
+
+
 def test_endpoints_may_be_null_or_http_urls(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"endpoints": {"qa": None, "generator": "HTTPS://gen-host:8443/v1?x=1"}}))

@@ -1,11 +1,15 @@
 """Remote backend clients against in-process HTTP stubs."""
 
+import gc
+import http.client
 import json
+import random
+import re
 import socket
 import sys
 import threading
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -375,3 +379,313 @@ def test_every_client_counts_under_its_role(stub_server):
         call(service)
         service.client.close()
         assert service.client.counts == {"requests": 1, "retries": 0, "failures": 0, "connections": 1}
+
+
+# ------------------------------------------------------- request and reply bytes
+
+
+class RawServer:
+    """A plain socket server on 127.0.0.1, one connection at a time, served
+    from a thread. Each request is read whole (head, then its Content-Length
+    body) and answered by reply(n) for the n-th request: (pieces, keep).
+    Each piece goes out in its own write, with Nagle's algorithm off; the
+    connection is closed after the reply unless keep. A reply of no pieces
+    leaves the client waiting."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.requests, self.first_reads = [], []
+        self.opened = self.closed = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.01)
+        self.port = self.listener.getsockname()[1]
+        self.base = f"http://127.0.0.1:{self.port}"
+        self.stopping = threading.Event()
+        self.thread = threading.Thread(target=self.serve, daemon=True)
+        self.thread.start()
+
+    def serve(self):
+        while not self.stopping.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                self.opened += 1
+                conn.settimeout(5)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                try:
+                    self.converse(conn)
+                except OSError:
+                    pass
+            self.closed += 1
+
+    def converse(self, conn):
+        while True:
+            data = first = conn.recv(65536)
+            while b"\r\n\r\n" not in data:
+                more = conn.recv(65536)
+                if not more:
+                    return
+                data += more
+            head = data.split(b"\r\n\r\n", 1)[0]
+            length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
+            while len(data) < len(head) + 4 + length:
+                more = conn.recv(65536)
+                if not more:
+                    return
+                data += more
+            self.requests.append(data)
+            self.first_reads.append(first)
+            pieces, keep = self.reply(len(self.requests))
+            for piece in pieces:
+                conn.sendall(piece)
+            if not keep:
+                return
+
+    def close(self):
+        self.stopping.set()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+        self.listener.close()
+
+
+@contextmanager
+def raw_server(reply):
+    server = RawServer(reply)
+    try:
+        yield server
+    finally:
+        server.close()
+
+
+def json_reply(headers=b"", body=b'{"answer": "yes"}'):
+    return b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s" % (
+        len(body), headers, body,
+    )
+
+
+def always(pieces, keep=True):
+    return lambda n: (pieces, keep)
+
+
+YES = {"answer": "yes"}
+
+
+def http_client_request(server, target, headers, body):
+    """The bytes http.client writes to server for this POST: the reference
+    that the client's own request bytes must equal."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port)
+    try:
+        conn.request("POST", target, body=body, headers=headers)
+        conn.getresponse().read()
+    finally:
+        conn.close()
+    return server.requests[-1]
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """(peer port, data) of each sendall call."""
+    seen = []
+    sendall = socket.socket.sendall
+
+    def recording(sock, data, *args):
+        seen.append((sock.getpeername()[1], bytes(data)))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording)
+    return seen
+
+
+def test_request_bytes_equal_http_clients_in_one_write(writes):
+    with raw_server(always([json_reply()])) as server:
+        with closing(JsonClient(server.base + "/qa?v=1", retries=0)) as client:
+            assert client.post({"k": 1}) == YES
+        expected = (
+            b"POST /qa?v=1 HTTP/1.1\r\nHost: 127.0.0.1:%d\r\nAccept-Encoding: identity\r\n"
+            b'Content-Length: 8\r\nContent-Type: application/json\r\n\r\n{"k": 1}' % server.port
+        )
+        assert server.requests == [expected]
+        # One write, so the server's first read holds the whole request.
+        assert [data for port, data in writes if port == server.port] == [expected]
+        assert server.first_reads == [expected]
+        headers = {"Content-Type": "application/json"}
+        assert http_client_request(server, "/qa?v=1", headers, b'{"k": 1}') == expected
+
+
+def test_proxy_request_bytes_equal_http_clients_in_one_write(monkeypatch, writes):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    url = "http://qa.service.invalid:8080/qa?v=1"
+    with raw_server(always([json_reply()])) as server:
+        monkeypatch.setenv("http_proxy", server.base.replace("//", "//user:p%40ss@"))
+        with closing(JsonClient(url, retries=0)) as client:
+            assert client.post({"k": 1}) == YES
+        expected = (
+            b"POST http://qa.service.invalid:8080/qa?v=1 HTTP/1.1\r\nHost: qa.service.invalid:8080\r\n"
+            b"Accept-Encoding: identity\r\nContent-Length: 8\r\nContent-Type: application/json\r\n"
+            b'Proxy-Authorization: Basic dXNlcjpwQHNz\r\n\r\n{"k": 1}'
+        )
+        assert server.requests == [expected]
+        assert [data for port, data in writes if port == server.port] == [expected]
+        assert server.first_reads == [expected]
+        headers = {"Content-Type": "application/json", "Proxy-Authorization": "Basic dXNlcjpwQHNz"}
+        assert http_client_request(server, url, headers, b'{"k": 1}') == expected
+
+
+@pytest.mark.parametrize("url", [
+    "http://127.0.0.1:abc/x", "http://127.0.0.1:99999/x", "http://127.0.0.1/a b",
+    "http://127.0.0.1/a\x01b", "http://127.0.0.1/a\r\nX-Injected: 1",
+])
+def test_urls_that_can_never_be_posted_to_fail_each_call(url):
+    with closing(JsonClient(url, retries=2, backoff=0.0)) as client:
+        for _ in range(2):
+            with pytest.raises(BackendError, match="must"):
+                client.post({})
+    assert client.counts == {"requests": 0, "retries": 0, "failures": 2, "connections": 0}
+
+
+CHUNKED = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b'7;name="x y"\r\n{"answe\r\n'
+    b"a\r\n" b'r": "yes"}\r\n'
+    b"0;last\r\nX-Checksum: 1\r\nX-Other: 2\r\n\r\n"
+)
+
+
+@pytest.mark.parametrize("pieces", [
+    [CHUNKED],
+    [bytes([b]) for b in json_reply()],
+    [bytes([b]) for b in CHUNKED],
+    [b"HTTP/1.1 100 Continue\r\n\r\n", b"HTTP/1.1 102 Processing\r\nX: 1\r\n\r\n" + json_reply()],
+    [json_reply(headers=b"".join(b"X-%d: %d\r\n" % (k, k) for k in range(98)))],
+    [json_reply(headers=b"Content-Length: 17\r\nX-Long: " + b"a" * (65536 - 10) + b"\r\n")],
+], ids=["chunked", "byte-at-a-time", "chunked-byte-at-a-time", "interim-replies", "100-headers", "longest-line"])
+def test_framed_replies_keep_the_connection(pieces):
+    with raw_server(always(pieces)) as server:
+        with closing(JsonClient(server.base + "/qa", retries=0)) as client:
+            for _ in range(3):
+                assert client.post({}) == YES
+    assert client.counts == {"requests": 3, "retries": 0, "failures": 0, "connections": 1}
+    assert server.opened == 1
+
+
+@pytest.mark.parametrize("reply,keep", [
+    (b'HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{"answer": "yes"}', False),
+    (json_reply(headers=b"Connection: close\r\n"), True),
+    (json_reply(headers=b"Connection: Keep-Alive, Close\r\n"), True),
+    (b'HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n{"answer": "yes"}', False),
+], ids=["http-1.0-to-eof", "connection-close", "close-token", "unchunked-encoding-to-eof"])
+def test_replies_that_end_the_connection_are_not_reused(reply, keep):
+    # The server keeps a "Connection: close" connection open: the client
+    # must close it on its own.
+    with raw_server(always([reply], keep)) as server:
+        with closing(JsonClient(server.base + "/qa", retries=0)) as client:
+            for k in range(2):
+                assert client.post({}) == YES
+                wait_for(lambda: server.closed == k + 1)
+    assert client.counts == {"requests": 2, "retries": 0, "failures": 0, "connections": 2}
+
+
+def test_no_content_reply_fails_at_once_and_keeps_the_connection():
+    replies = {1: b"HTTP/1.1 204 No Content\r\n\r\n", 2: b"HTTP/1.1 304 Not Modified\r\nContent-Length: 9\r\n\r\n"}
+    with raw_server(lambda n: ([replies.get(n, json_reply())], True)) as server:
+        with closing(JsonClient(server.base + "/qa", retries=0, timeout=5)) as client:
+            for _ in range(2):
+                start = time.perf_counter()
+                with pytest.raises(BackendError):
+                    client.post({})
+                assert time.perf_counter() - start < 1
+            assert client.post({}) == YES
+    assert client.counts == {"requests": 3, "retries": 0, "failures": 2, "connections": 1}
+
+
+def test_short_body_fails_the_attempt_and_the_retry_reconnects():
+    short = ([json_reply()[:-5]], False)
+    replies = {1: short, 3: short}
+    with raw_server(lambda n: replies.get(n, ([json_reply()], True))) as server:
+        with closing(JsonClient(server.base + "/qa", retries=1, backoff=0.0)) as client:
+            assert client.post({}) == YES
+            assert client.counts == {"requests": 2, "retries": 1, "failures": 0, "connections": 2}
+            client.retries = 0
+            with pytest.raises(BackendError, match="IncompleteRead"):
+                client.post({})
+    assert server.opened == 2
+
+
+@pytest.mark.parametrize("reply,match", [
+    (b"ICY 200 OK\r\n\r\n", "ICY 200 OK"),
+    (b"HTTP/1.1 2x0 OK\r\nContent-Length: 0\r\n\r\n", "HTTP/1.1 2x0 OK"),
+    (json_reply(headers=b"X-Long: " + b"a" * 65536 + b"\r\n"), "more than 65536 bytes"),
+    (json_reply(headers=b"".join(b"X-%d: %d\r\n" % (k, k) for k in range(99))), "more than 100 headers"),
+    (json_reply(headers=b"Content-Length: 18\r\n"), "bad Content-Length '18'"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad Content-Length '-1'"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size 'zz'"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}xx0\r\n\r\n", "not followed by CRLF"),
+], ids=["status-line", "status-code", "long-line", "101-headers", "two-lengths", "negative-length",
+        "chunk-size", "chunk-end"])
+def test_malformed_replies_fail_and_drop_the_connection(reply, match):
+    # The server would keep the connection: the client drops it.
+    with raw_server(always([reply])) as server:
+        with closing(JsonClient(server.base + "/qa", retries=0, timeout=5)) as client:
+            with pytest.raises(BackendError, match=match):
+                client.post({})
+            wait_for(lambda: server.closed == 1)
+    assert client.counts == {"requests": 1, "retries": 0, "failures": 1, "connections": 1}
+
+
+def test_read_timeout_drops_the_connection():
+    with raw_server(lambda n: ([] if n == 1 else [json_reply()], True)) as server:
+        with closing(JsonClient(server.base + "/qa", retries=0, timeout=0.2)) as client:
+            with pytest.raises(BackendError, match="timed out"):
+                client.post({})
+            wait_for(lambda: server.closed == 1)
+            assert client.post({}) == YES
+    assert client.counts == {"requests": 2, "retries": 0, "failures": 1, "connections": 2}
+
+
+def reply_mutations(rng, reply):
+    """About 200 damaged copies of reply: cut at each byte offset, header
+    names and values with bytes replaced, inserted or removed, and bad or
+    doubled Content-Length values."""
+    yield from (reply[:cut] for cut in range(len(reply)))
+    head, body = reply.split(b"\r\n\r\n", 1)
+    alphabet = b"aZ09:;,- \t\r\n\x00\x7f\xff"
+    for _ in range(100):
+        lines = head.split(b"\r\n")
+        k = rng.randrange(len(lines))
+        line = bytearray(lines[k])
+        at = rng.randrange(len(line) + 1)
+        what = rng.choice(("replace", "insert", "delete"))
+        if what == "delete":
+            del line[at:at + rng.randint(1, 4)]
+        else:
+            line[at:at + (what == "replace")] = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+        lines[k] = bytes(line)
+        yield b"\r\n".join(lines) + b"\r\n\r\n" + body
+    size = len(body)
+    for value in (b"-17", b"abc", b"", b"0x11", b"1e3", b"+17", b" 17 ", b"17, 17", b"9" * 30, b"16", b"0",
+                  b"%d\r\nContent-Length: %d" % (size, size), b"%d\r\nContent-Length: %d" % (size, size + 1)):
+        yield head.replace(b"Content-Length: %d" % size, b"Content-Length: " + value) + b"\r\n\r\n" + body
+
+
+def test_seeded_reply_mutations_return_the_object_or_fail_cleanly():
+    reply = json_reply()
+    mutations = list(reply_mutations(random.Random(20211), reply))
+    assert len(mutations) > 180
+    outcomes = []
+    with raw_server(lambda n: ([mutations[n - 1]], False)) as server:
+        for mutation in mutations:
+            with closing(JsonClient(server.base + "/qa", retries=0, timeout=2)) as client:
+                start = time.perf_counter()
+                try:
+                    outcomes.append(client.post({}))
+                except BackendError:
+                    outcomes.append(None)
+                assert time.perf_counter() - start < 2, mutation
+    gc.collect()  # an unclosed socket warns, and fails the test, here
+    assert all(outcome in (YES, None) for outcome in outcomes)
+    # Every cut reply fails; some damaged heads still frame the body.
+    assert outcomes[:len(reply)] == [None] * len(reply)
+    assert YES in outcomes
