@@ -23,7 +23,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .errors import AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, read_records
+from .errors import AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, read_records, write_jsonl
 from .manifest import RunManifest
 
 logger = logging.getLogger("hopqg.cli")
@@ -211,8 +211,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
     failures = [failure for _, failure in results if failure is not None]
     for index, seed, exc in failures:
         logger.warning("context %d seed %d failed: %s", index, seed, exc)
-    # Written as evaluate.write_jsonl writes, without loading the metrics.
-    _write_text(args.out, "".join(json.dumps(t.to_json(), ensure_ascii=False) + "\n" for t in traces))
+    write_jsonl([t.to_json() for t in traces], args.out)
 
     manifest.count("initial", len(traces))
     manifest.count("rewrite", sum(len(t.questions) - 1 for t in traces))
@@ -224,7 +223,6 @@ def cmd_build_dataset(
     args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, classifier, decomposer, qa
 ) -> Outcome:
     from .dataset_builder import BackendSuite, build_dataset
-    from .evaluate import write_jsonl
     from .hotpot import load_hotpot
 
     if args.manifest_only:
@@ -315,7 +313,7 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
 
 
 def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
-    from .evaluate import filter_generated, read_traces, write_jsonl
+    from .evaluate import filter_generated, read_traces
 
     if args.manifest_only:
         return EXIT_OK, []
@@ -354,7 +352,7 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunMan
 
 
 def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
-    from .evaluate import emit_augmentation, read_traces, write_jsonl
+    from .evaluate import emit_augmentation, read_traces
 
     if args.manifest_only:
         return EXIT_OK, []

@@ -36,16 +36,25 @@ _UNSAFE_URL_CHAR = re.compile(r"[\x00-\x20\x7f]")
 
 def url_fault(url: str) -> str | None:
     """Why a service URL can never be posted to, or None: a space or control
-    character, or a port other than a number in 1-65535."""
+    character, user credentials (the client would take them for part of the
+    host name), or a port other than a number in 1-65535."""
     if _UNSAFE_URL_CHAR.search(url):
         return "must not contain a space or control character"
+    parts = urllib.parse.urlsplit(url)
+    if "@" in parts.netloc:
+        return "must not hold user credentials"
     try:
-        port = urllib.parse.urlsplit(url).port
+        port = parts.port
     except ValueError:
         port = 0
     if port == 0:
         return "must be a valid URL with any port in 1-65535"
     return None
+
+
+def shown_url(url: str) -> str:
+    """url as a message shows it: any user:password@ as ***@."""
+    return re.sub(r"(?<=://)[^/?#]*@", "***@", url, count=1)
 
 
 @dataclass(frozen=True)
@@ -104,12 +113,11 @@ class PipelineConfig:
             if url is None:
                 continue
             if not (isinstance(url, str) and _SERVICE_URL.match(url)):
-                raise ConfigError(
-                    f"endpoints.{role} (or {var}) must be an http(s) URL with a host, got {url!r}"
-                )
+                shown = shown_url(url) if isinstance(url, str) else url
+                raise ConfigError(f"endpoints.{role} (or {var}) must be an http(s) URL with a host, got {shown!r}")
             fault = url_fault(url)
             if fault is not None:
-                raise ConfigError(f"endpoints.{role} (or {var}) {fault}, got {url!r}")
+                raise ConfigError(f"endpoints.{role} (or {var}) {fault}, got {shown_url(url)!r}")
 
     def to_json(self) -> dict:
         return asdict(self)

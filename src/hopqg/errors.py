@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one reader of a JSON
-records file, JSON loading that names `path:line` in its errors, and the
-one rule for a JSON integer."""
+"""Exception types shared across the package, the one reader and writer
+of JSON records files, JSON loading that names `path:line` in its errors,
+and the one rule for a JSON integer."""
 
 from __future__ import annotations
 
@@ -147,3 +147,10 @@ def read_records(path: str, noun: str) -> list[tuple[str, dict]]:
         if type(record) is not dict:
             raise AnnotationError(f"{where}: record must be an object, got {json_kind(record)}")
     return records
+
+
+def write_jsonl(records: list[dict], path: str) -> None:
+    """Writes records to path as JSONL, one per line, non-ASCII kept as is."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

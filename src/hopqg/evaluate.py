@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import AnnotationError, BackendError, MetricError, is_integral, json_kind, read_records
+# write_jsonl is exported from here too, where the benchmark traces it.
+from .errors import AnnotationError, BackendError, MetricError, is_integral, json_kind, read_records, write_jsonl
 from .metrics import (
     CIDER_ORDER,
     TOKENIZER_SPEC,
@@ -132,7 +132,10 @@ class ProbeResult:
     backend: str
     buckets: dict[int, ProbeBucket] = field(default_factory=dict)
     failures: int = 0
-    incomplete: bool = False
+
+    @property
+    def incomplete(self) -> bool:
+        return self.failures > 0
 
     def to_json(self) -> dict:
         return {
@@ -175,7 +178,6 @@ def difficulty_probe(traces: list[dict], qa_backend, concurrency: int = 8) -> Pr
                 answers.append((trace, future.result()))
             except BackendError:
                 result.failures += 1
-                result.incomplete = True
     for trace, predicted in answers:
         bucket = result.buckets.setdefault(int(trace["d"]), ProbeBucket())
         bucket.count += 1
@@ -217,12 +219,6 @@ def emit_augmentation(
         out.append(tagged)
     random.Random(seed).shuffle(out)
     return out
-
-
-def write_jsonl(records: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 # What `filter`, `probe` and `augment` may read of a question record:

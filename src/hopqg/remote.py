@@ -16,11 +16,11 @@ retries, failures and connections, and ``close()`` shuts every connection
 it opened, on any thread.
 
 http.client opens each connection (TCP_NODELAY, a proxy's CONNECT tunnel,
-TLS); the client writes and reads the messages on it itself (RFC 9112).
-A request goes out in one write. Its head holds the bytes http.client
-writes for it, and is built once per client: each call adds only its
-Content-Length and body. Replies are read through one buffered reader per
-connection. It skips 1xx interim replies, and takes a body as framed by
+TLS from one context per client). It also writes the request head, once
+per client, when the client is made; each call adds only its
+Content-Length and body, and the request goes out in one write. The
+client reads the replies itself (RFC 9112), through one buffered reader
+per connection. It skips 1xx interim replies, and takes a body as framed by
 Content-Length, by chunks (extensions and trailers are read past) or by
 the end of the connection; 204 and 304 replies have none. After HTTP/1.0,
 ``Connection: close`` or a body that runs to the end, the connection is
@@ -32,6 +32,7 @@ or chunk size, or a reply cut short, the attempt fails.
 from __future__ import annotations
 
 import base64
+import functools
 import http.client
 import json
 import socket
@@ -40,7 +41,7 @@ import time
 import urllib.parse
 import urllib.request
 
-from .config import url_fault
+from .config import shown_url, url_fault
 from .errors import BackendError
 
 # What a JsonClient counts; the CLI writes each as remote.<role>.<counter>.
@@ -77,10 +78,9 @@ def _route(url: str) -> tuple[type, str, str, str | None, dict]:
     """(connection class, host to connect to, request target, tunnel host,
     proxy headers) for url, through the environment's proxy as urlopen
     would go."""
-    # A CR LF in the target would add headers to the head.
     fault = url_fault(url)
     if fault is not None:
-        raise BackendError(f"{url!r} {fault}")
+        raise BackendError(f"{shown_url(url)!r} {fault}")
     try:
         req = urllib.request.Request(url)
     except ValueError as exc:
@@ -109,41 +109,6 @@ def _route(url: str) -> tuple[type, str, str, str | None, dict]:
             scheme, target = proxy_scheme, req.full_url
     connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
     return connection, host, target or "/", tunnel, headers
-
-
-def _host_bytes(name: str) -> bytes:
-    try:
-        return name.encode("ascii")
-    except UnicodeEncodeError:
-        return name.encode("idna")
-
-
-def _request_head(connection: type, authority: str, target: str, headers: dict) -> tuple[bytes, bytes]:
-    """The head of a POST of target as http.client writes it, split where
-    the Content-Length value goes. Host is the URL's own for an absolute
-    target, else authority's (the server or tunnel end), with the port only
-    where it is not the scheme's default; headers follow Content-Length."""
-    if target.startswith("http"):
-        host, zone, _ = _host_bytes(urllib.parse.urlsplit(target).netloc).partition(b"%")
-        if zone:
-            host += b"]"
-    else:
-        name, port = authority, connection.default_port
-        colon = name.rfind(":")
-        if colon > name.rfind("]"):
-            name, port = name[:colon], int(name[colon + 1:] or port)
-        if name[:1] == "[" and name[-1:] == "]":
-            name = name[1:-1]
-        host = _host_bytes(name)
-        if ":" in name:
-            host = b"[" + host.partition(b"%")[0] + b"]"
-        if port != connection.default_port:
-            host += b":%d" % port
-    start = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\nContent-Length: " % (
-        target.encode("ascii"), host,
-    )
-    end = "".join(f"\r\n{name}: {value}" for name, value in headers.items()) + "\r\n\r\n"
-    return start, end.encode("latin-1")
 
 
 def _read_line(reader) -> bytes:
@@ -283,10 +248,21 @@ class JsonClient:
         headers = {"Content-Type": "application/json"}
         if self._tunnel is None:
             headers.update(proxy_headers)
+        # http.client writes the head once, into a list in place of sending
+        # it; each call fills in its Content-Length.
+        written: list[bytes] = []
         try:
-            self._head = _request_head(self._connection, self._tunnel or self._host, target, headers)
-        except ValueError as exc:  # a target or host name http.client cannot encode either
+            opener = self._opener()
+            opener.send = written.append
+            opener.request("POST", target, b"", headers)
+        except (ValueError, http.client.HTTPException) as exc:  # a target, host or header it refuses
             self._refusal = BackendError(f"{url}: {exc}")
+            return
+        start, _, end = b"".join(written).partition(b"\r\nContent-Length: 0\r\n")
+        self._head = start + b"\r\nContent-Length: ", b"\r\n" + end
+        if self._connection is http.client.HTTPSConnection:
+            # Every connection shares the default TLS context http.client made here.
+            self._connection = functools.partial(self._connection, context=opener._context)
 
     def post(self, payload: dict) -> dict:
         """POST payload as JSON; returns the decoded object or raises BackendError."""
@@ -354,10 +330,15 @@ class JsonClient:
                 self._drop(conn)
             raise
 
-    def _connect(self) -> _Connection:
+    def _opener(self) -> http.client.HTTPConnection:
+        """An unopened http.client connection to the server or proxy."""
         opener = self._connection(self._host, timeout=self.timeout)
         if self._tunnel is not None:
             opener.set_tunnel(self._tunnel, headers=self._tunnel_headers)
+        return opener
+
+    def _connect(self) -> _Connection:
+        opener = self._opener()
         try:
             opener.connect()
         except BaseException:

@@ -478,13 +478,17 @@ def test_generate_remote_manifest_only_without_endpoint_exits_2(tmp_path, monkey
     assert not manifest.exists()
 
 
-@pytest.mark.parametrize("url", ["http://127.0.0.1:abc/x", "http://127.0.0.1:99999/x", "http://127.0.0.1/a b"])
+@pytest.mark.parametrize("url", [
+    "http://127.0.0.1:abc/x", "http://127.0.0.1:99999/x", "http://127.0.0.1/a b", "http://user:pw@127.0.0.1:9/x",
+])
 def test_generate_remote_endpoint_that_can_never_be_posted_to_exits_2(tmp_path, monkeypatch, capsys, url):
     monkeypatch.setenv("HOPQG_GENERATOR_URL", url)
     ctx = write_json(tmp_path / "ctx.json", film_context_doc())
     out = tmp_path / "t.jsonl"
     assert main(["generate", "--context", ctx, "--backend", "remote", "--out", str(out)]) == 2
-    assert "error: endpoints.generator (or HOPQG_GENERATOR_URL) must " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: endpoints.generator (or HOPQG_GENERATOR_URL) must " in err
+    assert "pw@" not in err
     assert not out.exists()
 
 

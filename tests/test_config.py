@@ -138,9 +138,10 @@ def test_category_overrides_must_map_to_a_category(tmp_path, doc, extra, message
     assert str(info.value).startswith(message)
 
 
-@pytest.mark.parametrize("url", [5, "ftp://x", "http://", "https:///path", "", True, ["http://x"]])
+@pytest.mark.parametrize("url", [5, "ftp://x", "http://", "https:///path", "", True, ["http://x"], "ftp://user:pw@x"])
 def test_endpoint_must_be_an_http_url_with_a_host(tmp_path, url):
-    message = f"endpoints.generator (or HOPQG_GENERATOR_URL) must be an http(s) URL with a host, got {url!r}"
+    shown = url.replace("user:pw@", "***@") if isinstance(url, str) else url  # credentials are never shown
+    message = f"endpoints.generator (or HOPQG_GENERATOR_URL) must be an http(s) URL with a host, got {shown!r}"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"endpoints": {"qa": "http://qa-host/qa", "generator": url}}))
     with pytest.raises(ConfigError) as info:
@@ -161,9 +162,11 @@ def test_endpoint_must_be_an_http_url_with_a_host(tmp_path, url):
     ("http://127.0.0.1/a\x01b", "must not contain a space or control character"),
     ("http://127.0.0.1/a\r\nX-Injected: 1", "must not contain a space or control character"),
     ("http://127.0.0.1/a\x7f", "must not contain a space or control character"),
+    ("http://user:pw@127.0.0.1:9/x", "must not hold user credentials"),
 ])
 def test_endpoint_that_can_never_be_posted_to_is_rejected(tmp_path, url, fault):
-    message = f"endpoints.qa (or HOPQG_QA_URL) {fault}, got {url!r}"
+    # A message shows no credentials.
+    message = f"endpoints.qa (or HOPQG_QA_URL) {fault}, got {url.replace('user:pw@', '***@')!r}"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"endpoints": {"qa": url}}))
     for source, env in ((str(path), {}), (None, {"HOPQG_QA_URL": url})):
