@@ -1,11 +1,14 @@
 """Command-line surface binding the pipeline stages together.
 
 Exit codes: 0 success, 1 partial (some items failed and were logged),
-2 invalid input or config. ``main`` sets up every run: it applies the
-command's flags to the config, builds the services of its roles, closes
-them, and writes the RunManifest of every completed command: the config
-the run used, the digests of the input files its subparser names in
-``inputs`` and of the outputs it returns, and the stages it recorded.
+2 invalid input or config. ``main`` runs every command as read, work and
+write: it applies the command's flags to the config, builds the services
+of its roles, reads the inputs with the command's read step, hands them
+to its work step, writes the outputs work returns, and closes the
+services. It writes the RunManifest of every completed command: the
+config the run used, the digests of the input files its subparser names
+in ``inputs`` and of the outputs it wrote, and the stages recorded, its
+own ``read`` and ``write`` among them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from typing import Any, Callable
 
 from . import __version__
 from .config import PipelineConfig, load_config
@@ -114,26 +118,31 @@ def _load_context_docs(path: str) -> list[AnnotatedContext]:
     return contexts
 
 
-# Each command does its work and returns its exit code and the output files
-# it wrote; main digests those and writes the manifest. A command imports the
-# modules it runs as its first statement, so a launch loads only those, and
-# --manifest-only loads the same ones as a real run.
-Outcome = tuple[int, list[str]]
+# A command checks its flags and imports the modules it runs, and returns
+# two steps: read decodes and checks the inputs, and work takes what read
+# returned and gives the exit code and the outputs, each path with its
+# content; what goes to stdout, work prints. main times read and the writes
+# as the stages "read" and "write". Under --manifest-only it runs neither
+# step, so that launch loads the modules of a real run and decodes nothing.
+Steps = tuple[Callable[[], Any], Callable[[Any], tuple[int, dict[str, list | dict]]]]
 
 
-def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Steps:
     from .graph import build_context_graph
 
-    if args.manifest_only:
-        return EXIT_OK, []
-    contexts = _load_context_docs(args.context)
-    if len(contexts) != 1:
-        raise AnnotationError("build-graph expects exactly one annotated context")
-    with manifest.timed("build"):
-        graph = build_context_graph(contexts[0])
-    manifest.count("build")
-    _write_text(args.out, _dump_json(graph.to_json()))
-    return EXIT_OK, [args.out]
+    def read() -> AnnotatedContext:
+        contexts = _load_context_docs(args.context)
+        if len(contexts) != 1:
+            raise AnnotationError("build-graph expects exactly one annotated context")
+        return contexts[0]
+
+    def work(context: AnnotatedContext):
+        with manifest.timed("build"):
+            graph = build_context_graph(context)
+        manifest.count("build")
+        return EXIT_OK, {args.out: graph.to_json()}
+
+    return read, work
 
 
 class _SharedGraph:
@@ -164,7 +173,7 @@ class _SharedGraph:
                 self.graph = None
 
 
-def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, generator) -> Outcome:
+def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, generator) -> Steps:
     from .pipeline import generate_stepwise
     from .planner import plan_chain
     from .template import key_overrides
@@ -172,74 +181,67 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
     for flag, value in (("--d", args.d), ("--count", args.count)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
-    if args.manifest_only:
-        return EXIT_OK, []
-    contexts = _load_context_docs(args.context)
-    overrides = key_overrides(config.category_overrides)
-    shared = [_SharedGraph(ctx, args.count) for ctx in contexts]
-    jobs = [
-        (index, args.seed + k)
-        for index in range(len(contexts))
-        for k in range(args.count)
-    ]
-    # Written even when no call returns: each stage counts the calls that
-    # returned and times all of them.
-    for stage in ("build", "plan", "generate"):
-        manifest.count(stage, 0)
 
-    def run(job):
-        index, seed = job
-        share = shared[index]
-        try:
-            graph = share.get(manifest)
-            with manifest.timed("plan"):
-                chain = plan_chain(graph, args.d, seed=seed, answer_text=args.answer)
-            manifest.count("plan")
-            with manifest.timed("generate"):
-                trace = generate_stepwise(share.ctx, graph, chain, generator, overrides)
-            manifest.count("generate")
-            return trace, None
-        except HopqgError as exc:
-            return None, (index, seed, exc)
-        finally:
-            share.release()
+    def work(contexts: list[AnnotatedContext]):
+        overrides = key_overrides(config.category_overrides)
+        shared = [_SharedGraph(ctx, args.count) for ctx in contexts]
+        jobs = [(index, args.seed + k) for index in range(len(contexts)) for k in range(args.count)]
+        # Written even when no call returns: each stage counts the calls that
+        # returned and times all of them.
+        for stage in ("build", "plan", "generate"):
+            manifest.count(stage, 0)
 
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        results = list(pool.map(run, jobs))
+        def run(job):
+            index, seed = job
+            share = shared[index]
+            try:
+                graph = share.get(manifest)
+                with manifest.timed("plan"):
+                    chain = plan_chain(graph, args.d, seed=seed, answer_text=args.answer)
+                manifest.count("plan")
+                with manifest.timed("generate"):
+                    trace = generate_stepwise(share.ctx, graph, chain, generator, overrides)
+                manifest.count("generate")
+                return trace, None
+            except HopqgError as exc:
+                return None, (index, seed, exc)
+            finally:
+                share.release()
 
-    traces = [trace for trace, _ in results if trace is not None]
-    failures = [failure for _, failure in results if failure is not None]
-    for index, seed, exc in failures:
-        logger.warning("context %d seed %d failed: %s", index, seed, exc)
-    write_jsonl([t.to_json() for t in traces], args.out)
+        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+            results = list(pool.map(run, jobs))
 
-    manifest.count("initial", len(traces))
-    manifest.count("rewrite", sum(len(t.questions) - 1 for t in traces))
-    manifest.count("failed", len(failures))
-    return EXIT_PARTIAL if failures else EXIT_OK, [args.out]
+        traces = [trace for trace, _ in results if trace is not None]
+        failures = [failure for _, failure in results if failure is not None]
+        for index, seed, exc in failures:
+            logger.warning("context %d seed %d failed: %s", index, seed, exc)
+        manifest.count("initial", len(traces))
+        manifest.count("rewrite", sum(len(t.questions) - 1 for t in traces))
+        manifest.count("failed", len(failures))
+        return EXIT_PARTIAL if failures else EXIT_OK, {args.out: [t.to_json() for t in traces]}
+
+    return lambda: _load_context_docs(args.context), work
 
 
 def cmd_build_dataset(
     args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, classifier, decomposer, qa
-) -> Outcome:
+) -> Steps:
     from .dataset_builder import BackendSuite, build_dataset
     from .hotpot import load_hotpot
 
-    if args.manifest_only:
-        return EXIT_OK, []
-    records = load_hotpot(args.hotpot)
-    backends = BackendSuite(classifier, decomposer, qa)
-    with manifest.timed("build"):
-        examples, stats = build_dataset(records, backends, concurrency=config.concurrency)
-    manifest.count("build", len(examples))
-    write_jsonl([ex.to_json() for ex in examples], args.out)
-    outputs = [args.out]
-    if args.stats:
-        _write_text(args.stats, _dump_json(stats))
-        outputs.append(args.stats)
-    manifest.count("skipped", sum(stats["skips"].values()))
-    manifest.count("errors", stats["errors"])
-    return EXIT_PARTIAL if stats["errors"] else EXIT_OK, outputs
+    def work(records: list[HotpotRecord]):
+        backends = BackendSuite(classifier, decomposer, qa)
+        with manifest.timed("build"):
+            examples, stats = build_dataset(records, backends, concurrency=config.concurrency)
+        manifest.count("build", len(examples))
+        manifest.count("skipped", sum(stats["skips"].values()))
+        manifest.count("errors", stats["errors"])
+        outputs = {args.out: [ex.to_json() for ex in examples]}
+        if args.stats:
+            outputs[args.stats] = stats
+        return EXIT_PARTIAL if stats["errors"] else EXIT_OK, outputs
+
+    return lambda: load_hotpot(args.hotpot), work
 
 
 def _read_lines(path: str) -> list[str]:
@@ -289,80 +291,68 @@ def _metric_table(metrics: dict[str, float]) -> str:
     return "\n".join(lines)
 
 
-def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Steps:
     from .evaluate import METRIC_NAMES, metric_report
 
-    if args.manifest_only:
-        return EXIT_OK, []
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
     if not names:
         raise MetricError(f"no metrics named (known: {', '.join(METRIC_NAMES)})")
-    corpus = _read_corpus(args.hyp, args.ref)
-    with manifest.timed("score"):
-        report = metric_report(corpus, names)
-    manifest.count("score", len(corpus))
-    manifest.count("meteor-fallback", report["meteor_fallbacks"])
-    text = _dump_json(report)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    if args.table:
-        sys.stdout.write(_metric_table(report["metrics"]) + "\n")
-    return EXIT_OK, [args.out] if args.out else []
+
+    def work(corpus: list[tuple[str, list[str]]]):
+        with manifest.timed("score"):
+            report = metric_report(corpus, names)
+        manifest.count("score", len(corpus))
+        manifest.count("meteor-fallback", report["meteor_fallbacks"])
+        if not args.out:
+            sys.stdout.write(_dump_json(report))
+        if args.table:
+            sys.stdout.write(_metric_table(report["metrics"]) + "\n")
+        return EXIT_OK, {args.out: report} if args.out else {}
+
+    return lambda: _read_corpus(args.hyp, args.ref), work
 
 
-def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Steps:
     from .evaluate import filter_generated, read_traces
 
-    if args.manifest_only:
-        return EXIT_OK, []
-    items = read_traces(args.traces, optional=("question", "answer"))
-    with manifest.timed("filter"):
-        kept, dropped = filter_generated(items, config.min_words, config.max_words)
-    manifest.count("filter", len(kept))
-    write_jsonl(kept, args.out)
-    outputs = [args.out]
-    if args.rejects:
-        write_jsonl(
-            [{"reason": reason, "item": item} for item, reason in dropped],
-            args.rejects,
-        )
-        outputs.append(args.rejects)
-    manifest.count("dropped", len(dropped))
-    return EXIT_OK, outputs
+    def work(items: list[dict]):
+        with manifest.timed("filter"):
+            kept, dropped = filter_generated(items, config.min_words, config.max_words)
+        manifest.count("filter", len(kept))
+        manifest.count("dropped", len(dropped))
+        outputs = {args.out: kept}
+        if args.rejects:
+            outputs[args.rejects] = [{"reason": reason, "item": item} for item, reason in dropped]
+        return EXIT_OK, outputs
+
+    return lambda: read_traces(args.traces, optional=("question", "answer")), work
 
 
-def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, qa) -> Outcome:
+def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, qa) -> Steps:
     from .evaluate import difficulty_probe, read_traces
 
-    if args.manifest_only:
-        return EXIT_OK, []
-    traces = read_traces(args.traces, required=("question", "answer", "context", "d"))
-    with manifest.timed("probe"):
-        result = difficulty_probe(traces, qa, concurrency=config.concurrency)
-    manifest.count("probe", len(traces) - result.failures)
-    manifest.count("failed", result.failures)
-    sys.stdout.write(result.format_table() + "\n")
-    outputs = []
-    if args.out:
-        _write_text(args.out, _dump_json(result.to_json()))
-        outputs.append(args.out)
-    return EXIT_PARTIAL if result.incomplete else EXIT_OK, outputs
+    def work(traces: list[dict]):
+        with manifest.timed("probe"):
+            result = difficulty_probe(traces, qa, concurrency=config.concurrency)
+        manifest.count("probe", len(traces) - result.failures)
+        manifest.count("failed", result.failures)
+        sys.stdout.write(result.format_table() + "\n")
+        return EXIT_PARTIAL if result.incomplete else EXIT_OK, {args.out: result.to_json()} if args.out else {}
+
+    return lambda: read_traces(args.traces, required=("question", "answer", "context", "d")), work
 
 
-def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Outcome:
+def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Steps:
     from .evaluate import emit_augmentation, read_traces
 
-    if args.manifest_only:
-        return EXIT_OK, []
-    generated = read_traces(args.traces)
-    originals = read_traces(args.originals)
-    with manifest.timed("mix"):
-        mixed = emit_augmentation(generated, originals, ratio=config.oversample_ratio, seed=args.seed)
-    manifest.count("mix", len(mixed))
-    write_jsonl(mixed, args.out)
-    return EXIT_OK, [args.out]
+    def work(inputs: tuple[list[dict], list[dict]]):
+        generated, originals = inputs
+        with manifest.timed("mix"):
+            mixed = emit_augmentation(generated, originals, ratio=config.oversample_ratio, seed=args.seed)
+        manifest.count("mix", len(mixed))
+        return EXIT_OK, {args.out: mixed}
+
+    return lambda: (read_traces(args.traces), read_traces(args.originals)), work
 
 
 @functools.cache
@@ -478,12 +468,25 @@ def main(argv: list[str] | None = None) -> int:
                 if k not in ("func", "inputs", "roles", "flags", "manifest_only")
             },
         )
+        code = EXIT_OK
         try:
             # Each subparser names its input-file options in ``inputs``, a
             # default set in build_parser rather than a flag.
             for name in args.inputs:
                 manifest.add_input(getattr(args, name))
-            code, outputs = args.func(args, config, manifest, **services)
+            read, work = args.func(args, config, manifest, **services)
+            if not args.manifest_only:
+                with manifest.timed("read"):
+                    inputs = read()
+                code, outputs = work(inputs)
+                with manifest.timed("write"):
+                    for path, content in outputs.items():
+                        # A list of records is written as JSONL, a report as JSON.
+                        if isinstance(content, list):
+                            write_jsonl(content, path)
+                        else:
+                            _write_text(path, _dump_json(content))
+                        manifest.add_output(path)
         finally:
             if backend == "remote":
                 for role, service in services.items():
@@ -491,14 +494,9 @@ def main(argv: list[str] | None = None) -> int:
                     if not args.manifest_only:
                         for counter, n in service.client.counts.items():
                             manifest.count(f"remote.{role}.{counter}", n)
-        for path in outputs:
-            manifest.add_output(path)
         manifest.write(_manifest_path(args, manifest))
         return code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ConfigError, AnnotationError, MetricError) as exc:
+    except (FileNotFoundError, ConfigError, AnnotationError, MetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -7,7 +7,6 @@ HOPQG_QA_URL, which keeps CI scripts free of config-file templating.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -157,14 +156,7 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}:{exc.lineno}: config is not valid JSON: "
-                f"line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+        doc = load_json(path, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
 

@@ -242,9 +242,19 @@ def _check_trace(obj: dict, where: str, required: tuple[str, ...] = (), optional
         check, kind = _TRACE_FIELDS[name]
         if name in obj and not check(obj[name]):
             raise AnnotationError(f"{where}: {name!r} must be {kind}, got {json_kind(obj[name])}")
-    # d counts inference hops, as generate's --d does: at least one.
-    if "d" in required + optional and "d" in obj and obj["d"] < 1:
-        raise AnnotationError(f"{where}: 'd' must be >= 1, got {obj['d']}")
+    # d counts inference hops, as generate's --d does: at least one, and one
+    # more than the intermediate questions of a trace that lists them.
+    if "d" in required + optional and "d" in obj:
+        if obj["d"] < 1:
+            raise AnnotationError(f"{where}: 'd' must be >= 1, got {obj['d']}")
+        if "intermediates" in obj:
+            steps = obj["intermediates"]
+            if type(steps) is not list or not all(type(step) is str for step in steps):
+                raise AnnotationError(f"{where}: 'intermediates' must be an array of strings")
+            if obj["d"] != len(steps) + 1:
+                raise AnnotationError(
+                    f"{where}: 'd' must be one more than the {len(steps)} intermediates, got {obj['d']}"
+                )
     return obj
 
 

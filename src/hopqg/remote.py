@@ -106,7 +106,15 @@ def _route(url: str) -> tuple[type, str, str, str | None, dict]:
         if req.type == "https":
             tunnel = req.host
         else:
+            # http.client writes the request line in ASCII only, so the
+            # absolute target carries the host IDNA-encoded, as Host does.
             scheme, target = proxy_scheme, req.full_url
+            netloc = urllib.parse.urlsplit(target).netloc
+            if not netloc.isascii():
+                try:
+                    target = target.replace(netloc, netloc.encode("idna").decode("ascii"), 1)
+                except UnicodeError as exc:
+                    raise BackendError(f"{url}: {exc}") from exc
     connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
     return connection, host, target or "/", tunnel, headers
 

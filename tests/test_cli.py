@@ -143,8 +143,8 @@ def test_build_graph_missing_file_exits_2(tmp_path):
     assert main(["build-graph", "--context", missing, "--out", str(tmp_path / "g.json")]) == 2
 
 
-# Each command's input options; every other option is given its default.
-MANIFEST_ONLY_INPUTS = {
+# Each command's input options.
+COMMAND_INPUTS = {
     "build-graph": ("context",),
     "generate": ("context",),
     "build-dataset": ("hotpot",),
@@ -155,16 +155,38 @@ MANIFEST_ONLY_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("command", list(MANIFEST_ONLY_INPUTS))
-def test_manifest_only_skips_outputs(tmp_path, command):
+def command_argv(tmp_path, command, options):
+    """argv of command over small valid input files, with options (an option
+    None or False is not given), and the input files it names."""
     files = {
         "context": write_json(tmp_path / "ctx.json", film_context_doc()),
         "hotpot": write_json(tmp_path / "hotpot.json", [remake_record_doc()]),
-        "hyp": write(tmp_path / "hyp.txt", "a b c\n"),
-        "ref": write(tmp_path / "ref.txt", "a b c\n"),
+        "hyp": write(tmp_path / "hyp.txt", "a b c\nd e f\n"),
+        "ref": write(tmp_path / "ref.txt", "a b c\nd e f\n"),
         "traces": write(tmp_path / "t.jsonl", json.dumps(probe_traces()[0]) + "\n"),
         "originals": write_json(tmp_path / "orig.json", [{"question": "q ?", "answer": "b"}]),
     }
+    inputs = {name: files[name] for name in COMMAND_INPUTS[command]}
+    argv = [command]
+    for name, value in {**inputs, **options}.items():
+        if value is not None and value is not False:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv, inputs
+
+
+def every_output(tmp_path, command):
+    """Options of a run of command that writes every output file it can."""
+    out = str(tmp_path / "out")
+    return {
+        "build-dataset": {"out": out, "stats": str(tmp_path / "stats.json")},
+        "filter": {"out": out, "rejects": str(tmp_path / "rejects.jsonl")},
+        "probe": {"backend": "rule", "out": out},
+    }.get(command, {"out": out})
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_manifest_only_skips_outputs(tmp_path, command):
+    # Every other option is given its default.
     out = str(tmp_path / "out")
     options = {
         "build-graph": {"out": out},
@@ -175,12 +197,8 @@ def test_manifest_only_skips_outputs(tmp_path, command):
         "probe": {"backend": "rule", "out": None},
         "augment": {"ratio": None, "seed": 0, "out": out},
     }[command]
-    inputs = {name: files[name] for name in MANIFEST_ONLY_INPUTS[command]}
-    argv = [command, "--manifest-only"]
-    for name, value in {**inputs, **options}.items():
-        if value is not None and value is not False:
-            argv += ["--" + name.replace("_", "-"), str(value)]
-    assert main(argv) == 0
+    argv, inputs = command_argv(tmp_path, command, options)
+    assert main(argv + ["--manifest-only"]) == 0
     assert not os.path.exists(out)
     # Without --out the manifest lands beside the first input.
     beside = tmp_path / f"hopqg-{command}-manifest.json"
@@ -189,6 +207,22 @@ def test_manifest_only_skips_outputs(tmp_path, command):
     assert manifest["outputs"] == {} and manifest["stages"] == {}
     expected = {"command": command, "config": None, "manifest": None, **inputs, **options}
     assert manifest["arguments"] == expected
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_every_run_times_its_read_and_write(tmp_path, command):
+    argv, _ = command_argv(tmp_path, command, every_output(tmp_path, command))
+    before = set(tmp_path.iterdir())
+    assert main(argv) == 0
+    written = {str(path) for path in set(tmp_path.iterdir()) - before}
+    manifest_path = str(tmp_path / "out.manifest.json")
+    manifest = read_manifest(manifest_path)
+    # The manifest digests exactly the files the run wrote.
+    assert set(manifest["outputs"]) == written - {manifest_path} and len(written) >= 2
+    for path, digest in manifest["outputs"].items():
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+    for stage in ("read", "write"):
+        assert manifest["stages"][stage]["count"] == 0 and manifest["stages"][stage]["seconds"] > 0
 
 
 def test_multi_line_context_errors_name_their_line(tmp_path, capsys):
@@ -396,7 +430,7 @@ def test_generate_stage_seconds_within_wall_time(tmp_path):
     wall = time.perf_counter() - start
     stages = read_manifest(out + ".manifest.json")["stages"]
     assert [stages[name]["count"] for name in ("build", "plan", "generate")] == [2, 6, 6]
-    timed = sum(stages[name]["seconds"] for name in ("build", "plan", "generate"))
+    timed = sum(stages[name]["seconds"] for name in ("read", "build", "plan", "generate", "write"))
     assert 0 < timed <= wall
     assert stages["initial"] == {"count": 6, "seconds": 0.0}
     assert stages["rewrite"] == {"count": 6, "seconds": 0.0}
@@ -662,9 +696,10 @@ def test_evaluate_pairs_lines_by_number(tmp_path, capsys):
 def test_evaluate_without_metric_names_exits_2(tmp_path, capsys, metrics):
     hyp = write(tmp_path / "hyp.txt", "a b c\n")
     out = tmp_path / "r.json"
-    assert main(["evaluate", "--hyp", hyp, "--ref", hyp, "--metrics", metrics, "--out", str(out)]) == 2
-    assert "no metrics named" in capsys.readouterr().err
-    assert not out.exists()
+    for extra in ([], ["--manifest-only"]):
+        assert main(["evaluate", "--hyp", hyp, "--ref", hyp, "--metrics", metrics, "--out", str(out)] + extra) == 2
+        assert "no metrics named" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "r.json.manifest.json").exists()
 
 def test_evaluate_and_probe_manifests_land_beside_the_first_input(tmp_path, capsys, monkeypatch):
     inputs, cwd = tmp_path / "inputs", tmp_path / "cwd"
@@ -838,6 +873,33 @@ def test_probe_takes_d_only_as_an_integral_number(tmp_path, capsys, d, kind):
     traces = write(tmp_path / "t.jsonl", json.dumps(first) + "\n" + json.dumps(second) + "\n")
     assert main(["probe", "--traces", traces, "--backend", "rule"]) == 2
     assert f"{traces}:2: 'd' must be an integer, got {kind}" in capsys.readouterr().err
+
+
+def test_probe_checks_d_against_the_intermediates(tmp_path, capsys):
+    # Every trace generate writes has one intermediate question less than d.
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    generated = str(tmp_path / "generated.jsonl")
+    assert main(["generate", "--context", ctx, "--d", "2", "--count", "2", "--out", generated]) == 0
+    out = tmp_path / "probe.json"
+    assert main(["probe", "--traces", generated, "--backend", "rule", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["per_d"]["2"]["count"] == 2
+    first, second = probe_traces()
+    for intermediates, d, message in [
+        (["Who directed Night Fair?"], 1_000_000, "'d' must be one more than the 1 intermediates, got 1000000"),
+        ([], 2, "'d' must be one more than the 0 intermediates, got 2"),
+        ("Who directed Night Fair?", 2, "'intermediates' must be an array of strings"),
+        ([1], 2, "'intermediates' must be an array of strings"),
+        (None, 2, "'intermediates' must be an array of strings"),
+    ]:
+        second.update(intermediates=intermediates, d=d)
+        traces = write(tmp_path / "t.jsonl", json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        assert main(["probe", "--traces", traces, "--backend", "rule"]) == 2
+        assert f"{traces}:2: {message}" in capsys.readouterr().err
+    # A trace that lists no intermediates may take any d.
+    del second["intermediates"]
+    second["d"] = 1_000_000
+    traces = write(tmp_path / "t.jsonl", json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    assert main(["probe", "--traces", traces, "--backend", "rule"]) == 0
 
 
 def test_probe_remote_without_endpoint_exits_2(tmp_path):
@@ -1057,7 +1119,7 @@ def test_malformed_config_files_name_path_and_line(tmp_path, capsys):
     args = ["filter", "--traces", traces, "--out", str(tmp_path / "k.jsonl"), "--config"]
     cfg = write(tmp_path / "cfg.json", '{\n  "min_words": }\n')
     assert main(args + [cfg]) == 2
-    assert f"{cfg}:2: config is not valid JSON" in capsys.readouterr().err
+    assert f"{cfg}:2: invalid JSON" in capsys.readouterr().err
     cats = write(tmp_path / "cats.json", '{\n  "Top Gun": }\n')
     cfg = write_json(tmp_path / "cfg2.json", {"category_overrides_file": cats})
     assert main(args + [cfg]) == 2
@@ -1247,17 +1309,24 @@ NOT_RUN = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(NOT_RUN))
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
-    argv = next(argv for argv, _ in run_commands_argv(tmp_path) if argv[0] == command)
-    for extra in ([], ["--manifest-only"]):
+    # --manifest-only loads what a real run loads, so that timing its
+    # launch times the launch of the real command.
+    argv, _ = command_argv(tmp_path, command, every_output(tmp_path, command))
+    loaded = []
+    for extra in (["--manifest-only"], []):
         lines = [
             "import sys",
             "from hopqg.cli import main",
             f"assert main({argv + extra!r}) == 0",
-            f"print(sorted(m for m in {NOT_RUN[command]!r} if m in sys.modules))",
+            f"print(sorted(m for m in {NOT_RUN.get(command, ())!r} if m in sys.modules))",
+            "print(sorted(m for m in sys.modules if m.startswith('hopqg.')))",
         ]
-        assert fresh_python(lines) == ["[]"]
+        *_, not_run, modules = fresh_python(lines)  # probe prints its table first
+        assert not_run == "[]"
+        loaded.append(modules)
+    assert loaded[0] == loaded[1]
 
 
 def test_bare_package_root_loads_no_submodule():

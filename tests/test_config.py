@@ -94,8 +94,9 @@ def test_load_config_missing_or_malformed_file(tmp_path):
         load_config(str(tmp_path / "absent.json"), env={})
     path = tmp_path / "broken.json"
     path.write_text('{"seed": }')
-    with pytest.raises(ConfigError, match=r"line 1 column"):
+    with pytest.raises(ConfigError) as exc_info:
         load_config(str(path), env={})
+    assert str(exc_info.value) == f"{path}:1: invalid JSON: Expecting value (line 1, column 10)"
 
 
 def test_category_overrides_file_merges(tmp_path):
