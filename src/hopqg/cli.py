@@ -292,11 +292,12 @@ def _metric_table(metrics: dict[str, float]) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Steps:
-    from .evaluate import METRIC_NAMES, metric_report
+    from .evaluate import METRIC_NAMES, check_metric_names, metric_report
 
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
     if not names:
         raise MetricError(f"no metrics named (known: {', '.join(METRIC_NAMES)})")
+    check_metric_names(names)
 
     def work(corpus: list[tuple[str, list[str]]]):
         with manifest.timed("score"):

@@ -70,6 +70,13 @@ _CORPUS_LEVEL = (*_BLEU_ORDERS, "cider")
 METRIC_NAMES = tuple(sorted(_CORPUS_LEVEL) + sorted(_PAIRWISE))
 
 
+def check_metric_names(names: list[str]) -> None:
+    """Raise MetricError naming the first unknown name, with the known ones."""
+    for name in names:
+        if name not in _CORPUS_LEVEL and name not in _PAIRWISE:
+            raise MetricError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
+
+
 def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict:
     """Score a corpus with the named metrics.
 
@@ -82,9 +89,7 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
     ``meteor_fallbacks`` counts the METEOR-s alignments whose search ran
     out of nodes, so their chunk count may be above the fewest possible.
     """
-    for name in names:
-        if name not in _CORPUS_LEVEL and name not in _PAIRWISE:
-            raise MetricError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
+    check_metric_names(names)
     _check_corpus(corpus)
     fallbacks_before = meteor_fallbacks()
     with_cider = "cider" in names

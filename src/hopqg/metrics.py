@@ -278,35 +278,47 @@ def _align(
 
     Equal tokens have equal stems, so both match maxima have a closed form
     and hold together: exact = sum over tokens of min(hyp count, ref count),
-    total = the same sum over stem classes. Three slack counters hold every
-    branch to both maxima: per token, the hyp positions that may miss an
-    exact match (miss) and the ref positions stem matches may take (lend);
-    per stem class, the hyp positions that may stay unmatched (idle). A
-    branch stops before a counter would go below zero, so the depth-first
-    search over hyp positions looks only for the fewest chunks. It tries the
-    diagonal continuation first and cuts a branch once its chunks reach the
-    best found; chunks never decrease along a path.
+    total = the same sum over stem classes. They force a hyp position whose
+    stem class ref lacks to stay unmatched, and one whose class has one
+    position on each side to take it; these are placed without search.
+    The depth-first search branches only where a class repeats, held to
+    both maxima by three slack counters: per token, the hyp positions that
+    may miss an exact match (miss) and the ref positions stem matches may
+    take (lend); per stem class, the hyp positions that may stay unmatched
+    (idle). A branch stops before a counter would go below zero. The search
+    tries the diagonal continuation first and cuts a branch once its chunks
+    reach the best found; chunks never decrease along a path.
 
     Fewest chunks is a minimum common string partition, which is NP-hard,
-    so past node_budget nodes the search stops and the trip is counted
-    (meteor_fallbacks). It then returns the best complete alignment found,
-    or else a greedy exact-then-stem pass, which reaches both maxima.
+    so past node_budget search nodes the search stops and the trip is
+    counted (meteor_fallbacks). It then returns the best complete alignment
+    found, or else a greedy exact-then-stem pass, which reaches both maxima.
     """
     m, n = len(hyp), len(ref)
-    hyp_count, ref_count = Counter(hyp), Counter(ref)
-    miss = {t: c - min(c, ref_count[t]) for t, c in hyp_count.items()}
-    lend = {t: c - min(c, hyp_count[t]) for t, c in ref_count.items()}
-    ref_class = Counter(ref_stems)
-    idle = {s: c - min(c, ref_class[s]) for s, c in Counter(hyp_stems).items()}
     positions: dict[str, list[int]] = {}
     for j, s in enumerate(ref_stems):
         positions.setdefault(s, []).append(j)
-    compat = [positions.get(s, []) for s in hyp_stems]
-
-    used = [False] * n
+    hyp_class = dict.fromkeys(hyp_stems, 0)
+    for s in hyp_stems:
+        hyp_class[s] += 1
     path = [-1] * m
-    best: list[int] | None = None
-    best_chunks = m + 1
+    stop = [m] * (m + 1)  # the first position from i on whose class repeats, or m
+    for i in range(m - 1, -1, -1):
+        opts = positions.get(hyp_stems[i], ())
+        if len(opts) > 1 or opts and hyp_class[hyp_stems[i]] > 1:
+            stop[i] = i
+        else:
+            stop[i] = stop[i + 1]
+            path[i] = opts[0] if opts else -1
+    if stop[0] == m:
+        return [(i, j) for i, j in enumerate(path) if j >= 0]
+    hyp_count, ref_count = Counter(hyp), Counter(ref)
+    miss = {t: c - min(c, ref_count[t]) for t, c in hyp_count.items()}
+    lend = {t: c - min(c, hyp_count[t]) for t, c in ref_count.items()}
+    idle = {s: c - min(c, len(positions.get(s, ()))) for s, c in hyp_class.items()}
+    compat = [positions.get(s, []) for s in hyp_stems]
+    used = [False] * n  # no branch reaches a forced ref position
+    best, best_chunks = None, m + 1
 
     def children(i: int, prev: int, chunks: int):
         """The children of a search node. The counters, used and path hold
@@ -357,22 +369,25 @@ def _align(
             _fallbacks.count = meteor_fallbacks() + 1
             break
         i, prev, chunks = node
+        # Walk the forced positions up to the next one whose class repeats.
+        for k in range(i, stop[i]):
+            j = path[k]
+            chunks += j >= 0 and j != prev + 1
+            prev = j if j >= 0 else -2
+        i = stop[i]
+        if chunks >= best_chunks:
+            continue
         if i == m:
             best, best_chunks = list(path), chunks
             continue
         stack.append(children(i, prev, chunks))
     if best is None:
-        taken = [False] * n
-        best = [-1] * m
+        best, taken = [-1] * m, set()
         for exact_pass in (True, False):
             for i in range(m):
-                if best[i] >= 0:
-                    continue
-                for j in compat[i]:
-                    if not taken[j] and (ref[j] == hyp[i] or not exact_pass):
-                        taken[j] = True
-                        best[i] = j
-                        break
+                if best[i] < 0:
+                    best[i] = next((j for j in compat[i] if j not in taken and (ref[j] == hyp[i] or not exact_pass)), -1)
+                    taken.add(best[i])
     return [(i, j) for i, j in enumerate(best) if j >= 0]
 
 

@@ -9,7 +9,9 @@ The input parser inverts hopqg.geninput's serialization and shares with it
 only the marker tokens and the GeneratorInput it rebuilds. The match-token
 and common-run oracles are the per-token and full-table forms of
 hopqg.textutil.match_tokens and the rule QA's run search. The node lookup
-oracles rescan every node's texts on each call.
+oracles rescan every node's texts on each call. oracle_align is the METEOR-s
+alignment search as it stood before forced positions were placed without
+search, kept verbatim as the reference for the search that replaced it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import math
 import random
 import re
 import string
-from collections import deque
+import threading
+from collections import Counter, deque
 
 from hopqg.errors import AssemblyError, NodeNotFoundError, PlanningError
 from hopqg.geninput import BOS, EDGE, EOS, MARKERS, NODE_C, NODE_P, SUBQ, TYPE, GeneratorInput
@@ -180,6 +183,131 @@ def oracle_match_counts(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     stems_r = [light_stem(t) for t in left_r]
     stem = sum(min(stems_h.count(s), stems_r.count(s)) for s in set(stems_h))
     return exact, exact + stem
+
+
+# oracle_align is hopqg.metrics._align as it was before forced stem classes
+# were placed without search: every hyp position is a search node. It is
+# copied verbatim, so it keeps its own node budget and trip count under the
+# names it reads.
+NODE_BUDGET = 100_000
+
+_fallbacks = threading.local()
+
+
+def meteor_fallbacks() -> int:
+    """oracle_align calls on the calling thread that used up their budget."""
+    return getattr(_fallbacks, "count", 0)
+
+
+def oracle_align(
+    hyp: list[str],
+    ref: list[str],
+    hyp_stems: list[str],
+    ref_stems: list[str],
+    node_budget: int = NODE_BUDGET,
+):
+    """Unigram alignment with the most exact matches, then the most matches,
+    then the fewest chunks, as (hyp, ref) index pairs in hyp order. The
+    stems are those of the tokens of hyp and ref.
+
+    Equal tokens have equal stems, so both match maxima have a closed form
+    and hold together: exact = sum over tokens of min(hyp count, ref count),
+    total = the same sum over stem classes. Three slack counters hold every
+    branch to both maxima: per token, the hyp positions that may miss an
+    exact match (miss) and the ref positions stem matches may take (lend);
+    per stem class, the hyp positions that may stay unmatched (idle). A
+    branch stops before a counter would go below zero, so the depth-first
+    search over hyp positions looks only for the fewest chunks. It tries the
+    diagonal continuation first and cuts a branch once its chunks reach the
+    best found; chunks never decrease along a path.
+
+    Fewest chunks is a minimum common string partition, which is NP-hard,
+    so past node_budget nodes the search stops and the trip is counted
+    (meteor_fallbacks). It then returns the best complete alignment found,
+    or else a greedy exact-then-stem pass, which reaches both maxima.
+    """
+    m, n = len(hyp), len(ref)
+    hyp_count, ref_count = Counter(hyp), Counter(ref)
+    miss = {t: c - min(c, ref_count[t]) for t, c in hyp_count.items()}
+    lend = {t: c - min(c, hyp_count[t]) for t, c in ref_count.items()}
+    ref_class = Counter(ref_stems)
+    idle = {s: c - min(c, ref_class[s]) for s, c in Counter(hyp_stems).items()}
+    positions: dict[str, list[int]] = {}
+    for j, s in enumerate(ref_stems):
+        positions.setdefault(s, []).append(j)
+    compat = [positions.get(s, []) for s in hyp_stems]
+
+    used = [False] * n
+    path = [-1] * m
+    best: list[int] | None = None
+    best_chunks = m + 1
+
+    def children(i: int, prev: int, chunks: int):
+        """The children of a search node. The counters, used and path hold
+        each child's choice until the next child is asked for."""
+        t = hyp[i]
+        diag = prev + 1
+        opts = compat[i]
+        if 0 <= diag < n and ref_stems[diag] == hyp_stems[i]:
+            opts = [diag] + [j for j in opts if j != diag]
+        for j in opts:
+            c = chunks + (j != diag)
+            if used[j] or c >= best_chunks:
+                continue
+            u = ref[j]
+            stem_match = u != t
+            if stem_match:
+                if not (miss[t] and lend[u]):
+                    continue
+                miss[t] -= 1
+                lend[u] -= 1
+            used[j] = True
+            path[i] = j
+            yield i + 1, j, c
+            used[j] = False
+            if stem_match:
+                miss[t] += 1
+                lend[u] += 1
+        s = hyp_stems[i]
+        if miss[t] and idle[s] and chunks < best_chunks:
+            miss[t] -= 1
+            idle[s] -= 1
+            path[i] = -1
+            yield i + 1, -2, chunks
+            miss[t] += 1
+            idle[s] += 1
+
+    # Depth-first on an explicit stack of child generators, so a long
+    # hypothesis does not run into the recursion limit.
+    stack = [iter([(0, -2, 0)])]
+    nodes = 0
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            _fallbacks.count = meteor_fallbacks() + 1
+            break
+        i, prev, chunks = node
+        if i == m:
+            best, best_chunks = list(path), chunks
+            continue
+        stack.append(children(i, prev, chunks))
+    if best is None:
+        taken = [False] * n
+        best = [-1] * m
+        for exact_pass in (True, False):
+            for i in range(m):
+                if best[i] >= 0:
+                    continue
+                for j in compat[i]:
+                    if not taken[j] and (ref[j] == hyp[i] or not exact_pass):
+                        taken[j] = True
+                        best[i] = j
+                        break
+    return [(i, j) for i, j in enumerate(best) if j >= 0]
 
 
 def oracle_normalize_answer(text: str) -> str:

@@ -701,6 +701,17 @@ def test_evaluate_without_metric_names_exits_2(tmp_path, capsys, metrics):
         assert "no metrics named" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "r.json.manifest.json").exists()
 
+
+def test_evaluate_with_an_unknown_metric_exits_2_in_both_modes(tmp_path, capsys):
+    hyp = write(tmp_path / "hyp.txt", "a b c\na b d\n")
+    out = tmp_path / "r.json"
+    for extra in ([], ["--manifest-only"]):
+        assert main(["evaluate", "--hyp", hyp, "--ref", hyp, "--metrics", "bleu1,bleu9", "--out", str(out)] + extra) == 2
+        known = "bleu1, bleu2, bleu3, bleu4, cider, meteor-s, rouge-l"
+        assert f"unknown metric 'bleu9' (known: {known})" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "r.json.manifest.json").exists()
+
+
 def test_evaluate_and_probe_manifests_land_beside_the_first_input(tmp_path, capsys, monkeypatch):
     inputs, cwd = tmp_path / "inputs", tmp_path / "cwd"
     inputs.mkdir()

@@ -31,7 +31,9 @@ from hopqg.metrics import (
     token_f1,
     tokenize,
 )
+import oracles
 from oracles import (
+    oracle_align,
     oracle_bleu,
     oracle_cider,
     oracle_lcs,
@@ -343,25 +345,77 @@ def test_align_reaches_closed_form_match_counts_on_long_pairs():
     assert 0 < meteor_fallbacks() - before < 200
 
 
+def only_forced(hyp, ref):
+    """Whether every stem class of hyp is absent from ref or has one
+    position on each side, so that both match maxima fix its alignment."""
+    hyp_stems = collections.Counter(light_stem(t) for t in hyp)
+    ref_stems = collections.Counter(light_stem(t) for t in ref)
+    return all(ref_stems[s] == 0 or ref_stems[s] == c == 1 for s, c in hyp_stems.items())
+
+
 def test_align_fallback_reaches_both_maxima_and_is_counted(monkeypatch):
     rng = random.Random(16)
     pairs = [tuple(tokenize(text) for text in GOLDEN_GARDEN)] + [
         (rng.choices(STEM_VOCAB, k=rng.randint(1, 30)), rng.choices(STEM_VOCAB, k=rng.randint(1, 30)))
         for _ in range(50)
     ]
-    for hyp, ref in pairs:
+    # A pair with forced positions only is aligned without search, so it
+    # never trips; every other pair trips at its second search node.
+    forced = [only_forced(hyp, ref) for hyp, ref in pairs]
+    assert sum(forced) == 11
+    for (hyp, ref), no_search in zip(pairs, forced):
         before = meteor_fallbacks()
         matches = align(hyp, ref, node_budget=1)
-        assert meteor_fallbacks() == before + 1
+        assert meteor_fallbacks() == before + (not no_search)
         assert len({j for _, j in matches}) == len(matches)
         assert match_counts(hyp, ref, matches) == oracle_match_counts(hyp, ref)
 
+    # "a b" against "a b" is forced, so two of the three alignments trip.
     corpus = [(GOLDEN_GARDEN[0], [GOLDEN_GARDEN[1], "who directed the film ?"]), ("a b", ["a b"])]
     assert metric_report(corpus, ["meteor-s"])["meteor_fallbacks"] == 0
     monkeypatch.setattr(hopqg.metrics, "_align", functools.partial(_align, node_budget=1))
     report = metric_report(corpus, ["meteor-s", "rouge-l"])
-    assert report["meteor_fallbacks"] == 3
+    assert report["meteor_fallbacks"] == 2
     assert set(report["metrics"]) == {"meteor-s", "rouge-l"}
+
+
+def test_forced_pairs_never_search():
+    hyp, ref = tokenize("who directed the film ?"), tokenize("who directs that film ?")
+    before = meteor_fallbacks()
+    assert align(hyp, ref, node_budget=0) == [(0, 0), (1, 1), (3, 3), (4, 4)]
+    assert meteor_fallbacks() == before
+    # One repeated class ("the") is enough to search, within the budget.
+    hyp, ref = tokenize("the cat saw the dog"), tokenize("the dog saw the cat")
+    assert align(hyp, ref, node_budget=0) == [(0, 0), (1, 4), (2, 2), (3, 3), (4, 1)]
+    assert meteor_fallbacks() == before + 1
+    assert align(hyp, ref) == [(0, 3), (1, 4), (2, 2), (3, 0), (4, 1)]
+    assert meteor_fallbacks() == before + 1
+
+
+def test_align_equals_the_full_search_oracle():
+    # oracle_align searches every position; where it finishes within its
+    # budget, _align, which searches only where a stem class repeats, must
+    # finish too and return the same alignment.
+    rng = random.Random(22)
+    random_pairs = [
+        (rng.choices(STEM_VOCAB, k=rng.randint(1, 30)), rng.choices(STEM_VOCAB, k=rng.randint(1, 30)))
+        for _ in range(300)
+    ]
+    goldens = [(tokenize(hyp), tokenize(ref)) for hyp, ref, _ in METEOR_GOLDENS]
+    goldens.append(tuple(tokenize(text) for text in GOLDEN_GARDEN))
+    compared = 0
+    for pairs, budget in ((random_pairs, 2_000), (goldens, oracles.NODE_BUDGET)):
+        for hyp, ref in pairs:
+            stems = ([light_stem(t) for t in hyp], [light_stem(t) for t in ref])
+            oracle_before = oracles.meteor_fallbacks()
+            want = oracle_align(hyp, ref, *stems, node_budget=budget)
+            if oracles.meteor_fallbacks() > oracle_before:
+                continue
+            before = meteor_fallbacks()
+            assert _align(hyp, ref, *stems, node_budget=budget) == want
+            assert meteor_fallbacks() == before
+            compared += 1
+    assert compared > 250
 
 
 def test_identity_scores_are_one():
