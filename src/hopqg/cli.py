@@ -21,13 +21,14 @@ import logging
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .errors import AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, read_records, write_jsonl
+from .errors import (
+    AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, map_jobs, read_records, read_text, write_jsonl,
+)
 from .manifest import RunManifest
 
 logger = logging.getLogger("hopqg.cli")
@@ -208,9 +209,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
             finally:
                 share.release()
 
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            results = list(pool.map(run, jobs))
-
+        results = map_jobs(run, jobs, config.concurrency)
         traces = [trace for trace, _ in results if trace is not None]
         failures = [failure for _, failure in results if failure is not None]
         for index, seed, exc in failures:
@@ -246,8 +245,7 @@ def cmd_build_dataset(
 
 def _read_lines(path: str) -> list[str]:
     """Every line of path, without its newline, up to the last non-blank one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = read_text(path, MetricError).split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     return lines
@@ -497,7 +495,9 @@ def main(argv: list[str] | None = None) -> int:
                             manifest.count(f"remote.{role}.{counter}", n)
         manifest.write(_manifest_path(args, manifest))
         return code
-    except (FileNotFoundError, ConfigError, AnnotationError, MetricError) as exc:
+    # A missing or directory path is bad input; other OSErrors (a closed
+    # stdout pipe, a full disk) are not, and keep their traceback.
+    except (FileNotFoundError, IsADirectoryError, ConfigError, AnnotationError, MetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 import logging
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AnnotationError, BackendError, ConfigError, NodeNotFoundError
+from .errors import AnnotationError, BackendError, ConfigError, NodeNotFoundError, map_jobs
 from .graph import ContextGraph, Edge, build_context_graph
 from .hotpot import HotpotRecord, record_context
 from .metrics import normalize_answer
@@ -499,13 +498,7 @@ def build_dataset(
         "types": {},
     }
     examples: list[TrainingExample] = []
-
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            outcomes = list(pool.map(lambda r: process_record(r, backends), records))
-    else:
-        outcomes = [process_record(r, backends) for r in records]
-    for kind, payload, label in outcomes:
+    for kind, payload, label in map_jobs(lambda r: process_record(r, backends), records, concurrency):
         if label is not None:
             stats["types"][label] = stats["types"].get(label, 0) + 1
         if kind == "example":

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one reader and writer
-of JSON records files, JSON loading that names `path:line` in its errors,
-and the one rule for a JSON integer."""
+"""Exception types shared across the package, the one reader and writer of
+JSON records files, text and JSON loading that name the path in errors, the
+one rule for a JSON integer, and the one runner of a command's item jobs."""
 
 from __future__ import annotations
 
@@ -84,13 +84,21 @@ def json_kind(value) -> str:
     return _JSON_KINDS[type(value)]
 
 
-def load_json(path: str, error: type[HopqgError] = AnnotationError):
-    """Decode a whole JSON file; a syntax error raises `error` naming `path:line`."""
+def read_text(path: str, error: type[HopqgError] = AnnotationError) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 raise `error` naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(invalid_json(path, exc)) from exc
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def load_json(path: str, error: type[HopqgError] = AnnotationError):
+    """Decode a whole JSON file; a syntax error raises `error` naming `path:line`."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(invalid_json(path, exc)) from exc
 
 
 _WS = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows around a value
@@ -104,10 +112,9 @@ def read_records(path: str, noun: str) -> list[tuple[str, dict]]:
     it is the file's one value, ``path: <noun> k`` when it is item k (from
     0) of the array, and ``path:line`` when it is a JSONL line. A syntax
     error, or a record that is not an object, raises AnnotationError naming
-    where it is.
+    where it is; bytes that are not UTF-8, naming the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     start = _WS.match(text).end()
     if start == len(text):
         return []
@@ -154,3 +161,14 @@ def write_jsonl(records: list[dict], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def map_jobs(fn, items: list, workers: int) -> list:
+    """fn of each item, in input order: on the calling thread when workers is
+    at most 1 or items are fewer than two, else on a pool of that many threads."""
+    if workers <= 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

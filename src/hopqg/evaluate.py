@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 # write_jsonl is exported from here too, where the benchmark traces it.
-from .errors import AnnotationError, BackendError, MetricError, is_integral, json_kind, read_records, write_jsonl
+from .errors import AnnotationError, BackendError, MetricError, is_integral, json_kind, map_jobs, read_records, write_jsonl
 from .metrics import (
     CIDER_ORDER,
     TOKENIZER_SPEC,
@@ -164,26 +163,25 @@ class ProbeResult:
         return "\n".join(lines)
 
 
-def difficulty_probe(traces: list[dict], qa_backend, concurrency: int = 8) -> ProbeResult:
-    """Ask the QA backend each trace's question against its context.
+def difficulty_probe(traces: list[dict], qa_backend, concurrency: int = 1) -> ProbeResult:
+    """Ask the QA backend each trace's question against its context, on
+    `concurrency` threads, and score the answers in trace order.
 
     Scores are bucketed by the trace's difficulty d. Backend failures are
-    counted and flag the result incomplete rather than aborting the run;
-    aggregation is order-independent so concurrent completion is safe.
+    counted and flag the result incomplete rather than aborting the run.
     """
     result = ProbeResult(backend=getattr(qa_backend, "name", type(qa_backend).__name__))
 
     def ask(trace: dict):
-        return qa_backend.answer(trace["question"], trace["context"])
+        try:
+            return qa_backend.answer(trace["question"], trace["context"])
+        except BackendError as exc:
+            return exc
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        answers = []
-        for trace, future in [(t, pool.submit(ask, t)) for t in traces]:
-            try:
-                answers.append((trace, future.result()))
-            except BackendError:
-                result.failures += 1
-    for trace, predicted in answers:
+    for trace, predicted in zip(traces, map_jobs(ask, traces, concurrency)):
+        if isinstance(predicted, BackendError):
+            result.failures += 1
+            continue
         bucket = result.buckets.setdefault(int(trace["d"]), ProbeBucket())
         bucket.count += 1
         bucket.em_sum += exact_match(predicted, trace["answer"])

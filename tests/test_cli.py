@@ -22,6 +22,7 @@ import hopqg.graph
 import hopqg.template
 from hopqg.cli import main
 from hopqg.context import AnnotatedContext
+from hopqg.dataset_builder import RuleQa, RuleTypeClassifier
 from hopqg.evaluate import read_traces, write_jsonl
 from hopqg.hotpot import load_hotpot
 from hopqg.template import TemplateBackend
@@ -160,10 +161,10 @@ def command_argv(tmp_path, command, options):
     None or False is not given), and the input files it names."""
     files = {
         "context": write_json(tmp_path / "ctx.json", film_context_doc()),
-        "hotpot": write_json(tmp_path / "hotpot.json", [remake_record_doc()]),
+        "hotpot": write_json(tmp_path / "hotpot.json", [remake_record_doc(), prize_record_doc()]),
         "hyp": write(tmp_path / "hyp.txt", "a b c\nd e f\n"),
         "ref": write(tmp_path / "ref.txt", "a b c\nd e f\n"),
-        "traces": write(tmp_path / "t.jsonl", json.dumps(probe_traces()[0]) + "\n"),
+        "traces": write(tmp_path / "t.jsonl", "".join(json.dumps(t) + "\n" for t in probe_traces())),
         "originals": write_json(tmp_path / "orig.json", [{"question": "q ?", "answer": "b"}]),
     }
     inputs = {name: files[name] for name in COMMAND_INPUTS[command]}
@@ -223,6 +224,18 @@ def test_every_run_times_its_read_and_write(tmp_path, command):
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
     for stage in ("read", "write"):
         assert manifest["stages"][stage]["count"] == 0 and manifest["stages"][stage]["seconds"] > 0
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, command, capsys):
+    argv, inputs = command_argv(tmp_path, command, every_output(tmp_path, command))
+    config = write_json(tmp_path / "cfg.json", {"concurrency": 1})
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for path in [*inputs.values(), config]:
+        assert main([str(folder) if arg == path else arg for arg in argv + ["--config", config]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err and "Traceback" not in err
 
 
 def test_multi_line_context_errors_name_their_line(tmp_path, capsys):
@@ -418,6 +431,28 @@ def test_generate_seeds_of_one_context_run_in_parallel(tmp_path, monkeypatch):
     args = ["generate", "--context", ctx, "--count", "2", "--config", cfg, "--out", out]
     assert main(args) == 0
     assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "build-dataset", "probe"])
+def test_one_worker_runs_every_job_on_the_calling_thread(tmp_path, monkeypatch, command):
+    # At concurrency 1 no pool starts: each generate chain, build-dataset
+    # record and probe trace runs on the thread that called main.
+    threads = []
+    for cls, name in ((TemplateBackend, "initial"), (RuleTypeClassifier, "classify"), (RuleQa, "answer")):
+
+        def spy(self, *args, real=getattr(cls, name)):
+            threads.append(threading.get_ident())
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, spy)
+    options = {"out": str(tmp_path / "out"), "config": write_json(tmp_path / "cfg.json", {"concurrency": 1})}
+    if command == "generate":
+        options["count"] = 2
+    if command == "probe":
+        options["backend"] = "rule"
+    argv, _ = command_argv(tmp_path, command, options)
+    assert main(argv) == 0
+    assert len(threads) >= 2 and set(threads) == {threading.get_ident()}
 
 
 def test_generate_stage_seconds_within_wall_time(tmp_path):
@@ -1323,8 +1358,14 @@ NOT_RUN = {
 @pytest.mark.parametrize("command", list(COMMAND_INPUTS))
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     # --manifest-only loads what a real run loads, so that timing its
-    # launch times the launch of the real command.
-    argv, _ = command_argv(tmp_path, command, every_output(tmp_path, command))
+    # launch times the launch of the real command. At concurrency 1 the
+    # jobs (two seeds, records or traces) run with no thread pool, so
+    # concurrent.futures stays unloaded.
+    options = every_output(tmp_path, command)
+    options["config"] = write_json(tmp_path / "cfg.json", {"concurrency": 1})
+    if command == "generate":
+        options["count"] = 2
+    argv, _ = command_argv(tmp_path, command, options)
     loaded = []
     for extra in (["--manifest-only"], []):
         lines = [
@@ -1332,10 +1373,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
             "from hopqg.cli import main",
             f"assert main({argv + extra!r}) == 0",
             f"print(sorted(m for m in {NOT_RUN.get(command, ())!r} if m in sys.modules))",
+            "print('concurrent.futures' in sys.modules)",
             "print(sorted(m for m in sys.modules if m.startswith('hopqg.')))",
         ]
-        *_, not_run, modules = fresh_python(lines)  # probe prints its table first
-        assert not_run == "[]"
+        *_, not_run, pool, modules = fresh_python(lines)  # probe prints its table first
+        assert not_run == "[]" and pool == "False"
         loaded.append(modules)
     assert loaded[0] == loaded[1]
 

@@ -5,7 +5,8 @@ two-hop QA records, generated traces, references, a config), changes one
 or two values somewhere inside them (deletes a key or an item, or sets a
 value to null, a boolean, a number, NaN included, a string, an array or an
 object), and runs the command on them under tmp_path. Whatever the input,
-a command must exit 0, 1 or 2 and raise nothing.
+a command must exit 0, 1 or 2 and raise nothing. A byte that is not UTF-8
+in any input file or in the config must exit 2.
 """
 
 import copy
@@ -84,19 +85,20 @@ def _jsonl(values) -> str:
     return json.dumps(values)
 
 
-def _case(rng: random.Random, command: str, traces: list[dict], tmp) -> list[str]:
-    """The argv of one fuzz case of command, its input files written to tmp."""
+def _case(rng: random.Random, command: str, traces: list[dict], tmp, mutated: bool = True) -> list[str]:
+    """The argv of one fuzz case of command, its input files written to tmp;
+    unless mutated, every input is a fixture document as it is."""
 
     def write(name, text):
         path = tmp / name
         path.write_text(text, encoding="utf-8")
         return str(path)
 
-    # One input of the case is mutated: the config, or the command's own.
-    mutate_config = rng.random() < 0.25
+    # A mutated case changes one input: the config, or the command's own.
+    mutate_config = mutated and rng.random() < 0.25
 
     def maybe(doc):
-        return doc if mutate_config else mutate(doc, rng)
+        return doc if mutate_config or not mutated else mutate(doc, rng)
 
     config = mutate(CONFIG, rng) if mutate_config else CONFIG
     out = str(tmp / "out.jsonl")
@@ -158,3 +160,31 @@ def test_every_command_exits_cleanly_on_mutated_inputs(tmp_path, capsys):
     # and rejects an input.
     for command, seen in codes.items():
         assert {0, 2} <= seen, (command, seen)
+
+
+# Bytes that make UTF-8 text invalid wherever they are inserted: 0xc0, 0xfe
+# and 0xff occur in no UTF-8 text, and a continuation byte (0x80) is one
+# more than the lead bytes take.
+NOT_UTF8 = (b"\x80", b"\xc0", b"\xfe", b"\xff")
+
+
+def test_a_byte_that_is_not_utf8_in_any_input_exits_2(tmp_path, capsys):
+    traces = _traces()
+    rng = random.Random(2025)
+    cases = 0
+    for command in COMMANDS:
+        tmp = tmp_path / command
+        tmp.mkdir()
+        argv = _case(rng, command, traces, tmp, mutated=False)
+        files = sorted(tmp.iterdir())  # the command's inputs and the config
+        assert main(argv) in (0, 1), argv
+        for path in files:
+            data = path.read_bytes()
+            at = rng.randrange(len(data) + 1)
+            path.write_bytes(data[:at] + rng.choice(NOT_UTF8) + data[at:])
+            capsys.readouterr()
+            assert main(argv) == 2, (argv, path.name)
+            assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text: ")
+            path.write_bytes(data)
+            cases += 1
+    assert cases == len(COMMANDS) + 9  # a config each, and nine input files
