@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 partial (some items failed and were logged),
 2 invalid input or config. ``main`` runs every command as read, work and
 write: it applies the command's flags to the config, builds the services
-of its roles, reads the inputs with the command's read step, hands them
-to its work step, writes the outputs work returns, and closes the
-services. It writes the RunManifest of every completed command: the
+of its roles, checks that each output path its subparser names in
+``outputs`` (and the manifest's) can be written, reads the inputs with the
+command's read step, hands them to its work step, writes the outputs work
+returns, and closes the services. Read, work and write run with the cyclic
+garbage collector paused. It writes the RunManifest of every completed command: the
 config the run used, the digests of the input files its subparser names
 in ``inputs`` and of the outputs it wrote, and the stages recorded, its
 own ``read`` and ``write`` among them.
@@ -14,7 +16,10 @@ own ``read`` and ``write`` among them.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
+import gc
 import importlib
 import json
 import logging
@@ -22,7 +27,7 @@ import os
 import sys
 import threading
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .config import PipelineConfig, load_config
@@ -97,14 +102,25 @@ def _services(roles: tuple[str, ...], backend: str | None, config: PipelineConfi
     return services
 
 
-def _manifest_path(args: argparse.Namespace, manifest: RunManifest) -> str:
+def _manifest_path(args: argparse.Namespace) -> str:
     if args.manifest:
         return args.manifest
     out = getattr(args, "out", None)
     if out:
         return out + ".manifest.json"
-    first_input = next(iter(manifest.inputs))
+    first_input = getattr(args, args.inputs[0])
     return os.path.join(os.path.dirname(first_input), f"hopqg-{args.command}-manifest.json")
+
+
+def _check_writable(paths: list[str | None]) -> None:
+    """Raise, naming the path, for a path that is a directory or whose
+    directory does not exist, so that a run stops before it writes anything;
+    None stands for an output not asked for."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, "no directory to write to", path)
 
 
 def _load_context_docs(path: str) -> list[AnnotatedContext]:
@@ -144,6 +160,18 @@ def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig, manifest: 
         return EXIT_OK, {args.out: graph.to_json()}
 
     return read, work
+
+
+class _Failure(NamedTuple):
+    """A failed (context, seed) job. It keeps what its log line and a record
+    of the failure need, and not the exception, whose traceback would hold
+    the run's frames in a reference cycle."""
+
+    index: int
+    seed: int
+    message: str
+    failed_step: int | None
+    partial_questions: list[str]
 
 
 class _SharedGraph:
@@ -205,15 +233,17 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
                 manifest.count("generate")
                 return trace, None
             except HopqgError as exc:
-                return None, (index, seed, exc)
+                return None, _Failure(
+                    index, seed, str(exc), getattr(exc, "failed_step", None), getattr(exc, "partial_questions", [])
+                )
             finally:
                 share.release()
 
         results = map_jobs(run, jobs, config.concurrency)
         traces = [trace for trace, _ in results if trace is not None]
         failures = [failure for _, failure in results if failure is not None]
-        for index, seed, exc in failures:
-            logger.warning("context %d seed %d failed: %s", index, seed, exc)
+        for failure in failures:
+            logger.warning("context %d seed %d failed: %s", failure.index, failure.seed, failure.message)
         manifest.count("initial", len(traces))
         manifest.count("rewrite", sum(len(t.questions) - 1 for t in traces))
         manifest.count("failed", len(failures))
@@ -378,13 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         # Not flags: the service roles main builds for the command, and the
         # config field -> flag overrides main applies before the manifest.
+        # Each subparser also names its input-file options in ``inputs``
+        # and its output-file options in ``outputs``.
         p.set_defaults(roles=(), flags={})
 
     p = sub.add_parser("build-graph", help="annotated context JSON -> context graph JSON")
     p.add_argument("--context", required=True)
     p.add_argument("--out", required=True)
     common(p)
-    p.set_defaults(func=cmd_build_graph, inputs=("context",))
+    p.set_defaults(func=cmd_build_graph, inputs=("context",), outputs=("out",))
 
     p = sub.add_parser("generate", help="plan chains and generate question traces")
     p.add_argument("--context", required=True, help="contexts: one JSON object, an array, or JSONL")
@@ -395,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1, help="questions per context (seed+k)")
     p.add_argument("--out", required=True, help="traces JSONL")
     common(p)
-    p.set_defaults(func=cmd_generate, inputs=("context",), roles=("generator",))
+    p.set_defaults(func=cmd_generate, inputs=("context",), outputs=("out",), roles=("generator",))
 
     p = sub.add_parser("build-dataset", help="two-hop QA records -> training tuples")
     p.add_argument("--hotpot", required=True, help="records: one JSON object, an array, or JSONL")
@@ -403,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="examples JSONL")
     p.add_argument("--stats", help="skip/error accounting JSON")
     common(p)
-    p.set_defaults(func=cmd_build_dataset, inputs=("hotpot",), roles=("classifier", "decomposer", "qa"))
+    p.set_defaults(
+        func=cmd_build_dataset, inputs=("hotpot",), outputs=("out", "stats"), roles=("classifier", "decomposer", "qa")
+    )
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")
     p.add_argument("--hyp", required=True, help="one hypothesis per line")
@@ -412,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON (default: stdout)")
     p.add_argument("--table", action="store_true", help="also print an aligned table")
     common(p)
-    p.set_defaults(func=cmd_evaluate, inputs=("hyp", "ref"))
+    p.set_defaults(func=cmd_evaluate, inputs=("hyp", "ref"), outputs=("out",))
 
     p = sub.add_parser("filter", help="drop questions by length bounds and answer leaks")
     p.add_argument("--traces", required=True, help="records with question/answer fields")
@@ -422,7 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-words", type=int, default=None)
     common(p)
     p.set_defaults(
-        func=cmd_filter, inputs=("traces",), flags={"min_words": "min_words", "max_words": "max_words"}
+        func=cmd_filter,
+        inputs=("traces",),
+        outputs=("out", "rejects"),
+        flags={"min_words": "min_words", "max_words": "max_words"},
     )
 
     p = sub.add_parser("probe", help="per-difficulty EM/F1 of a single-hop QA backend")
@@ -430,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("rule", "remote"), default="remote")
     p.add_argument("--out", help="report JSON")
     common(p)
-    p.set_defaults(func=cmd_probe, inputs=("traces",), roles=("qa",))
+    p.set_defaults(func=cmd_probe, inputs=("traces",), outputs=("out",), roles=("qa",))
 
     p = sub.add_parser("augment", help="mix generated questions into QA training data")
     p.add_argument("--traces", required=True, help="generated records")
@@ -439,9 +476,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     common(p)
-    p.set_defaults(func=cmd_augment, inputs=("traces", "originals"), flags={"oversample_ratio": "ratio"})
+    p.set_defaults(
+        func=cmd_augment, inputs=("traces", "originals"), outputs=("out",), flags={"oversample_ratio": "ratio"}
+    )
 
     return parser
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """The block with the cyclic garbage collector off, and after it on
+    again if it was on before.
+
+    A run's items (contexts, graphs, chains, records, scores) hold no
+    reference cycles, so reference counting frees each one as soon as the
+    run drops it; collections during the run would only walk the live
+    objects again and again. Any cycle made in the block waits until the
+    collector runs after it, so per-item data must stay acyclic."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -464,28 +522,29 @@ def main(argv: list[str] | None = None) -> int:
             arguments={
                 k: v
                 for k, v in vars(args).items()
-                if k not in ("func", "inputs", "roles", "flags", "manifest_only")
+                if k not in ("func", "inputs", "outputs", "roles", "flags", "manifest_only")
             },
         )
+        manifest_path = _manifest_path(args)
         code = EXIT_OK
         try:
-            # Each subparser names its input-file options in ``inputs``, a
-            # default set in build_parser rather than a flag.
+            _check_writable([getattr(args, name) for name in args.outputs] + [manifest_path])
             for name in args.inputs:
                 manifest.add_input(getattr(args, name))
             read, work = args.func(args, config, manifest, **services)
             if not args.manifest_only:
-                with manifest.timed("read"):
-                    inputs = read()
-                code, outputs = work(inputs)
-                with manifest.timed("write"):
-                    for path, content in outputs.items():
-                        # A list of records is written as JSONL, a report as JSON.
-                        if isinstance(content, list):
-                            write_jsonl(content, path)
-                        else:
-                            _write_text(path, _dump_json(content))
-                        manifest.add_output(path)
+                with _collector_paused():
+                    with manifest.timed("read"):
+                        inputs = read()
+                    code, outputs = work(inputs)
+                    with manifest.timed("write"):
+                        for path, content in outputs.items():
+                            # A list of records is written as JSONL, a report as JSON.
+                            if isinstance(content, list):
+                                write_jsonl(content, path)
+                            else:
+                                _write_text(path, _dump_json(content))
+                            manifest.add_output(path)
         finally:
             if backend == "remote":
                 for role, service in services.items():
@@ -493,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
                     if not args.manifest_only:
                         for counter, n in service.client.counts.items():
                             manifest.count(f"remote.{role}.{counter}", n)
-        manifest.write(_manifest_path(args, manifest))
+        manifest.write(manifest_path)
         return code
     # A missing or directory path is bad input; other OSErrors (a closed
     # stdout pipe, a full disk) are not, and keep their traceback.

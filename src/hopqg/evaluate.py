@@ -172,14 +172,16 @@ def difficulty_probe(traces: list[dict], qa_backend, concurrency: int = 1) -> Pr
     """
     result = ProbeResult(backend=getattr(qa_backend, "name", type(qa_backend).__name__))
 
-    def ask(trace: dict):
+    def ask(trace: dict) -> tuple[str | None, str | None]:
+        """The predicted answer, or the failure's message: not the exception,
+        whose traceback would hold the run's frames in a reference cycle."""
         try:
-            return qa_backend.answer(trace["question"], trace["context"])
+            return qa_backend.answer(trace["question"], trace["context"]), None
         except BackendError as exc:
-            return exc
+            return None, str(exc)
 
-    for trace, predicted in zip(traces, map_jobs(ask, traces, concurrency)):
-        if isinstance(predicted, BackendError):
+    for trace, (predicted, failure) in zip(traces, map_jobs(ask, traces, concurrency)):
+        if failure is not None:
             result.failures += 1
             continue
         bucket = result.buckets.setdefault(int(trace["d"]), ProbeBucket())

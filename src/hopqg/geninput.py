@@ -39,6 +39,11 @@ class SegmentLabel(str, Enum):
 
 @dataclass
 class GeneratorInput:
+    """One step's generator input. Its fields are checked and collapsed when
+    it is made, so a bad field raises AssemblyError there. ``text`` and
+    ``segments``, the serialized sequence and its per-token labels, are
+    computed together on first read: the template backend reads neither."""
+
     step: int
     sentence: str
     node_child: str
@@ -49,8 +54,9 @@ class GeneratorInput:
     sub_question: str | None = None
     parent_aliases: tuple[str, ...] = ()
 
-    text: str = field(init=False)
-    segments: list[SegmentLabel] = field(init=False)
+    _serialized: tuple[str, list[SegmentLabel]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.sentence = _clean_field("context sentence", self.sentence)
@@ -62,7 +68,20 @@ class GeneratorInput:
         if (self.rewrite_type is None) != (self.sub_question is None):
             raise AssemblyError("rewrite inputs need both a rewrite type and a previous question")
         self.parent_aliases = tuple(collapse(a) for a in self.parent_aliases if collapse(a))
-        self.text, self.segments = _serialize(self)
+
+    def _serialization(self) -> tuple[str, list[SegmentLabel]]:
+        serialized = self._serialized
+        if serialized is None:
+            self._serialized = serialized = _serialize(self)
+        return serialized
+
+    @property
+    def text(self) -> str:
+        return self._serialization()[0]
+
+    @property
+    def segments(self) -> list[SegmentLabel]:
+        return self._serialization()[1]
 
 
 def _clean_field(what: str, value: str) -> str:

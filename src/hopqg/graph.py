@@ -27,7 +27,6 @@ class Node:
     mentions: list[Span]
     mention_texts: list[str]
     is_named_entity: bool = False
-    entity_link: int | None = None
 
     def all_texts(self) -> list[str]:
         return [self.surface] + self.mention_texts
@@ -42,13 +41,22 @@ class Edge(NamedTuple):
 
 @dataclass
 class ContextGraph:
+    """A context's nodes and edges, with each node's incident edges.
+
+    Two entity facets are computed on first read, as not every command
+    reads them: each node's entity link (``entity_link``) and the nodes a
+    chain may be planned around (``answer_nodes``). Like ``_lookup``, they
+    need no lock: threads that compute them at once compute equal values.
+    """
+
     context: AnnotatedContext
     nodes: list[Node]
     edges: list[Edge]
     _incident: dict[int, list[tuple[Edge, int]]] = field(default_factory=dict, repr=False)
-    # Ids of the nodes a chain may be planned around, ascending. Like the
-    # rest of the graph, only read once built, so threads share it unlocked.
-    answer_nodes: tuple[int, ...] = field(default=(), init=False, repr=False)
+    # Each node's entity link, by node id, and the answer nodes.
+    _facet_cache: tuple[tuple[int | None, ...], tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     # The node lookup table: norm_key of every surface and mention -> its
     # first node in id order, and each node's match tokens over its surface
     # and mentions. Built on the first lookup, so planning without --answer
@@ -64,19 +72,37 @@ class ContextGraph:
             source, target = e.source, e.target
             incident.setdefault(source, []).append((e, target))
             incident.setdefault(target, []).append((e, source))
-        nodes = self.nodes
-        eligible = []
-        for node in nodes:
-            others = {other for _, other in incident.get(node.id, ())}
-            # A non-entity node links to its lowest-id named-entity neighbour.
-            if node.is_named_entity:
-                node.entity_link = None
-            else:
-                linked = [o for o in others if nodes[o].is_named_entity]
-                node.entity_link = min(linked) if linked else None
-            if len(others) > 1 and (node.is_named_entity or node.entity_link is not None):
-                eligible.append(node.id)
-        self.answer_nodes = tuple(eligible)
+
+    def _facets(self) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
+        facets = self._facet_cache
+        if facets is None:
+            nodes, incident = self.nodes, self._incident
+            links: list[int | None] = []
+            eligible = []
+            for node in nodes:
+                others = {other for _, other in incident.get(node.id, ())}
+                # A non-entity node links to its lowest-id named-entity neighbour.
+                link = None
+                if not node.is_named_entity:
+                    linked = [o for o in others if nodes[o].is_named_entity]
+                    link = min(linked) if linked else None
+                links.append(link)
+                if len(others) > 1 and (node.is_named_entity or link is not None):
+                    eligible.append(node.id)
+            self._facet_cache = facets = (tuple(links), tuple(eligible))
+        return facets
+
+    def entity_link(self, node_id: int) -> int | None:
+        """The lowest-id named-entity neighbour of a node that is not a named
+        entity itself; None for a named entity or a node with no such neighbour."""
+        return self._facets()[0][node_id]
+
+    @property
+    def answer_nodes(self) -> tuple[int, ...]:
+        """Ids of the nodes a chain may be planned around, ascending: those
+        with more than one distinct neighbour that are named entities or
+        have an entity link."""
+        return self._facets()[1]
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -128,13 +154,14 @@ class ContextGraph:
         return best
 
     def to_json(self) -> dict:
+        links = self._facets()[0]
         return {
             "nodes": [
                 {
                     "id": n.id,
                     "surface": n.surface,
                     "is_named_entity": n.is_named_entity,
-                    "entity_link": n.entity_link,
+                    "entity_link": links[n.id],
                     "mentions": [dict(m.to_json(), text=t) for m, t in zip(n.mentions, n.mention_texts)],
                 }
                 for n in self.nodes

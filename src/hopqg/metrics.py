@@ -207,8 +207,7 @@ ROUGE_BETA = 1.2  # > 1 weights recall over precision
 def rouge_l(hyp: str, ref: str, table: TokenTable | None = None) -> float:
     """LCS-based F-measure with ROUGE_BETA; the texts' tokens come from
     ``table`` when one is given."""
-    if table is None:
-        table = TokenTable()
+    table = table or TokenTable()
     hyp_toks = table.tokens(hyp)
     ref_toks = table.tokens(ref)
     if not hyp_toks or not ref_toks:
@@ -216,8 +215,7 @@ def rouge_l(hyp: str, ref: str, table: TokenTable | None = None) -> float:
     lcs = lcs_length(hyp_toks, ref_toks)
     if lcs == 0:
         return 0.0
-    p = lcs / len(hyp_toks)
-    r = lcs / len(ref_toks)
+    p, r = lcs / len(hyp_toks), lcs / len(ref_toks)
     beta2 = ROUGE_BETA * ROUGE_BETA
     return (1 + beta2) * p * r / (r + beta2 * p)
 
@@ -312,9 +310,13 @@ def _align(
             path[i] = opts[0] if opts else -1
     if stop[0] == m:
         return [(i, j) for i, j in enumerate(path) if j >= 0]
-    hyp_count, ref_count = Counter(hyp), Counter(ref)
-    miss = {t: c - min(c, ref_count[t]) for t, c in hyp_count.items()}
-    lend = {t: c - min(c, hyp_count[t]) for t, c in ref_count.items()}
+    hyp_count, ref_count = dict.fromkeys(hyp, 0), dict.fromkeys(ref, 0)
+    for t in hyp:
+        hyp_count[t] += 1
+    for u in ref:
+        ref_count[u] += 1
+    miss = {t: c - min(c, ref_count.get(t, 0)) for t, c in hyp_count.items()}
+    lend = {u: c - min(c, hyp_count.get(u, 0)) for u, c in ref_count.items()}
     idle = {s: c - min(c, len(positions.get(s, ()))) for s, c in hyp_class.items()}
     compat = [positions.get(s, []) for s in hyp_stems]
     used = [False] * n  # no branch reaches a forced ref position
@@ -401,8 +403,7 @@ def meteor_simplified(hyp: str, ref: str, table: TokenTable | None = None) -> fl
     when the alignment forms a single chunk so identical strings score 1.
     The texts' tokens and stems come from ``table`` when one is given.
     """
-    if table is None:
-        table = TokenTable()
+    table = table or TokenTable()
     hyp_toks = table.tokens(hyp)
     ref_toks = table.tokens(ref)
     if not hyp_toks or not ref_toks:
@@ -411,8 +412,7 @@ def meteor_simplified(hyp: str, ref: str, table: TokenTable | None = None) -> fl
     m = len(matches)
     if m == 0:
         return 0.0
-    p = m / len(hyp_toks)
-    r = m / len(ref_toks)
+    p, r = m / len(hyp_toks), m / len(ref_toks)
     f_mean = p * r / (METEOR_ALPHA * p + (1 - METEOR_ALPHA) * r)
     chunks = _chunk_count(matches)
     penalty = 0.0 if chunks <= 1 else METEOR_GAMMA * (chunks / m) ** METEOR_BETA

@@ -4,6 +4,7 @@ import argparse
 import gc
 import hashlib
 import json
+import logging
 import os
 import pkgutil
 import subprocess
@@ -23,6 +24,7 @@ import hopqg.template
 from hopqg.cli import main
 from hopqg.context import AnnotatedContext
 from hopqg.dataset_builder import RuleQa, RuleTypeClassifier
+from hopqg.errors import BackendError
 from hopqg.evaluate import read_traces, write_jsonl
 from hopqg.hotpot import load_hotpot
 from hopqg.template import TemplateBackend
@@ -227,6 +229,25 @@ def test_every_run_times_its_read_and_write(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_an_output_that_cannot_be_written_exits_2_before_the_run_writes(tmp_path, command, capsys):
+    """An output or manifest path that is a directory, or whose directory
+    does not exist, is named and stops the run before it reads anything."""
+    options = every_output(tmp_path, command)
+    argv, _ = command_argv(tmp_path, command, options)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    outputs = [value for name, value in options.items() if name != "backend"]
+    for bad in (str(folder), str(tmp_path / "missing" / "out")):
+        runs = [[bad if arg == path else arg for arg in argv] for path in outputs]
+        for args in runs + [argv + ["--manifest", bad]]:
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and bad in err and "Traceback" not in err
+            assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
 def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, command, capsys):
     argv, inputs = command_argv(tmp_path, command, every_output(tmp_path, command))
     config = write_json(tmp_path / "cfg.json", {"concurrency": 1})
@@ -356,9 +377,6 @@ def test_generate_drops_each_graph_after_its_last_seed(tmp_path, monkeypatch):
     real_build = hopqg.graph.build_context_graph
 
     def build_and_look(ctx):
-        # The planner's recursive closure leaves cycles that hold a graph
-        # until the cycle collector runs; collect them first.
-        gc.collect()
         alive_at_build.append(sum(ref() is not None for ref in built))
         return real_build(ctx)
 
@@ -370,8 +388,113 @@ def test_generate_drops_each_graph_after_its_last_seed(tmp_path, monkeypatch):
     args = ["generate", "--context", ctx, "--count", "3", "--config", cfg, "--out", out]
     assert main(args) == 0
     # With one worker a context's jobs finish before the next context's
-    # build, so no earlier graph is still held.
+    # build, and reference counting alone frees each graph (main pauses
+    # the cycle collector), so no earlier graph is still held.
     assert alive_at_build == [0, 0, 0]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("case, code", [("ok", 0), ("partial", 1), ("bad-read", 2)])
+def test_main_pauses_the_collector_over_a_run_and_leaves_it_as_found(tmp_path, monkeypatch, enabled, case, code):
+    during = []
+    real_build = hopqg.graph.build_context_graph
+
+    def build_and_look(ctx):
+        during.append(gc.isenabled())
+        return real_build(ctx)
+
+    monkeypatch.setattr(hopqg.graph, "build_context_graph", build_and_look)
+    if case == "bad-read":
+        ctx = write(tmp_path / "ctx.json", "{")
+    else:
+        ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    args = ["generate", "--context", ctx, "--count", "2", "--out", str(tmp_path / "traces.jsonl")]
+    if case == "partial":
+        args += ["--answer", "No Such Entity"]
+    was = gc.isenabled()
+    if not enabled:
+        gc.disable()
+    try:
+        assert main(args) == code
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+    assert during == ([] if case == "bad-read" else [False])
+
+
+def unreachable_after(argv: list[str], code: int) -> int:
+    """Objects in reference cycles that a run of main leaves behind; the
+    caller has the collector disabled."""
+    gc.collect()
+    assert main(argv) == code
+    return gc.collect()
+
+
+def acyclic_runs(tmp_path, monkeypatch, run: str):
+    """argv of run over an input of n items, given n, and its exit code."""
+    if run == "generate-partial":
+        def fail(self, gi, info):
+            raise BackendError("no service")
+
+        monkeypatch.setattr(TemplateBackend, "rewrite", fail)
+    if run.startswith("generate"):
+        def argv(n):
+            ctx = write_json(tmp_path / f"ctx{n}.json", [film_context_doc(), film3_context_doc()] * n)
+            return ["generate", "--context", ctx, "--count", "3", "--out", str(tmp_path / f"t{n}.jsonl")]
+
+        return argv, 1 if run == "generate-partial" else 0
+    if run == "build-dataset":
+        bad = remake_record_doc()
+        bad["annotations"]["coref_clusters"] = 5
+        records = [prize_record_doc(), remake_record_doc(), comparison_record_doc(), bad]
+
+        def argv(n):
+            hotpot = write_json(tmp_path / f"hotpot{n}.json", records * n)
+            out, stats = tmp_path / f"ex{n}.jsonl", tmp_path / f"stats{n}.json"
+            return ["build-dataset", "--hotpot", hotpot, "--out", str(out), "--stats", str(stats)]
+
+        return argv, 1
+    if run == "probe-partial":
+        def fail(self, question, context):
+            raise BackendError("no service")
+
+        monkeypatch.setattr(RuleQa, "answer", fail)
+
+        def argv(n):
+            traces = write(tmp_path / f"t{n}.jsonl", "".join(json.dumps(t) + "\n" for t in probe_traces() * n))
+            return ["probe", "--traces", traces, "--backend", "rule", "--out", str(tmp_path / f"probe{n}.json")]
+
+        return argv, 1
+    lines = ["who directed top gun ?", "tom cruise starred in top gun", "which film did the director of it make ?"]
+
+    def argv(n):
+        hyp = write(tmp_path / f"hyp{n}.txt", "\n".join(lines * n) + "\n")
+        ref = write(tmp_path / f"ref{n}.txt", "\n".join(reversed(lines * n)) + "\n")
+        return ["evaluate", "--hyp", hyp, "--ref", ref, "--out", str(tmp_path / f"report{n}.json")]
+
+    return argv, 0
+
+
+@pytest.mark.parametrize("run", ["generate", "generate-partial", "build-dataset", "evaluate", "probe-partial"])
+def test_run_data_is_acyclic(tmp_path, monkeypatch, run):
+    """main runs with the cycle collector paused, so a cycle in per-item
+    data would be held for the whole run: the garbage a run leaves in
+    cycles must not grow with its input."""
+    argv, code = acyclic_runs(tmp_path, monkeypatch, run)
+    was = gc.isenabled()
+    gc.disable()
+    # The log records the test runner keeps would keep alive what their
+    # arguments reach, as a run's stderr handler does not.
+    logging.disable(logging.CRITICAL)
+    try:
+        unreachable_after(argv(1), code)  # loads the modules the run imports
+        small, large = (unreachable_after(argv(n), code) for n in (1, 6))
+    finally:
+        logging.disable(logging.NOTSET)
+        if was:
+            gc.enable()
+    assert small == large
 
 
 def test_generate_shared_state_under_thread_stress(tmp_path, monkeypatch):

@@ -292,7 +292,7 @@ def test_ne_heuristic_without_annotation():
 
 def test_entity_link_points_to_adjacent_ne(film_graph):
     film_node = film_graph.find_node("a 1986 action film")
-    assert film_node.entity_link == film_graph.find_node("Top Gun").id
+    assert film_graph.entity_link(film_node.id) == film_graph.find_node("Top Gun").id
 
 
 def test_build_is_deterministic(film_ctx):

@@ -317,7 +317,7 @@ def test_answer_nodes_and_entity_links_follow_the_neighbour_rules():
     linked = 0
     for g in graphs:
         assert list(g.answer_nodes) == oracle_eligible_answer_nodes(g)
-        links = [n.entity_link for n in g.nodes]
+        links = [g.entity_link(n.id) for n in g.nodes]
         assert links == oracle_entity_links(g)
         linked += sum(link is not None for link in links)
     assert linked > 0
