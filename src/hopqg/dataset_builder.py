@@ -19,9 +19,8 @@ from enum import Enum
 from .errors import AnnotationError, BackendError, ConfigError, NodeNotFoundError, map_jobs
 from .graph import ContextGraph, Edge, build_context_graph
 from .hotpot import HotpotRecord, record_context
-from .metrics import normalize_answer
 from .planner import ChainNode, ReasoningChain, RewriteType
-from .textutil import clean_tokens, content_set, content_tokens, strip_punct
+from .textutil import clean_tokens, content_set, content_tokens, normalize_answer, strip_punct
 
 logger = logging.getLogger("hopqg.builder")
 

@@ -19,10 +19,10 @@ from .metrics import (
     exact_match,
     meteor_fallbacks,
     meteor_simplified,
-    normalize_answer,
     rouge_l,
     token_f1,
 )
+from .textutil import normalize_answer
 
 MIN_WORDS = 6
 MAX_WORDS = 30

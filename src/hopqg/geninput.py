@@ -9,8 +9,9 @@ by single spaces, so text.split(" ") aligns with the segment label list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import AssemblyError
 from .planner import EdgeDirection, RewriteType
@@ -42,7 +43,8 @@ class GeneratorInput:
     """One step's generator input. Its fields are checked and collapsed when
     it is made, so a bad field raises AssemblyError there. ``text`` and
     ``segments``, the serialized sequence and its per-token labels, are
-    computed together on first read: the template backend reads neither."""
+    computed together on first read (a ``functools.cached_property``, locked
+    on Python 3.11 and earlier): the template backend reads neither."""
 
     step: int
     sentence: str
@@ -53,10 +55,6 @@ class GeneratorInput:
     rewrite_type: RewriteType | None = None
     sub_question: str | None = None
     parent_aliases: tuple[str, ...] = ()
-
-    _serialized: tuple[str, list[SegmentLabel]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.sentence = _clean_field("context sentence", self.sentence)
@@ -69,19 +67,17 @@ class GeneratorInput:
             raise AssemblyError("rewrite inputs need both a rewrite type and a previous question")
         self.parent_aliases = tuple(collapse(a) for a in self.parent_aliases if collapse(a))
 
-    def _serialization(self) -> tuple[str, list[SegmentLabel]]:
-        serialized = self._serialized
-        if serialized is None:
-            self._serialized = serialized = _serialize(self)
-        return serialized
+    @cached_property
+    def _serialized(self) -> tuple[str, list[SegmentLabel]]:
+        return _serialize(self)
 
     @property
     def text(self) -> str:
-        return self._serialization()[0]
+        return self._serialized[0]
 
     @property
     def segments(self) -> list[SegmentLabel]:
-        return self._serialization()[1]
+        return self._serialized[1]
 
 
 def _clean_field(what: str, value: str) -> str:
@@ -106,20 +102,20 @@ def _parent_alias_token_seqs(gi: GeneratorInput) -> list[list[str]]:
 
 
 def _relabel_parent_tokens(tokens: list[str], labels: list[SegmentLabel], lo: int, hi: int, alias_seqs) -> None:
-    # Whole-token matching: a token run equal to the parent surface (or one of
-    # its coreferent mentions) is relabeled NodeP.
-    norm = [strip_punct(t).casefold() for t in tokens]
-    i = lo
-    while i < hi:
+    # Whole-token matching: a token run of tokens[lo:hi] equal to the parent
+    # surface (or one of its coreferent mentions) is relabeled NodeP.
+    norm = [strip_punct(t).casefold() for t in tokens[lo:hi]]
+    n = len(norm)
+    i = 0
+    while i < n:
         matched = 0
         for seq in alias_seqs:
             k = len(seq)
-            if i + k <= hi and norm[i : i + k] == seq:
+            if i + k <= n and norm[i : i + k] == seq:
                 matched = k
                 break
         if matched:
-            for j in range(i, i + matched):
-                labels[j] = SegmentLabel.NODE_P
+            labels[lo + i : lo + i + matched] = [SegmentLabel.NODE_P] * matched
             i += matched
         else:
             i += 1

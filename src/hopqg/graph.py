@@ -9,7 +9,8 @@ surface is the longest non-pronominal mention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .context import AnnotatedContext, Span
@@ -41,68 +42,54 @@ class Edge(NamedTuple):
 
 @dataclass
 class ContextGraph:
-    """A context's nodes and edges, with each node's incident edges.
-
-    Two entity facets are computed on first read, as not every command
-    reads them: each node's entity link (``entity_link``) and the nodes a
-    chain may be planned around (``answer_nodes``). Like ``_lookup``, they
-    need no lock: threads that compute them at once compute equal values.
-    """
+    """A context's nodes and edges. Each node's incident edges, the entity
+    facets (``entity_link``, ``answer_nodes``) and the node lookup
+    (``find_node``, ``overlap_node``) are computed on first read, as not every
+    command reads them, each by a ``functools.cached_property``: on Python
+    3.11 and earlier its first compute holds a lock shared by all graphs."""
 
     context: AnnotatedContext
     nodes: list[Node]
     edges: list[Edge]
-    _incident: dict[int, list[tuple[Edge, int]]] = field(default_factory=dict, repr=False)
-    # Each node's entity link, by node id, and the answer nodes.
-    _facet_cache: tuple[tuple[int | None, ...], tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # The node lookup table: norm_key of every surface and mention -> its
-    # first node in id order, and each node's match tokens over its surface
-    # and mentions. Built on the first lookup, so planning without --answer
-    # pays nothing; threads that build it at once build equal tables, so it
-    # needs no lock.
-    _lookup: tuple[dict[str, Node], list[set[str]]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        incident = self._incident
+    @cached_property
+    def _incident(self) -> dict[int, list[tuple[Edge, int]]]:
+        incident: dict[int, list[tuple[Edge, int]]] = {}
         for e in self.edges:
             source, target = e.source, e.target
             incident.setdefault(source, []).append((e, target))
             incident.setdefault(target, []).append((e, source))
+        return incident
 
+    @cached_property
     def _facets(self) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
-        facets = self._facet_cache
-        if facets is None:
-            nodes, incident = self.nodes, self._incident
-            links: list[int | None] = []
-            eligible = []
-            for node in nodes:
-                others = {other for _, other in incident.get(node.id, ())}
-                # A non-entity node links to its lowest-id named-entity neighbour.
-                link = None
-                if not node.is_named_entity:
-                    linked = [o for o in others if nodes[o].is_named_entity]
-                    link = min(linked) if linked else None
-                links.append(link)
-                if len(others) > 1 and (node.is_named_entity or link is not None):
-                    eligible.append(node.id)
-            self._facet_cache = facets = (tuple(links), tuple(eligible))
-        return facets
+        """Each node's entity link, by node id, and the answer nodes."""
+        nodes, incident = self.nodes, self._incident
+        links: list[int | None] = []
+        eligible = []
+        for node in nodes:
+            others = {other for _, other in incident.get(node.id, ())}
+            # A non-entity node links to its lowest-id named-entity neighbour.
+            link = None
+            if not node.is_named_entity:
+                linked = [o for o in others if nodes[o].is_named_entity]
+                link = min(linked) if linked else None
+            links.append(link)
+            if len(others) > 1 and (node.is_named_entity or link is not None):
+                eligible.append(node.id)
+        return tuple(links), tuple(eligible)
 
     def entity_link(self, node_id: int) -> int | None:
         """The lowest-id named-entity neighbour of a node that is not a named
         entity itself; None for a named entity or a node with no such neighbour."""
-        return self._facets()[0][node_id]
+        return self._facets[0][node_id]
 
     @property
     def answer_nodes(self) -> tuple[int, ...]:
         """Ids of the nodes a chain may be planned around, ascending: those
         with more than one distinct neighbour that are named entities or
         have an entity link."""
-        return self._facets()[1]
+        return self._facets[1]
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -114,20 +101,20 @@ class ContextGraph:
     def edges_between(self, a: int, b: int) -> list[Edge]:
         return [e for e, other in self.incident(a) if other == b]
 
+    @cached_property
     def _table(self) -> tuple[dict[str, Node], list[set[str]]]:
-        table = self._lookup
-        if table is None:
-            exact: dict[str, Node] = {}
-            tokens = []
-            for node in self.nodes:
-                texts = node.all_texts()
-                for t in texts:
-                    exact.setdefault(norm_key(t), node)
-                # Tokens never span a space, so these are the union of the
-                # tokens of each distinct text.
-                tokens.append(set(match_tokens(" ".join(dict.fromkeys(texts)))))
-            self._lookup = table = (exact, tokens)
-        return table
+        """norm_key of every surface and mention -> its first node in id
+        order, and each node's match tokens over its surface and mentions."""
+        exact: dict[str, Node] = {}
+        tokens = []
+        for node in self.nodes:
+            texts = node.all_texts()
+            for t in texts:
+                exact.setdefault(norm_key(t), node)
+            # Tokens never span a space, so these are the union of the
+            # tokens of each distinct text.
+            tokens.append(set(match_tokens(" ".join(dict.fromkeys(texts)))))
+        return exact, tokens
 
     def find_node(self, text: str) -> Node:
         """Locate the node best matching text.
@@ -135,7 +122,7 @@ class ContextGraph:
         Exact normalized match against any surface or mention wins; otherwise
         overlap_node on its match tokens. Zero overlap raises NodeNotFoundError.
         """
-        hit = self._table()[0].get(norm_key(text))
+        hit = self._table[0].get(norm_key(text))
         if hit is None:
             hit = self.overlap_node(set(match_tokens(text)))
             if hit is None:
@@ -147,14 +134,14 @@ class ContextGraph:
         with its surface and mentions' match tokens; ties go to the lowest
         node id, and None when no node shares one."""
         best, best_score = None, 0
-        for node, node_tokens in zip(self.nodes, self._table()[1]):
+        for node, node_tokens in zip(self.nodes, self._table[1]):
             score = len(tokens & node_tokens)
             if score > best_score and node.id not in exclude:
                 best, best_score = node, score
         return best
 
     def to_json(self) -> dict:
-        links = self._facets()[0]
+        links = self._facets[0]
         return {
             "nodes": [
                 {

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-import string
 import threading
 from collections import Counter
 from operator import mul
 
 from .errors import MetricError
+from .textutil import normalize_answer
 
 TOKENIZER_SPEC = "lowercase; punctuation detached as separate tokens; whitespace split"
 
@@ -437,17 +437,6 @@ def cider(corpus) -> float:
     for item_score in ngrams.cider_items:
         total += item_score / CIDER_ORDER
     return 10.0 * total / len(ngrams.items)
-
-
-# str.translate table deleting each ASCII punctuation character.
-_DROP_PUNCT = str.maketrans("", "", string.punctuation)
-
-
-def normalize_answer(text: str) -> str:
-    """SQuAD-style: lowercase, strip punctuation and articles, squeeze spaces."""
-    text = text.lower().translate(_DROP_PUNCT)
-    text = re.sub(r"\b(a|an|the)\b", " ", text)
-    return " ".join(text.split())
 
 
 def exact_match(pred: str, gold: str) -> float:

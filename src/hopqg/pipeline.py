@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import AnnotatedContext
-from .errors import BackendError, GenerationError
+from .errors import AssemblyError, BackendError, GenerationError, RewriteError
 from .geninput import GeneratorInput
 from .graph import ContextGraph
 from .planner import ReasoningChain
@@ -70,8 +70,10 @@ def generate_stepwise(
     category_overrides is keyed by template.key_overrides: a run keys its
     overrides once, not once per chain.
 
-    Backend failure at step i raises GenerationError carrying the questions
-    already produced (steps 1..i-1).
+    A failure at step i raises GenerationError carrying the questions
+    already produced (steps 1..i-1): an input that cannot be assembled
+    (AssemblyError), a failed backend call (BackendError), an inapplicable
+    template rewrite (RewriteError) or an empty question.
     """
     questions: list[str] = []
     answer_node = graph.node(chain.nodes[0].node_id)
@@ -85,25 +87,29 @@ def generate_stepwise(
             answer_category=answer_category,
             parent_category=descriptor_category(graph, parent_node.id),
         )
-        # Step 1 has no rewrite type or previous question; later steps rewrite
-        # the question the step before produced.
-        gi = GeneratorInput(
-            step=i,
-            sentence=ctx.sentences[node.sentence].text,
-            node_child=node.surface,
-            edge=node.edge_text,
-            node_parent=parent_chain_node.surface,
-            direction=node.edge_direction,
-            rewrite_type=node.rewrite_type if i > 1 else None,
-            sub_question=questions[-1] if i > 1 else None,
-            parent_aliases=tuple(parent_node.mention_texts),
-        )
         try:
+            # Step 1 has no rewrite type or previous question; later steps
+            # rewrite the question the step before produced.
+            gi = GeneratorInput(
+                step=i,
+                sentence=ctx.sentences[node.sentence].text,
+                node_child=node.surface,
+                edge=node.edge_text,
+                node_parent=parent_chain_node.surface,
+                direction=node.edge_direction,
+                rewrite_type=node.rewrite_type if i > 1 else None,
+                sub_question=questions[-1] if i > 1 else None,
+                parent_aliases=tuple(parent_node.mention_texts),
+            )
             if i == 1:
                 question = backend.initial(gi, info)
             else:
                 question = backend.rewrite(gi, info)
-        except BackendError as exc:
+        except AssemblyError as exc:
+            raise GenerationError(
+                f"input of step {i} cannot be assembled: {exc}", partial_questions=questions, failed_step=i
+            ) from exc
+        except (BackendError, RewriteError) as exc:
             raise GenerationError(
                 f"backend failed at step {i}: {exc}", partial_questions=questions, failed_step=i
             ) from exc

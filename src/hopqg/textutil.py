@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import string
 
 PRONOUNS = {
@@ -22,6 +23,8 @@ STOPWORDS = {
 }
 
 _PUNCT = string.punctuation
+# str.translate table deleting each ASCII punctuation character.
+_DROP_PUNCT = str.maketrans("", "", _PUNCT)
 
 
 def collapse(text: str) -> str:
@@ -66,3 +69,10 @@ def content_tokens(text: str) -> list[str]:
         tok for raw in text.casefold().split()
         if (tok := raw.strip(_PUNCT)) and tok not in STOPWORDS
     ]
+
+
+def normalize_answer(text: str) -> str:
+    """SQuAD-style: lowercase, strip punctuation and articles, squeeze spaces."""
+    text = text.lower().translate(_DROP_PUNCT)
+    text = re.sub(r"\b(a|an|the)\b", " ", text)
+    return " ".join(text.split())

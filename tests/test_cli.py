@@ -33,6 +33,7 @@ from util import (
     film3_context_doc,
     film_context_doc,
     generate_for_context,
+    marked_film_context_doc,
     prize_record_doc,
     remake_record_doc,
     serve_http,
@@ -319,6 +320,18 @@ def test_generate_per_item_failures_exit_1(tmp_path, caplog):
     assert Path(out).read_text() == ""
     manifest = read_manifest(out + ".manifest.json")
     assert manifest["stages"]["failed"]["count"] == 1
+
+
+def test_generate_logs_the_step_a_bad_input_failed_at(tmp_path, caplog):
+    ctx = write_json(tmp_path / "ctx.json", marked_film_context_doc())
+    out = str(tmp_path / "traces.jsonl")
+    with caplog.at_level(logging.WARNING, logger="hopqg.cli"):
+        code = main(["generate", "--context", ctx, "--d", "2", "--answer", "Tom Cruise", "--out", out])
+    assert code == 1
+    assert caplog.messages == [
+        "context 0 seed 0 failed: input of step 2 cannot be assembled: "
+        "context sentence contains reserved marker <edge>"
+    ]
 
 
 def count_builds(monkeypatch) -> list:
@@ -1475,6 +1488,7 @@ NOT_RUN = {
         "hopqg.graph", "hopqg.planner", "hopqg.pipeline", "hopqg.template",
         "hopqg.geninput", "hopqg.dataset_builder", "hopqg.hotpot",
     ),
+    "build-dataset": ("hopqg.metrics", "hopqg.evaluate"),
 }
 
 

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from hopqg.context import AnnotatedContext, Sentence, Span, Triple
 from hopqg.errors import AnnotationError, NodeNotFoundError
+from hopqg.geninput import GeneratorInput
 from hopqg.graph import build_context_graph
+from hopqg.planner import EdgeDirection, RewriteType
 
 from oracles import oracle_graph_merges, span_text
 from util import (
@@ -293,6 +298,62 @@ def test_ne_heuristic_without_annotation():
 def test_entity_link_points_to_adjacent_ne(film_graph):
     film_node = film_graph.find_node("a 1986 action film")
     assert film_graph.entity_link(film_node.id) == film_graph.find_node("Top Gun").id
+
+
+def _fresh_tables():
+    """A graph and a generator input whose tables nothing has read yet."""
+    sentences = [f"Person {i} visited City {i % 7} near Lake {i % 5}." for i in range(60)]
+    triples = [(i, f"Person {i}", "visited", f"City {i % 7}") for i in range(60)]
+    triples += [(i, f"City {i % 7}", "near", f"Lake {i % 5}") for i in range(60)]
+    graph = build_context_graph(
+        make_context(sentences, triples, named_entities=[(i, f"Person {i}") for i in range(60)])
+    )
+    gi = GeneratorInput(
+        step=2, sentence=sentences[7], node_child="Lake 2", edge="near", node_parent="City 0",
+        direction=EdgeDirection.CHILD_TO_PARENT, rewrite_type=RewriteType.BRIDGE,
+        sub_question="Who visited City 0 after City 0?", parent_aliases=("city 0",),
+    )
+    return graph, gi
+
+
+def _table_reads(graph, gi):
+    ids = range(len(graph.nodes))
+    return [
+        lambda: graph.answer_nodes,
+        lambda: [graph.entity_link(n) for n in ids],
+        lambda: [graph.find_node(q).id for q in ("Person 12", "city 3", "lake", "visited Person 7 twice")],
+        lambda: [graph.overlap_node({"city", "lake", "4"}, exclude=(n,)).id for n in ids],
+        lambda: [graph.incident(n) for n in ids],
+        lambda: gi.text,
+        lambda: gi.segments,
+    ]
+
+
+def test_first_reads_of_the_cached_tables_agree_across_threads():
+    # In each round eight threads make the first reads of a fresh graph's and
+    # a fresh input's tables at once, each thread in another order, with a
+    # thread switch due every microsecond; each must see what one thread
+    # alone sees. A race shows in some rounds only, hence ten.
+    expected = [read() for read in _table_reads(*_fresh_tables())]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for _ in range(10):
+                reads = _table_reads(*_fresh_tables())
+                start = threading.Barrier(8)
+
+                def run(k):
+                    start.wait()
+                    seen = [None] * len(reads)
+                    for j in range(len(reads)):
+                        j = (j + k) % len(reads)
+                        seen[j] = reads[j]()
+                    return seen
+
+                assert list(pool.map(run, range(8))) == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_build_is_deterministic(film_ctx):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hopqg.context import AnnotatedContext
-from hopqg.errors import BackendError, GenerationError, HopqgError
+from hopqg.errors import BackendError, GenerationError, HopqgError, RewriteError
 from hopqg.graph import build_context_graph
 from hopqg.pipeline import generate_stepwise
 from hopqg.planner import plan_chain
@@ -14,6 +14,7 @@ from util import (
     film3_context_doc,
     film_context_doc,
     generate_for_context,
+    marked_film_context_doc,
     random_context_doc,
     remake_context_doc,
     star_context_doc,
@@ -81,6 +82,32 @@ def test_backend_failure_carries_partial_trace(film_ctx):
     err = exc_info.value
     assert err.failed_step == 2
     assert err.partial_questions == ["Who starred Top Gun?"]
+
+
+class RewriteInapplicable(FailsAtRewrite):
+    def rewrite(self, gi, info):
+        raise RewriteError("no span to replace")
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("rewrite", "backend failed at step 2: no span to replace"),
+        ("marker", "input of step 2 cannot be assembled: context sentence contains reserved marker <edge>"),
+    ],
+    ids=["rewrite", "marker"],
+)
+def test_rewrite_and_assembly_failures_carry_their_step(film_ctx, case, message):
+    if case == "rewrite":
+        ctx, backend = film_ctx, RewriteInapplicable()
+    else:
+        ctx, backend = AnnotatedContext.from_json(marked_film_context_doc()), TemplateBackend()
+    graph = build_context_graph(ctx)
+    chain = plan_chain(graph, d=2, answer_text="Tom Cruise")
+    with pytest.raises(GenerationError) as exc_info:
+        generate_stepwise(ctx, graph, chain, backend)
+    err = exc_info.value
+    assert (str(err), err.failed_step, err.partial_questions) == (message, 2, ["Who starred Top Gun?"])
 
 
 def test_trace_json_schema(film_ctx):

@@ -102,6 +102,13 @@ def film_context_doc() -> dict:
     return make_context_doc(FILM_SENTENCES, FILM_TRIPLES, named_entities=FILM_NES)
 
 
+def marked_film_context_doc() -> dict:
+    """The film fixture with the reserved marker <edge> in the sentence of
+    step 2 of its d=2 chain to Tom Cruise."""
+    sentences = [FILM_SENTENCES[0].replace(".", " <edge>."), *FILM_SENTENCES[1:]]
+    return make_context_doc(sentences, FILM_TRIPLES, named_entities=FILM_NES)
+
+
 # Same story with a fourth hop and sentence order forcing a linear d=3 chain.
 FILM3_SENTENCES = [
     "Tony Scott was born in North Shields.",
