@@ -7,10 +7,11 @@ of its roles, checks that each output path its subparser names in
 ``outputs`` (and the manifest's) can be written, reads the inputs with the
 command's read step, hands them to its work step, writes the outputs work
 returns, and closes the services. Read, work and write run with the cyclic
-garbage collector paused. It writes the RunManifest of every completed command: the
-config the run used, the digests of the input files its subparser names
-in ``inputs`` and of the outputs it wrote, and the stages recorded, its
-own ``read`` and ``write`` among them.
+garbage collector paused. It writes the RunManifest of every completed
+command: the config the run used, the digests of the bytes it read from the
+input files its subparser names in ``inputs`` and wrote to its outputs (each
+file crosses the disk once), and the stages recorded, ``read`` and ``write``
+among them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any, Callable, NamedTuple
 from . import __version__
 from .config import PipelineConfig, load_config
 from .errors import (
-    AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, map_jobs, read_records, read_text, write_jsonl,
+    AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, map_jobs, read_records, write_jsonl, write_text,
 )
 from .manifest import RunManifest
 
@@ -47,11 +48,6 @@ DEFAULT_METRICS = "bleu3,bleu4,rouge-l,meteor-s,cider"
 
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _with_flags(config: PipelineConfig, **flags) -> PipelineConfig:
@@ -112,22 +108,29 @@ def _manifest_path(args: argparse.Namespace) -> str:
     return os.path.join(os.path.dirname(first_input), f"hopqg-{args.command}-manifest.json")
 
 
-def _check_writable(paths: list[str | None]) -> None:
+def _check_writable(paths: dict[str, str | None]) -> None:
     """Raise, naming the path, for a path that is a directory or whose
-    directory does not exist, so that a run stops before it writes anything;
-    None stands for an output not asked for."""
-    for path in filter(None, paths):
+    directory does not exist, and naming both options for two that name one
+    file, so that a run stops before it reads or writes anything. paths maps
+    each option to its path; None stands for an output not asked for."""
+    option_of = {}  # each real path checked, and the option that named it
+    for option, path in paths.items():
+        if not path:
+            continue
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, "no directory to write to", path)
+        first = option_of.setdefault(os.path.realpath(path), option)
+        if first != option:
+            raise ConfigError(f"{first} and {option} name one file: {path}")
 
 
-def _load_context_docs(path: str) -> list[AnnotatedContext]:
+def _load_context_docs(path: str, text: str) -> list[AnnotatedContext]:
     from .context import AnnotatedContext
 
     contexts = []
-    for where, doc in read_records(path, "context"):
+    for where, doc in read_records(path, text, "context"):
         try:
             contexts.append(AnnotatedContext.from_json(doc))
         except AnnotationError as exc:
@@ -136,19 +139,19 @@ def _load_context_docs(path: str) -> list[AnnotatedContext]:
 
 
 # A command checks its flags and imports the modules it runs, and returns
-# two steps: read decodes and checks the inputs, and work takes what read
-# returned and gives the exit code and the outputs, each path with its
-# content; what goes to stdout, work prints. main times read and the writes
-# as the stages "read" and "write". Under --manifest-only it runs neither
-# step, so that launch loads the modules of a real run and decodes nothing.
-Steps = tuple[Callable[[], Any], Callable[[Any], tuple[int, dict[str, list | dict]]]]
+# two steps: read decodes and checks the text of each file in ``inputs``,
+# and work takes what read returned and gives the exit code and the
+# outputs, each path with its content; what goes to stdout, work prints.
+# main times reading the files and read, and the writes, as the stages
+# "read" and "write". Under --manifest-only it runs neither step.
+Steps = tuple[Callable[..., Any], Callable[[Any], tuple[int, dict[str, list | dict]]]]
 
 
 def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Steps:
     from .graph import build_context_graph
 
-    def read() -> AnnotatedContext:
-        contexts = _load_context_docs(args.context)
+    def read(text: str) -> AnnotatedContext:
+        contexts = _load_context_docs(args.context, text)
         if len(contexts) != 1:
             raise AnnotationError("build-graph expects exactly one annotated context")
         return contexts[0]
@@ -249,7 +252,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
         manifest.count("failed", len(failures))
         return EXIT_PARTIAL if failures else EXIT_OK, {args.out: [t.to_json() for t in traces]}
 
-    return lambda: _load_context_docs(args.context), work
+    return lambda text: _load_context_docs(args.context, text), work
 
 
 def cmd_build_dataset(
@@ -270,12 +273,12 @@ def cmd_build_dataset(
             outputs[args.stats] = stats
         return EXIT_PARTIAL if stats["errors"] else EXIT_OK, outputs
 
-    return lambda: load_hotpot(args.hotpot), work
+    return lambda text: load_hotpot(args.hotpot, text), work
 
 
-def _read_lines(path: str) -> list[str]:
-    """Every line of path, without its newline, up to the last non-blank one."""
-    lines = read_text(path, MetricError).split("\n")
+def _read_lines(text: str) -> list[str]:
+    """Every line of text, without its newline, up to the last non-blank one."""
+    lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     return lines
@@ -296,11 +299,11 @@ def _parse_ref(path: str, n: int, line: str) -> list[str] | None:
     return parsed
 
 
-def _read_corpus(hyp_path: str, ref_path: str) -> list[tuple[str, list[str]]]:
-    """Hypotheses and references paired by line number. A blank line pairs
-    only with a blank line, and both are skipped."""
-    hyps = _read_lines(hyp_path)
-    refs = [_parse_ref(ref_path, n, line) for n, line in enumerate(_read_lines(ref_path), 1)]
+def _read_corpus(hyp_path: str, hyp_text: str, ref_path: str, ref_text: str) -> list[tuple[str, list[str]]]:
+    """Hypotheses and references, from each file's text, paired by line
+    number. A blank line pairs only with a blank line, and both are skipped."""
+    hyps = _read_lines(hyp_text)
+    refs = [_parse_ref(ref_path, n, line) for n, line in enumerate(_read_lines(ref_text), 1)]
     corpus = []
     for n, (hyp, ref) in enumerate(zip(hyps, refs), 1):
         if bool(hyp.strip()) != (ref is not None):
@@ -338,7 +341,7 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
             sys.stdout.write(_metric_table(report["metrics"]) + "\n")
         return EXIT_OK, {args.out: report} if args.out else {}
 
-    return lambda: _read_corpus(args.hyp, args.ref), work
+    return lambda hyp, ref: _read_corpus(args.hyp, hyp, args.ref, ref), work
 
 
 def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Steps:
@@ -354,7 +357,7 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig, manifest: RunMa
             outputs[args.rejects] = [{"reason": reason, "item": item} for item, reason in dropped]
         return EXIT_OK, outputs
 
-    return lambda: read_traces(args.traces, optional=("question", "answer")), work
+    return lambda text: read_traces(args.traces, text, optional=("question", "answer")), work
 
 
 def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest, qa) -> Steps:
@@ -368,7 +371,7 @@ def cmd_probe(args: argparse.Namespace, config: PipelineConfig, manifest: RunMan
         sys.stdout.write(result.format_table() + "\n")
         return EXIT_PARTIAL if result.incomplete else EXIT_OK, {args.out: result.to_json()} if args.out else {}
 
-    return lambda: read_traces(args.traces, required=("question", "answer", "context", "d")), work
+    return lambda text: read_traces(args.traces, text, required=("question", "answer", "context", "d")), work
 
 
 def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunManifest) -> Steps:
@@ -381,7 +384,7 @@ def cmd_augment(args: argparse.Namespace, config: PipelineConfig, manifest: RunM
         manifest.count("mix", len(mixed))
         return EXIT_OK, {args.out: mixed}
 
-    return lambda: (read_traces(args.traces), read_traces(args.originals)), work
+    return lambda traces, originals: (read_traces(args.traces, traces), read_traces(args.originals, originals)), work
 
 
 @functools.cache
@@ -528,23 +531,23 @@ def main(argv: list[str] | None = None) -> int:
         manifest_path = _manifest_path(args)
         code = EXIT_OK
         try:
-            _check_writable([getattr(args, name) for name in args.outputs] + [manifest_path])
-            for name in args.inputs:
-                manifest.add_input(getattr(args, name))
+            _check_writable({f"--{name}": getattr(args, name) for name in args.outputs} | {"--manifest": manifest_path})
             read, work = args.func(args, config, manifest, **services)
-            if not args.manifest_only:
+            if args.manifest_only:  # decodes nothing, so digests the inputs on disk
+                for name in args.inputs:
+                    manifest.add_input(getattr(args, name))
+            else:
                 with _collector_paused():
                     with manifest.timed("read"):
-                        inputs = read()
+                        inputs = read(*[manifest.read(getattr(args, name)) for name in args.inputs])
                     code, outputs = work(inputs)
                     with manifest.timed("write"):
                         for path, content in outputs.items():
                             # A list of records is written as JSONL, a report as JSON.
-                            if isinstance(content, list):
-                                write_jsonl(content, path)
-                            else:
-                                _write_text(path, _dump_json(content))
-                            manifest.add_output(path)
+                            manifest.outputs[path] = (
+                                write_jsonl(content, path) if isinstance(content, list)
+                                else write_text(path, _dump_json(content))
+                            )
         finally:
             if backend == "remote":
                 for role, service in services.items():

@@ -1,9 +1,10 @@
-"""Exception types shared across the package, the one reader and writer of
-JSON records files, text and JSON loading that name the path in errors, the
-one rule for a JSON integer, and the one runner of a command's item jobs."""
+"""Exception types shared across the package, the one decoder of input bytes
+and writer of output files, the JSON records reader and JSON loading that name
+the path in errors, the one rule for a JSON integer, and the one job runner."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -84,19 +85,21 @@ def json_kind(value) -> str:
     return _JSON_KINDS[type(value)]
 
 
-def read_text(path: str, error: type[HopqgError] = AnnotationError) -> str:
-    """The text of a UTF-8 file; bytes that are not UTF-8 raise `error` naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+def decode_text(path: str, data: bytes, error: type[HopqgError] = AnnotationError) -> str:
+    """The text of the file path's bytes, with \\r\\n and \\r read as \\n as
+    text mode reads them; bytes that are not UTF-8 raise `error` naming the path."""
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def load_json(path: str, error: type[HopqgError] = AnnotationError):
     """Decode a whole JSON file; a syntax error raises `error` naming `path:line`."""
+    with open(path, "rb") as fh:
+        text = decode_text(path, fh.read(), error)
     try:
-        return json.loads(read_text(path, error))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(invalid_json(path, exc)) from exc
 
@@ -104,17 +107,16 @@ def load_json(path: str, error: type[HopqgError] = AnnotationError):
 _WS = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows around a value
 
 
-def read_records(path: str, noun: str) -> list[tuple[str, dict]]:
-    """Each record of a JSON records file, with where it sits in the file.
+def read_records(path: str, text: str, noun: str) -> list[tuple[str, dict]]:
+    """Each record of a JSON records file, from its text, and where it sits.
 
     The file holds one JSON value, an array of records, or JSONL (one value
     per line), and an empty file holds none. A record is named ``path`` when
     it is the file's one value, ``path: <noun> k`` when it is item k (from
     0) of the array, and ``path:line`` when it is a JSONL line. A syntax
     error, or a record that is not an object, raises AnnotationError naming
-    where it is; bytes that are not UTF-8, naming the path.
+    where it is.
     """
-    text = read_text(path)
     start = _WS.match(text).end()
     if start == len(text):
         return []
@@ -156,11 +158,17 @@ def read_records(path: str, noun: str) -> list[tuple[str, dict]]:
     return records
 
 
-def write_jsonl(records: list[dict], path: str) -> None:
-    """Writes records to path as JSONL, one per line, non-ASCII kept as is."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+def write_text(path: str, text: str) -> str:
+    """Writes text to path as UTF-8 in one write; returns the bytes' sha256."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_jsonl(records: list[dict], path: str) -> str:
+    """Writes records to path as JSONL, non-ASCII kept as is; returns the sha256."""
+    return write_text(path, "".join([json.dumps(record, ensure_ascii=False) + "\n" for record in records]))
 
 
 def map_jobs(fn, items: list, workers: int) -> list:

@@ -263,6 +263,6 @@ def _check_trace(obj: dict, where: str, required: tuple[str, ...] = (), optional
     return obj
 
 
-def read_traces(path: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> list[dict]:
-    """The question records of path, each checked by _check_trace."""
-    return [_check_trace(obj, where, required, optional) for where, obj in read_records(path, "record")]
+def read_traces(path: str, text: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> list[dict]:
+    """The question records of the file path, given its text, each checked by _check_trace."""
+    return [_check_trace(obj, where, required, optional) for where, obj in read_records(path, text, "record")]

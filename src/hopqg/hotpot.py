@@ -110,9 +110,9 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
     )
 
 
-def load_hotpot(path: str) -> list[HotpotRecord]:
-    """The records of path, each checked by parse_record."""
-    return [parse_record(obj, where) for where, obj in read_records(path, "record")]
+def load_hotpot(path: str, text: str) -> list[HotpotRecord]:
+    """The records of the file path, given its text, each checked by parse_record."""
+    return [parse_record(obj, where) for where, obj in read_records(path, text, "record")]
 
 
 def _find_pivot(tokens: list[str]) -> tuple[int, int] | None:

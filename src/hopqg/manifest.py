@@ -1,8 +1,9 @@
 """Run manifests: what ran, over which bytes, producing which bytes.
 
-Every command writes one. Timings are informational; reproducibility is
-judged on the output digests, which must match across reruns with the
-same config, inputs and seed when all backends are deterministic.
+Every command writes one, with the digests of the bytes it decoded and
+wrote. Timings are informational; reproducibility is judged on the output
+digests, which must match across reruns with the same config, inputs and
+seed when all backends are deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from .errors import decode_text, write_text
 
 
 def sha256_file(path: str) -> str:
@@ -41,8 +44,12 @@ class RunManifest:
     def add_input(self, path: str) -> None:
         self.inputs[path] = sha256_file(path)
 
-    def add_output(self, path: str) -> None:
-        self.outputs[path] = sha256_file(path)
+    def read(self, path: str) -> str:
+        """The text of input file path, read once and digested into inputs."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
+        return decode_text(path, data)
 
     def _stage(self, name: str) -> dict:
         return self.stages.setdefault(name, {"count": 0, "seconds": 0.0})
@@ -76,6 +83,4 @@ class RunManifest:
         }
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")

@@ -459,11 +459,11 @@ def test_parse_record_validation():
 def test_load_hotpot_roundtrip(tmp_path):
     path = tmp_path / "records.json"
     path.write_text(json.dumps([remake_record_doc(), prize_record_doc()]))
-    records = load_hotpot(str(path))
+    records = load_hotpot(str(path), path.read_text())
     assert [r.record_id for r in records] == ["remake-1", "prize-1"]
     with pytest.raises(AnnotationError):
         path.write_text(json.dumps({"not": "a list"}))
-        load_hotpot(str(path))
+        load_hotpot(str(path), path.read_text())
 
 
 def test_fallback_annotate_patterns():

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, outputs, manifests, reruns."""
 
 import argparse
+import builtins
 import gc
 import hashlib
 import json
@@ -20,6 +21,7 @@ import pytest
 import hopqg
 import hopqg.cli
 import hopqg.graph
+import hopqg.manifest
 import hopqg.template
 from hopqg.cli import main
 from hopqg.context import AnnotatedContext
@@ -258,6 +260,72 @@ def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, command, capsy
         assert main([str(folder) if arg == path else arg for arg in argv + ["--config", config]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(folder) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_a_run_opens_each_file_once(tmp_path, command, monkeypatch):
+    """A run opens each input, each output and the manifest once: it digests
+    the bytes it read and the bytes it wrote. --manifest-only reads no input
+    but digests each from disk, and writes only the manifest."""
+    options = every_output(tmp_path, command)
+    argv, inputs = command_argv(tmp_path, command, options)
+    outputs = [value for name, value in options.items() if name != "backend"]
+    manifest = str(tmp_path / "out.manifest.json")
+    opened, digested = [], []
+    real_open, sha256_file = builtins.open, hopqg.manifest.sha256_file
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if str(file).startswith(str(tmp_path)):
+            opened.append((str(file), "w" in mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_digest(path):
+        digested.append(path)
+        return sha256_file(path)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(hopqg.manifest, "sha256_file", spy_digest)
+    assert main(argv) == 0
+    reads = [(path, False) for path in inputs.values()]
+    assert sorted(opened) == sorted(reads + [(path, True) for path in outputs + [manifest]])
+    assert digested == []
+    opened.clear()
+    assert main(argv + ["--manifest-only"]) == 0
+    assert sorted(opened) == sorted(reads + [(manifest, True)])
+    assert digested == list(inputs.values())
+
+
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("build-dataset", "out", "stats"),
+        ("build-dataset", "out", "manifest"),
+        ("filter", "out", "rejects"),
+        ("filter", "rejects", "manifest"),
+        ("generate", "out", "manifest"),
+    ],
+)
+def test_two_written_paths_naming_one_file_exit_2_before_reading(tmp_path, capsys, command, first, second):
+    """Two outputs, or an output and the manifest, that name one file (here
+    one of them through a ".." step) stop the run before it reads its
+    inputs: the later write would replace the earlier one."""
+    (tmp_path / "sub").mkdir()
+    same = str(tmp_path / "same")
+    options = {**every_output(tmp_path, command), first: same, second: str(tmp_path / "sub" / ".." / "same")}
+    argv, inputs = command_argv(tmp_path, command, options)
+    missing = str(tmp_path / "missing")
+    argv = [missing if arg in inputs.values() else arg for arg in argv]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --{first} and --{second} name one file: {options[second]}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_run_may_write_the_file_it_read(tmp_path):
+    traces = write(tmp_path / "t.jsonl", "".join(json.dumps(t) + "\n" for t in probe_traces()))
+    assert main(["filter", "--traces", traces, "--out", traces, "--min-words", "6"]) == 0
+    assert [record["d"] for record in read_traces(traces, Path(traces).read_text(encoding="utf-8"))] == [2]
 
 
 def test_multi_line_context_errors_name_their_line(tmp_path, capsys):
@@ -647,7 +715,7 @@ def test_generate_decodes_each_jsonl_context_once(tmp_path, monkeypatch):
     for k, (read, docs) in enumerate(files):
         path = write(tmp_path / f"{k}.jsonl", "\n" + "\n".join(json.dumps(d) for d in docs) + "\n")
         decoded.clear()
-        assert len(read(path)) == len(docs)
+        assert len(read(path, Path(path).read_text(encoding="utf-8"))) == len(docs)
         # One decode per line: the first record is not decoded twice.
         assert decoded == [json.dumps(d)[:12] for d in docs]
 
@@ -1212,6 +1280,57 @@ def test_every_records_file_may_hold_one_value_an_array_or_jsonl(tmp_path, comma
     assert run("empty.json", "") == run("empty-array.json", "[]")
 
 
+NEWLINES = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+@pytest.mark.parametrize("command", ["generate", "build-dataset", "filter", "evaluate"])
+def test_lines_may_end_in_crlf_or_a_lone_cr(tmp_path, command):
+    """Contexts, records, traces and hypothesis and reference lines read the
+    same whether their lines end in \\n, \\r\\n or \\r: the outputs are
+    byte-identical."""
+    if command == "evaluate":
+        files = {
+            "hyp": "who directed top gun ?\n\nthe cat sat\n",
+            "ref": json.dumps(["who directs top gun", "top gun ?"]) + "\n\nthe cat sat on the mat\n",
+        }
+
+        def argv(paths, out):
+            return ["evaluate", "--hyp", paths["hyp"], "--ref", paths["ref"], "--out", out]
+    else:
+        records, records_argv = _records_run(command, tmp_path)
+        files = {"records": "".join(json.dumps(r) + "\n" for r in records)}
+
+        def argv(paths, out):
+            return records_argv(paths["records"], out)
+
+    outputs = set()
+    for style, newline in NEWLINES.items():
+        paths = {name: str(tmp_path / f"{style}.{name}") for name in files}
+        for name, text in files.items():
+            Path(paths[name]).write_bytes(text.replace("\n", newline).encode())
+        out = str(tmp_path / f"{style}.out")
+        assert main(argv(paths, out)) == 0
+        outputs.add(Path(out).read_bytes())
+    assert len(outputs) == 1 and outputs != {b""}
+
+
+@pytest.mark.parametrize(
+    "hyp", ["a b c\nd e f\n", "a b c\r\nd e f\r\n", "caf\u00e9 \u00fcber\nna\u00efve\n"], ids=["lf", "crlf", "non-ascii"]
+)
+def test_an_input_digest_is_of_the_bytes_on_disk(tmp_path, hyp):
+    files = {"hyp": hyp.encode(), "ref": "a b c\nd e f\n".encode()}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    digests = []
+    for extra in (["--manifest-only"], ["--out", str(tmp_path / "report.json")]):
+        manifest = str(tmp_path / "m.json")
+        argv = ["evaluate", "--hyp", str(tmp_path / "hyp"), "--ref", str(tmp_path / "ref"), "--manifest", manifest]
+        assert main(argv + extra) == 0
+        digests.append(read_manifest(manifest)["inputs"])
+    expected = {str(tmp_path / name): hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert digests == [expected, expected]
+
+
 # --------------------------------------------------------------------- config
 
 
@@ -1517,6 +1636,48 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
         assert not_run == "[]" and pool == "False"
         loaded.append(modules)
     assert loaded[0] == loaded[1]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """generate, build-dataset and evaluate launched under two
+    PYTHONHASHSEED values give the same exit codes, stdout, output bytes
+    and manifests (seconds aside)."""
+    inputs = {
+        "ctx.jsonl": "".join(json.dumps(doc) + "\n" for doc in (film_context_doc(), film3_context_doc())),
+        "hotpot.json": json.dumps([remake_record_doc(), comparison_record_doc(), prize_record_doc()]),
+        "hyp.txt": "who directed top gun ?\nthe cat sat\n",
+        "ref.txt": json.dumps(["who directs top gun", "top gun ?"]) + "\nthe cat sat on the mat\n",
+    }
+    commands = [
+        ["generate", "--context", "ctx.jsonl", "--d", "2", "--count", "2", "--out", "traces.jsonl"],
+        ["build-dataset", "--hotpot", "hotpot.json", "--out", "examples.jsonl", "--stats", "stats.json"],
+        ["evaluate", "--hyp", "hyp.txt", "--ref", "ref.txt", "--table"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopqg.__file__)))
+    runs = []
+    for seed in ("0", "1"):
+        where = tmp_path / seed
+        where.mkdir()
+        for name, text in inputs.items():
+            write(where / name, text)
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        seen = []
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "hopqg.cli"] + argv, cwd=where, env=env, capture_output=True)
+            seen.append((done.returncode, done.stdout))
+        written = {}
+        for path in sorted(where.iterdir()):
+            if path.name.endswith("manifest.json"):
+                manifest = read_manifest(path)
+                for stage in manifest["stages"].values():
+                    stage["seconds"] = 0.0
+                written[path.name] = manifest
+            elif path.name not in inputs:
+                written[path.name] = path.read_bytes()
+        runs.append((seen, written))
+    assert [code for code, _ in runs[0][0]] == [0, 0, 0] and len(runs[0][1]) == 6
+    assert runs[0] == runs[1]
 
 
 def test_bare_package_root_loads_no_submodule():

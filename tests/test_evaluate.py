@@ -189,7 +189,7 @@ def test_emit_augmentation_accounting_and_determinism(tmp_path):
 
     path = tmp_path / "aug.jsonl"
     write_jsonl(mixed, str(path))
-    assert read_traces(str(path)) == mixed
+    assert read_traces(str(path), path.read_text(encoding="utf-8")) == mixed
 
 
 def test_emit_augmentation_ratio_one_no_duplication():
