@@ -99,24 +99,26 @@ def _services(roles: tuple[str, ...], backend: str | None, config: PipelineConfi
 
 
 def _manifest_path(args: argparse.Namespace) -> str:
-    if args.manifest:
+    if args.manifest is not None:
         return args.manifest
     out = getattr(args, "out", None)
-    if out:
+    if out is not None:
         return out + ".manifest.json"
     first_input = getattr(args, args.inputs[0])
     return os.path.join(os.path.dirname(first_input), f"hopqg-{args.command}-manifest.json")
 
 
 def _check_writable(paths: dict[str, str | None]) -> None:
-    """Raise, naming the path, for a path that is a directory or whose
-    directory does not exist, and naming both options for two that name one
-    file, so that a run stops before it reads or writes anything. paths maps
-    each option to its path; None stands for an output not asked for."""
+    """Raise, naming the option for an empty path, the path for a directory
+    or a path whose directory does not exist, and both options for two that
+    name one file, so that a run stops before it reads or writes anything.
+    paths maps each option to its path; None is an output not asked for."""
     option_of = {}  # each real path checked, and the option that named it
     for option, path in paths.items():
-        if not path:
+        if path is None:
             continue
+        if not path:
+            raise ConfigError(f"{option} names no file: the path is empty")
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
         if not os.path.isdir(os.path.dirname(path) or "."):
@@ -129,13 +131,7 @@ def _check_writable(paths: dict[str, str | None]) -> None:
 def _load_context_docs(path: str, text: str) -> list[AnnotatedContext]:
     from .context import AnnotatedContext
 
-    contexts = []
-    for where, doc in read_records(path, text, "context"):
-        try:
-            contexts.append(AnnotatedContext.from_json(doc))
-        except AnnotationError as exc:
-            raise AnnotationError(f"{where}: {exc}") from exc
-    return contexts
+    return read_records(path, text, "context", AnnotatedContext.from_json)
 
 
 # A command checks its flags and imports the modules it runs, and returns

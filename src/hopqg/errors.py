@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from typing import Callable
 
 
 class HopqgError(Exception):
@@ -86,10 +87,11 @@ def json_kind(value) -> str:
 
 
 def decode_text(path: str, data: bytes, error: type[HopqgError] = AnnotationError) -> str:
-    """The text of the file path's bytes, with \\r\\n and \\r read as \\n as
-    text mode reads them; bytes that are not UTF-8 raise `error` naming the path."""
+    """The text of the file path's bytes, without a leading byte-order mark
+    and with \\r\\n and \\r read as \\n as text mode reads them; bytes that
+    are not UTF-8 raise `error` naming the path."""
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return data.decode("utf-8").removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
@@ -107,15 +109,16 @@ def load_json(path: str, error: type[HopqgError] = AnnotationError):
 _WS = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows around a value
 
 
-def read_records(path: str, text: str, noun: str) -> list[tuple[str, dict]]:
-    """Each record of a JSON records file, from its text, and where it sits.
+def read_records(path: str, text: str, noun: str, parse: Callable[[dict], object]) -> list:
+    """parse of each record of a JSON records file, from its text.
 
     The file holds one JSON value, an array of records, or JSONL (one value
     per line), and an empty file holds none. A record is named ``path`` when
     it is the file's one value, ``path: <noun> k`` when it is item k (from
     0) of the array, and ``path:line`` when it is a JSONL line. A syntax
-    error, or a record that is not an object, raises AnnotationError naming
-    where it is.
+    error raises AnnotationError naming its ``path:line``, and a record
+    that is not an object (all are checked before parse runs) or an
+    AnnotationError of parse, one prefixed with the record's name.
     """
     start = _WS.match(text).end()
     if start == len(text):
@@ -123,8 +126,6 @@ def read_records(path: str, text: str, noun: str) -> list[tuple[str, dict]]:
     # json.loads(text) is this first decode plus a check that only
     # whitespace follows; decoding by hand keeps the first value of JSONL.
     try:
-        if text.startswith("\ufeff"):
-            json.loads(text)  # raises its "Unexpected UTF-8 BOM" error
         value, end = json.JSONDecoder().raw_decode(text, start)
     except json.JSONDecodeError as exc:
         raise AnnotationError(invalid_json(path, exc)) from exc
@@ -155,7 +156,13 @@ def read_records(path: str, text: str, noun: str) -> list[tuple[str, dict]]:
     for where, record in records:
         if type(record) is not dict:
             raise AnnotationError(f"{where}: record must be an object, got {json_kind(record)}")
-    return records
+    parsed = []
+    for where, record in records:
+        try:
+            parsed.append(parse(record))
+        except AnnotationError as exc:
+            raise AnnotationError(f"{where}: {exc}") from exc
+    return parsed
 
 
 def write_text(path: str, text: str) -> str:

@@ -236,33 +236,31 @@ _TRACE_FIELDS = {
 }
 
 
-def _check_trace(obj: dict, where: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> dict:
+def _check_trace(obj: dict, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> dict:
     """obj, once it holds each of ``required`` and each field of ``required``
     or ``optional`` it holds is usable; a violation raises AnnotationError
-    naming ``where``."""
+    naming no place: read_records adds where the record sits."""
     for name in required:
         if name not in obj:
-            raise AnnotationError(f"{where}: record has no {name!r}")
+            raise AnnotationError(f"record has no {name!r}")
     for name in required + optional:
         check, kind = _TRACE_FIELDS[name]
         if name in obj and not check(obj[name]):
-            raise AnnotationError(f"{where}: {name!r} must be {kind}, got {json_kind(obj[name])}")
+            raise AnnotationError(f"{name!r} must be {kind}, got {json_kind(obj[name])}")
     # d counts inference hops, as generate's --d does: at least one, and one
     # more than the intermediate questions of a trace that lists them.
     if "d" in required + optional and "d" in obj:
         if obj["d"] < 1:
-            raise AnnotationError(f"{where}: 'd' must be >= 1, got {obj['d']}")
+            raise AnnotationError(f"'d' must be >= 1, got {obj['d']}")
         if "intermediates" in obj:
             steps = obj["intermediates"]
             if type(steps) is not list or not all(type(step) is str for step in steps):
-                raise AnnotationError(f"{where}: 'intermediates' must be an array of strings")
+                raise AnnotationError("'intermediates' must be an array of strings")
             if obj["d"] != len(steps) + 1:
-                raise AnnotationError(
-                    f"{where}: 'd' must be one more than the {len(steps)} intermediates, got {obj['d']}"
-                )
+                raise AnnotationError(f"'d' must be one more than the {len(steps)} intermediates, got {obj['d']}")
     return obj
 
 
 def read_traces(path: str, text: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> list[dict]:
     """The question records of the file path, given its text, each checked by _check_trace."""
-    return [_check_trace(obj, where, required, optional) for where, obj in read_records(path, text, "record")]
+    return read_records(path, text, "record", lambda obj: _check_trace(obj, required, optional))

@@ -57,12 +57,12 @@ def _is_pair(value, first: type, second: type | tuple[type, ...]) -> bool:
     )
 
 
-def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
+def parse_record(obj: dict) -> HotpotRecord:
     """Validate one distribution-schema dict and resolve its two paragraphs.
 
     The paragraphs the pipeline consumes are the ones named by supporting
-    facts, kept in first-mention order; there must be exactly two. Each
-    error names ``where`` (default: the record id).
+    facts, kept in first-mention order; there must be exactly two. An error
+    names no place: read_records adds where the record sits.
     """
     try:
         record_id = str(obj["_id"])
@@ -71,34 +71,33 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
         raw_context = obj["context"]
         raw_facts = obj["supporting_facts"]
     except KeyError as exc:
-        raise AnnotationError(f"{where or 'record'}: missing field {exc}") from exc
-    where = where or f"record {record_id}"
+        raise AnnotationError(f"missing field {exc}") from exc
     if not isinstance(question, str) or not question.strip():
-        raise AnnotationError(f"{where}: empty question")
+        raise AnnotationError("empty question")
     if not isinstance(answer, str):
-        raise AnnotationError(f"{where}: answer must be a string")
+        raise AnnotationError("answer must be a string")
     if not isinstance(raw_context, list) or not all(
         _is_pair(entry, str, list) and all(isinstance(s, str) for s in entry[1])
         for entry in raw_context
     ):
-        raise AnnotationError(f"{where}: context must be a list of [title, [sentences]] pairs")
+        raise AnnotationError("context must be a list of [title, [sentences]] pairs")
     if not isinstance(raw_facts, list) or not all(
         _is_pair(f, str, object) and is_integral(f[1]) for f in raw_facts
     ):
-        raise AnnotationError(f"{where}: supporting_facts must be a list of [title, index] pairs")
+        raise AnnotationError("supporting_facts must be a list of [title, index] pairs")
     by_title = {title: sentences for title, sentences in raw_context}
     facts: list[tuple[str, int]] = []
     titles: list[str] = []
     for title, idx in raw_facts:
         if title not in by_title:
-            raise AnnotationError(f"{where}: supporting fact names unknown paragraph {title!r}")
+            raise AnnotationError(f"supporting fact names unknown paragraph {title!r}")
         if not 0 <= idx < len(by_title[title]):
-            raise AnnotationError(f"{where}: supporting fact ({title!r}, {idx}) out of range")
+            raise AnnotationError(f"supporting fact ({title!r}, {idx}) out of range")
         facts.append((title, int(idx)))
         if title not in titles:
             titles.append(title)
     if len(titles) != 2:
-        raise AnnotationError(f"{where}: supporting facts span {len(titles)} paragraphs, need 2")
+        raise AnnotationError(f"supporting facts span {len(titles)} paragraphs, need 2")
     paragraphs = [Paragraph(t, by_title[t]) for t in titles]
     return HotpotRecord(
         record_id=record_id,
@@ -112,7 +111,7 @@ def parse_record(obj: dict, where: str | None = None) -> HotpotRecord:
 
 def load_hotpot(path: str, text: str) -> list[HotpotRecord]:
     """The records of the file path, given its text, each checked by parse_record."""
-    return [parse_record(obj, where) for where, obj in read_records(path, text, "record")]
+    return read_records(path, text, "record", parse_record)
 
 
 def _find_pivot(tokens: list[str]) -> tuple[int, int] | None:

@@ -456,6 +456,25 @@ def test_parse_record_validation():
         parse_record(bad)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("question"), "missing field 'question'"),
+        (lambda doc: doc.update(question=" "), "empty question"),
+        (lambda doc: doc.update(supporting_facts=[["A Perfect Murder", 1], ["Nowhere", 0]]),
+         "supporting fact names unknown paragraph 'Nowhere'"),
+    ],
+    ids=["missing", "empty", "unknown-paragraph"],
+)
+def test_parse_record_errors_name_no_place(edit, message):
+    """Where a record sits is named by the reader of its file, not here."""
+    doc = remake_record_doc()
+    edit(doc)
+    with pytest.raises(AnnotationError) as info:
+        parse_record(doc)
+    assert str(info.value) == message
+
+
 def test_load_hotpot_roundtrip(tmp_path):
     path = tmp_path / "records.json"
     path.write_text(json.dumps([remake_record_doc(), prize_record_doc()]))

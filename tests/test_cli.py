@@ -26,7 +26,7 @@ import hopqg.template
 from hopqg.cli import main
 from hopqg.context import AnnotatedContext
 from hopqg.dataset_builder import RuleQa, RuleTypeClassifier
-from hopqg.errors import BackendError
+from hopqg.errors import AnnotationError, BackendError
 from hopqg.evaluate import read_traces, write_jsonl
 from hopqg.hotpot import load_hotpot
 from hopqg.template import TemplateBackend
@@ -320,6 +320,22 @@ def test_two_written_paths_naming_one_file_exit_2_before_reading(tmp_path, capsy
     err = capsys.readouterr().err
     assert err == f"error: --{first} and --{second} name one file: {options[second]}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_an_empty_output_path_exits_2_naming_the_option_before_reading(tmp_path, capsys, command):
+    """An output or manifest path given as '' is not an output left out: it
+    stops the run, naming the option, before the run reads its (here
+    missing) inputs, and nothing is written."""
+    missing = str(tmp_path / "missing")
+    options = every_output(tmp_path, command)
+    for name in [name for name in options if name != "backend"] + ["manifest"]:
+        argv, inputs = command_argv(tmp_path, command, {**options, name: ""})
+        argv = [missing if arg in inputs.values() else arg for arg in argv]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --{name} names no file: the path is empty\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_a_run_may_write_the_file_it_read(tmp_path):
@@ -695,6 +711,51 @@ def test_context_error_names_the_context(tmp_path, capsys, command):
         ctx = write(tmp_path / name, text)
         assert main([command, "--context", ctx, "--out", str(tmp_path / "out")]) == 2
         assert f"error: {ctx}{where}: {error}" in capsys.readouterr().err
+
+
+def _bad_context():
+    doc = film_context_doc()
+    doc["triples"][0]["object"]["end"] = 99
+    return doc
+
+
+def records_reader(kind):
+    """A records reader: what it reads, a good record, a record its parser
+    rejects, the noun of an array item, and the parser's message."""
+    return {
+        "context": (
+            hopqg.cli._load_context_docs, film_context_doc(), _bad_context(), "context",
+            "triple 0 object: span [23,99) outside its sentence",
+        ),
+        "record": (load_hotpot, prize_record_doc(), {**remake_record_doc(), "question": " "}, "record", "empty question"),
+        "trace": (
+            lambda path, text: read_traces(path, text, required=("question", "answer", "context", "d")),
+            probe_traces()[1], {**probe_traces()[1], "intermediates": []}, "record",
+            "'d' must be one more than the 0 intermediates, got 2",
+        ),
+    }[kind]
+
+
+@pytest.mark.parametrize("layout", ["one", "array", "jsonl"])
+@pytest.mark.parametrize("kind", ["context", "record", "trace"])
+def test_a_parser_error_is_prefixed_with_where_its_record_sits(tmp_path, kind, layout):
+    read, good, bad, noun, message = records_reader(kind)
+    text, where = {
+        "one": (json.dumps(bad, indent=2), ""),
+        "array": (json.dumps([good, good, bad]), f": {noun} 2"),
+        "jsonl": ("\n" + json.dumps(good) + "\n\n" + json.dumps(bad) + "\n", ":4"),
+    }[layout]
+    path = write(tmp_path / "records", text)
+    with pytest.raises(AnnotationError) as info:
+        read(path, text)
+    assert str(info.value) == f"{path}{where}: {message}"
+
+
+def test_a_record_that_is_no_object_is_reported_before_any_record_is_parsed(tmp_path, capsys):
+    no_answer = {name: value for name, value in remake_record_doc().items() if name != "answer"}
+    hotpot = write_json(tmp_path / "hotpot.json", [no_answer, 5])
+    assert main(["build-dataset", "--hotpot", hotpot, "--out", str(tmp_path / "ex.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {hotpot}: record 1: record must be an object, got an integer\n"
 
 
 def test_generate_decodes_each_jsonl_context_once(tmp_path, monkeypatch):
@@ -1315,7 +1376,9 @@ def test_lines_may_end_in_crlf_or_a_lone_cr(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "hyp", ["a b c\nd e f\n", "a b c\r\nd e f\r\n", "caf\u00e9 \u00fcber\nna\u00efve\n"], ids=["lf", "crlf", "non-ascii"]
+    "hyp",
+    ["a b c\nd e f\n", "a b c\r\nd e f\r\n", "caf\u00e9 \u00fcber\nna\u00efve\n", "\ufeffa b c\nd e f\n"],
+    ids=["lf", "crlf", "non-ascii", "bom"],
 )
 def test_an_input_digest_is_of_the_bytes_on_disk(tmp_path, hyp):
     files = {"hyp": hyp.encode(), "ref": "a b c\nd e f\n".encode()}
@@ -1329,6 +1392,36 @@ def test_an_input_digest_is_of_the_bytes_on_disk(tmp_path, hyp):
         digests.append(read_manifest(manifest)["inputs"])
     expected = {str(tmp_path / name): hashlib.sha256(data).hexdigest() for name, data in files.items()}
     assert digests == [expected, expected]
+
+
+@pytest.mark.parametrize(
+    "command, jsonl", [(command, False) for command in COMMAND_INPUTS] + [("generate", True)],
+    ids=[*COMMAND_INPUTS, "generate-jsonl"],
+)
+def test_a_leading_byte_order_mark_changes_no_result(tmp_path, capsys, command, jsonl):
+    """Each input file and the config, written with a leading byte-order
+    mark, give the exit code, stdout and outputs of the plain file."""
+    options = every_output(tmp_path, command)
+    argv, inputs = command_argv(tmp_path, command, options)
+    if jsonl:
+        write(tmp_path / "ctx.json", "".join(json.dumps(doc) + "\n" for doc in (film_context_doc(), film3_context_doc())))
+    config = write_json(tmp_path / "cfg.json", {"concurrency": 1})
+    argv += ["--config", config]
+    outputs = [Path(value) for name, value in options.items() if name != "backend"]
+
+    def run():
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        code = main(argv)
+        return code, capsys.readouterr().out, [path.read_bytes() for path in outputs]
+
+    plain = run()
+    assert plain[0] == 0 and all(plain[2])
+    for path in [*inputs.values(), config]:
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(b"\xef\xbb\xbf" + data)
+        assert run() == plain, path
+        Path(path).write_bytes(data)
 
 
 # --------------------------------------------------------------------- config

@@ -2,10 +2,11 @@
 
 import pytest
 
-from hopqg.errors import BackendError, MetricError
+from hopqg.errors import AnnotationError, BackendError, MetricError
 from hopqg.evaluate import (
     REASON_LEAK,
     REASON_LENGTH,
+    _check_trace,
     difficulty_probe,
     emit_augmentation,
     filter_generated,
@@ -197,3 +198,21 @@ def test_emit_augmentation_ratio_one_no_duplication():
     originals = [qa("orig?", "b")] * 20
     mixed = emit_augmentation(generated, originals, ratio=1.0)
     assert len(mixed) == 30
+
+
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        ({"answer": "a", "context": "c", "d": 1}, "record has no 'question'"),
+        (qa(5, "a"), "'question' must be a string, got an integer"),
+        (qa("q ?", "a", d=0), "'d' must be >= 1, got 0"),
+        ({**qa("q ?", "a", d=2), "intermediates": [1]}, "'intermediates' must be an array of strings"),
+        ({**qa("q ?", "a", d=3), "intermediates": ["q1 ?"]}, "'d' must be one more than the 1 intermediates, got 3"),
+    ],
+    ids=["missing", "kind", "d-below-one", "intermediates", "d-against-intermediates"],
+)
+def test_check_trace_errors_name_no_place(trace, message):
+    """Where a record sits is named by the reader of its file, not here."""
+    with pytest.raises(AnnotationError) as info:
+        _check_trace(trace, required=("question", "answer", "context", "d"))
+    assert str(info.value) == message

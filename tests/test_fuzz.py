@@ -6,7 +6,9 @@ or two values somewhere inside them (deletes a key or an item, or sets a
 value to null, a boolean, a number, NaN included, a string, an array or an
 object), and runs the command on them under tmp_path. Whatever the input,
 a command must exit 0, 1 or 2 and raise nothing. A byte that is not UTF-8
-in any input file or in the config must exit 2.
+in any input file or in the config must exit 2. A leading byte-order mark
+on an input file or the config must change nothing, and an output path
+given as '' must exit 2 and write nothing.
 """
 
 import copy
@@ -188,3 +190,60 @@ def test_a_byte_that_is_not_utf8_in_any_input_exits_2(tmp_path, capsys):
             path.write_bytes(data)
             cases += 1
     assert cases == len(COMMANDS) + 9  # a config each, and nine input files
+
+
+BOM = b"\xef\xbb\xbf"
+BOM_CASES = 70
+
+
+def _outputs(tmp, inputs: set) -> dict:
+    """The bytes of each file of tmp a run wrote, its manifest aside: the
+    manifest digests the inputs, so it differs when an input does."""
+    return {p.name: p.read_bytes() for p in tmp.iterdir() if p not in inputs and not p.name.endswith("manifest.json")}
+
+
+def test_an_input_with_a_byte_order_mark_exits_as_its_plain_twin(tmp_path, capsys):
+    """A mutated case's input file or config, written with a leading
+    byte-order mark, gives the exit code, stdout and outputs of the plain
+    file."""
+    traces = _traces()
+    rng = random.Random(2026)
+    for k in range(BOM_CASES):
+        command = COMMANDS[k % len(COMMANDS)]
+        tmp = tmp_path / str(k)
+        tmp.mkdir()
+        argv = _case(rng, command, traces, tmp)
+        inputs = set(tmp.iterdir())
+        capsys.readouterr()
+        plain = main(argv), capsys.readouterr().out, _outputs(tmp, inputs)
+        for written in set(tmp.iterdir()) - inputs:
+            written.unlink()
+        path = rng.choice(sorted(inputs))
+        path.write_bytes(BOM + path.read_bytes())
+        assert (main(argv), capsys.readouterr().out, _outputs(tmp, inputs)) == plain, (k, argv, path.name)
+
+
+EMPTY_CASES = 35
+WRITTEN = ("--out", "--stats", "--rejects", "--manifest")
+
+
+def test_an_empty_output_path_exits_2_and_writes_nothing(tmp_path, capsys):
+    """An output or manifest path given as '' in a mutated case exits 2 and
+    writes nothing; the error names the option unless the config, read
+    first, is what failed."""
+    traces = _traces()
+    rng = random.Random(2027)
+    for k in range(EMPTY_CASES):
+        command = COMMANDS[k % len(COMMANDS)]
+        tmp = tmp_path / str(k)
+        tmp.mkdir()
+        argv = _case(rng, command, traces, tmp) + ["--manifest", str(tmp / "m.json")]
+        at = rng.choice([n for n, arg in enumerate(argv) if arg in WRITTEN])
+        argv[at + 1] = ""
+        before = sorted(tmp.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 2, (k, argv)
+        err = capsys.readouterr().err
+        if (tmp / "config.json").read_text(encoding="utf-8") == json.dumps(CONFIG):
+            assert err == f"error: {argv[at]} names no file: the path is empty\n", (k, argv)
+        assert sorted(tmp.iterdir()) == before
