@@ -31,7 +31,7 @@ from dataclasses import replace
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
-from .config import PipelineConfig, load_config
+from .config import ENDPOINT_ENV, PipelineConfig, load_config
 from .errors import (
     AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, map_jobs, read_records, write_jsonl, write_text,
 )
@@ -84,7 +84,7 @@ def _services(roles: tuple[str, ...], backend: str | None, config: PipelineConfi
     missing = [role for role in roles if not getattr(config.endpoints, role)]
     if missing:
         raise ConfigError("backend 'remote' needs " + ", ".join(
-            f"endpoints.{role} (or HOPQG_{role.upper()}_URL)" for role in missing
+            f"endpoints.{role} (or {ENDPOINT_ENV[role]})" for role in missing
         ))
     services = {}
     for role in roles:
@@ -228,7 +228,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
                     chain = plan_chain(graph, args.d, seed=seed, answer_text=args.answer)
                 manifest.count("plan")
                 with manifest.timed("generate"):
-                    trace = generate_stepwise(share.ctx, graph, chain, generator, overrides)
+                    trace = generate_stepwise(graph, chain, generator, overrides)
                 manifest.count("generate")
                 return trace, None
             except HopqgError as exc:

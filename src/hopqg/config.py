@@ -19,13 +19,6 @@ from .errors import ConfigError, load_json
 # template.WH_BY_CATEGORY): the values a category override may take.
 CATEGORIES = ("person", "location", "other")
 
-_ENDPOINT_ENV = {
-    "generator": "HOPQG_GENERATOR_URL",
-    "classifier": "HOPQG_CLASSIFIER_URL",
-    "decomposer": "HOPQG_DECOMPOSER_URL",
-    "qa": "HOPQG_QA_URL",
-}
-
 # An http(s) URL with a host: the scheme, '//' and at least one character
 # before the path, query or fragment, as the remote client reads a URL.
 _SERVICE_URL = re.compile(r"https?://[^/?#]", re.IGNORECASE)
@@ -33,10 +26,13 @@ _SERVICE_URL = re.compile(r"https?://[^/?#]", re.IGNORECASE)
 _UNSAFE_URL_CHAR = re.compile(r"[\x00-\x20\x7f]")
 
 
-def url_fault(url: str) -> str | None:
-    """Why a service URL can never be posted to, or None: a space or control
-    character, user credentials (the client would take them for part of the
-    host name), or a port other than a number in 1-65535."""
+def url_fault(url) -> str | None:
+    """Why a service URL can never be posted to, or None, for the config
+    check and the remote client alike: it is no http(s) URL with a host, or
+    holds a space or control character, user credentials (the client would
+    take them for part of the host name) or a port not a number in 1-65535."""
+    if not (isinstance(url, str) and _SERVICE_URL.match(url)):
+        return "must be an http(s) URL with a host"
     if _UNSAFE_URL_CHAR.search(url):
         return "must not contain a space or control character"
     parts = urllib.parse.urlsplit(url)
@@ -62,6 +58,10 @@ class Endpoints:
     classifier: str | None = None
     decomposer: str | None = None
     qa: str | None = None
+
+
+# Each service role and the environment variable that overrides its endpoint.
+ENDPOINT_ENV = {f.name: f"HOPQG_{f.name.upper()}_URL" for f in fields(Endpoints)}
 
 
 @dataclass(frozen=True)
@@ -107,16 +107,12 @@ class PipelineConfig:
         if not 1 <= self.oversample_ratio <= 1000:
             raise ConfigError(f"oversample_ratio must be in [1, 1000], got {self.oversample_ratio}")
         _check_categories(self.category_overrides)
-        for role, var in _ENDPOINT_ENV.items():
+        for role, var in ENDPOINT_ENV.items():
             url = getattr(self.endpoints, role)
-            if url is None:
-                continue
-            if not (isinstance(url, str) and _SERVICE_URL.match(url)):
-                shown = shown_url(url) if isinstance(url, str) else url
-                raise ConfigError(f"endpoints.{role} (or {var}) must be an http(s) URL with a host, got {shown!r}")
-            fault = url_fault(url)
+            fault = None if url is None else url_fault(url)
             if fault is not None:
-                raise ConfigError(f"endpoints.{role} (or {var}) {fault}, got {shown_url(url)!r}")
+                shown = shown_url(url) if isinstance(url, str) else url
+                raise ConfigError(f"endpoints.{role} (or {var}) {fault}, got {shown!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -135,7 +131,7 @@ def _check_categories(overrides, source: str = "") -> None:
 
 def _apply_env(config: PipelineConfig, env: dict[str, str]) -> PipelineConfig:
     updates = {}
-    for role, var in _ENDPOINT_ENV.items():
+    for role, var in ENDPOINT_ENV.items():
         value = env.get(var)
         if value:
             updates[role] = value
@@ -156,7 +152,7 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        doc = load_json(path, ConfigError)
+        doc = load_json(path)
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
 
@@ -164,7 +160,7 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
     endpoints_doc = doc.pop("endpoints", {})
     if not isinstance(endpoints_doc, dict):
         raise ConfigError("endpoints must be a JSON object")
-    unknown_roles = set(endpoints_doc) - set(_ENDPOINT_ENV)
+    unknown_roles = set(endpoints_doc) - set(ENDPOINT_ENV)
     if unknown_roles:
         raise ConfigError(f"unknown endpoint roles: {sorted(unknown_roles)}")
 
@@ -173,15 +169,12 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    try:
-        config = PipelineConfig(endpoints=Endpoints(**endpoints_doc), **doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    config = PipelineConfig(endpoints=Endpoints(**endpoints_doc), **doc)
 
     if overrides_file is not None:
         if not os.path.exists(overrides_file):
             raise ConfigError(f"category_overrides_file not found: {overrides_file}")
-        extra = load_json(overrides_file, ConfigError)
+        extra = load_json(overrides_file)
         _check_categories(config.category_overrides)
         _check_categories(extra, overrides_file)
         config = replace(config, category_overrides={**config.category_overrides, **extra})

@@ -64,10 +64,6 @@ class Triple(NamedTuple):
     relation: Span
     object: Span
 
-    @property
-    def sentence_index(self) -> int:
-        return self.subject.sent
-
 
 _ROLES = ("subject", "relation", "object")
 

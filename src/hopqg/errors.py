@@ -96,14 +96,14 @@ def decode_text(path: str, data: bytes, error: type[HopqgError] = AnnotationErro
         raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
-def load_json(path: str, error: type[HopqgError] = AnnotationError):
-    """Decode a whole JSON file; a syntax error raises `error` naming `path:line`."""
+def load_json(path: str):
+    """Decode a whole JSON config file; a syntax error raises ConfigError naming `path:line`."""
     with open(path, "rb") as fh:
-        text = decode_text(path, fh.read(), error)
+        text = decode_text(path, fh.read(), ConfigError)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(invalid_json(path, exc)) from exc
+        raise ConfigError(invalid_json(path, exc)) from exc
 
 
 _WS = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows around a value

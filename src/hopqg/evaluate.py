@@ -6,6 +6,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .config import PipelineConfig
 # write_jsonl is exported from here too, where the benchmark traces it.
 from .errors import AnnotationError, BackendError, MetricError, is_integral, json_kind, map_jobs, read_records, write_jsonl
 from .metrics import (
@@ -24,17 +25,14 @@ from .metrics import (
 )
 from .textutil import normalize_answer
 
-MIN_WORDS = 6
-MAX_WORDS = 30
-
 REASON_LENGTH = "length"
 REASON_LEAK = "leak"
 
 
 def filter_generated(
     pairs: list[dict],
-    min_words: int = MIN_WORDS,
-    max_words: int = MAX_WORDS,
+    min_words: int = PipelineConfig.min_words,
+    max_words: int = PipelineConfig.max_words,
 ) -> tuple[list[dict], list[tuple[dict, str]]]:
     """Partition question/answer records into kept and (dropped, reason) lists.
 
@@ -203,7 +201,7 @@ def oversample_factor(n_original: int, n_generated: int, ratio: float) -> int:
 def emit_augmentation(
     generated: list[dict],
     originals: list[dict],
-    ratio: float = 4.0,
+    ratio: float = PipelineConfig.oversample_ratio,
     seed: int = 0,
 ) -> list[dict]:
     """Mix generated QA records with oversampled originals for QA training.

@@ -1,5 +1,8 @@
 """Stepwise question generation along a planned reasoning chain.
 
+Generation reads the graph the chain was planned on, and each step's
+sentence from the annotated context that graph was built from.
+
 A backend is any object with
     initial(gi: GeneratorInput, info: StepInfo) -> str
     rewrite(gi: GeneratorInput, info: StepInfo) -> str
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import AnnotatedContext
 from .errors import AssemblyError, BackendError, GenerationError, RewriteError
 from .geninput import GeneratorInput
 from .graph import ContextGraph
@@ -59,13 +61,13 @@ class QuestionTrace:
 
 
 def generate_stepwise(
-    ctx: AnnotatedContext,
     graph: ContextGraph,
     chain: ReasoningChain,
     backend,
     category_overrides: dict[str, str] | None = None,
 ) -> QuestionTrace:
-    """Run the initial generator plus d-1 rewrites along the chain.
+    """Run the initial generator plus d-1 rewrites along the chain planned
+    on graph, reading each step's sentence from graph.context.
 
     category_overrides is keyed by template.key_overrides: a run keys its
     overrides once, not once per chain.
@@ -92,7 +94,7 @@ def generate_stepwise(
             # rewrite the question the step before produced.
             gi = GeneratorInput(
                 step=i,
-                sentence=ctx.sentences[node.sentence].text,
+                sentence=graph.context.sentences[node.sentence].text,
                 node_child=node.surface,
                 edge=node.edge_text,
                 node_parent=parent_chain_node.surface,
@@ -124,6 +126,6 @@ def generate_stepwise(
         answer=chain.answer_surface,
         d=chain.d,
         chain=chain,
-        context=ctx.context,
+        context=graph.context.context,
         backend=getattr(backend, "name", type(backend).__name__),
     )

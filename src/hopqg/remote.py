@@ -81,15 +81,14 @@ def _route(url: str) -> tuple[type, str, str, str | None, dict]:
     fault = url_fault(url)
     if fault is not None:
         raise BackendError(f"{shown_url(url)!r} {fault}")
+    # A host that is not ASCII goes out in its IDNA form, in Host and in the
+    # request line through an http proxy; a host with no such form is refused.
+    netloc = urllib.parse.urlsplit(url).netloc
     try:
-        req = urllib.request.Request(url)
-    except ValueError as exc:
-        raise BackendError(f"{url}: {exc}") from exc
-    # urlopen would also read file: and ftp: URLs; services are HTTP only.
-    if req.type not in ("http", "https"):
-        raise BackendError(f"{url}: not an http(s) URL")
-    if not req.host:
-        raise BackendError(f"{url}: no host given")
+        ascii_netloc = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
+    except UnicodeError as exc:
+        raise BackendError(f"{url}: host has no idna form ({exc})") from exc
+    req = urllib.request.Request(url)
     scheme, host, target, tunnel, headers = req.type, req.host, req.selector, None, {}
     proxy = urllib.request.getproxies().get(req.type)
     if proxy and not urllib.request.proxy_bypass(req.host):
@@ -108,13 +107,7 @@ def _route(url: str) -> tuple[type, str, str, str | None, dict]:
         else:
             # http.client writes the request line in ASCII only, so the
             # absolute target carries the host IDNA-encoded, as Host does.
-            scheme, target = proxy_scheme, req.full_url
-            netloc = urllib.parse.urlsplit(target).netloc
-            if not netloc.isascii():
-                try:
-                    target = target.replace(netloc, netloc.encode("idna").decode("ascii"), 1)
-                except UnicodeError as exc:
-                    raise BackendError(f"{url}: {exc}") from exc
+            scheme, target = proxy_scheme, req.full_url.replace(netloc, ascii_netloc, 1)
     connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
     return connection, host, target or "/", tunnel, headers
 

@@ -25,7 +25,7 @@ import hopqg.manifest
 import hopqg.template
 from hopqg.cli import main
 from hopqg.context import AnnotatedContext
-from hopqg.dataset_builder import RuleQa, RuleTypeClassifier
+from hopqg.dataset_builder import RuleDecomposer, RuleQa, RuleTypeClassifier
 from hopqg.errors import AnnotationError, BackendError
 from hopqg.evaluate import read_traces, write_jsonl
 from hopqg.hotpot import load_hotpot
@@ -114,6 +114,14 @@ def test_build_graph_takes_offsets_only_as_integral_numbers(tmp_path, capsys, ed
         return
     assert main(["build-graph", "--context", ctx, "--out", str(out)]) == 2
     assert f"error: {ctx}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_graph_on_two_contexts_exits_2(tmp_path, capsys):
+    ctx = write_json(tmp_path / "ctx.json", [film_context_doc(), film3_context_doc()])
+    out = tmp_path / "graph.json"
+    assert main(["build-graph", "--context", ctx, "--out", str(out)]) == 2
+    assert "error: build-graph expects exactly one annotated context\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -860,6 +868,26 @@ def test_build_dataset_counts_a_malformed_annotation_as_one_record_error(tmp_pat
     assert len(read_lines(out)) == 1
 
 
+@pytest.mark.parametrize("service, method, reply, skip", [
+    (RuleTypeClassifier, "classify", "Other", None),
+    (RuleDecomposer, "decompose", None, "decompose-failed"),
+    (RuleQa, "answer", "", "qa-failed"),
+], ids=["unknown-label", "no-split", "no-answer"])
+def test_build_dataset_counts_what_a_service_could_not_give(tmp_path, monkeypatch, caplog, service, method, reply, skip):
+    monkeypatch.setattr(service, method, lambda self, *args: reply)
+    hotpot = write_json(tmp_path / "hotpot.json", [remake_record_doc()])
+    out, stats_path = tmp_path / "ex.jsonl", tmp_path / "stats.json"
+    with caplog.at_level(logging.WARNING, logger="hopqg.builder"):
+        code = main(["build-dataset", "--hotpot", hotpot, "--out", str(out), "--stats", str(stats_path)])
+    stats = json.loads(stats_path.read_text())
+    assert (code, stats["examples"], out.read_text()) == (0 if skip else 1, 0, "")
+    assert stats["skips"] == {reason: int(reason == skip) for reason in stats["skips"]}
+    assert stats["errors"] == (0 if skip else 1)
+    if skip is None:
+        assert stats["types"] == {"Other": 1}
+        assert "record failed: remake-1: unknown type label 'Other'" in caplog.text
+
+
 def test_build_dataset_rerun_is_byte_identical(tmp_path):
     records = [remake_record_doc(), prize_record_doc()]
     hotpot = write_json(tmp_path / "hotpot.json", records)
@@ -1490,6 +1518,20 @@ def test_cli_endpoint_that_is_no_http_url_exits_2(tmp_path, capsys, monkeypatch)
     hotpot = write_json(tmp_path / "hotpot.json", [remake_record_doc()])
     assert main(["build-dataset", "--hotpot", hotpot, "--backends", "remote", "--out", str(out)]) == 2
     assert "error: endpoints.qa (or HOPQG_QA_URL) must be an http(s) URL with a host, got 'ftp://x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"timeout": 0}, "timeout must be positive, got 0"),
+    ({"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
+    ({"endpoints": []}, "endpoints must be a JSON object"),
+], ids=["timeout", "max-tokens", "endpoints"])
+def test_cli_config_value_out_of_range_exits_2(tmp_path, capsys, doc, message):
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    traces = write(tmp_path / "t.jsonl", json.dumps({"question": "q ?", "answer": "z"}) + "\n")
+    out = tmp_path / "k.jsonl"
+    assert main(["filter", "--traces", traces, "--out", str(out), "--config", cfg]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

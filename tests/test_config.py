@@ -7,7 +7,8 @@ import threading
 
 import pytest
 
-from hopqg.config import CATEGORIES, Endpoints, PipelineConfig, load_config
+import hopqg.cli
+from hopqg.config import CATEGORIES, ENDPOINT_ENV, Endpoints, PipelineConfig, load_config
 from hopqg.errors import ConfigError
 from hopqg.manifest import RunManifest, sha256_file
 from hopqg.template import WH_BY_CATEGORY
@@ -183,6 +184,10 @@ def test_endpoints_may_be_null_or_http_urls(tmp_path):
     assert config.endpoints == Endpoints(
         generator="HTTPS://gen-host:8443/v1?x=1", classifier="http://127.0.0.1:9/classify"
     )
+
+
+def test_the_cli_services_are_the_endpoint_roles():
+    assert set(hopqg.cli._SERVICES) == set(ENDPOINT_ENV)
 
 
 def test_config_categories_are_the_template_categories():

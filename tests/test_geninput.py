@@ -132,6 +132,21 @@ def test_round_trip_identity_random():
         assert back.segments == gi.segments
 
 
+@pytest.mark.parametrize("field, what", [
+    ("sentence", "context sentence"), ("node_child", "child node"), ("edge", "edge text"),
+    ("node_parent", "parent node"), ("sub_question", "sub-question"),
+])
+def test_an_empty_field_is_an_assembly_error_naming_it(field, what):
+    fields = dict(
+        step=2, sentence="s t", node_child="a b", edge="rel", node_parent="c",
+        direction=EdgeDirection.CHILD_TO_PARENT, rewrite_type=RewriteType.BRIDGE, sub_question="Who is c?",
+    )
+    GeneratorInput(**fields)  # valid before the field is blanked
+    with pytest.raises(AssemblyError) as exc_info:
+        GeneratorInput(**{**fields, field: " \t "})
+    assert str(exc_info.value) == f"{what} is empty"
+
+
 def test_parse_rejects_malformed():
     good = GeneratorInput(
         step=1, sentence="s t", node_child="a b", edge="rel", node_parent="c",

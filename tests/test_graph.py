@@ -228,6 +228,15 @@ def test_every_validation_error_names_its_item(edit, message):
         assert str(err.value) == message, build
 
 
+def test_a_coref_mention_outside_its_sentence_names_its_cluster():
+    doc = _validation_doc()
+    doc["coref_clusters"][0][1]["end"] = 45
+    for build in (AnnotatedContext.from_json, _construct_directly):
+        with pytest.raises(AnnotationError) as err:
+            build(doc)
+        assert str(err.value) == "coref cluster 0 mention: span [20,45) outside its sentence", build
+
+
 def test_find_node_exact_beats_overlap(film_graph):
     assert film_graph.find_node("tom cruise").surface == "Tom Cruise"
 

@@ -78,7 +78,7 @@ def test_backend_failure_carries_partial_trace(film_ctx):
     graph = build_context_graph(film_ctx)
     chain = plan_chain(graph, d=2, answer_text="Tom Cruise")
     with pytest.raises(GenerationError) as exc_info:
-        generate_stepwise(film_ctx, graph, chain, FailsAtRewrite())
+        generate_stepwise(graph, chain, FailsAtRewrite())
     err = exc_info.value
     assert err.failed_step == 2
     assert err.partial_questions == ["Who starred Top Gun?"]
@@ -105,9 +105,25 @@ def test_rewrite_and_assembly_failures_carry_their_step(film_ctx, case, message)
     graph = build_context_graph(ctx)
     chain = plan_chain(graph, d=2, answer_text="Tom Cruise")
     with pytest.raises(GenerationError) as exc_info:
-        generate_stepwise(ctx, graph, chain, backend)
+        generate_stepwise(graph, chain, backend)
     err = exc_info.value
     assert (str(err), err.failed_step, err.partial_questions) == (message, 2, ["Who starred Top Gun?"])
+
+
+class BlankAtRewrite(FailsAtRewrite):
+    def rewrite(self, gi, info):
+        return "  "
+
+
+def test_a_blank_question_fails_its_step_keeping_the_earlier_ones(film_ctx):
+    graph = build_context_graph(film_ctx)
+    chain = plan_chain(graph, d=2, answer_text="Tom Cruise")
+    with pytest.raises(GenerationError) as exc_info:
+        generate_stepwise(graph, chain, BlankAtRewrite())
+    err = exc_info.value
+    assert (str(err), err.failed_step, err.partial_questions) == (
+        "backend returned an empty question at step 2", 2, ["Who starred Top Gun?"]
+    )
 
 
 def test_trace_json_schema(film_ctx):
@@ -164,7 +180,7 @@ def _generation_record(ctx, graph, d, seed, answer_text=None, fail_at=None):
     calls = []
     try:
         chain = plan_chain(graph, d, seed=seed, answer_text=answer_text)
-        outcome = generate_stepwise(ctx, graph, chain, RecordingBackend(calls, fail_at)).to_json()
+        outcome = generate_stepwise(graph, chain, RecordingBackend(calls, fail_at)).to_json()
     except GenerationError as exc:
         outcome = [type(exc).__name__, str(exc), exc.failed_step, exc.partial_questions]
     except HopqgError as exc:

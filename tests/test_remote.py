@@ -15,7 +15,8 @@ from http.server import BaseHTTPRequestHandler
 
 import pytest
 
-from hopqg.errors import BackendError
+from hopqg.config import Endpoints, PipelineConfig, shown_url
+from hopqg.errors import BackendError, ConfigError
 from hopqg.geninput import GeneratorInput
 from hopqg.pipeline import StepInfo
 from hopqg.planner import EdgeDirection
@@ -202,6 +203,44 @@ def test_missing_answer_key_is_backend_error(stub_server):
         RemoteTypeClassifier(base + "/classify", retries=0).classify("Q?")
 
 
+def test_a_reply_missing_its_field_is_backend_error(stub_server):
+    server, base = stub_server
+    server.behaviors["/generate"] = ok({"text": "Who starred in Top Gun?"})
+    gi = GeneratorInput(
+        step=1, sentence="Top Gun starred Tom Cruise.", node_child="Tom Cruise",
+        edge="starred", node_parent="Top Gun", direction=EdgeDirection.PARENT_TO_CHILD,
+    )
+    with pytest.raises(BackendError) as exc_info:
+        RemoteGeneratorBackend(base + "/generate", retries=0).initial(gi, StepInfo())
+    assert str(exc_info.value) == f"{base}/generate returned no question text"
+    server.behaviors["/decompose"] = ok({"subq1": "Q one?"})
+    with pytest.raises(BackendError) as exc_info:
+        RemoteDecomposer(base + "/decompose", retries=0).decompose("Q?")
+    assert str(exc_info.value) == f"{base}/decompose returned incomplete sub-questions"
+
+
+@pytest.mark.parametrize("url", [
+    "ftp://x", "http://", "file:///tmp/a.json", "http://h:99999/x", "http://u:p@h/x", "http://h/a b",
+    "http://127.0.0.1:9/x",
+])
+def test_the_config_and_the_client_refuse_the_same_urls_in_the_same_words(url):
+    try:
+        PipelineConfig(endpoints=Endpoints(generator=url)).validate()
+        config_error = None
+    except ConfigError as exc:
+        config_error = str(exc)
+    with closing(JsonClient(url, retries=0, timeout=0.5)) as client:
+        with pytest.raises(BackendError) as exc_info:
+            client.post({})
+    # A refused URL fails the call before any request is sent.
+    refused = client.counts["requests"] == 0
+    assert refused == (config_error is not None), (url, config_error, str(exc_info.value))
+    if refused:
+        shown = repr(shown_url(url))
+        fault = str(exc_info.value).removeprefix(shown + " ")
+        assert config_error == f"endpoints.generator (or HOPQG_GENERATOR_URL) {fault}, got {shown}"
+
+
 def test_connection_refused_is_backend_error():
     with pytest.raises(BackendError):
         with closing(JsonClient("http://127.0.0.1:9/never", retries=0, timeout=0.5)) as client:
@@ -221,7 +260,7 @@ def test_post_json_dropped_connection_retries_then_raises(stub_server, raw):
 def test_post_json_rejects_non_http_urls(tmp_path):
     target = tmp_path / "answer.json"
     target.write_text('{"answer": "leaked"}', encoding="utf-8")
-    with pytest.raises(BackendError, match="not an http"):
+    with pytest.raises(BackendError, match="must be an http"):
         with closing(JsonClient(target.as_uri(), retries=0)) as client:
             client.post({})
 

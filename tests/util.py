@@ -74,7 +74,7 @@ def generate_for_context(
     `generate`, which shares one graph across a context's seeds."""
     graph = build_context_graph(ctx)
     chain = plan_chain(graph, d, seed=seed, answer_text=answer_text)
-    return generate_stepwise(ctx, graph, chain, backend, category_overrides)
+    return generate_stepwise(graph, chain, backend, category_overrides)
 
 
 def rule_suite() -> BackendSuite:
