@@ -18,7 +18,7 @@ from .metrics import (
     bleu_n,
     cider,
     exact_match,
-    meteor_fallbacks,
+    left_sum,
     meteor_simplified,
     rouge_l,
     token_f1,
@@ -88,7 +88,6 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
     """
     check_metric_names(names)
     _check_corpus(corpus)
-    fallbacks_before = meteor_fallbacks()
     with_cider = "cider" in names
     order = CIDER_ORDER if with_cider else max((_BLEU_ORDERS.get(name, 0) for name in names), default=0)
     table = TokenTable()
@@ -101,14 +100,14 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
             scores[name] = cider(ngrams) if name == "cider" else bleu_n(ngrams, _BLEU_ORDERS[name])
         else:
             fn = _PAIRWISE[name]
-            scores[name] = sum(
+            scores[name] = left_sum(
                 max(fn(hyp, ref, table) for ref in refs) for hyp, refs in corpus
             ) / len(corpus)
     return {
         "items": len(corpus),
         "tokenizer": TOKENIZER_SPEC,
         "metrics": scores,
-        "meteor_fallbacks": meteor_fallbacks() - fallbacks_before,
+        "meteor_fallbacks": table.fallbacks,
     }
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from collections import Counter
-from operator import mul
+from functools import cache, reduce
+from operator import add, mul
 
 from .errors import MetricError
 from .textutil import normalize_answer
@@ -24,6 +24,11 @@ _PUNCT_RE = re.compile(r"([^\w\s])")
 
 def tokenize(text: str) -> list[str]:
     return _PUNCT_RE.sub(r" \1 ", text.lower()).split()
+
+
+def left_sum(values) -> float:
+    """Floats added left to right, as sum() did before Python 3.12 compensated."""
+    return reduce(add, values, 0)
 
 
 def _check_corpus(corpus) -> None:
@@ -39,35 +44,17 @@ def _check_corpus(corpus) -> None:
 
 
 class TokenTable:
-    """The tokens of each distinct text, tokenized once, and on request its
-    stems, with each distinct token stemmed once. One table serves every
-    metric of a report. It keeps one string object per distinct token: the
-    tokens are held for the whole report, and a corpus repeats most of its
-    words."""
+    """A report's scoring state: each distinct text tokenized once, each
+    distinct token kept as one string object and stemmed once, and the
+    count of METEOR-s alignments that fell back (see _align)."""
 
     def __init__(self):
-        self._tokens: dict[str, list[str]] = {}
-        self._stems: dict[str, list[str]] = {}
-        self._vocab: dict[str, str] = {}
-        self._stem_of: dict[str, str] = {}
-
-    def tokens(self, text: str) -> list[str]:
-        tokens = self._tokens.get(text)
-        if tokens is None:
-            vocab = self._vocab
-            tokens = self._tokens[text] = [vocab.setdefault(t, t) for t in tokenize(text)]
-        return tokens
-
-    def stems(self, text: str) -> list[str]:
-        stems = self._stems.get(text)
-        if stems is None:
-            stem_of = self._stem_of
-            tokens = self.tokens(text)
-            for t in tokens:
-                if t not in stem_of:
-                    stem_of[t] = light_stem(t)
-            stems = self._stems[text] = [stem_of[t] for t in tokens]
-        return stems
+        # The closures hold locals, not self, so the table makes no cycle.
+        word = cache(lambda t: t)  # not sys.intern, which grows the interpreter's own table
+        stem = cache(light_stem)
+        self.tokens = tokens = cache(lambda text: list(map(word, tokenize(text))))
+        self.stems = cache(lambda text: list(map(stem, tokens(text))))
+        self.fallbacks = 0
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -89,7 +76,6 @@ class _NgramPass:
     def __init__(self, corpus, order: int, cider: bool, table: TokenTable):
         tokens = table.tokens
         self.items = [(tokens(h), [tokens(r) for r in refs]) for h, refs in corpus]
-        self.order = order
         self.clipped = [0] * (order + 1)
         self.total = [0] * (order + 1)
         self.hyp_len = sum(len(hyp) for hyp, _ in self.items)
@@ -145,17 +131,17 @@ class _NgramPass:
         for i, (hyp_counts, ref_counts) in enumerate(counted):
             hyp_idf = [idf.get(g, unseen) for g in hyp_counts]
             hyp_w = list(map(mul, hyp_counts.values(), hyp_idf))
-            hn = math.sqrt(sum(map(mul, hyp_w, hyp_w)))
+            hn = math.sqrt(left_sum(map(mul, hyp_w, hyp_w)))
             if hn == 0:
                 continue  # every cosine is 0
             cosines = []
             for counts in ref_counts:
                 ref_w = list(map(mul, counts.values(), map(idf.__getitem__, counts)))
-                rn = math.sqrt(sum(map(mul, ref_w, ref_w)))
+                rn = math.sqrt(left_sum(map(mul, ref_w, ref_w)))
                 ref_count = counts.get
-                dot = sum(w * (c * f) for g, w, f in zip(hyp_counts, hyp_w, hyp_idf) if (c := ref_count(g)))
+                dot = left_sum(w * (c * f) for g, w, f in zip(hyp_counts, hyp_w, hyp_idf) if (c := ref_count(g)))
                 cosines.append(dot / (hn * rn) if rn else 0.0)
-            self.cider_items[i] += sum(cosines) / len(cosines)
+            self.cider_items[i] += left_sum(cosines) / len(cosines)
 
 
 def bleu_n(corpus, n: int) -> float:
@@ -175,8 +161,6 @@ def bleu_n(corpus, n: int) -> float:
         if ngrams.total[k] == 0 or ngrams.clipped[k] == 0:
             return 0.0
         log_sum += math.log(ngrams.clipped[k] / ngrams.total[k]) / n
-    if ngrams.hyp_len == 0:
-        return 0.0
     hyp_len, ref_len = ngrams.hyp_len, ngrams.ref_len
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum)
@@ -255,13 +239,6 @@ def _chunk_count(matches: list[tuple[int, int]]) -> int:
 # Search nodes one alignment may visit before it falls back (see _align).
 NODE_BUDGET = 100_000
 
-_fallbacks = threading.local()
-
-
-def meteor_fallbacks() -> int:
-    """Alignments on the calling thread that have used up NODE_BUDGET."""
-    return getattr(_fallbacks, "count", 0)
-
 
 def _align(
     hyp: list[str],
@@ -288,9 +265,9 @@ def _align(
     reach the best found; chunks never decrease along a path.
 
     Fewest chunks is a minimum common string partition, which is NP-hard,
-    so past node_budget search nodes the search stops and the trip is
-    counted (meteor_fallbacks). It then returns the best complete alignment
-    found, or else a greedy exact-then-stem pass, which reaches both maxima.
+    so past node_budget search nodes the search stops and falls back to the
+    best complete alignment found, or else to a greedy exact-then-stem pass,
+    which reaches both maxima. Returns (pairs, whether it fell back).
     """
     m, n = len(hyp), len(ref)
     positions: dict[str, list[int]] = {}
@@ -309,7 +286,7 @@ def _align(
             stop[i] = stop[i + 1]
             path[i] = opts[0] if opts else -1
     if stop[0] == m:
-        return [(i, j) for i, j in enumerate(path) if j >= 0]
+        return [(i, j) for i, j in enumerate(path) if j >= 0], False
     hyp_count, ref_count = dict.fromkeys(hyp, 0), dict.fromkeys(ref, 0)
     for t in hyp:
         hyp_count[t] += 1
@@ -368,7 +345,6 @@ def _align(
             continue
         nodes += 1
         if nodes > node_budget:
-            _fallbacks.count = meteor_fallbacks() + 1
             break
         i, prev, chunks = node
         # Walk the forced positions up to the next one whose class repeats.
@@ -390,7 +366,7 @@ def _align(
                 if best[i] < 0:
                     best[i] = next((j for j in compat[i] if j not in taken and (ref[j] == hyp[i] or not exact_pass)), -1)
                     taken.add(best[i])
-    return [(i, j) for i, j in enumerate(best) if j >= 0]
+    return [(i, j) for i, j in enumerate(best) if j >= 0], nodes > node_budget
 
 
 METEOR_ALPHA, METEOR_BETA, METEOR_GAMMA = 0.9, 3.0, 0.5
@@ -401,14 +377,16 @@ def meteor_simplified(hyp: str, ref: str, table: TokenTable | None = None) -> fl
 
     penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_BETA, defined as 0
     when the alignment forms a single chunk so identical strings score 1.
-    The texts' tokens and stems come from ``table`` when one is given.
+    The texts' tokens and stems come from ``table`` when one is given, and
+    an alignment that falls back adds one to its ``fallbacks``.
     """
     table = table or TokenTable()
     hyp_toks = table.tokens(hyp)
     ref_toks = table.tokens(ref)
     if not hyp_toks or not ref_toks:
         return 0.0
-    matches = _align(hyp_toks, ref_toks, table.stems(hyp), table.stems(ref))
+    matches, fell_back = _align(hyp_toks, ref_toks, table.stems(hyp), table.stems(ref))
+    table.fallbacks += fell_back
     m = len(matches)
     if m == 0:
         return 0.0
@@ -433,9 +411,7 @@ def cider(corpus) -> float:
     ngrams = _NgramPass.of(corpus, CIDER_ORDER, cider=True)
     if len(ngrams.items) < 2:
         raise MetricError("cider needs at least two items for meaningful idf")
-    total = 0.0
-    for item_score in ngrams.cider_items:
-        total += item_score / CIDER_ORDER
+    total = left_sum(item_score / CIDER_ORDER for item_score in ngrams.cider_items)
     return 10.0 * total / len(ngrams.items)
 
 

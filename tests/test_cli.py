@@ -866,6 +866,13 @@ def test_build_dataset_counts_a_malformed_annotation_as_one_record_error(tmp_pat
     assert main(["build-dataset", "--hotpot", hotpot, "--out", str(out), "--stats", str(stats)]) == 1
     assert json.loads(stats.read_text())["errors"] == 1
     assert len(read_lines(out)) == 1
+    # Annotations that are no object, or have no context, fail only their record.
+    for k, annotations in enumerate([5, {"sentences": []}]):
+        bad = dict(remake_record_doc(), annotations=annotations)
+        hotpot = write_json(tmp_path / f"hotpot{k}.json", [prize_record_doc(), bad])
+        assert main(["build-dataset", "--hotpot", hotpot, "--out", str(out), "--stats", str(stats)]) == 1
+        assert json.loads(stats.read_text())["errors"] == 1
+        assert len(read_lines(out)) == 1
 
 
 @pytest.mark.parametrize("service, method, reply, skip", [

@@ -176,7 +176,7 @@ class RecordingBackend:
         return self.template.rewrite(gi, info)
 
 
-def _generation_record(ctx, graph, d, seed, answer_text=None, fail_at=None):
+def _generation_record(graph, d, seed, answer_text=None, fail_at=None):
     calls = []
     try:
         chain = plan_chain(graph, d, seed=seed, answer_text=answer_text)
@@ -202,7 +202,7 @@ def test_generation_golden_digest():
             cases += [{"seed": 0, "answer_text": pin} for pin in pins]
             cases += [{"seed": 0, "fail_at": step} for step in range(1, d + 1)]
             for case in cases:
-                record = _generation_record(ctx, graph, d, **case)
+                record = _generation_record(graph, d, **case)
                 outcomes.add(record[0][0] if isinstance(record[0], list) else "trace")
                 digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
     # The sweep makes traces, meets every planning error and stops on

@@ -574,6 +574,31 @@ def test_proxy_request_bytes_equal_http_clients_in_one_write(monkeypatch, writes
         assert http_client_request(server, url, headers, b'{"k": 1}') == expected
 
 
+def test_a_bare_host_port_proxy_gets_the_bytes_an_http_url_proxy_gets(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    url = "http://qa.service.invalid:8080/qa?v=1"
+    with raw_server(always([json_reply()])) as server:
+        for proxy in (server.base, server.base.partition("://")[2]):
+            monkeypatch.setenv("http_proxy", proxy)
+            with closing(JsonClient(url, retries=0)) as client:
+                assert client.post({"k": 1}) == YES
+        assert len(server.requests) == 2
+        assert server.requests[1] == server.requests[0]
+
+
+def test_a_proxy_whose_port_http_client_refuses_fails_each_call(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", "127.0.0.1:abc")
+    url = "http://qa.service.invalid:8080/qa"
+    with closing(JsonClient(url, retries=2, backoff=0.0)) as client:
+        for _ in range(2):
+            with pytest.raises(BackendError, match=re.escape(url)):
+                client.post({})
+    assert client.counts == {"requests": 0, "retries": 0, "failures": 2, "connections": 0}
+
+
 # Request heads as http.client writes them, split where the Content-Length
 # value goes: (URL, through a proxy, request line and Host, the rest after
 # the value). Every head has CONTENT_LENGTH between the two. The proxy,
