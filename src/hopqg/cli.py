@@ -27,7 +27,6 @@ import logging
 import os
 import sys
 import threading
-from dataclasses import replace
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
@@ -53,7 +52,7 @@ def _dump_json(doc: dict) -> str:
 def _with_flags(config: PipelineConfig, **flags) -> PipelineConfig:
     """config with each flag given on the command line in place of its field,
     checked as the values of a config file are."""
-    config = replace(config, **{name: value for name, value in flags.items() if value is not None})
+    config = config._replace(**{name: value for name, value in flags.items() if value is not None})
     config.validate()
     return config
 

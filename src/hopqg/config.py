@@ -11,7 +11,7 @@ import math
 import os
 import re
 import urllib.parse
-from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 from .errors import ConfigError, load_json
 
@@ -52,8 +52,7 @@ def shown_url(url: str) -> str:
     return re.sub(r"(?<=://)[^/?#]*@", "***@", url, count=1)
 
 
-@dataclass(frozen=True)
-class Endpoints:
+class Endpoints(NamedTuple):
     generator: str | None = None
     classifier: str | None = None
     decomposer: str | None = None
@@ -61,32 +60,34 @@ class Endpoints:
 
 
 # Each service role and the environment variable that overrides its endpoint.
-ENDPOINT_ENV = {f.name: f"HOPQG_{f.name.upper()}_URL" for f in fields(Endpoints)}
+ENDPOINT_ENV = {name: f"HOPQG_{name.upper()}_URL" for name in Endpoints._fields}
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
+    """The settings of a run. The shared default ``category_overrides`` is
+    never changed in place: an update makes a new dict."""
+
     concurrency: int = 8
     timeout: float = 10.0
     retries: int = 2
     top_p: float = 0.9
     max_tokens: int = 64
-    endpoints: Endpoints = field(default_factory=Endpoints)
-    category_overrides: dict[str, str] = field(default_factory=dict)
+    endpoints: Endpoints = Endpoints()
+    category_overrides: dict[str, str] = {}
     min_words: int = 6
     max_words: int = 30
     oversample_ratio: float = 4.0
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # Annotations are strings here; isinstance counts a bool as an int.
-            kinds = {"int": int, "float": (int, float)}.get(f.type)
+        for name, value in zip(self._fields, self):
+            # A field's kind is its default's, as annotations are strings
+            # here; isinstance counts a bool as an int.
+            kinds = {int: int, float: (int, float)}.get(type(self._field_defaults[name]))
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-                kind = "an integer" if f.type == "int" else "a number"
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+                kind = "an integer" if kinds is int else "a number"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.concurrency < 1:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
         if self.timeout <= 0:
@@ -115,7 +116,8 @@ class PipelineConfig:
                 raise ConfigError(f"endpoints.{role} (or {var}) {fault}, got {shown!r}")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        overrides = dict(self.category_overrides)
+        return {**self._asdict(), "endpoints": self.endpoints._asdict(), "category_overrides": overrides}
 
 
 def _check_categories(overrides, source: str = "") -> None:
@@ -137,7 +139,7 @@ def _apply_env(config: PipelineConfig, env: dict[str, str]) -> PipelineConfig:
             updates[role] = value
     if not updates:
         return config
-    return replace(config, endpoints=replace(config.endpoints, **updates))
+    return config._replace(endpoints=config.endpoints._replace(**updates))
 
 
 def load_config(path: str | None = None, env: dict[str, str] | None = None) -> PipelineConfig:
@@ -164,7 +166,7 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
     if unknown_roles:
         raise ConfigError(f"unknown endpoint roles: {sorted(unknown_roles)}")
 
-    known = {f.name for f in fields(PipelineConfig)} - {"endpoints"}
+    known = set(PipelineConfig._fields) - {"endpoints"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -177,7 +179,7 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
         extra = load_json(overrides_file)
         _check_categories(config.category_overrides)
         _check_categories(extra, overrides_file)
-        config = replace(config, category_overrides={**config.category_overrides, **extra})
+        config = config._replace(category_overrides={**config.category_overrides, **extra})
 
     config = _apply_env(config, env)
     config.validate()

@@ -7,7 +7,6 @@ those models itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import AnnotationError, is_integral, json_kind
@@ -79,17 +78,22 @@ def _span_fault(span: Span, bounds: list[tuple[int, int]]) -> str:
     return ""
 
 
-@dataclass
 class AnnotatedContext:
     """Checked once, when made: every way of building one validates it."""
 
-    context: str
-    sentences: list[Sentence]
-    triples: list[Triple]
-    coref_clusters: list[tuple[Span, ...]] = field(default_factory=list)
-    named_entities: list[Span] | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        context: str,
+        sentences: list[Sentence],
+        triples: list[Triple],
+        coref_clusters: list[tuple[Span, ...]] | None = None,
+        named_entities: list[Span] | None = None,
+    ) -> None:
+        self.context = context
+        self.sentences = sentences
+        self.triples = triples
+        self.coref_clusters = [] if coref_clusters is None else coref_clusters
+        self.named_entities = named_entities
         self.validate()
 
     def validate(self) -> None:

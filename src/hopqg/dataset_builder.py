@@ -13,8 +13,8 @@ from __future__ import annotations
 import logging
 import re
 import threading
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import AnnotationError, BackendError, ConfigError, NodeNotFoundError, map_jobs
 from .graph import ContextGraph, Edge, build_context_graph
@@ -280,8 +280,7 @@ class RuleQa:
         return before
 
 
-@dataclass
-class BackendSuite:
+class BackendSuite(NamedTuple):
     """The three pluggable services Algorithm-style construction relies on."""
 
     classifier: object
@@ -301,8 +300,7 @@ class BackendSuite:
         }
 
 
-@dataclass
-class TrainingExample:
+class TrainingExample(NamedTuple):
     record_id: str
     rewrite_type: ReasoningTypeTag
     q1: str

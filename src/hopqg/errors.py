@@ -175,7 +175,8 @@ def write_text(path: str, text: str) -> str:
 
 def write_jsonl(records: list[dict], path: str) -> str:
     """Writes records to path as JSONL, non-ASCII kept as is; returns the sha256."""
-    return write_text(path, "".join([json.dumps(record, ensure_ascii=False) + "\n" for record in records]))
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    return write_text(path, "".join([encode(record) + "\n" for record in records]))
 
 
 def map_jobs(fn, items: list, workers: int) -> list:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .config import PipelineConfig
 # write_jsonl is exported from here too, where the benchmark traces it.
@@ -31,8 +30,8 @@ REASON_LEAK = "leak"
 
 def filter_generated(
     pairs: list[dict],
-    min_words: int = PipelineConfig.min_words,
-    max_words: int = PipelineConfig.max_words,
+    min_words: int = PipelineConfig._field_defaults["min_words"],
+    max_words: int = PipelineConfig._field_defaults["max_words"],
 ) -> tuple[list[dict], list[tuple[dict, str]]]:
     """Partition question/answer records into kept and (dropped, reason) lists.
 
@@ -111,11 +110,11 @@ def metric_report(corpus: list[tuple[str, list[str]]], names: list[str]) -> dict
     }
 
 
-@dataclass
 class ProbeBucket:
-    count: int = 0
-    em_sum: float = 0.0
-    f1_sum: float = 0.0
+    def __init__(self) -> None:
+        self.count = 0
+        self.em_sum = 0.0
+        self.f1_sum = 0.0
 
     @property
     def em(self) -> float:
@@ -126,13 +125,13 @@ class ProbeBucket:
         return self.f1_sum / self.count if self.count else 0.0
 
 
-@dataclass
 class ProbeResult:
     """Per-difficulty EM/F1 means from querying a QA backend over traces."""
 
-    backend: str
-    buckets: dict[int, ProbeBucket] = field(default_factory=dict)
-    failures: int = 0
+    def __init__(self, backend: str) -> None:
+        self.backend = backend
+        self.buckets: dict[int, ProbeBucket] = {}
+        self.failures = 0
 
     @property
     def incomplete(self) -> bool:
@@ -200,7 +199,7 @@ def oversample_factor(n_original: int, n_generated: int, ratio: float) -> int:
 def emit_augmentation(
     generated: list[dict],
     originals: list[dict],
-    ratio: float = PipelineConfig.oversample_ratio,
+    ratio: float = PipelineConfig._field_defaults["oversample_ratio"],
     seed: int = 0,
 ) -> list[dict]:
     """Mix generated QA records with oversampled originals for QA training.

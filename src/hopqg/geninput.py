@@ -9,9 +9,9 @@ by single spaces, so text.split(" ") aligns with the segment label list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import AssemblyError
 from .planner import EdgeDirection, RewriteType
@@ -38,34 +38,42 @@ class SegmentLabel(str, Enum):
     MARKER = "marker"
 
 
-@dataclass
 class GeneratorInput:
     """One step's generator input. Its fields are checked and collapsed when
     it is made, so a bad field raises AssemblyError there. ``text`` and
     ``segments``, the serialized sequence and its per-token labels, are
     computed together on first read (a ``functools.cached_property``, locked
-    on Python 3.11 and earlier): the template backend reads neither."""
+    on Python 3.11 and earlier): the template backend reads neither. Two
+    inputs are equal when their fields are."""
 
-    step: int
-    sentence: str
-    node_child: str
-    edge: str
-    node_parent: str
-    direction: EdgeDirection
-    rewrite_type: RewriteType | None = None
-    sub_question: str | None = None
-    parent_aliases: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        self.sentence = _clean_field("context sentence", self.sentence)
-        self.node_child = _clean_field("child node", self.node_child)
-        self.edge = _clean_field("edge text", self.edge)
-        self.node_parent = _clean_field("parent node", self.node_parent)
-        if self.sub_question is not None:
-            self.sub_question = _clean_field("sub-question", self.sub_question)
-        if (self.rewrite_type is None) != (self.sub_question is None):
+    def __init__(
+        self,
+        step: int,
+        sentence: str,
+        node_child: str,
+        edge: str,
+        node_parent: str,
+        direction: EdgeDirection,
+        rewrite_type: RewriteType | None = None,
+        sub_question: str | None = None,
+        parent_aliases: tuple[str, ...] = (),
+    ) -> None:
+        self.step = step
+        self.sentence = _clean_field("context sentence", sentence)
+        self.node_child = _clean_field("child node", node_child)
+        self.edge = _clean_field("edge text", edge)
+        self.node_parent = _clean_field("parent node", node_parent)
+        self.direction = direction
+        self.rewrite_type = rewrite_type
+        self.sub_question = None if sub_question is None else _clean_field("sub-question", sub_question)
+        if (rewrite_type is None) != (sub_question is None):
             raise AssemblyError("rewrite inputs need both a rewrite type and a previous question")
-        self.parent_aliases = tuple(collapse(a) for a in self.parent_aliases if collapse(a))
+        self.parent_aliases = tuple(collapse(a) for a in parent_aliases if collapse(a))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GeneratorInput:
+            return NotImplemented
+        return _FIELDS(self) == _FIELDS(other)
 
     @cached_property
     def _serialized(self) -> tuple[str, list[SegmentLabel]]:
@@ -78,6 +86,11 @@ class GeneratorInput:
     @property
     def segments(self) -> list[SegmentLabel]:
         return self._serialized[1]
+
+
+_FIELDS = attrgetter(
+    "step", "sentence", "node_child", "edge", "node_parent", "direction", "rewrite_type", "sub_question", "parent_aliases"
+)
 
 
 def _clean_field(what: str, value: str) -> str:

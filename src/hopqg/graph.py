@@ -9,7 +9,6 @@ surface is the longest non-pronominal mention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -21,13 +20,17 @@ from .textutil import PRONOUNS, collapse, match_tokens, norm_key
 _NAME_CONNECTORS = {"of", "for", "the", "and", "de", "la", "von", "van", "da"}
 
 
-@dataclass
 class Node:
-    id: int
-    surface: str
-    mentions: list[Span]
-    mention_texts: list[str]
-    is_named_entity: bool = False
+    """A graph node; build_context_graph sets is_named_entity once every node is made."""
+
+    def __init__(
+        self, id: int, surface: str, mentions: list[Span], mention_texts: list[str], is_named_entity: bool = False
+    ) -> None:
+        self.id = id
+        self.surface = surface
+        self.mentions = mentions
+        self.mention_texts = mention_texts
+        self.is_named_entity = is_named_entity
 
     def all_texts(self) -> list[str]:
         return [self.surface] + self.mention_texts
@@ -40,7 +43,6 @@ class Edge(NamedTuple):
     sentence_index: int
 
 
-@dataclass
 class ContextGraph:
     """A context's nodes and edges. Each node's incident edges, the entity
     facets (``entity_link``, ``answer_nodes``) and the node lookup
@@ -48,9 +50,10 @@ class ContextGraph:
     command reads them, each by a ``functools.cached_property``: on Python
     3.11 and earlier its first compute holds a lock shared by all graphs."""
 
-    context: AnnotatedContext
-    nodes: list[Node]
-    edges: list[Edge]
+    def __init__(self, context: AnnotatedContext, nodes: list[Node], edges: list[Edge]) -> None:
+        self.context = context
+        self.nodes = nodes
+        self.edges = edges
 
     @cached_property
     def _incident(self) -> dict[int, list[tuple[Edge, int]]]:

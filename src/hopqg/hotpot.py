@@ -9,7 +9,7 @@ pattern-extracted annotation so the rest of the pipeline still runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .context import AnnotatedContext, Sentence, Span, Triple
 from .errors import AnnotationError, is_integral, read_records
@@ -32,20 +32,18 @@ _PLAIN_VERBS = {
 }
 
 
-@dataclass
-class Paragraph:
+class Paragraph(NamedTuple):
     title: str
     sentences: list[str]
 
 
-@dataclass
-class HotpotRecord:
+class HotpotRecord(NamedTuple):
     record_id: str
     question: str
     answer: str
     paragraphs: list[Paragraph]
     supporting_facts: list[tuple[str, int]]
-    annotations: dict | None = field(default=None, repr=False)
+    annotations: dict | None = None
 
 
 def _is_pair(value, first: type, second: type | tuple[type, ...]) -> bool:

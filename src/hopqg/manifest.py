@@ -13,7 +13,6 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .errors import decode_text, write_text
 
@@ -26,20 +25,20 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-@dataclass
 class RunManifest:
     """A run's record. Stages are recorded from any thread: ``timed`` adds a
     block's wall time, whether or not it raises, and ``count`` adds to a
     stage's count; a stage only counted keeps 0.0 s."""
 
-    command: str
-    version: str
-    config: dict
-    arguments: dict = field(default_factory=dict)
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
-    stages: dict[str, dict] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
+    def __init__(self, command: str, version: str, config: dict, arguments: dict | None = None) -> None:
+        self.command = command
+        self.version = version
+        self.config = config
+        self.arguments = {} if arguments is None else arguments
+        self.inputs: dict[str, str] = {}
+        self.outputs: dict[str, str] = {}
+        self.stages: dict[str, dict] = {}
+        self._lock = threading.Lock()
 
     def add_input(self, path: str) -> None:
         self.inputs[path] = sha256_file(path)

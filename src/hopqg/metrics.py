@@ -226,9 +226,8 @@ def light_stem(token: str) -> str:
 
 
 def _chunk_count(matches: list[tuple[int, int]]) -> int:
-    if not matches:
-        return 0
-    matches = sorted(matches)
+    """The runs of consecutive pairs in matches: (hyp, ref) index pairs in
+    hyp order, as _align returns them, of which there is at least one."""
     chunks = 1
     for (i0, j0), (i1, j1) in zip(matches, matches[1:]):
         if i1 != i0 + 1 or j1 != j0 + 1:

@@ -14,7 +14,7 @@ implementations ship with the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AssemblyError, BackendError, GenerationError, RewriteError
 from .geninput import GeneratorInput
@@ -23,16 +23,14 @@ from .planner import ReasoningChain
 from .template import descriptor_category, guess_category
 
 
-@dataclass
-class StepInfo:
+class StepInfo(NamedTuple):
     """Chain-side metadata a backend may use beyond the serialized input."""
 
     answer_category: str = "other"
     parent_category: str | None = None
 
 
-@dataclass
-class QuestionTrace:
+class QuestionTrace(NamedTuple):
     questions: list[str]
     answer: str
     d: int

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InsufficientContextError, PlanningError
 from .graph import ContextGraph, Edge, Node
@@ -27,8 +27,7 @@ class EdgeDirection(str, Enum):
     PARENT_TO_CHILD = "parent_to_child"
 
 
-@dataclass
-class ChainNode:
+class ChainNode(NamedTuple):
     index: int
     node_id: int
     surface: str
@@ -52,8 +51,7 @@ class ChainNode:
         )
 
 
-@dataclass
-class ReasoningChain:
+class ReasoningChain(NamedTuple):
     nodes: list[ChainNode]
     d: int
 
@@ -80,8 +78,7 @@ class ReasoningChain:
         }
 
 
-@dataclass
-class SpanningTree:
+class SpanningTree(NamedTuple):
     root: int
     # child node id -> (parent node id, connecting edge)
     parent: dict[int, tuple[int, Edge]]

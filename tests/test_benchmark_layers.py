@@ -8,7 +8,6 @@ rename or deletion would otherwise lose the layer without failing anything.
 import importlib
 import importlib.util
 import os
-from dataclasses import fields
 
 from hopqg.cli import _SERVICES
 from hopqg.dataset_builder import BackendSuite
@@ -49,7 +48,7 @@ def test_every_traced_suite_member_resolves():
     the traced method."""
     members = load_tracing().SUITE_MEMBERS
     assert members
-    suite_fields = {f.name for f in fields(BackendSuite)}
+    suite_fields = set(BackendSuite._fields)
     for layer, member, method in members:
         assert member in suite_fields, f"{layer}: BackendSuite has no {member!r}"
         module, rule, remote, _ = _SERVICES[member]

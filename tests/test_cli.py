@@ -1740,6 +1740,28 @@ def test_template_and_metric_runs_load_no_http_client(tmp_path):
     assert fresh_python(lines) == ["[]", "[]"]
 
 
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_no_launch_loads_dataclasses_or_inspect(tmp_path, command):
+    """Records are named tuples and plain classes, so no launch, real or
+    --manifest-only, at concurrency 1 or the default, pays for importing
+    dataclasses and the inspect module it pulls in. A module the
+    interpreter's site set-up loaded before the launch is not counted."""
+    options = every_output(tmp_path, command)
+    if command == "generate":
+        options["count"] = 2
+    modules = ("dataclasses", "inspect")
+    lines = ["import sys", "before = set(sys.modules)", "from hopqg.cli import main"]
+    for config in (write_json(tmp_path / "cfg.json", {"concurrency": 1}), None):
+        argv, _ = command_argv(tmp_path, command, {**options, "config": config})
+        for extra in (["--manifest-only"], []):
+            lines += [
+                f"assert main({argv + extra!r}) == 0",
+                f"print('loaded', sorted(m for m in {modules!r} if m in sys.modules and m not in before))",
+            ]
+    # probe prints its table too
+    assert [line for line in fresh_python(lines) if line.startswith("loaded ")] == ["loaded []"] * 4
+
+
 # The package modules a command must leave unloaded: evaluate runs no
 # generation step, and a template generate neither scores nor builds
 # training data.
