@@ -10,12 +10,11 @@ by single spaces, so text.split(" ") aligns with the segment label list.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 
 from .errors import AssemblyError
 from .planner import EdgeDirection, RewriteType
-from .textutil import collapse, strip_punct
+from .textutil import clean_tokens, collapse
 
 BOS = "<bos>"
 NODE_C = "<nodeC>"
@@ -40,11 +39,10 @@ class SegmentLabel(str, Enum):
 
 class GeneratorInput:
     """One step's generator input. Its fields are checked and collapsed when
-    it is made, so a bad field raises AssemblyError there. ``text`` and
-    ``segments``, the serialized sequence and its per-token labels, are
-    computed together on first read (a ``functools.cached_property``, locked
-    on Python 3.11 and earlier): the template backend reads neither. Two
-    inputs are equal when their fields are."""
+    it is made, so a bad field raises AssemblyError there. ``serialize()``
+    computes the serialized sequence and its per-token labels on each call,
+    and only the remote backend calls it; ``text`` and ``segments`` read one
+    part each. Two inputs are equal when their fields are."""
 
     def __init__(
         self,
@@ -68,24 +66,54 @@ class GeneratorInput:
         self.sub_question = None if sub_question is None else _clean_field("sub-question", sub_question)
         if (rewrite_type is None) != (sub_question is None):
             raise AssemblyError("rewrite inputs need both a rewrite type and a previous question")
-        self.parent_aliases = tuple(collapse(a) for a in parent_aliases if collapse(a))
+        self.parent_aliases = tuple(a for a in map(collapse, parent_aliases) if a)
 
     def __eq__(self, other) -> bool:
         if type(other) is not GeneratorInput:
             return NotImplemented
         return _FIELDS(self) == _FIELDS(other)
 
-    @cached_property
-    def _serialized(self) -> tuple[str, list[SegmentLabel]]:
-        return _serialize(self)
+    def serialize(self) -> tuple[str, list[SegmentLabel]]:
+        """The serialized sequence and one label per token of its split(" ")."""
+        first = (NODE_C, self.node_child, SegmentLabel.NODE_C)
+        second = (NODE_P, self.node_parent, SegmentLabel.NODE_P)
+        if self.direction is not EdgeDirection.CHILD_TO_PARENT:
+            first, second = second, first
+        blocks = [(BOS, self.sentence, SegmentLabel.CONTEXT), first, (EDGE, self.edge, SegmentLabel.EDGE), second]
+        if self.rewrite_type is not None:
+            blocks += ((TYPE, self.rewrite_type.value, SegmentLabel.TYPE), (SUBQ, self.sub_question, SegmentLabel.SUBQ))
+        aliases = self._alias_index()
+        pieces: list[str] = []
+        labels: list[SegmentLabel] = []
+        for marker, block, label in blocks:
+            pieces += (marker, block)
+            labels.append(SegmentLabel.MARKER)
+            if label is SegmentLabel.CONTEXT or label is SegmentLabel.SUBQ:
+                labels += _relabeled(block, label, aliases)
+            else:
+                labels += [label] * (block.count(" ") + 1)
+        pieces.append(EOS)
+        labels.append(SegmentLabel.MARKER)
+        return " ".join(pieces), labels
 
     @property
     def text(self) -> str:
-        return self._serialized[0]
+        return self.serialize()[0]
 
     @property
     def segments(self) -> list[SegmentLabel]:
-        return self._serialized[1]
+        return self.serialize()[1]
+
+    def _alias_index(self) -> dict[str, list[list[str]]]:
+        """The match tokens of the parent surface and of each alias with no
+        punctuation-only token, by first token, longest first so the most
+        specific alias wins at each position."""
+        seqs = [toks for alias in (self.node_parent, *self.parent_aliases) if all(toks := clean_tokens(alias))]
+        seqs.sort(key=len, reverse=True)
+        index: dict[str, list[list[str]]] = {}
+        for toks in seqs:
+            index.setdefault(toks[0], []).append(toks)
+        return index
 
 
 _FIELDS = attrgetter(
@@ -97,74 +125,30 @@ def _clean_field(what: str, value: str) -> str:
     value = collapse(value)
     if not value:
         raise AssemblyError(f"{what} is empty")
-    for marker in MARKERS:
-        if marker in value:
-            raise AssemblyError(f"{what} contains reserved marker {marker}")
+    # Every marker starts with "<".
+    if "<" in value:
+        for marker in MARKERS:
+            if marker in value:
+                raise AssemblyError(f"{what} contains reserved marker {marker}")
     return value
 
 
-def _parent_alias_token_seqs(gi: GeneratorInput) -> list[list[str]]:
-    seqs = []
-    for alias in (gi.node_parent, *gi.parent_aliases):
-        toks = [strip_punct(t).casefold() for t in alias.split()]
-        if toks and all(toks):
-            seqs.append(toks)
-    # Longest first so the most specific alias wins at each position.
-    seqs.sort(key=len, reverse=True)
-    return seqs
-
-
-def _relabel_parent_tokens(tokens: list[str], labels: list[SegmentLabel], lo: int, hi: int, alias_seqs) -> None:
-    # Whole-token matching: a token run of tokens[lo:hi] equal to the parent
-    # surface (or one of its coreferent mentions) is relabeled NodeP.
-    norm = [strip_punct(t).casefold() for t in tokens[lo:hi]]
-    n = len(norm)
-    i = 0
-    while i < n:
-        matched = 0
-        for seq in alias_seqs:
+def _relabeled(block: str, label: SegmentLabel, aliases: dict[str, list[list[str]]]) -> list[SegmentLabel]:
+    """label for each token of block, except NodeP for each whole-token run
+    equal to the parent surface or one of its coreferent mentions. The block
+    is collapsed, and casefolding makes no whitespace (see
+    textutil.match_tokens), so its clean_tokens line up with its split(" ")
+    and equal each token stripped of punctuation, then casefolded."""
+    labels = [label] * (block.count(" ") + 1)
+    norm = clean_tokens(block)
+    end = 0  # past the last match: runs do not overlap
+    for i in [i for i, tok in enumerate(norm) if tok in aliases]:
+        if i < end:
+            continue
+        for seq in aliases[norm[i]]:
             k = len(seq)
-            if i + k <= n and norm[i : i + k] == seq:
-                matched = k
+            if norm[i : i + k] == seq:
+                labels[i : i + k] = [SegmentLabel.NODE_P] * k
+                end = i + k
                 break
-        if matched:
-            labels[lo + i : lo + i + matched] = [SegmentLabel.NODE_P] * matched
-            i += matched
-        else:
-            i += 1
-
-
-def _serialize(gi: GeneratorInput) -> tuple[str, list[SegmentLabel]]:
-    child_block = [(NODE_C, SegmentLabel.MARKER), (gi.node_child, SegmentLabel.NODE_C)]
-    parent_block = [(NODE_P, SegmentLabel.MARKER), (gi.node_parent, SegmentLabel.NODE_P)]
-    edge_block = [(EDGE, SegmentLabel.MARKER), (gi.edge, SegmentLabel.EDGE)]
-    if gi.direction is EdgeDirection.CHILD_TO_PARENT:
-        middle = child_block + edge_block + parent_block
-    else:
-        middle = parent_block + edge_block + child_block
-
-    pieces: list[tuple[str, SegmentLabel]] = [(BOS, SegmentLabel.MARKER), (gi.sentence, SegmentLabel.CONTEXT)]
-    pieces += middle
-    if gi.rewrite_type is not None:
-        pieces += [(TYPE, SegmentLabel.MARKER), (gi.rewrite_type.value, SegmentLabel.TYPE)]
-        pieces += [(SUBQ, SegmentLabel.MARKER), (gi.sub_question, SegmentLabel.SUBQ)]
-    pieces.append((EOS, SegmentLabel.MARKER))
-
-    tokens: list[str] = []
-    labels: list[SegmentLabel] = []
-    spans: dict[SegmentLabel, tuple[int, int]] = {}
-    for text, label in pieces:
-        chunk = text.split(" ")
-        start = len(tokens)
-        tokens.extend(chunk)
-        labels.extend([label] * len(chunk))
-        if label in (SegmentLabel.CONTEXT, SegmentLabel.SUBQ):
-            spans[label] = (start, len(tokens))
-
-    alias_seqs = _parent_alias_token_seqs(gi)
-    for label in (SegmentLabel.CONTEXT, SegmentLabel.SUBQ):
-        if label in spans:
-            lo, hi = spans[label]
-            _relabel_parent_tokens(tokens, labels, lo, hi, alias_seqs)
-    return " ".join(tokens), labels
-
+    return labels

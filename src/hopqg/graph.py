@@ -9,7 +9,6 @@ surface is the longest non-pronominal mention.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .context import AnnotatedContext, Span
@@ -47,27 +46,34 @@ class ContextGraph:
     """A context's nodes and edges. Each node's incident edges, the entity
     facets (``entity_link``, ``answer_nodes``) and the node lookup
     (``find_node``, ``overlap_node``) are computed on first read, as not every
-    command reads them, each by a ``functools.cached_property``: on Python
-    3.11 and earlier its first compute holds a lock shared by all graphs."""
+    command reads them, and kept in an attribute that is None until then. No
+    lock is taken: a table is stored whole once computed, so threads that
+    race on a first read at worst compute equal tables twice."""
 
     def __init__(self, context: AnnotatedContext, nodes: list[Node], edges: list[Edge]) -> None:
         self.context = context
         self.nodes = nodes
         self.edges = edges
+        self._incident: dict[int, list[tuple[Edge, int]]] | None = None
+        self._facets: tuple[tuple[int | None, ...], tuple[int, ...]] | None = None
+        self._table: tuple[dict[str, Node], list[set[str]]] | None = None
 
-    @cached_property
-    def _incident(self) -> dict[int, list[tuple[Edge, int]]]:
+    def _incident_edges(self) -> dict[int, list[tuple[Edge, int]]]:
+        if self._incident is not None:
+            return self._incident
         incident: dict[int, list[tuple[Edge, int]]] = {}
         for e in self.edges:
             source, target = e.source, e.target
             incident.setdefault(source, []).append((e, target))
             incident.setdefault(target, []).append((e, source))
+        self._incident = incident
         return incident
 
-    @cached_property
-    def _facets(self) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
+    def _entity_facets(self) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
         """Each node's entity link, by node id, and the answer nodes."""
-        nodes, incident = self.nodes, self._incident
+        if self._facets is not None:
+            return self._facets
+        nodes, incident = self.nodes, self._incident_edges()
         links: list[int | None] = []
         eligible = []
         for node in nodes:
@@ -80,34 +86,36 @@ class ContextGraph:
             links.append(link)
             if len(others) > 1 and (node.is_named_entity or link is not None):
                 eligible.append(node.id)
-        return tuple(links), tuple(eligible)
+        self._facets = tuple(links), tuple(eligible)
+        return self._facets
 
     def entity_link(self, node_id: int) -> int | None:
         """The lowest-id named-entity neighbour of a node that is not a named
         entity itself; None for a named entity or a node with no such neighbour."""
-        return self._facets[0][node_id]
+        return self._entity_facets()[0][node_id]
 
     @property
     def answer_nodes(self) -> tuple[int, ...]:
         """Ids of the nodes a chain may be planned around, ascending: those
         with more than one distinct neighbour that are named entities or
         have an entity link."""
-        return self._facets[1]
+        return self._entity_facets()[1]
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
     def incident(self, node_id: int) -> list[tuple[Edge, int]]:
         """All edges touching node_id, paired with the opposite endpoint; do not mutate."""
-        return self._incident.get(node_id, [])
+        return self._incident_edges().get(node_id, [])
 
     def edges_between(self, a: int, b: int) -> list[Edge]:
         return [e for e, other in self.incident(a) if other == b]
 
-    @cached_property
-    def _table(self) -> tuple[dict[str, Node], list[set[str]]]:
+    def _node_lookup(self) -> tuple[dict[str, Node], list[set[str]]]:
         """norm_key of every surface and mention -> its first node in id
         order, and each node's match tokens over its surface and mentions."""
+        if self._table is not None:
+            return self._table
         exact: dict[str, Node] = {}
         tokens = []
         for node in self.nodes:
@@ -117,7 +125,8 @@ class ContextGraph:
             # Tokens never span a space, so these are the union of the
             # tokens of each distinct text.
             tokens.append(set(match_tokens(" ".join(dict.fromkeys(texts)))))
-        return exact, tokens
+        self._table = exact, tokens
+        return self._table
 
     def find_node(self, text: str) -> Node:
         """Locate the node best matching text.
@@ -125,7 +134,7 @@ class ContextGraph:
         Exact normalized match against any surface or mention wins; otherwise
         overlap_node on its match tokens. Zero overlap raises NodeNotFoundError.
         """
-        hit = self._table[0].get(norm_key(text))
+        hit = self._node_lookup()[0].get(norm_key(text))
         if hit is None:
             hit = self.overlap_node(set(match_tokens(text)))
             if hit is None:
@@ -137,14 +146,14 @@ class ContextGraph:
         with its surface and mentions' match tokens; ties go to the lowest
         node id, and None when no node shares one."""
         best, best_score = None, 0
-        for node, node_tokens in zip(self.nodes, self._table[1]):
+        for node, node_tokens in zip(self.nodes, self._node_lookup()[1]):
             score = len(tokens & node_tokens)
             if score > best_score and node.id not in exclude:
                 best, best_score = node, score
         return best
 
     def to_json(self) -> dict:
-        links = self._facets[0]
+        links = self._entity_facets()[0]
         return {
             "nodes": [
                 {

@@ -387,9 +387,11 @@ class RemoteGeneratorBackend(RemoteService):
         self.max_tokens = max_tokens
 
     def _call(self, gi: GeneratorInput) -> str:
+        # json writes each str-valued SegmentLabel as its value.
+        text, segments = gi.serialize()
         payload = {
-            "text": gi.text,
-            "segments": [s.value for s in gi.segments],
+            "text": text,
+            "segments": segments,
             "top_p": self.top_p,
             "max_tokens": self.max_tokens,
         }

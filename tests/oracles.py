@@ -6,7 +6,8 @@ and none with hopqg.graph beyond the node-identity key. The planner
 oracle reads a graph only through its nodes and edge list, and shares
 with hopqg.planner only the pruning and indexing of a finished tree.
 The input parser inverts hopqg.geninput's serialization and shares with it
-only the marker tokens and the GeneratorInput it rebuilds. The match-token
+only the marker tokens and the GeneratorInput it rebuilds; the segment
+oracle labels an input's fields token by token. The match-token
 and common-run oracles are the per-token and full-table forms of
 hopqg.textutil.match_tokens and the rule QA's run search. The node lookup
 oracles rescan every node's texts on each call. oracle_align is the METEOR-s
@@ -24,7 +25,7 @@ import threading
 from collections import Counter, deque
 
 from hopqg.errors import AssemblyError, NodeNotFoundError, PlanningError
-from hopqg.geninput import BOS, EDGE, EOS, MARKERS, NODE_C, NODE_P, SUBQ, TYPE, GeneratorInput
+from hopqg.geninput import BOS, EDGE, EOS, MARKERS, NODE_C, NODE_P, SUBQ, TYPE, GeneratorInput, SegmentLabel
 from hopqg.metrics import light_stem, tokenize
 from hopqg.planner import EdgeDirection, RewriteType, SpanningTree, index_chain, prune_tree
 from hopqg.textutil import PRONOUNS, STOPWORDS, norm_key
@@ -565,3 +566,40 @@ def parse_input(text: str, step: int = 0, parent_aliases: tuple[str, ...] = ()) 
         sub_question=sub_question,
         parent_aliases=parent_aliases,
     )
+
+
+def oracle_segments(gi: GeneratorInput) -> list[SegmentLabel]:
+    """GeneratorInput's per-token labels, from its fields: each token of the
+    context and sub-question blocks is stripped of ASCII punctuation, then
+    casefolded, and at each position the parent surface and its aliases are
+    tried longest first; a match relabels its tokens NodeP."""
+
+    def norm(text: str) -> list[str]:
+        return [tok.strip(string.punctuation).casefold() for tok in text.split()]
+
+    nodes = [(gi.node_child, SegmentLabel.NODE_C), (gi.node_parent, SegmentLabel.NODE_P)]
+    if gi.direction is EdgeDirection.PARENT_TO_CHILD:
+        nodes.reverse()
+    blocks = [(gi.sentence, SegmentLabel.CONTEXT), nodes[0], (gi.edge, SegmentLabel.EDGE), nodes[1]]
+    if gi.rewrite_type is not None:
+        blocks += [(gi.rewrite_type.value, SegmentLabel.TYPE), (gi.sub_question, SegmentLabel.SUBQ)]
+    aliases = [norm(alias) for alias in (gi.node_parent, *gi.parent_aliases)]
+    aliases = sorted((seq for seq in aliases if seq and all(seq)), key=len, reverse=True)
+    labels = []
+    for text, label in blocks:
+        labels.append(SegmentLabel.MARKER)
+        tokens = norm(text)
+        block = [label] * len(tokens)
+        if label in (SegmentLabel.CONTEXT, SegmentLabel.SUBQ):
+            i = 0
+            while i < len(tokens):
+                for seq in aliases:
+                    if tokens[i : i + len(seq)] == seq:
+                        block[i : i + len(seq)] = [SegmentLabel.NODE_P] * len(seq)
+                        i += len(seq)
+                        break
+                else:
+                    i += 1
+        labels += block
+    labels.append(SegmentLabel.MARKER)
+    return labels

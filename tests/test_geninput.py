@@ -7,7 +7,7 @@ from hopqg.geninput import MARKERS, GeneratorInput, SegmentLabel
 from hopqg.planner import EdgeDirection, RewriteType
 from hopqg.textutil import strip_punct
 
-from oracles import parse_input
+from oracles import oracle_segments, parse_input
 
 
 def test_initial_serialization_child_to_parent():
@@ -170,3 +170,68 @@ def test_marker_order_fixed_given_direction():
     )
     order = [t for t in gi.text.split(" ") if t in MARKERS]
     assert order == ["<bos>", "<nodeC>", "<edge>", "<nodeP>", "<type>", "<subq>", "<eos>"]
+
+
+# Tokens whose casefold is longer (ß, İ, ﬁ, ŉ), their folded and upper-case
+# forms, punctuation-only tokens and words that overlapping aliases share.
+ODD_WORDS = [
+    "Straße", "STRASSE", "strasse,", "İzmir", "i̇zmir", "ﬁrst", "FIRST.", "ŉ", "ʼN", "--", "...", "'", "(ß)",
+    "Top", "Gun", "top", "gun,", "Gun's", "Tom", "Cruise", "It", "it.",
+]
+
+
+def odd_input(rng: random.Random) -> GeneratorInput:
+    def words(lo, hi):
+        return " ".join(rng.choice(ODD_WORDS) for _ in range(rng.randint(lo, hi)))
+
+    parent = words(1, 3)
+    parent_words = parent.split()
+    aliases = []
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            # An alias overlapping the parent surface: a run of its words.
+            lo = rng.randrange(len(parent_words))
+            aliases.append(" ".join(parent_words[lo : rng.randint(lo + 1, len(parent_words))]))
+        else:
+            aliases.append(words(1, 2))
+    fields = dict(
+        step=1, sentence=words(1, 12), node_child=words(1, 3), edge=words(1, 2), node_parent=parent,
+        direction=rng.choice(list(EdgeDirection)), parent_aliases=tuple(aliases),
+    )
+    if rng.random() < 0.5:
+        fields.update(step=rng.randint(2, 5), rewrite_type=rng.choice(list(RewriteType)), sub_question=words(1, 8))
+    return GeneratorInput(**fields)
+
+
+def test_serialize_matches_the_per_token_segment_oracle():
+    rng = random.Random(31)
+    relabeled = 0
+    for _ in range(3000):
+        gi = odd_input(rng)
+        text, segments = gi.serialize()
+        assert len(text.split(" ")) == len(segments)
+        assert segments == oracle_segments(gi), text
+        assert parse_input(text, step=gi.step, parent_aliases=gi.parent_aliases) == gi
+        body = segments[1:segments.index(SegmentLabel.MARKER, 1)]
+        relabeled += SegmentLabel.NODE_P in body
+    # The parent or an alias is found in about a third of the sentences.
+    assert relabeled > 750
+
+
+def test_a_rewrite_type_without_a_previous_question_is_an_assembly_error():
+    with pytest.raises(AssemblyError, match="need both a rewrite type and a previous question"):
+        GeneratorInput(
+            step=2, sentence="s", node_child="a", edge="rel", node_parent="c",
+            direction=EdgeDirection.CHILD_TO_PARENT, rewrite_type=RewriteType.BRIDGE,
+        )
+
+
+def test_an_input_never_equals_another_type():
+    gi = GeneratorInput(
+        step=1, sentence="s", node_child="a", edge="rel", node_parent="c", direction=EdgeDirection.CHILD_TO_PARENT,
+    )
+    assert gi.__eq__("x") is NotImplemented
+    assert gi != "x" and not gi == "x"
+    assert gi == GeneratorInput(
+        step=1, sentence="s", node_child="a", edge="rel", node_parent="c", direction=EdgeDirection.CHILD_TO_PARENT,
+    )

@@ -310,7 +310,7 @@ def test_entity_link_points_to_adjacent_ne(film_graph):
 
 
 def _fresh_tables():
-    """A graph and a generator input whose tables nothing has read yet."""
+    """A graph whose tables nothing has read yet, and a generator input."""
     sentences = [f"Person {i} visited City {i % 7} near Lake {i % 5}." for i in range(60)]
     triples = [(i, f"Person {i}", "visited", f"City {i % 7}") for i in range(60)]
     triples += [(i, f"City {i % 7}", "near", f"Lake {i % 5}") for i in range(60)]
@@ -339,8 +339,8 @@ def _table_reads(graph, gi):
 
 
 def test_first_reads_of_the_cached_tables_agree_across_threads():
-    # In each round eight threads make the first reads of a fresh graph's and
-    # a fresh input's tables at once, each thread in another order, with a
+    # In each round eight threads make the first reads of a fresh graph's
+    # tables and serialize a fresh input at once, each in another order, with a
     # thread switch due every microsecond; each must see what one thread
     # alone sees. A race shows in some rounds only, hence ten.
     expected = [read() for read in _table_reads(*_fresh_tables())]

@@ -1,6 +1,7 @@
 """Remote backend clients against in-process HTTP stubs."""
 
 import gc
+import hashlib
 import http.client
 import json
 import random
@@ -15,11 +16,12 @@ from http.server import BaseHTTPRequestHandler
 
 import pytest
 
+from hopqg.cli import main
 from hopqg.config import Endpoints, PipelineConfig, shown_url
 from hopqg.errors import BackendError, ConfigError
-from hopqg.geninput import GeneratorInput
+from hopqg.geninput import GeneratorInput, SegmentLabel
 from hopqg.pipeline import StepInfo
-from hopqg.planner import EdgeDirection
+from hopqg.planner import EdgeDirection, RewriteType
 from hopqg.remote import (
     JsonClient,
     RemoteDecomposer,
@@ -27,7 +29,7 @@ from hopqg.remote import (
     RemoteQa,
     RemoteTypeClassifier,
 )
-from util import serve_http
+from util import film3_context_doc, make_context_doc, serve_http
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -136,6 +138,75 @@ def test_generator_backend_protocol(stub_server):
     assert payload["text"].startswith("<bos>")
     assert isinstance(payload["segments"], list)
     assert len(payload["segments"]) == len(payload["text"].split())
+
+
+class BodyHandler(BaseHTTPRequestHandler):
+    """Keep-alive generator stand-in that keeps every request body as sent.
+    Its question names both nodes, so a later step whose parent is one of
+    them relabels it in the sub-question."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.bodies.append(body)
+        text = json.loads(body)["text"]
+        parent, child = (text.split(f" {marker} ")[1].split(" <")[0] for marker in ("<nodeP>", "<nodeC>"))
+        question = f"Which one -- of {parent.upper()}, {child} -- is it {len(self.server.bodies)}?"
+        reply = json.dumps({"question": question}).encode()
+        head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len(reply)}\r\n\r\n"
+        self.wfile.write(head.encode() + reply)
+
+    def log_message(self, *args):
+        pass
+
+
+# Casefolds that change length (ß, İ, ﬁ), punctuation-only tokens and a
+# coreferent "It" of the parent node, on a context with d=3 chains.
+FAIR_SENTENCES = [
+    "Straße Nord is a street in İzmir.",
+    "İzmir -- the ﬁrst port -- hosts Ege Fair.",
+    "Ege Fair was founded by MUSTAFA ÖZ.",
+    "It draws ﬁfty thousand visitors.",
+]
+FAIR_TRIPLES = [
+    (0, "Straße Nord", "is a street in", "İzmir"),
+    (1, "İzmir", "hosts", "Ege Fair"),
+    (2, "Ege Fair", "was founded by", "MUSTAFA ÖZ"),
+    (3, "It", "draws", "ﬁfty thousand visitors"),
+]
+
+# sha256 over every generator request body, in order, of the run below.
+REQUEST_BODIES_SHA256 = "a78c09b25b2e215ebfa4f11ee8619c627ffd08beccca6ccb09274b6240d4d650"
+
+
+def test_remote_generation_request_bodies_equal_the_golden(tmp_path):
+    fair = make_context_doc(
+        FAIR_SENTENCES, FAIR_TRIPLES, coref=[[(2, "Ege Fair"), (3, "It")]],
+        named_entities=[(0, "Straße Nord"), (0, "İzmir"), (1, "Ege Fair"), (2, "MUSTAFA ÖZ")],
+    )
+    ctx = tmp_path / "ctx.jsonl"
+    ctx.write_text("".join(json.dumps(doc) + "\n" for doc in (film3_context_doc(), fair)), encoding="utf-8")
+    with serve_http(BodyHandler) as (server, base):
+        server.bodies = []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"concurrency": 1, "retries": 0, "endpoints": {"generator": base + "/generate"}}))
+        out = tmp_path / "t.jsonl"
+        args = ["generate", "--context", str(ctx), "--backend", "remote", "--d", "3", "--count", "3",
+                "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 0
+    assert len(server.bodies) == 2 * 3 * 3
+    assert hashlib.sha256(b"".join(server.bodies)).hexdigest() == REQUEST_BODIES_SHA256
+
+
+def test_json_writes_each_segment_label_as_its_value():
+    gi = GeneratorInput(
+        step=2, sentence="Top Gun is directed by Tony Scott.", node_child="Tony Scott",
+        edge="is directed by", node_parent="Top Gun", direction=EdgeDirection.PARENT_TO_CHILD,
+        rewrite_type=RewriteType.BRIDGE, sub_question="Who starred Top Gun?",
+    )
+    for segments in (gi.segments, list(SegmentLabel)):
+        assert json.dumps(segments) == json.dumps([s.value for s in segments])
 
 
 def test_classifier_decomposer_qa_protocols(stub_server):
