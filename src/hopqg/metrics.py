@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+# A private CPython helper, chosen on purpose: the C loop behind
+# Counter.update, without Counter's own overhead. It exists on 3.10-3.13
+# (each in CI); if an interpreter drops it, counting through Counter is the fix.
+from collections import _count_elements
 from functools import cache, reduce
 from operator import add, mul
 
@@ -57,9 +60,18 @@ class TokenTable:
         self.fallbacks = 0
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    """Counts of the order-n grams of tokens, in order of first occurrence."""
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _counts(items) -> dict:
+    """Each item's count, in order of first occurrence: a plain dict filled
+    by the C loop Counter.update runs, without Counter's own overhead."""
+    counts: dict = {}
+    _count_elements(counts, items)
+    return counts
+
+
+def _ngrams(tokens: list[str], n: int) -> dict:
+    """Counts of the order-n grams of tokens, in order of first occurrence.
+    A unigram is its token, not a 1-tuple."""
+    return _counts(tokens if n == 1 else zip(*[tokens[i:] for i in range(n)]))
 
 
 class _NgramPass:
@@ -69,8 +81,9 @@ class _NgramPass:
     The texts' tokens come from a TokenTable. Per order it keeps BLEU's
     sufficient statistics (clipped and total gram counts) and, when
     ``cider`` is set, adds each item's CIDEr term for that order to the
-    item's running sum, so the terms add up from order 1 upward. One order's
-    Counters are dropped before the next order is counted.
+    item's running sum, so the terms add up from order 1 upward. Gram counts
+    are plain dicts in order of first occurrence (see _counts); one order's
+    counts are dropped before the next order is counted.
     """
 
     def __init__(self, corpus, order: int, cider: bool, table: TokenTable):
@@ -97,7 +110,8 @@ class _NgramPass:
 
     def _count_order(self, k: int) -> None:
         counted = []
-        df: Counter = Counter()
+        df: dict = {}
+        clipped = total = 0
         for hyp, refs in self.items:
             hyp_counts = _ngrams(hyp, k)
             ref_counts = [_ngrams(r, k) for r in refs]
@@ -110,11 +124,13 @@ class _NgramPass:
                         if c > max_ref.get(g, 0):
                             max_ref[g] = c
             if hyp_counts:
-                self.total[k] += len(hyp) - k + 1
-                self.clipped[k] += sum(min(c, max_ref.get(g, 0)) for g, c in hyp_counts.items())
+                total += len(hyp) - k + 1
+                clipped += sum(min(c, max_ref.get(g, 0)) for g, c in hyp_counts.items())
             if self.cider_items is not None:
-                df.update(max_ref.keys())
+                _count_elements(df, max_ref)
                 counted.append((hyp_counts, ref_counts))
+        self.clipped[k] = clipped
+        self.total[k] = total
         if self.cider_items is None:
             return
         # Document frequency counts an item once per gram any of its
@@ -124,9 +140,9 @@ class _NgramPass:
         log_of = {d: math.log(n_items / d) for d in set(df.values())}
         idf = {g: log_of[d] for g, d in df.items()}
         unseen = math.log(n_items)
-        # A vector's weights are count * idf, in its Counter's order, and
+        # A vector's weights are count * idf, in its counts' order, and
         # norms and dot products add them in that order. The dot product
-        # takes a reference weight from the Counter and the idf table, not
+        # takes a reference weight from the counts and the idf table, not
         # from a dict of the reference's vector.
         for i, (hyp_counts, ref_counts) in enumerate(counted):
             hyp_idf = [idf.get(g, unseen) for g in hyp_counts]
@@ -272,9 +288,7 @@ def _align(
     positions: dict[str, list[int]] = {}
     for j, s in enumerate(ref_stems):
         positions.setdefault(s, []).append(j)
-    hyp_class = dict.fromkeys(hyp_stems, 0)
-    for s in hyp_stems:
-        hyp_class[s] += 1
+    hyp_class = _counts(hyp_stems)
     path = [-1] * m
     stop = [m] * (m + 1)  # the first position from i on whose class repeats, or m
     for i in range(m - 1, -1, -1):
@@ -286,11 +300,7 @@ def _align(
             path[i] = opts[0] if opts else -1
     if stop[0] == m:
         return [(i, j) for i, j in enumerate(path) if j >= 0], False
-    hyp_count, ref_count = dict.fromkeys(hyp, 0), dict.fromkeys(ref, 0)
-    for t in hyp:
-        hyp_count[t] += 1
-    for u in ref:
-        ref_count[u] += 1
+    hyp_count, ref_count = _counts(hyp), _counts(ref)
     miss = {t: c - min(c, ref_count.get(t, 0)) for t, c in hyp_count.items()}
     lend = {u: c - min(c, hyp_count.get(u, 0)) for u, c in ref_count.items()}
     idle = {s: c - min(c, len(positions.get(s, ()))) for s, c in hyp_class.items()}
@@ -425,8 +435,8 @@ def token_f1(pred: str, gold: str) -> float:
         return 1.0
     if not pred_toks or not gold_toks:
         return 0.0
-    common = Counter(pred_toks) & Counter(gold_toks)
-    overlap = sum(common.values())
+    gold_count = _counts(gold_toks)
+    overlap = sum(min(c, gold_count.get(t, 0)) for t, c in _counts(pred_toks).items())
     if overlap == 0:
         return 0.0
     precision = overlap / len(pred_toks)

@@ -12,7 +12,8 @@ and common-run oracles are the per-token and full-table forms of
 hopqg.textutil.match_tokens and the rule QA's run search. The node lookup
 oracles rescan every node's texts on each call. oracle_align is the METEOR-s
 alignment search as it stood before forced positions were placed without
-search, kept verbatim as the reference for the search that replaced it.
+search, kept verbatim as the reference for the search that replaced it, and
+oracle_ngram_pass is the n-gram pass as it stood when it counted in Counters.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import re
 import string
 import threading
 from collections import Counter, deque
+from functools import reduce
+from operator import add, mul
 
 from hopqg.errors import AssemblyError, NodeNotFoundError, PlanningError
 from hopqg.geninput import BOS, EDGE, EOS, MARKERS, NODE_C, NODE_P, SUBQ, TYPE, GeneratorInput, SegmentLabel
@@ -119,6 +122,61 @@ def oracle_cider(corpus, n_max: int = 4) -> float:
             per_order.append(sum(sims) / len(sims))
         scores.append(sum(per_order) / n_max)
     return 10.0 * sum(scores) / big_n
+
+
+def _left_sum(values) -> float:
+    return reduce(add, values, 0)
+
+
+def oracle_ngram_pass(items, order: int, cider: bool):
+    """hopqg.metrics._NgramPass's counts as they stood when each n-gram
+    count was a Counter: (clipped, total, CIDEr terms) over items of (hyp
+    tokens, [ref tokens]), with clipped and total indexed by order. Its
+    float expressions and their order are the pass's, so each CIDEr term
+    must equal the pass's to the bit.
+    """
+    clipped, total = [0] * (order + 1), [0] * (order + 1)
+    cider_items = [0.0] * len(items) if cider else None
+    for k in range(1, order + 1):
+        counted = []
+        df: Counter = Counter()
+        for hyp, refs in items:
+            hyp_counts = Counter(zip(*[hyp[i:] for i in range(k)]))
+            ref_counts = [Counter(zip(*[r[i:] for i in range(k)])) for r in refs]
+            max_ref = ref_counts[0]
+            if len(ref_counts) > 1:
+                max_ref = dict(max_ref)
+                for other in ref_counts[1:]:
+                    for g, c in other.items():
+                        if c > max_ref.get(g, 0):
+                            max_ref[g] = c
+            if hyp_counts:
+                total[k] += len(hyp) - k + 1
+                clipped[k] += sum(min(c, max_ref.get(g, 0)) for g, c in hyp_counts.items())
+            if cider:
+                df.update(max_ref.keys())
+                counted.append((hyp_counts, ref_counts))
+        if not cider:
+            continue
+        n_items = len(items)
+        log_of = {d: math.log(n_items / d) for d in set(df.values())}
+        idf = {g: log_of[d] for g, d in df.items()}
+        unseen = math.log(n_items)
+        for i, (hyp_counts, ref_counts) in enumerate(counted):
+            hyp_idf = [idf.get(g, unseen) for g in hyp_counts]
+            hyp_w = list(map(mul, hyp_counts.values(), hyp_idf))
+            hn = math.sqrt(_left_sum(map(mul, hyp_w, hyp_w)))
+            if hn == 0:
+                continue
+            cosines = []
+            for counts in ref_counts:
+                ref_w = list(map(mul, counts.values(), map(idf.__getitem__, counts)))
+                rn = math.sqrt(_left_sum(map(mul, ref_w, ref_w)))
+                ref_count = counts.get
+                dot = _left_sum(w * (c * f) for g, w, f in zip(hyp_counts, hyp_w, hyp_idf) if (c := ref_count(g)))
+                cosines.append(dot / (hn * rn) if rn else 0.0)
+            cider_items[i] += _left_sum(cosines) / len(cosines)
+    return clipped, total, cider_items
 
 
 def oracle_meteor(hyp: str, ref: str, alpha=0.9, beta=3.0, gamma=0.5) -> float:
@@ -317,6 +375,18 @@ def oracle_normalize_answer(text: str) -> str:
     text = "".join(ch for ch in text if ch not in string.punctuation)
     text = re.sub(r"\b(a|an|the)\b", " ", text)
     return " ".join(text.split())
+
+
+def oracle_token_f1(pred: str, gold: str) -> float:
+    """SQuAD token F1 over oracle-normalized answers, overlap by Counter."""
+    p, g = oracle_normalize_answer(pred).split(), oracle_normalize_answer(gold).split()
+    if not p or not g:
+        return float(p == g)
+    overlap = sum((Counter(p) & Counter(g)).values())
+    if overlap == 0:
+        return 0.0
+    precision, recall = overlap / len(p), overlap / len(g)
+    return 2 * precision * recall / (precision + recall)
 
 
 def oracle_match_tokens(text: str) -> list[str]:

@@ -5,9 +5,12 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import string
+import subprocess
+import sys
 
 import pytest
 
@@ -17,8 +20,10 @@ from hopqg.cli import DEFAULT_METRICS
 from hopqg.errors import MetricError
 from hopqg.evaluate import METRIC_NAMES, metric_report
 from hopqg.metrics import (
+    TokenTable,
     _align,
     _chunk_count,
+    _NgramPass,
     bleu_n,
     cider,
     exact_match,
@@ -40,6 +45,7 @@ from oracles import (
     oracle_meteor,
     oracle_normalize_answer,
     oracle_rouge_l,
+    oracle_token_f1,
 )
 
 VOCAB = [
@@ -152,6 +158,80 @@ def test_ngram_metrics_match_oracles_on_edge_cases(corpus):
         assert bleu_n(corpus, n) == metrics[f"bleu{n}"]
     assert abs(metrics["cider"] - oracle_cider(corpus)) <= 1e-9
     assert cider(corpus) == metrics["cider"]
+
+
+COUNTING_EDGE_CORPORA = [
+    # A later reference repeats a gram more often than the first one.
+    [("a a a b", ["a b", "b a a a b", "a a"]), ("a b a", ["c", "a b a b a"])],
+    # Hypotheses that repeat grams.
+    [("a b a b a b", ["a b a", "b a b a b"]), ("c c c c", ["c c", "c"])],
+    # References shorter than the order, first and later.
+    [("a b c d", ["a", "a b c d"]), ("a b c", ["a b c", "a", ""])],
+    # Empty hypotheses, and one shorter than the order.
+    [("", ["a b"]), ("", [""]), ("? a", ["? ? a"])],
+]
+
+COUNTING_VOCAB = ["a", "b", "c", "d", "?"]
+
+
+def counting_corpus(rng):
+    """Short texts over a five-word vocabulary, so that grams repeat within
+    a hypothesis and across references, and some texts are empty."""
+    def text():
+        return " ".join(rng.choices(COUNTING_VOCAB, k=rng.randint(0, 10)))
+
+    return [(text(), [text() for _ in range(rng.randint(1, 4))]) for _ in range(rng.randint(1, 6))]
+
+
+def compare_ngram_pass_with_the_counter_oracle() -> int:
+    """Asserts that the n-gram pass's clipped and total counts and its CIDEr
+    terms (by hex), with CIDEr and without, equal those of the Counter
+    oracle on the edge corpora and 500 seeded ones; returns the corpora
+    compared."""
+    rng = random.Random(3232)
+    corpora = COUNTING_EDGE_CORPORA + [counting_corpus(rng) for _ in range(500)]
+    for corpus in corpora:
+        for with_cider in (True, False):
+            ngrams = _NgramPass(corpus, 4, with_cider, TokenTable())
+            items = [(tokenize(h), [tokenize(r) for r in refs]) for h, refs in corpus]
+            clipped, total, terms = oracles.oracle_ngram_pass(items, 4, with_cider)
+            assert (ngrams.clipped, ngrams.total) == (clipped, total), corpus
+            if with_cider:
+                assert [t.hex() for t in ngrams.cider_items] == [t.hex() for t in terms], corpus
+            else:
+                assert ngrams.cider_items is None and terms is None
+    return len(corpora)
+
+
+def test_ngram_pass_equals_the_counter_oracle():
+    assert compare_ngram_pass_with_the_counter_oracle() == 504
+    # The seeded corpora often hold what the clip and the reference maximum
+    # are for: a hypothesis gram that repeats, and a later reference that
+    # holds a gram more often than every reference before it.
+    rng = random.Random(3232)
+    repeats = later_max = 0
+    for corpus in [counting_corpus(rng) for _ in range(500)]:
+        for hyp, refs in corpus:
+            for k in (1, 2):
+                grams = collections.Counter(zip(*[tokenize(hyp)[i:] for i in range(k)]))
+                repeats += any(c > 1 for c in grams.values())
+                seen = collections.Counter()
+                for ref in refs:
+                    counts = collections.Counter(zip(*[tokenize(ref)[i:] for i in range(k)]))
+                    later_max += bool(seen) and any(c > max(1, seen[g]) for g, c in counts.items())
+                    seen |= counts
+    assert repeats > 500 and later_max > 200
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_ngram_pass_equals_the_counter_oracle_under_a_fixed_hash_seed(hash_seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopqg.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    code = "import test_metrics; print(test_metrics.compare_ngram_pass_with_the_counter_oracle())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "504\n"), done.stderr
 
 
 # Stem variants, and words no other text is likely to hold.
@@ -465,6 +545,10 @@ def test_light_stem_rules():
     assert light_stem("is") == "is"
     assert light_stem("was") == "was"
     assert light_stem("glasses") == "glass"
+    # -es comes off whole, so a plural ending in "e" keeps no "e" and never
+    # shares its singular's stem.
+    assert [light_stem(t) for t in ("names", "games", "movies")] == ["nam", "gam", "movi"]
+    assert [light_stem(t) for t in ("name", "game", "movie")] == ["name", "game", "movie"]
 
 
 def test_normalize_answer_and_squad_scores():
@@ -477,6 +561,14 @@ def test_normalize_answer_and_squad_scores():
     assert token_f1("", "") == 1.0
     assert token_f1("Cruise", "") == 0.0
     assert token_f1("", "Cruise") == 0.0
+
+
+def test_token_f1_equals_the_counter_oracle():
+    rng = random.Random(12)
+    words = ["the", "a", "top", "gun", "Top", "cruise", "tom", "gun!", ","]
+    for _ in range(2000):
+        pred, gold = (" ".join(rng.choices(words, k=rng.randint(0, 6))) for _ in range(2))
+        assert token_f1(pred, gold) == oracle_token_f1(pred, gold), (pred, gold)
 
 
 def test_normalize_answer_matches_the_per_character_oracle():
