@@ -7,11 +7,11 @@ of its roles, checks that each output path its subparser names in
 ``outputs`` (and the manifest's) can be written, reads the inputs with the
 command's read step, hands them to its work step, writes the outputs work
 returns, and closes the services. Read, work and write run with the cyclic
-garbage collector paused. It writes the RunManifest of every completed
-command: the config the run used, the digests of the bytes it read from the
-input files its subparser names in ``inputs`` and wrote to its outputs (each
-file crosses the disk once), and the stages recorded, ``read`` and ``write``
-among them.
+garbage collector paused, and all they read and made is freed before it
+resumes. It writes the RunManifest of every completed command: the config
+the run used, the digests of the bytes it read from the input files its
+subparser names in ``inputs`` and wrote to its outputs (each file crosses
+the disk once), and the stages recorded, ``read`` and ``write`` among them.
 """
 
 from __future__ import annotations
@@ -489,8 +489,10 @@ def _collector_paused():
     A run's items (contexts, graphs, chains, records, scores) hold no
     reference cycles, so reference counting frees each one as soon as the
     run drops it; collections during the run would only walk the live
-    objects again and again. Any cycle made in the block waits until the
-    collector runs after it, so per-item data must stay acyclic."""
+    objects again and again. The block calls _run, which drops the last of
+    them as it returns, so the collector resumes with none of them left to
+    walk. Any cycle made in the block waits until the collector runs after
+    it, so per-item data must stay acyclic."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -498,6 +500,22 @@ def _collector_paused():
     finally:
         if enabled:
             gc.enable()
+
+
+def _run(args: argparse.Namespace, manifest: RunManifest, steps: Steps) -> int:
+    """Read the inputs, work on them and write the outputs; returns only the
+    exit code, so everything the run read and made is freed on return."""
+    read, work = steps
+    with manifest.timed("read"):
+        inputs = read(*[manifest.read(getattr(args, name)) for name in args.inputs])
+    code, outputs = work(inputs)
+    with manifest.timed("write"):
+        for path, content in outputs.items():
+            # A list of records is written as JSONL, a report as JSON.
+            manifest.outputs[path] = (
+                write_jsonl(content, path) if isinstance(content, list) else write_text(path, _dump_json(content))
+            )
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -527,22 +545,13 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_OK
         try:
             _check_writable({f"--{name}": getattr(args, name) for name in args.outputs} | {"--manifest": manifest_path})
-            read, work = args.func(args, config, manifest, **services)
+            steps = args.func(args, config, manifest, **services)
             if args.manifest_only:  # decodes nothing, so digests the inputs on disk
                 for name in args.inputs:
                     manifest.add_input(getattr(args, name))
             else:
                 with _collector_paused():
-                    with manifest.timed("read"):
-                        inputs = read(*[manifest.read(getattr(args, name)) for name in args.inputs])
-                    code, outputs = work(inputs)
-                    with manifest.timed("write"):
-                        for path, content in outputs.items():
-                            # A list of records is written as JSONL, a report as JSON.
-                            manifest.outputs[path] = (
-                                write_jsonl(content, path) if isinstance(content, list)
-                                else write_text(path, _dump_json(content))
-                            )
+                    code = _run(args, manifest, steps)
         finally:
             if backend == "remote":
                 for role, service in services.items():

@@ -24,7 +24,9 @@ class Span(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict, item: str, index: int) -> "Span":
-        """The span obj holds; an error names the item as ``item % index``."""
+        """The span obj holds; an error names the item as ``item % index``.
+        AnnotatedContext.from_json and _spans call it only for a span that
+        is not three int offsets, to convert the offsets or name the span."""
         try:
             sent, start, end = obj["sent"], obj["start"], obj["end"]
         except (KeyError, TypeError) as exc:
@@ -47,6 +49,25 @@ def _array(value, what: str) -> list:
     if type(value) is not list:
         raise AnnotationError(f"{what} must be an array, got {json_kind(value)}")
     return value
+
+
+def _spans(objs: list, item: str, index: int | None = None) -> list[Span]:
+    """The Span of each object of objs, made in this loop when its offsets
+    are three ints. Any other goes through Span.from_json, which converts
+    it or names it as ``item % index``, or as ``item % k`` for the k-th
+    object when index is None."""
+    new = tuple.__new__
+    spans = []
+    for k, obj in enumerate(objs):
+        try:
+            sent, start, end = obj["sent"], obj["start"], obj["end"]
+            if type(sent) is type(start) is type(end) is int:
+                spans.append(new(Span, (sent, start, end)))
+                continue
+        except (KeyError, TypeError):
+            pass
+        spans.append(Span.from_json(obj, item, k if index is None else index))
+    return spans
 
 
 class Sentence(NamedTuple):
@@ -126,11 +147,19 @@ class AnnotatedContext:
             if len(cluster) < 2:
                 raise AnnotationError(f"coref cluster {c_idx} has fewer than two mentions")
             for sp in cluster:
-                if fault := _span_fault(sp, bounds):
-                    raise AnnotationError(f"coref cluster {c_idx} mention: {fault}")
+                sent, start, end = sp
+                if 0 <= sent < count:
+                    lo, hi = bounds[sent]
+                    if lo <= start < end <= hi:
+                        continue
+                raise AnnotationError(f"coref cluster {c_idx} mention: {_span_fault(sp, bounds)}")
         for e_idx, sp in enumerate(self.named_entities or []):
-            if fault := _span_fault(sp, bounds):
-                raise AnnotationError(f"named entity {e_idx}: {fault}")
+            sent, start, end = sp
+            if 0 <= sent < count:
+                lo, hi = bounds[sent]
+                if lo <= start < end <= hi:
+                    continue
+            raise AnnotationError(f"named entity {e_idx}: {_span_fault(sp, bounds)}")
 
     @staticmethod
     def from_json(doc: dict) -> "AnnotatedContext":
@@ -139,6 +168,7 @@ class AnnotatedContext:
         text = doc["context"]
         if not isinstance(text, str):
             raise AnnotationError(f"'context' field must be a string, got {json_kind(text)}")
+        new = tuple.__new__
         sentences = []
         for i, s in enumerate(_array(doc.get("sentences", []), "'sentences'")):
             try:
@@ -147,26 +177,37 @@ class AnnotatedContext:
                 raise AnnotationError(f"sentence {i}: expected start/end offsets") from exc
             if type(start) is not int or type(end) is not int:
                 start, end = _offsets("sentence %d", i, start=start, end=end)
-            sentences.append(tuple.__new__(Sentence, (i, start, end, text[start:end])))
+            sentences.append(new(Sentence, (i, start, end, text[start:end])))
         triples = []
         for i, t in enumerate(_array(doc.get("triples", []), "'triples'")):
             try:
                 subject, relation, obj = t["subject"], t["relation"], t["object"]
             except (KeyError, TypeError) as exc:
                 raise AnnotationError(f"triple {i}: expected subject/relation/object spans") from exc
-            triples.append(tuple.__new__(Triple, (
+            # The spans are made here when all nine offsets are ints, as in
+            # _spans, and otherwise by Span.from_json.
+            try:
+                s0, s1, s2 = subject["sent"], subject["start"], subject["end"]
+                r0, r1, r2 = relation["sent"], relation["start"], relation["end"]
+                o0, o1, o2 = obj["sent"], obj["start"], obj["end"]
+                if (type(s0) is type(s1) is type(s2) is type(r0) is type(r1) is type(r2)
+                        is type(o0) is type(o1) is type(o2) is int):
+                    triples.append(new(Triple, (
+                        new(Span, (s0, s1, s2)), new(Span, (r0, r1, r2)), new(Span, (o0, o1, o2))
+                    )))
+                    continue
+            except (KeyError, TypeError):
+                pass
+            triples.append(new(Triple, (
                 Span.from_json(subject, "triple %d subject", i),
                 Span.from_json(relation, "triple %d relation", i),
                 Span.from_json(obj, "triple %d object", i),
             )))
         clusters = [
-            tuple(Span.from_json(m, "coref cluster %d mention", c) for m in _array(cluster, f"coref cluster {c}"))
+            tuple(_spans(_array(cluster, f"coref cluster {c}"), "coref cluster %d mention", c))
             for c, cluster in enumerate(_array(doc.get("coref_clusters", []), "'coref_clusters'"))
         ]
         nes = None
         if "named_entities" in doc:
-            nes = [
-                Span.from_json(m, "named entity %d", k)
-                for k, m in enumerate(_array(doc["named_entities"], "'named_entities'"))
-            ]
+            nes = _spans(_array(doc["named_entities"], "'named_entities'"), "named entity %d")
         return AnnotatedContext(text, sentences, triples, clusters, nes)

@@ -172,31 +172,19 @@ class ContextGraph:
         }
 
 
-def _spans_match(a: Span, b: Span) -> bool:
-    # Same sentence and containment in either direction; tolerates small
-    # boundary disagreements between annotation layers.
-    if a.sent != b.sent:
-        return False
-    return (b.start <= a.start and a.end <= b.end) or (a.start <= b.start and b.end <= a.end)
-
-
 def _capitalized_run(text: str, span: Span, ctx: AnnotatedContext) -> bool:
+    """Whether text is a run of capitalized tokens, with connectors allowed
+    inside it. A connector is never the first token, so a run that passes
+    the loop starts with a capitalized one."""
     tokens = text.split()
     if not tokens:
         return False
-    caps = 0
     for i, tok in enumerate(tokens):
         core = tok.strip(".,;:!?'\"()")
         if not core:
             return False
-        if core[0].isupper():
-            caps += 1
-        elif core.lower() in _NAME_CONNECTORS and 0 < i < len(tokens) - 1:
-            continue
-        else:
+        if not core[0].isupper() and not (core.lower() in _NAME_CONNECTORS and 0 < i < len(tokens) - 1):
             return False
-    if caps == 0:
-        return False
     # A lone capitalized token at the sentence start is not evidence.
     if len(tokens) == 1 and span.start == ctx.sentences[span.sent].char_start:
         return False
@@ -242,28 +230,37 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
     group_pronoun: list[bool] = []
     raw_edges: list[tuple[int, int, str, int]] = []
     # Each argument span with its group, by sentence: a cluster mention or a
-    # named entity can only match an argument of its own sentence.
+    # named entity matches an argument of its own sentence that contains it
+    # or that it contains, which tolerates small boundary disagreements
+    # between annotation layers. Spans are looked up by sentence, so the
+    # match compares offsets only.
     args_by_sent: dict[int, list[tuple[Span, int]]] = {}
 
-    def group_of(span: Span) -> int:
-        raw = context[span.start : span.end]
+    # Each argument's group, found inline for the subject and then the object:
+    # a function call per span would cost more than the lookups themselves.
+    for subject, relation, obj in ctx.triples:
+        raw = context[subject.start : subject.end]
         text, key, pronoun = known.get(raw) or _normalize(known, raw)
         if pronoun:
             # A pronoun names nothing by itself; only a coreference cluster
             # may merge it, so each one keeps a group of its own.
-            key = span
-        gid = key_to_group.get(key)
-        if gid is None:
-            gid = len(group_mentions)
-            key_to_group[key] = gid
+            key = subject
+        src = key_to_group.get(key)
+        if src is None:
+            src = key_to_group[key] = len(group_mentions)
             group_mentions.append({})
             group_pronoun.append(pronoun)
-        group_mentions[gid][span] = text
-        return gid
-
-    for subject, relation, obj in ctx.triples:
-        src = group_of(subject)
-        dst = group_of(obj)
+        group_mentions[src][subject] = text
+        raw = context[obj.start : obj.end]
+        text, key, pronoun = known.get(raw) or _normalize(known, raw)
+        if pronoun:
+            key = obj
+        dst = key_to_group.get(key)
+        if dst is None:
+            dst = key_to_group[key] = len(group_mentions)
+            group_mentions.append({})
+            group_pronoun.append(pronoun)
+        group_mentions[dst][obj] = text
         raw = context[relation.start : relation.end]
         sent = subject.sent
         raw_edges.append((src, dst, (known.get(raw) or _normalize(known, raw))[0], sent))
@@ -274,9 +271,9 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
         # The matching groups in ascending order, as an all-pairs scan lists them.
         matched = sorted({
             gid
-            for cm in cluster
-            for m, gid in args_by_sent.get(cm.sent, ())
-            if _spans_match(m, cm)
+            for sent, start, end in cluster
+            for (_, m_start, m_end), gid in args_by_sent.get(sent, ())
+            if (start <= m_start and m_end <= end) or (m_start <= start and end <= m_end)
         })
         for gid in matched[1:]:
             uf.union(matched[0], gid)
@@ -318,9 +315,9 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
 
     if ctx.named_entities is not None:
         # A node is a named entity if a mention of it matches one.
-        for ne in ctx.named_entities:
-            for m, gid in args_by_sent.get(ne.sent, ()):
-                if _spans_match(m, ne):
+        for sent, start, end in ctx.named_entities:
+            for (_, m_start, m_end), gid in args_by_sent.get(sent, ()):
+                if (start <= m_start and m_end <= end) or (m_start <= start and end <= m_end):
                     nodes[node_of[gid]].is_named_entity = True
     else:
         for node in nodes:

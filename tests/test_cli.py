@@ -31,10 +31,14 @@ from hopqg.evaluate import read_traces, write_jsonl
 from hopqg.hotpot import load_hotpot
 from hopqg.template import TemplateBackend
 from util import (
+    FILM_NES,
+    FILM_SENTENCES,
+    FILM_TRIPLES,
     comparison_record_doc,
     film3_context_doc,
     film_context_doc,
     generate_for_context,
+    make_context_doc,
     marked_film_context_doc,
     prize_record_doc,
     remake_record_doc,
@@ -99,9 +103,16 @@ def test_build_graph_matches_golden(tmp_path):
         (lambda doc: doc.update(triples={}), "'triples' must be an array, got an object"),
         (lambda doc: doc.update(coref_clusters=[{"sent": 0}]), "coref cluster 0 must be an array, got an object"),
         (lambda doc: doc.update(named_entities=None), "'named_entities' must be an array, got null"),
+        (lambda doc: doc["named_entities"][1].update(start=23.0), None),
+        # Both mentions are of Top Gun's node already, so the cluster merges nothing.
+        (lambda doc: doc.update(coref_clusters=[[{"sent": 0, "start": 0.0, "end": 7}, {"sent": 2, "start": 66, "end": 73.0}]]),
+         None),
+        (lambda doc: doc["triples"][2]["subject"].update(sent=True),
+         "triple 2 subject: 'sent' must be an integer, got a boolean"),
     ],
     ids=["integral-float", "fraction", "string", "boolean-sentence", "boolean-entity", "fraction-mention",
-         "sentences", "triples", "cluster", "named-entities"],
+         "sentences", "triples", "cluster", "named-entities", "integral-float-entity", "integral-float-mention",
+         "boolean-triple-sentence"],
 )
 def test_build_graph_takes_offsets_only_as_integral_numbers(tmp_path, capsys, edit, message):
     doc = film_context_doc()
@@ -115,6 +126,25 @@ def test_build_graph_takes_offsets_only_as_integral_numbers(tmp_path, capsys, ed
     assert main(["build-graph", "--context", ctx, "--out", str(out)]) == 2
     assert f"error: {ctx}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argument", ["  ", "( Foo"], ids=["blank", "bare-punctuation"])
+def test_build_graph_without_named_entities_takes_no_empty_token_for_a_name(tmp_path, argument):
+    """With no named_entities, a node is a named entity when a mention is a
+    capitalized run; a blank mention has no token and "(" is empty once its
+    punctuation is stripped, so neither is a run."""
+    doc = make_context_doc(
+        [f"Oslo faces {argument} now.", "Ships sail to North Bay."],
+        [(0, "Oslo", "faces", argument), (1, "Ships", "sail to", "North Bay")],
+    )
+    assert "named_entities" not in doc
+    ctx = write_json(tmp_path / "ctx.json", doc)
+    out = tmp_path / "graph.json"
+    assert main(["build-graph", "--context", ctx, "--out", str(out)]) == 0
+    nodes = json.loads(out.read_text())["nodes"]
+    assert {n["surface"]: n["is_named_entity"] for n in nodes} == {
+        "Oslo": False, " ".join(argument.split()): False, "Ships": False, "North Bay": True,
+    }
 
 
 def test_build_graph_on_two_contexts_exits_2(tmp_path, capsys):
@@ -536,6 +566,10 @@ def unreachable_after(argv: list[str], code: int) -> int:
     return gc.collect()
 
 
+# The runs of acyclic_runs: every command, and the partial runs that fail some items.
+ACYCLIC_RUNS = ["build-graph", "generate", "generate-partial", "build-dataset", "evaluate", "filter", "probe-partial", "augment"]
+
+
 def acyclic_runs(tmp_path, monkeypatch, run: str):
     """argv of run over an input of n items, given n, and its exit code."""
     if run == "generate-partial":
@@ -571,6 +605,30 @@ def acyclic_runs(tmp_path, monkeypatch, run: str):
             return ["probe", "--traces", traces, "--backend", "rule", "--out", str(tmp_path / f"probe{n}.json")]
 
         return argv, 1
+    if run == "build-graph":
+        # build-graph takes one context, so the film story is told n times in it.
+        def argv(n):
+            triples = [(sent + k * len(FILM_SENTENCES), *rest) for k in range(n) for sent, *rest in FILM_TRIPLES]
+            nes = [(sent + k * len(FILM_SENTENCES), text) for k in range(n) for sent, text in FILM_NES]
+            ctx = write_json(tmp_path / f"ctx{n}.json", make_context_doc(FILM_SENTENCES * n, triples, named_entities=nes))
+            return ["build-graph", "--context", ctx, "--out", str(tmp_path / f"graph{n}.json")]
+
+        return argv, 0
+    if run in ("filter", "augment"):
+        items = [
+            {"question": "Who directed the film that starred Tom Cruise ?", "answer": "Tony Scott"},
+            {"question": "Who directed Top Gun ?", "answer": "Top Gun"},  # leaks its answer
+            {"question": "Who ?", "answer": "x"},  # too short
+        ]
+
+        def argv(n):
+            traces = write(tmp_path / f"t{n}.jsonl", "".join(json.dumps(i) + "\n" for i in items * n))
+            out = str(tmp_path / f"{run}{n}.jsonl")
+            if run == "filter":
+                return ["filter", "--traces", traces, "--out", out, "--rejects", str(tmp_path / f"rejects{n}.jsonl")]
+            return ["augment", "--traces", traces, "--originals", traces, "--out", out]
+
+        return argv, 0
     lines = ["who directed top gun ?", "tom cruise starred in top gun", "which film did the director of it make ?"]
 
     def argv(n):
@@ -581,7 +639,7 @@ def acyclic_runs(tmp_path, monkeypatch, run: str):
     return argv, 0
 
 
-@pytest.mark.parametrize("run", ["generate", "generate-partial", "build-dataset", "evaluate", "probe-partial"])
+@pytest.mark.parametrize("run", ACYCLIC_RUNS)
 def test_run_data_is_acyclic(tmp_path, monkeypatch, run):
     """main runs with the cycle collector paused, so a cycle in per-item
     data would be held for the whole run: the garbage a run leaves in
@@ -599,6 +657,47 @@ def test_run_data_is_acyclic(tmp_path, monkeypatch, run):
         logging.disable(logging.NOTSET)
         if was:
             gc.enable()
+    assert small == large
+
+
+def young_at_resume(monkeypatch, argv: list[str], code: int) -> list[int]:
+    """The tracked objects in the young generation each time one run of main
+    turns the cyclic collector back on: what the next young collection walks.
+    The caller has the collector enabled."""
+    young = []
+    real_enable = gc.enable
+
+    def enable():
+        young.append(len(gc.get_objects(generation=0)))
+        real_enable()
+
+    gc.collect()
+    with monkeypatch.context() as patch:
+        patch.setattr(gc, "enable", enable)
+        assert main(argv) == code
+    return young
+
+
+@pytest.mark.parametrize("run", ACYCLIC_RUNS)
+def test_a_run_releases_its_data_before_the_collector_resumes(tmp_path, monkeypatch, run):
+    """main frees what a run read, made and wrote while the collector is
+    still paused, so the collection that follows the pause does not walk
+    it: what the young generation holds when the collector resumes does not
+    grow with the input. (Whether a collection starts then does: objects
+    freed into the interpreter's free lists do not lower the young
+    generation's allocation count.)"""
+    argv, code = acyclic_runs(tmp_path, monkeypatch, run)
+    was = gc.isenabled()
+    gc.enable()
+    logging.disable(logging.CRITICAL)  # as in test_run_data_is_acyclic
+    try:
+        young_at_resume(monkeypatch, argv(1), code)  # loads the modules the run imports
+        small, large = (young_at_resume(monkeypatch, argv(n), code) for n in (1, 20))
+    finally:
+        logging.disable(logging.NOTSET)
+        if not was:
+            gc.disable()
+    assert len(small) == 1
     assert small == large
 
 
