@@ -27,12 +27,13 @@ import logging
 import os
 import sys
 import threading
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from . import __version__
 from .config import ENDPOINT_ENV, PipelineConfig, load_config
 from .errors import (
-    AnnotationError, ConfigError, HopqgError, MetricError, invalid_json, map_jobs, read_records, write_jsonl, write_text,
+    AnnotationError, ConfigError, Failure, HopqgError, MetricError, invalid_json, map_jobs, read_records, write_jsonl,
+    write_text,
 )
 from .manifest import RunManifest
 
@@ -160,18 +161,6 @@ def cmd_build_graph(args: argparse.Namespace, config: PipelineConfig, manifest: 
     return read, work
 
 
-class _Failure(NamedTuple):
-    """A failed (context, seed) job. It keeps what its log line and a record
-    of the failure need, and not the exception, whose traceback would hold
-    the run's frames in a reference cycle."""
-
-    index: int
-    seed: int
-    message: str
-    failed_step: int | None
-    partial_questions: list[str]
-
-
 class _SharedGraph:
     """One context's graph, shared by its seed jobs: the first job to run
     builds it and the last to finish drops it, so only contexts with jobs
@@ -229,23 +218,23 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
                 with manifest.timed("generate"):
                     trace = generate_stepwise(graph, chain, generator, overrides)
                 manifest.count("generate")
-                return trace, None
+                return trace
             except HopqgError as exc:
-                return None, _Failure(
-                    index, seed, str(exc), getattr(exc, "failed_step", None), getattr(exc, "partial_questions", [])
-                )
+                return Failure(str(exc))
             finally:
                 share.release()
 
-        results = map_jobs(run, jobs, config.concurrency)
-        traces = [trace for trace, _ in results if trace is not None]
-        failures = [failure for _, failure in results if failure is not None]
-        for failure in failures:
-            logger.warning("context %d seed %d failed: %s", failure.index, failure.seed, failure.message)
+        traces = []
+        for (index, seed), result in zip(jobs, map_jobs(run, jobs, config.concurrency)):
+            if type(result) is Failure:
+                logger.warning("context %d seed %d failed: %s", index, seed, result.message)
+            else:
+                traces.append(result)
         manifest.count("initial", len(traces))
         manifest.count("rewrite", sum(len(t.questions) - 1 for t in traces))
-        manifest.count("failed", len(failures))
-        return EXIT_PARTIAL if failures else EXIT_OK, {args.out: [t.to_json() for t in traces]}
+        failed = len(jobs) - len(traces)
+        manifest.count("failed", failed)
+        return EXIT_PARTIAL if failed else EXIT_OK, {args.out: [t.to_json() for t in traces]}
 
     return lambda text: _load_context_docs(args.context, text), work
 

@@ -16,7 +16,7 @@ import threading
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import AnnotationError, BackendError, ConfigError, NodeNotFoundError, map_jobs
+from .errors import AnnotationError, BackendError, ConfigError, Failure, NodeNotFoundError, map_jobs
 from .graph import ContextGraph, Edge, build_context_graph
 from .hotpot import HotpotRecord, record_context
 from .planner import ChainNode, ReasoningChain, RewriteType
@@ -142,9 +142,7 @@ class RuleDecomposer:
     @staticmethod
     def _split_at_marker(q: str, m: re.Match) -> tuple[str, str] | None:
         pre = q[: m.start()].rstrip()
-        pre_tokens = pre.split()
-        if not pre_tokens:
-            return None
+        pre_tokens = pre.split()  # the search starts after the first word
         head = pre_tokens[-1]
         region_tok = len(pre_tokens) - 1
         if region_tok >= 1 and pre_tokens[-2].lower() in _ARTICLES:
@@ -162,11 +160,9 @@ class RuleDecomposer:
             sub1 = f"{prep.capitalize()} {marker} {strip_punct(head)} {tail}?"
         else:
             sub1 = f"{marker.capitalize()} {strip_punct(head)} {tail}?"
+        # region_tok is at least 1, so the outer question keeps the first word.
         region_start = list(_TOKEN_RE.finditer(pre))[region_tok].start()
-        outer = q[:region_start].rstrip()
-        if not outer:
-            return None
-        return sub1, f"{outer} {PLACEHOLDER}?"
+        return sub1, f"{q[:region_start].rstrip()} {PLACEHOLDER}?"
 
 
 _SENT_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -254,9 +250,8 @@ class RuleQa:
         # _TOKEN_RE and str.split agree on whitespace, so the matches line
         # up with the cleaned tokens.
         matches = list(_TOKEN_RE.finditer(best_sentence))
+        # best shares a content token with the question: the run is at least 1.
         run_len, _, run_end_b = _longest_common_run(q_tokens, s_tokens)
-        if run_len == 0:
-            return ""
 
         def cut(lo: int, hi: int, anchor_left: bool) -> tuple[str, int]:
             while lo < hi and (
@@ -421,12 +416,13 @@ def locate_chain(
 
 def process_record(
     record: HotpotRecord, backends: BackendSuite
-) -> tuple[str, object, str | None]:
-    """One record through all stages.
+) -> tuple[TrainingExample | Failure, str | None]:
+    """One record through all stages: (its example or a Failure, the label).
 
-    Returns ("example", ex, label) | ("skip", reason, label) |
-    ("error", message, label-or-None); the label is the classifier's output,
-    kept so the caller can tally type counts without re-asking the backend.
+    A skip is a Failure whose message and reason are the skip reason; an
+    error is one with no reason, whose message names the record. The label
+    is the classifier's output, None when classifying failed, kept so the
+    caller can tally type counts without re-asking the backend.
     """
     label: str | None = None
     try:
@@ -434,7 +430,7 @@ def process_record(
         try:
             tag = ReasoningTypeTag(label)
         except ValueError:
-            return "error", f"{record.record_id}: unknown type label {label!r}", label
+            return Failure(f"{record.record_id}: unknown type label {label!r}"), label
         if tag not in (ReasoningTypeTag.BRIDGE, ReasoningTypeTag.INTERSECTION):
             raise _Skip(SKIP_TYPE_FILTERED)
         split = backends.decomposer.decompose(record.question, tag.value)
@@ -457,7 +453,7 @@ def process_record(
         graph = build_context_graph(ctx)
         other = subq2 if chosen == 1 else subq1
         chain = locate_chain(graph, record.answer, q1, other, tag)
-        example = TrainingExample(
+        return TrainingExample(
             record_id=record.record_id,
             rewrite_type=tag,
             q1=q1,
@@ -468,12 +464,11 @@ def process_record(
             q2=record.question,
             a2=record.answer,
             backends=backends.provenance(),
-        )
-        return "example", example, label
+        ), label
     except _Skip as skip:
-        return "skip", skip.reason, label
+        return Failure(skip.reason, skip.reason), label
     except (AnnotationError, BackendError) as exc:
-        return "error", f"{record.record_id}: {exc}", label
+        return Failure(f"{record.record_id}: {exc}"), label
 
 
 def build_dataset(
@@ -495,15 +490,15 @@ def build_dataset(
         "types": {},
     }
     examples: list[TrainingExample] = []
-    for kind, payload, label in map_jobs(lambda r: process_record(r, backends), records, concurrency):
+    for outcome, label in map_jobs(lambda r: process_record(r, backends), records, concurrency):
         if label is not None:
             stats["types"][label] = stats["types"].get(label, 0) + 1
-        if kind == "example":
-            examples.append(payload)
-            stats["examples"] += 1
-        elif kind == "skip":
-            stats["skips"][payload] += 1
+        if type(outcome) is not Failure:
+            examples.append(outcome)
+        elif outcome.reason is not None:
+            stats["skips"][outcome.reason] += 1
         else:
             stats["errors"] += 1
-            logger.warning("record failed: %s", payload)
+            logger.warning("record failed: %s", outcome.message)
+    stats["examples"] = len(examples)
     return examples, stats

@@ -1,13 +1,14 @@
 """Exception types shared across the package, the one decoder of input bytes
 and writer of output files, the JSON records reader and JSON loading that name
-the path in errors, the one rule for a JSON integer, and the one job runner."""
+the path in errors, the one rule for a JSON integer, and the one job runner
+with the one record of a job that failed."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import re
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class HopqgError(Exception):
@@ -177,6 +178,16 @@ def write_jsonl(records: list[dict], path: str) -> str:
     """Writes records to path as JSONL, non-ASCII kept as is; returns the sha256."""
     encode = json.JSONEncoder(ensure_ascii=False).encode
     return write_text(path, "".join([encode(record) + "\n" for record in records]))
+
+
+class Failure(NamedTuple):
+    """What a per-item job gives in place of its result when the item fails:
+    the message its log line names and, for a skip, the reason. It holds
+    no exception, whose traceback would keep the run's frames in a
+    reference cycle; callers tell it apart with ``type(x) is Failure``."""
+
+    message: str
+    reason: str | None = None
 
 
 def map_jobs(fn, items: list, workers: int) -> list:

@@ -7,7 +7,9 @@ import random
 
 from .config import PipelineConfig
 # write_jsonl is exported from here too, where the benchmark traces it.
-from .errors import AnnotationError, BackendError, MetricError, is_integral, json_kind, map_jobs, read_records, write_jsonl
+from .errors import (
+    AnnotationError, BackendError, Failure, MetricError, is_integral, json_kind, map_jobs, read_records, write_jsonl,
+)
 from .metrics import (
     CIDER_ORDER,
     TOKENIZER_SPEC,
@@ -168,16 +170,14 @@ def difficulty_probe(traces: list[dict], qa_backend, concurrency: int = 1) -> Pr
     """
     result = ProbeResult(backend=getattr(qa_backend, "name", type(qa_backend).__name__))
 
-    def ask(trace: dict) -> tuple[str | None, str | None]:
-        """The predicted answer, or the failure's message: not the exception,
-        whose traceback would hold the run's frames in a reference cycle."""
+    def ask(trace: dict) -> str | Failure:
         try:
-            return qa_backend.answer(trace["question"], trace["context"]), None
+            return qa_backend.answer(trace["question"], trace["context"])
         except BackendError as exc:
-            return None, str(exc)
+            return Failure(str(exc))
 
-    for trace, (predicted, failure) in zip(traces, map_jobs(ask, traces, concurrency)):
-        if failure is not None:
+    for trace, predicted in zip(traces, map_jobs(ask, traces, concurrency)):
+        if type(predicted) is Failure:
             result.failures += 1
             continue
         bucket = result.buckets.setdefault(int(trace["d"]), ProbeBucket())

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from hopqg.context import AnnotatedContext
-from hopqg.dataset_builder import ReasoningTypeTag, process_record
+from hopqg.dataset_builder import ReasoningTypeTag, TrainingExample, process_record
 from hopqg.errors import HopqgError
 from hopqg.evaluate import difficulty_probe, filter_generated
 from hopqg.graph import ContextGraph, Edge, Node, build_context_graph
@@ -130,8 +130,8 @@ def test_criterion_2_two_hop_question_hides_intermediates():
 
 def test_criterion_3_two_hop_record_decomposition_golden():
     record = parse_record(remake_record_doc())
-    kind, example, label = process_record(record, rule_suite())
-    assert kind == "example"
+    example, _ = process_record(record, rule_suite())
+    assert type(example) is TrainingExample
     assert example.rewrite_type is ReasoningTypeTag.BRIDGE
     assert example.q1 == "Who directed Dial M for Murder?"
     assert normalize_answer(example.a1) == normalize_answer("Alfred Hitchcock")

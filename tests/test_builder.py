@@ -14,8 +14,10 @@ from hopqg.cli import main
 from hopqg.dataset_builder import (
     PLACEHOLDER,
     SKIP_ANSWER,
+    SKIP_DECOMPOSE,
     SKIP_NODE,
     SKIP_OVERLAP,
+    SKIP_QA,
     SKIP_REASONS,
     SKIP_TYPE_FILTERED,
     BackendSuite,
@@ -23,6 +25,7 @@ from hopqg.dataset_builder import (
     RuleDecomposer,
     RuleQa,
     RuleTypeClassifier,
+    TrainingExample,
     _longest_common_run,
     _Skip,
     assign_context_sentences,
@@ -32,7 +35,7 @@ from hopqg.dataset_builder import (
     select_initial_pair,
 )
 from hopqg.context import AnnotatedContext
-from hopqg.errors import AnnotationError, ConfigError, NodeNotFoundError
+from hopqg.errors import AnnotationError, ConfigError, Failure, NodeNotFoundError
 from hopqg.graph import build_context_graph
 from hopqg.hotpot import (
     fallback_annotate,
@@ -318,8 +321,8 @@ def test_locate_chain_unfound_nodes_skip():
 
 def test_process_record_fig2_golden():
     record = parse_record(remake_record_doc())
-    kind, example, label = process_record(record, rule_suite())
-    assert kind == "example" and label == "Bridge"
+    example, label = process_record(record, rule_suite())
+    assert type(example) is TrainingExample and label == "Bridge"
     assert example.rewrite_type is ReasoningTypeTag.BRIDGE
     assert example.q1 == "Who directed Dial M for Murder?"
     assert example.a1 == "Alfred Hitchcock"
@@ -334,8 +337,8 @@ def test_process_record_fig2_golden():
 
 def test_process_record_intersection_star():
     record = parse_record(prize_record_doc())
-    kind, example, label = process_record(record, rule_suite())
-    assert kind == "example" and label == "Intersection"
+    example, label = process_record(record, rule_suite())
+    assert type(example) is TrainingExample and label == "Intersection"
     assert example.q1 == "Who starred in Heat Wave?"
     assert example.a1 == "Victor Reyes"
     chain = example.chain
@@ -353,8 +356,8 @@ def test_process_record_intersection_star():
 def test_process_record_fallback_annotation_path():
     record = parse_record(novel_record_doc())
     assert record.annotations is None
-    kind, example, label = process_record(record, rule_suite())
-    assert kind == "example" and label == "Bridge"
+    example, label = process_record(record, rule_suite())
+    assert type(example) is TrainingExample and label == "Bridge"
     assert example.q1 == "Who wrote Sea Post?"
     assert example.a1 == "Nora Hale"
     assert [n.surface for n in example.chain.nodes] == [
@@ -362,6 +365,76 @@ def test_process_record_fallback_annotation_path():
         "Sea Post",
         "The film Ocean Letters",
     ]
+
+
+def scripted_suite(label=None, split=None, answers=None) -> BackendSuite:
+    """The rule suite, except for the label, the split or the answers to
+    some sub-questions that the test gives."""
+    suite = rule_suite()
+    if label is not None:
+        suite.classifier.classify = lambda question: label
+    if split is not None:
+        suite.decomposer.decompose = lambda question, qtype=None: split
+    if answers is not None:
+        answer = suite.qa.answer
+        suite.qa.answer = lambda question, context: answers[question] if question in answers else answer(question, context)
+    return suite
+
+
+def test_process_record_bridge_keeps_its_first_sub_question():
+    """The first sub-question's answer is the record's answer, so the
+    Bridge keeps it, and the second names the leaf."""
+    record = parse_record(remake_record_doc())
+    split = ("Who directed Dial M for Murder?", "To which film A Perfect Murder was a modern remake?")
+    example, label = process_record(record, scripted_suite(split=split))
+    assert label == "Bridge"
+    assert (example.q1, example.a1) == ("Who directed Dial M for Murder?", "Alfred Hitchcock")
+    assert [n.surface for n in example.chain.nodes] == [
+        "Alfred Hitchcock",
+        "Dial M for Murder",
+        "A Perfect Murder",
+    ]
+    assert example.s1 == [("Dial M for Murder", 0)]
+
+
+@pytest.mark.parametrize("question, label, suite", [
+    # Intersection: nothing but the wh-word stands before the conjunction.
+    ("Who and won the Marlowe Prize?", "Intersection", rule_suite),
+    # Bridge: a question of one word has no clause to split at.
+    ("Who?", "Bridge", lambda: scripted_suite(label="Bridge")),
+    # Bridge: the clause after the only marker holds one word.
+    ("Who directed the film that won?", "Bridge", rule_suite),
+], ids=["intersection-wh-only", "one-word", "one-word-clause"])
+def test_process_record_skips_a_question_the_rule_decomposer_cannot_split(question, label, suite):
+    record = parse_record(dict(remake_record_doc(), question=question))
+    assert process_record(record, suite()) == (Failure(SKIP_DECOMPOSE, SKIP_DECOMPOSE), label)
+
+
+def test_process_record_intersection_without_a_question_mark():
+    """The second sub-question gains the mark; the tuple is the one the
+    question with its mark gives."""
+    doc = prize_record_doc()
+    record = parse_record(dict(doc, question="Who starred in Heat Wave and won the Marlowe Prize"))
+    example, label = process_record(record, rule_suite())
+    marked, _ = process_record(parse_record(doc), rule_suite())
+    assert label == "Intersection"
+    assert (example.q1, example.a1) == ("Who starred in Heat Wave?", "Victor Reyes")
+    assert (example.chain, example.s1, example.s2) == (marked.chain, marked.s1, marked.s2)
+
+
+@pytest.mark.parametrize("split, answers, reason", [
+    # The second answer is blank.
+    (None, {"Who directed Dial M for Murder?": " "}, SKIP_QA),
+    # The middle node, A Perfect Murder, has no edge to the answer node.
+    (("Who made A Perfect Murder?", "What is Dial M for Murder?"),
+     {"Who made A Perfect Murder?": "Alfred Hitchcock", "What is Dial M for Murder?": "a film"}, SKIP_NODE),
+    # No node but the answer and the middle one overlaps the other sub-question.
+    (("Who directed Dial M for Murder?", "Zzq qqz?"), {"Zzq qqz?": "y"}, SKIP_NODE),
+], ids=["second-answer-blank", "middle-node-without-edge", "no-leaf"])
+def test_process_record_skip_reasons_on_the_fig2_record(split, answers, reason):
+    record = parse_record(remake_record_doc())
+    outcome = process_record(record, scripted_suite(split=split, answers=answers))
+    assert outcome == (Failure(reason, reason), "Bridge")
 
 
 def all_records():
@@ -517,6 +590,32 @@ def test_fallback_annotate_skips_unsplittable_sentences():
     assert len(ctx.sentences) == 2
 
 
+def test_fallback_annotate_edge_cases():
+    """A particle joins a plain verb; a pivot at either edge of its sentence,
+    or a subject of punctuation alone, gives no triple; a blank sentence is
+    left out and takes no index."""
+    doc = hotpot_record_doc(
+        "edge-1",
+        "Who knows?",
+        "x",
+        paragraphs=[
+            ("A", ["Nora Hale wrote for The Daily Post.", "   ", "Was born in Leeds."]),
+            ("B", ["Sea Post is", '" wrote Sea Post.']),
+        ],
+        facts=[("A", 0), ("B", 0)],
+    )
+    ctx = fallback_annotate(parse_record(doc))
+    assert [(s.index, s.text) for s in ctx.sentences] == [
+        (0, "Nora Hale wrote for The Daily Post."),
+        (1, "Was born in Leeds."),
+        (2, "Sea Post is"),
+        (3, '" wrote Sea Post.'),
+    ]
+    assert [tuple(span_text(ctx, span) for span in triple) for triple in ctx.triples] == [
+        ("Nora Hale", "wrote for", "The Daily Post"),
+    ]
+
+
 def test_record_context_prefers_curated_annotations():
     record = parse_record(remake_record_doc())
     ctx = record_context(record)
@@ -576,8 +675,8 @@ def test_each_text_is_tokenized_once_per_record(monkeypatch):
             phase.pop()
 
     monkeypatch.setattr(builder, "locate_chain", locate_chain)
-    kind, _, _ = process_record(record, suite)
-    assert kind == "example"
+    example, _ = process_record(record, suite)
+    assert type(example) is TrainingExample
 
     sentences = builder._SENT_SPLIT_RE.split(record_context(record).context)
     assert len(sentences) == 3 and len(questions) == 2
