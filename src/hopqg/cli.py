@@ -530,6 +530,8 @@ def main(argv: list[str] | None = None) -> int:
                 if k not in ("func", "inputs", "outputs", "roles", "flags", "manifest_only")
             },
         )
+        if backend != "remote":  # only a remote call waits, so only a remote run gains from threads
+            config = config._replace(concurrency=1)
         manifest_path = _manifest_path(args)
         code = EXIT_OK
         try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import re
-import threading
 from enum import Enum
 from typing import NamedTuple
 
@@ -120,9 +119,9 @@ class RuleDecomposer:
         if m is None:
             return None
         left = q[: m.start()].strip().rstrip(",").rstrip("?").strip()
-        right = q[m.start("verb") :].strip()
+        right = q[m.start("verb") :].strip()  # never empty: it starts with the verb, a word
         wh = q.split(None, 1)[0]
-        if not left or not right or left.lower() == wh.lower():
+        if not left or left.lower() == wh.lower():
             return None
         if not right.endswith("?"):
             right += "?"
@@ -211,28 +210,26 @@ class RuleQa:
     adjunct); ties go to the right-hand span, matching subject-verb-object
     reading order.
 
-    Each thread keeps the sentence table of the last context it answered
-    on: the context's sentences, each with its cleaned tokens and its
-    content-token set. A record's two sub-questions are asked on one
-    context, so the second call splits and tokenizes no sentence.
+    It keeps the sentence table of the last context it answered on (each
+    sentence with its cleaned tokens and content-token set), so a record's
+    second sub-question splits and tokenizes no sentence. A CLI run calls it
+    on one thread, as threads only bound parallel remote calls; a library
+    caller's threads read the pair once and replace it whole.
     """
 
     kind = "rule"
     name = "rule-qa"
-
-    def __init__(self) -> None:
-        self._last = threading.local()
+    _last: tuple[str | None, list[tuple[str, list[str], set[str]]]] = (None, [])  # (context, table)
 
     def _sentences(self, context: str) -> list[tuple[str, list[str], set[str]]]:
-        last = self._last
-        if getattr(last, "context", None) != context:
+        last_context, table = self._last
+        if last_context != context:
             table = []
             for sentence in _SENT_SPLIT_RE.split(context):
                 tokens = clean_tokens(sentence)
                 table.append((sentence, tokens, content_set(tokens)))
-            last.sentences = table
-            last.context = context
-        return last.sentences
+            self._last = (context, table)
+        return table
 
     def answer(self, question: str, context: str) -> str:
         q_tokens = clean_tokens(question)
@@ -476,7 +473,8 @@ def build_dataset(
     backends: BackendSuite,
     concurrency: int = 1,
 ) -> tuple[list[TrainingExample], dict]:
-    """Run every record through the construction stages, in input order.
+    """Run every record through the construction stages, in input order, on
+    `concurrency` threads to bound parallel remote calls (at 1, the calling thread).
 
     Per-record failures are logged and counted, never fatal. The stats
     report satisfies examples + skips + errors = records.

@@ -191,8 +191,8 @@ class Failure(NamedTuple):
 
 
 def map_jobs(fn, items: list, workers: int) -> list:
-    """fn of each item, in input order: on the calling thread when workers is
-    at most 1 or items are fewer than two, else on a pool of that many threads."""
+    """fn of each item, in input order, on `workers` threads, which bound parallel
+    remote calls; on the calling thread at 1 (no remote role) or below two items."""
     if workers <= 1 or len(items) < 2:
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor

@@ -162,8 +162,8 @@ class ProbeResult:
 
 
 def difficulty_probe(traces: list[dict], qa_backend, concurrency: int = 1) -> ProbeResult:
-    """Ask the QA backend each trace's question against its context, on
-    `concurrency` threads, and score the answers in trace order.
+    """Ask the QA backend each trace's question against its context on `concurrency` threads,
+    which bound parallel remote calls (at 1, the calling thread), and score the answers in trace order.
 
     Scores are bucketed by the trace's difficulty d. Backend failures are
     counted and flag the result incomplete rather than aborting the run.

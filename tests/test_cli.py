@@ -701,28 +701,6 @@ def test_a_run_releases_its_data_before_the_collector_resumes(tmp_path, monkeypa
     assert small == large
 
 
-def test_generate_shared_state_under_thread_stress(tmp_path, monkeypatch):
-    built = count_builds(monkeypatch)
-    docs = [film_context_doc(), film3_context_doc()] * 3
-    ctx = write_json(tmp_path / "ctx.json", docs)
-    cfg = write_json(tmp_path / "cfg.json", {"concurrency": 8})
-    out = str(tmp_path / "traces.jsonl")
-    args = ["generate", "--context", ctx, "--count", "8", "--config", cfg, "--out", out]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert main(args) == 0
-    finally:
-        sys.setswitchinterval(interval)
-    # A lost check-then-act would build a graph twice; a lost update would
-    # drop a stage count.
-    assert len(built) == len(docs)
-    stages = read_manifest(out + ".manifest.json")["stages"]
-    assert stages["build"]["count"] == len(docs)
-    assert stages["plan"]["count"] == stages["generate"]["count"] == 8 * len(docs)
-    assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 8 * len(docs)
-
-
 def test_generate_shared_graph_output_equals_per_seed_helper(tmp_path):
     docs = [film_context_doc(), film3_context_doc()]
     ctx = write_json(tmp_path / "ctx.json", docs)
@@ -741,29 +719,14 @@ def test_generate_shared_graph_output_equals_per_seed_helper(tmp_path):
     assert (tmp_path / "traces.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
-def test_generate_seeds_of_one_context_run_in_parallel(tmp_path, monkeypatch):
-    class BarrierBackend(TemplateBackend):
-        # Each initial call waits for a second one: two seed jobs of the
-        # same context must be in flight at once, or the barrier breaks.
-        barrier = threading.Barrier(2, timeout=5)
-
-        def initial(self, gi, info):
-            self.barrier.wait()
-            return super().initial(gi, info)
-
-    monkeypatch.setattr(hopqg.template, "TemplateBackend", BarrierBackend)
-    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
-    cfg = write_json(tmp_path / "cfg.json", {"concurrency": 2})
-    out = str(tmp_path / "traces.jsonl")
-    args = ["generate", "--context", ctx, "--count", "2", "--config", cfg, "--out", out]
-    assert main(args) == 0
-    assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 2
-
-
-@pytest.mark.parametrize("command", ["generate", "build-dataset", "probe"])
-def test_one_worker_runs_every_job_on_the_calling_thread(tmp_path, monkeypatch, command):
-    # At concurrency 1 no pool starts: each generate chain, build-dataset
-    # record and probe trace runs on the thread that called main.
+@pytest.mark.parametrize("command, concurrency", [
+    pytest.param(command, n, id=command if n == 1 else f"{command}-{n}")
+    for n in (1, 8) for command in ("generate", "build-dataset", "probe")
+])
+def test_one_worker_runs_every_job_on_the_calling_thread(tmp_path, monkeypatch, command, concurrency):
+    # Local services run on one worker at any concurrency: no pool starts,
+    # and each generate chain, build-dataset record and probe trace runs on
+    # the thread that called main.
     threads = []
     for cls, name in ((TemplateBackend, "initial"), (RuleTypeClassifier, "classify"), (RuleQa, "answer")):
 
@@ -772,7 +735,8 @@ def test_one_worker_runs_every_job_on_the_calling_thread(tmp_path, monkeypatch, 
             return real(self, *args)
 
         monkeypatch.setattr(cls, name, spy)
-    options = {"out": str(tmp_path / "out"), "config": write_json(tmp_path / "cfg.json", {"concurrency": 1})}
+    config = write_json(tmp_path / "cfg.json", {"concurrency": concurrency})
+    options = {"out": str(tmp_path / "out"), "config": config}
     if command == "generate":
         options["count"] = 2
     if command == "probe":
@@ -1711,6 +1675,52 @@ def remote_config(tmp_path, base, concurrency):
     })
 
 
+def test_generate_shared_state_under_thread_stress(tmp_path, monkeypatch, service):
+    # Eight workers share each context's graph while they wait on a remote
+    # generator, with the interpreter switching threads every microsecond.
+    _, base = service
+    built = count_builds(monkeypatch)
+    docs = [film_context_doc(), film3_context_doc()] * 3
+    ctx = write_json(tmp_path / "ctx.json", docs)
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--backend", "remote", "--count", "8",
+            "--config", remote_config(tmp_path, base, 8), "--out", out]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(args) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    # A lost check-then-act would build a graph twice; a lost update would
+    # drop a stage count.
+    assert len(built) == len(docs)
+    stages = read_manifest(out + ".manifest.json")["stages"]
+    assert stages["build"]["count"] == len(docs)
+    assert stages["plan"]["count"] == stages["generate"]["count"] == 8 * len(docs)
+    assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 8 * len(docs)
+
+
+def test_generate_seeds_of_one_context_run_in_parallel(tmp_path):
+    class BarrierHandler(ServiceHandler):
+        # Each generator call waits for a second one: at d 1 each seed job
+        # makes one call, so the two seed jobs of the context must be in
+        # flight at once, or the barrier breaks.
+        barrier = threading.Barrier(2, timeout=5)
+
+        def do_POST(self):
+            self.barrier.wait()
+            super().do_POST()
+
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    out = str(tmp_path / "traces.jsonl")
+    with serve_http(BarrierHandler) as (server, base):
+        server.connections = set()
+        args = ["generate", "--context", ctx, "--backend", "remote", "--d", "1", "--count", "2",
+                "--config", remote_config(tmp_path, base, 2), "--out", out]
+        assert main(args) == 0
+    assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 2
+
+
 def remote_stages(manifest, role):
     return {
         counter: manifest["stages"][f"remote.{role}.{counter}"]["count"]
@@ -1843,12 +1853,13 @@ def test_template_and_metric_runs_load_no_http_client(tmp_path):
 def test_no_launch_loads_dataclasses_or_inspect(tmp_path, command):
     """Records are named tuples and plain classes, so no launch, real or
     --manifest-only, at concurrency 1 or the default, pays for importing
-    dataclasses and the inspect module it pulls in. A module the
+    dataclasses and the inspect module it pulls in; nor, as its services
+    are local, for the thread pool of concurrent.futures. A module the
     interpreter's site set-up loaded before the launch is not counted."""
     options = every_output(tmp_path, command)
     if command == "generate":
         options["count"] = 2
-    modules = ("dataclasses", "inspect")
+    modules = ("dataclasses", "inspect", "concurrent.futures")
     lines = ["import sys", "before = set(sys.modules)", "from hopqg.cli import main"]
     for config in (write_json(tmp_path / "cfg.json", {"concurrency": 1}), None):
         argv, _ = command_argv(tmp_path, command, {**options, "config": config})

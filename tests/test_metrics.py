@@ -551,6 +551,32 @@ def test_light_stem_rules():
     assert [light_stem(t) for t in ("name", "game", "movie")] == ["name", "game", "movie"]
 
 
+# Token -> stem pairs, each worked out by hand from the rules, not from a
+# run of light_stem.
+LIGHT_STEM_TABLE = [
+    # -ing off a token of five letters or more
+    ("singing", "sing"), ("bring", "br"), ("king", "king"), ("sing", "sing"),
+    # -ed off a token of four letters or more
+    ("directed", "direct"), ("agreed", "agre"), ("seed", "se"), ("red", "red"),
+    # then a final double consonant undoubled, in a stem of three letters or
+    # more; a double vowel or s stays
+    ("running", "run"), ("stopped", "stop"), ("fizzed", "fiz"), ("ebbing", "eb"), ("zzing", "zz"), ("zzed", "zz"),
+    ("seeing", "see"), ("passing", "pass"), ("passed", "pass"),
+    # -sses to -ss past five letters; "asses" is too short, and as a -ses
+    # token it loses only its -s
+    ("passes", "pass"), ("glasses", "glass"), ("kisses", "kiss"), ("asses", "asse"),
+    # -es, but not -ses, past three letters
+    ("games", "gam"), ("goes", "go"), ("yes", "yes"), ("horses", "horse"),
+    # -s, but not -ss, -us or -is, past three letters
+    ("films", "film"), ("cats", "cat"), ("things", "thing"), ("gas", "gas"),
+    ("class", "class"), ("bonus", "bonus"), ("basis", "basis"), ("this", "this"), ("film", "film"),
+]
+
+
+def test_light_stem_table():
+    assert [(token, light_stem(token)) for token, _ in LIGHT_STEM_TABLE] == LIGHT_STEM_TABLE
+
+
 def test_normalize_answer_and_squad_scores():
     assert normalize_answer("The  Top Gun!") == "top gun"
     assert normalize_answer("a walk in the park") == "walk in park"
