@@ -1,6 +1,6 @@
 """Command-line surface binding the pipeline stages together.
 
-Exit codes: 0 success, 1 partial (some items failed and were logged),
+Exit codes: 0 success, 1 partial (some items failed and were counted),
 2 invalid input or config. ``main`` runs every command as read, work and
 write: it applies the command's flags to the config, builds the services
 of its roles, checks that each output path its subparser names in
@@ -23,7 +23,6 @@ import functools
 import gc
 import importlib
 import json
-import logging
 import os
 import sys
 import threading
@@ -33,11 +32,9 @@ from . import __version__
 from .config import ENDPOINT_ENV, PipelineConfig, load_config
 from .errors import (
     AnnotationError, ConfigError, Failure, HopqgError, MetricError, invalid_json, map_jobs, read_records, write_jsonl,
-    write_text,
+    warn, write_text,
 )
 from .manifest import RunManifest
-
-logger = logging.getLogger("hopqg.cli")
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -227,7 +224,7 @@ def cmd_generate(args: argparse.Namespace, config: PipelineConfig, manifest: Run
         traces = []
         for (index, seed), result in zip(jobs, map_jobs(run, jobs, config.concurrency)):
             if type(result) is Failure:
-                logger.warning("context %d seed %d failed: %s", index, seed, result.message)
+                warn("hopqg.cli", f"context {index} seed {seed} failed: {result.message}")
             else:
                 traces.append(result)
         manifest.count("initial", len(traces))
@@ -508,9 +505,6 @@ def _run(args: argparse.Namespace, manifest: RunManifest, steps: Steps) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

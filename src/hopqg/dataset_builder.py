@@ -10,18 +10,15 @@ machine-readable reason.
 
 from __future__ import annotations
 
-import logging
 import re
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import AnnotationError, BackendError, ConfigError, Failure, NodeNotFoundError, map_jobs
+from .errors import AnnotationError, BackendError, ConfigError, Failure, NodeNotFoundError, map_jobs, warn
 from .graph import ContextGraph, Edge, build_context_graph
 from .hotpot import HotpotRecord, record_context
 from .planner import ChainNode, ReasoningChain, RewriteType
 from .textutil import clean_tokens, content_set, content_tokens, normalize_answer, strip_punct
-
-logger = logging.getLogger("hopqg.builder")
 
 PLACEHOLDER = "[ANSWER]"
 
@@ -476,8 +473,8 @@ def build_dataset(
     """Run every record through the construction stages, in input order, on
     `concurrency` threads to bound parallel remote calls (at 1, the calling thread).
 
-    Per-record failures are logged and counted, never fatal. The stats
-    report satisfies examples + skips + errors = records.
+    Per-record failures are counted, never fatal; an error also warns on
+    stderr. The stats report satisfies examples + skips + errors = records.
     """
     backends.validate()
     stats = {
@@ -497,6 +494,6 @@ def build_dataset(
             stats["skips"][outcome.reason] += 1
         else:
             stats["errors"] += 1
-            logger.warning("record failed: %s", outcome.message)
+            warn("hopqg.builder", f"record failed: {outcome.message}")
     stats["examples"] = len(examples)
     return examples, stats

@@ -1,13 +1,14 @@
 """Exception types shared across the package, the one decoder of input bytes
 and writer of output files, the JSON records reader and JSON loading that name
-the path in errors, the one rule for a JSON integer, and the one job runner
-with the one record of a job that failed."""
+the path in errors, the one rule for a JSON integer, the one job runner with
+the one record of a job that failed, and the one writer of warning lines."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import re
+import sys
 from typing import Callable, NamedTuple
 
 
@@ -182,7 +183,7 @@ def write_jsonl(records: list[dict], path: str) -> str:
 
 class Failure(NamedTuple):
     """What a per-item job gives in place of its result when the item fails:
-    the message its log line names and, for a skip, the reason. It holds
+    the message its warning line names and, for a skip, the reason. It holds
     no exception, whose traceback would keep the run's frames in a
     reference cycle; callers tell it apart with ``type(x) is Failure``."""
 
@@ -199,3 +200,13 @@ def map_jobs(fn, items: list, workers: int) -> list:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def warn(name: str, message: str) -> None:
+    """Writes ``WARNING <name>: <message>`` as a line to stderr. A stderr that
+    cannot be written (closed, None, a broken pipe) loses the line, not the run."""
+    try:
+        sys.stderr.write(f"WARNING {name}: {message}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        pass

@@ -118,13 +118,14 @@ class ProbeBucket:
         self.em_sum = 0.0
         self.f1_sum = 0.0
 
+    # No count is 0 when read: difficulty_probe counts a bucket as it makes it.
     @property
     def em(self) -> float:
-        return self.em_sum / self.count if self.count else 0.0
+        return self.em_sum / self.count
 
     @property
     def f1(self) -> float:
-        return self.f1_sum / self.count if self.count else 0.0
+        return self.f1_sum / self.count
 
 
 class ProbeResult:

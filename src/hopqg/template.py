@@ -52,7 +52,7 @@ def descriptor_category(graph: ContextGraph, node_id: int) -> str | None:
     copular.sort(key=lambda e: (e.sentence_index, e.relation, e.target))
     for e in copular:
         tokens = [strip_punct(t) for t in graph.node(e.target).surface.split()]
-        tokens = [t for t in tokens if t and t.isalpha()]
+        tokens = [t for t in tokens if t.isalpha()]  # "".isalpha() is False
         if tokens:
             return tokens[-1].lower()
     return None

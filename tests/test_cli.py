@@ -4,8 +4,8 @@ import argparse
 import builtins
 import gc
 import hashlib
+import io
 import json
-import logging
 import os
 import pkgutil
 import subprocess
@@ -432,28 +432,28 @@ def test_generate_same_seed_identical_bytes(tmp_path):
     assert len(read_lines(out_a)) == 6
 
 
-def test_generate_per_item_failures_exit_1(tmp_path, caplog):
+def test_generate_per_item_failures_exit_1(tmp_path, capsys):
     ctx = write_json(tmp_path / "ctx.json", film_context_doc())
     out = str(tmp_path / "traces.jsonl")
     code = main([
         "generate", "--context", ctx, "--answer", "No Such Entity", "--out", out,
     ])
     assert code == 1
+    assert capsys.readouterr().err == "WARNING hopqg.cli: context 0 seed 0 failed: no node overlaps 'No Such Entity'\n"
     assert Path(out).read_text() == ""
     manifest = read_manifest(out + ".manifest.json")
     assert manifest["stages"]["failed"]["count"] == 1
 
 
-def test_generate_logs_the_step_a_bad_input_failed_at(tmp_path, caplog):
+def test_generate_logs_the_step_a_bad_input_failed_at(tmp_path, capsys):
     ctx = write_json(tmp_path / "ctx.json", marked_film_context_doc())
     out = str(tmp_path / "traces.jsonl")
-    with caplog.at_level(logging.WARNING, logger="hopqg.cli"):
-        code = main(["generate", "--context", ctx, "--d", "2", "--answer", "Tom Cruise", "--out", out])
+    code = main(["generate", "--context", ctx, "--d", "2", "--answer", "Tom Cruise", "--out", out])
     assert code == 1
-    assert caplog.messages == [
-        "context 0 seed 0 failed: input of step 2 cannot be assembled: "
-        "context sentence contains reserved marker <edge>"
-    ]
+    assert capsys.readouterr().err == (
+        "WARNING hopqg.cli: context 0 seed 0 failed: input of step 2 cannot be assembled: "
+        "context sentence contains reserved marker <edge>\n"
+    )
 
 
 def count_builds(monkeypatch) -> list:
@@ -647,14 +647,10 @@ def test_run_data_is_acyclic(tmp_path, monkeypatch, run):
     argv, code = acyclic_runs(tmp_path, monkeypatch, run)
     was = gc.isenabled()
     gc.disable()
-    # The log records the test runner keeps would keep alive what their
-    # arguments reach, as a run's stderr handler does not.
-    logging.disable(logging.CRITICAL)
     try:
         unreachable_after(argv(1), code)  # loads the modules the run imports
         small, large = (unreachable_after(argv(n), code) for n in (1, 6))
     finally:
-        logging.disable(logging.NOTSET)
         if was:
             gc.enable()
     assert small == large
@@ -689,12 +685,10 @@ def test_a_run_releases_its_data_before_the_collector_resumes(tmp_path, monkeypa
     argv, code = acyclic_runs(tmp_path, monkeypatch, run)
     was = gc.isenabled()
     gc.enable()
-    logging.disable(logging.CRITICAL)  # as in test_run_data_is_acyclic
     try:
         young_at_resume(monkeypatch, argv(1), code)  # loads the modules the run imports
         small, large = (young_at_resume(monkeypatch, argv(n), code) for n in (1, 20))
     finally:
-        logging.disable(logging.NOTSET)
         if not was:
             gc.disable()
     assert len(small) == 1
@@ -943,19 +937,19 @@ def test_build_dataset_counts_a_malformed_annotation_as_one_record_error(tmp_pat
     (RuleDecomposer, "decompose", None, "decompose-failed"),
     (RuleQa, "answer", "", "qa-failed"),
 ], ids=["unknown-label", "no-split", "no-answer"])
-def test_build_dataset_counts_what_a_service_could_not_give(tmp_path, monkeypatch, caplog, service, method, reply, skip):
+def test_build_dataset_counts_what_a_service_could_not_give(tmp_path, monkeypatch, capsys, service, method, reply, skip):
     monkeypatch.setattr(service, method, lambda self, *args: reply)
     hotpot = write_json(tmp_path / "hotpot.json", [remake_record_doc()])
     out, stats_path = tmp_path / "ex.jsonl", tmp_path / "stats.json"
-    with caplog.at_level(logging.WARNING, logger="hopqg.builder"):
-        code = main(["build-dataset", "--hotpot", hotpot, "--out", str(out), "--stats", str(stats_path)])
+    code = main(["build-dataset", "--hotpot", hotpot, "--out", str(out), "--stats", str(stats_path)])
     stats = json.loads(stats_path.read_text())
     assert (code, stats["examples"], out.read_text()) == (0 if skip else 1, 0, "")
     assert stats["skips"] == {reason: int(reason == skip) for reason in stats["skips"]}
     assert stats["errors"] == (0 if skip else 1)
     if skip is None:
         assert stats["types"] == {"Other": 1}
-        assert "record failed: remake-1: unknown type label 'Other'" in caplog.text
+    warning = "WARNING hopqg.builder: record failed: remake-1: unknown type label 'Other'\n"
+    assert capsys.readouterr().err == ("" if skip else warning)
 
 
 def test_build_dataset_rerun_is_byte_identical(tmp_path):
@@ -1632,6 +1626,95 @@ def test_malformed_config_files_name_path_and_line(tmp_path, capsys):
     assert f"{cats}:2: invalid JSON" in capsys.readouterr().err
 
 
+# ------------------------------------------------------------------- warnings
+
+
+UNFIT = "component has 5 nodes; difficulty 9 needs 10 (max attainable d = 4)"
+NO_CONTEXT = "annotated context must be an object with a 'context' field"
+# A run of each command that warns and exits 1, with the lines it warns:
+# the 5-node film graph holds no 9-hop chain, so every generate job fails,
+# and a build-dataset record has annotations with no context.
+WARNING_RUNS = {
+    "generate": (
+        ["generate", "--context", "ctx.json", "--d", "9", "--count", "2", "--out", "out.jsonl"],
+        "".join(f"WARNING hopqg.cli: context 0 seed {seed} failed: {UNFIT}\n" for seed in (0, 1)),
+    ),
+    "build-dataset": (
+        ["build-dataset", "--hotpot", "hotpot.json", "--out", "out.jsonl", "--stats", "stats.json"],
+        f"WARNING hopqg.builder: record failed: remake-1: {NO_CONTEXT}\n",
+    ),
+}
+WARNING_INPUTS = ("ctx.json", "hotpot.json")
+
+
+def warning_run(where, command) -> list[str]:
+    """argv of command's warning run, with its inputs written to where."""
+    write_json(where / "ctx.json", film_context_doc())
+    write_json(where / "hotpot.json", [prize_record_doc(), dict(remake_record_doc(), annotations=5)])
+    return WARNING_RUNS[command][0]
+
+
+def written_files(where, inputs) -> dict:
+    """The files in where but the inputs named: bytes, or a manifest with
+    its seconds masked."""
+    written = {}
+    for path in sorted(where.iterdir()):
+        if path.name.endswith("manifest.json"):
+            manifest = read_manifest(path)
+            for stage in manifest["stages"].values():
+                stage["seconds"] = 0.0
+            written[path.name] = manifest
+        elif path.name not in inputs:
+            written[path.name] = path.read_bytes()
+    return written
+
+
+class BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError("stderr is a pipe no one reads")
+
+    def flush(self):
+        pass
+
+
+def closed_file():
+    file = io.StringIO()
+    file.close()
+    return file
+
+
+@pytest.mark.parametrize("stderr", [BrokenPipe, lambda: None, closed_file], ids=["broken-pipe", "none", "closed"])
+@pytest.mark.parametrize("command", list(WARNING_RUNS))
+def test_a_stderr_that_cannot_be_written_loses_the_warnings_not_the_run(tmp_path, monkeypatch, capsys, command, stderr):
+    runs = {}
+    for name in ("open", "broken"):
+        where = tmp_path / name
+        where.mkdir()
+        monkeypatch.chdir(where)
+        argv = warning_run(where, command)
+        with monkeypatch.context() as patch:
+            if name == "broken":
+                patch.setattr(sys, "stderr", stderr())
+            assert main(argv) == 1
+        runs[name] = written_files(where, WARNING_INPUTS)
+    assert capsys.readouterr().err == WARNING_RUNS[command][1]  # the open run's
+    assert runs["broken"] == runs["open"] and "out.jsonl" in runs["open"]
+
+
+@pytest.mark.parametrize("command", list(WARNING_RUNS))
+def test_a_launch_with_stderr_closed_writes_what_an_open_one_does(tmp_path, monkeypatch, command):
+    closed, opened = tmp_path / "closed", tmp_path / "open"
+    for where in (closed, opened):
+        where.mkdir()
+    # The shell closes the interpreter's stderr, so sys.stderr is None.
+    launch = ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "hopqg.cli", *warning_run(closed, command)]
+    done = subprocess.run(launch, cwd=closed, env=checkout_env(), stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout) == (1, b"")
+    monkeypatch.chdir(opened)
+    assert main(warning_run(opened, command)) == 1
+    assert written_files(closed, WARNING_INPUTS) == written_files(opened, WARNING_INPUTS)
+
+
 # ------------------------------------------------------------ remote services
 
 
@@ -1698,6 +1781,33 @@ def test_generate_shared_state_under_thread_stress(tmp_path, monkeypatch, servic
     assert stages["build"]["count"] == len(docs)
     assert stages["plan"]["count"] == stages["generate"]["count"] == 8 * len(docs)
     assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 8 * len(docs)
+
+
+def test_generate_builds_a_shared_graph_once_when_two_jobs_race(tmp_path, monkeypatch, service):
+    # The first build of the context waits, for up to a second, for a second
+    # build to begin. Both seed jobs wait on the remote generator at once, so
+    # the second job asks for the graph while the first is building it; only
+    # the lock of _SharedGraph keeps it from building a graph of its own.
+    _, base = service
+    built, second = [], threading.Event()
+    real_build = hopqg.graph.build_context_graph
+
+    def racing_build(ctx):
+        built.append(ctx)
+        if len(built) == 1:
+            second.wait(1)
+        else:
+            second.set()
+        return real_build(ctx)
+
+    monkeypatch.setattr(hopqg.graph, "build_context_graph", racing_build)
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    out = str(tmp_path / "traces.jsonl")
+    args = ["generate", "--context", ctx, "--backend", "remote", "--d", "1", "--count", "2",
+            "--config", remote_config(tmp_path, base, 2), "--out", out]
+    assert main(args) == 0
+    assert len(built) == 1
+    assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 2
 
 
 def test_generate_seeds_of_one_context_run_in_parallel(tmp_path):
@@ -1786,14 +1896,20 @@ def test_build_dataset_and_probe_count_each_remote_role(tmp_path, service):
 # -------------------------------------------------------------- dependencies
 
 
-def test_cli_import_pulls_in_no_third_party_modules():
+def checkout_env(**variables) -> dict:
+    """The environment, with variables, of a new interpreter that imports
+    hopqg from this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopqg.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
+def test_cli_import_pulls_in_no_third_party_modules():
     code = (
         "import sys, hopqg.cli; "
         "print(sorted(m for m in ('numpy', 'numba', 'requests', 'urllib3') if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -1834,9 +1950,7 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
 def fresh_python(lines: list[str]) -> list[str]:
     """The output lines of a new interpreter that imports hopqg from this
     checkout and runs lines."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hopqg.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=checkout_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -1854,12 +1968,13 @@ def test_no_launch_loads_dataclasses_or_inspect(tmp_path, command):
     """Records are named tuples and plain classes, so no launch, real or
     --manifest-only, at concurrency 1 or the default, pays for importing
     dataclasses and the inspect module it pulls in; nor, as its services
-    are local, for the thread pool of concurrent.futures. A module the
-    interpreter's site set-up loaded before the launch is not counted."""
+    are local, for the thread pool of concurrent.futures; nor for logging,
+    as a warning is a line written to stderr. A module the interpreter's
+    site set-up loaded before the launch is not counted."""
     options = every_output(tmp_path, command)
     if command == "generate":
         options["count"] = 2
-    modules = ("dataclasses", "inspect", "concurrent.futures")
+    modules = ("dataclasses", "inspect", "concurrent.futures", "logging")
     lines = ["import sys", "before = set(sys.modules)", "from hopqg.cli import main"]
     for config in (write_json(tmp_path / "cfg.json", {"concurrency": 1}), None):
         argv, _ = command_argv(tmp_path, command, {**options, "config": config})
@@ -1927,28 +2042,18 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         ["build-dataset", "--hotpot", "hotpot.json", "--out", "examples.jsonl", "--stats", "stats.json"],
         ["evaluate", "--hyp", "hyp.txt", "--ref", "ref.txt", "--table"],
     ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hopqg.__file__)))
     runs = []
     for seed in ("0", "1"):
         where = tmp_path / seed
         where.mkdir()
         for name, text in inputs.items():
             write(where / name, text)
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = checkout_env(PYTHONHASHSEED=seed)
         seen = []
         for argv in commands:
             done = subprocess.run([sys.executable, "-m", "hopqg.cli"] + argv, cwd=where, env=env, capture_output=True)
             seen.append((done.returncode, done.stdout))
-        written = {}
-        for path in sorted(where.iterdir()):
-            if path.name.endswith("manifest.json"):
-                manifest = read_manifest(path)
-                for stage in manifest["stages"].values():
-                    stage["seconds"] = 0.0
-                written[path.name] = manifest
-            elif path.name not in inputs:
-                written[path.name] = path.read_bytes()
+        written = written_files(where, inputs)
         runs.append((seen, written))
     assert [code for code, _ in runs[0][0]] == [0, 0, 0] and len(runs[0][1]) == 6
     assert runs[0] == runs[1]

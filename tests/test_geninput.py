@@ -47,6 +47,17 @@ def test_marker_collision_rejected():
         )
 
 
+def test_a_field_holding_a_less_than_sign_but_no_marker_assembles():
+    gi = GeneratorInput(
+        step=1, sentence="In the proof a < b holds.", node_child="a < b", edge="holds in",
+        node_parent="the proof", direction=EdgeDirection.CHILD_TO_PARENT,
+    )
+    text, segments = gi.serialize()
+    assert text == "<bos> In the proof a < b holds. <nodeC> a < b <edge> holds in <nodeP> the proof <eos>"
+    assert len(text.split(" ")) == len(segments)
+    assert segments == oracle_segments(gi)
+
+
 def test_segments_align_and_relabel_parent_tokens():
     gi = GeneratorInput(
         step=2, sentence="Top Gun is directed by Tony Scott.", node_child="Tony Scott",

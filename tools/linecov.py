@@ -5,8 +5,8 @@ pytest and the standard library: sys.monitoring, so Python 3.12 or later.
 
 Runs the tests in this process, then prints each line of src/hopqg that no
 test reached as path:line. Exits non-zero if a test fails or if any line
-other than the ``__main__`` guard is never reached. Tests that start a fresh
-interpreter are not traced.
+other than the ``__main__`` guard is never reached, and 2 on an older
+Python. Tests that start a fresh interpreter are not traced.
 """
 
 import ast
@@ -29,6 +29,9 @@ def code_lines(code) -> set[int]:
 
 
 def main() -> int:
+    if sys.version_info < (3, 12):
+        print("linecov: needs Python 3.12+ for sys.monitoring", file=sys.stderr)
+        return 2
     mon, tool = sys.monitoring, sys.monitoring.COVERAGE_ID
     events: set[tuple[str, int]] = set()
 
