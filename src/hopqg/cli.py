@@ -31,8 +31,8 @@ from typing import Any, Callable
 from . import __version__
 from .config import ENDPOINT_ENV, PipelineConfig, load_config
 from .errors import (
-    AnnotationError, ConfigError, Failure, HopqgError, MetricError, invalid_json, map_jobs, read_records, write_jsonl,
-    warn, write_text,
+    AnnotationError, ConfigError, Failure, HopqgError, MetricError, invalid_json, map_jobs, read_records, stderr_line,
+    warn, write_jsonl, write_text,
 )
 from .manifest import RunManifest
 
@@ -549,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     # A missing or directory path is bad input; other OSErrors (a closed
     # stdout pipe, a full disk) are not, and keep their traceback.
     except (FileNotFoundError, IsADirectoryError, ConfigError, AnnotationError, MetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        stderr_line(f"error: {exc}")
         return EXIT_INVALID
 
 

@@ -13,7 +13,7 @@ import re
 import urllib.parse
 from typing import NamedTuple
 
-from .errors import ConfigError, load_json
+from .errors import ConfigError, json_kind, load_json
 
 # The answer categories a question's wh-word follows (the keys of
 # template.WH_BY_CATEGORY): the values a category override may take.
@@ -174,6 +174,8 @@ def load_config(path: str | None = None, env: dict[str, str] | None = None) -> P
     config = PipelineConfig(endpoints=Endpoints(**endpoints_doc), **doc)
 
     if overrides_file is not None:
+        if type(overrides_file) is not str:  # open() takes an int as a descriptor
+            raise ConfigError(f"category_overrides_file must be a string, got {json_kind(overrides_file)}")
         if not os.path.exists(overrides_file):
             raise ConfigError(f"category_overrides_file not found: {overrides_file}")
         extra = load_json(overrides_file)

@@ -140,9 +140,9 @@ class AnnotatedContext:
                 lo, hi = bounds[sent]
                 if lo <= s1 < e1 <= hi and lo <= s2 < e2 <= hi and lo <= s3 < e3 <= hi:
                     continue
-            for role, sp in zip(_ROLES, triple):
-                if fault := _span_fault(sp, bounds):
-                    raise AnnotationError(f"triple {t_idx} {role}: {fault}")
+            # The check above failed, so a role is at fault: name the first.
+            role, fault = [(role, f) for role, sp in zip(_ROLES, triple) if (f := _span_fault(sp, bounds))][0]
+            raise AnnotationError(f"triple {t_idx} {role}: {fault}")
         for c_idx, cluster in enumerate(self.coref_clusters):
             if len(cluster) < 2:
                 raise AnnotationError(f"coref cluster {c_idx} has fewer than two mentions")

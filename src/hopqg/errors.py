@@ -1,7 +1,7 @@
 """Exception types shared across the package, the one decoder of input bytes
 and writer of output files, the JSON records reader and JSON loading that name
 the path in errors, the one rule for a JSON integer, the one job runner with
-the one record of a job that failed, and the one writer of warning lines."""
+the one record of a job that failed, and the one writer of stderr lines."""
 
 from __future__ import annotations
 
@@ -202,11 +202,16 @@ def map_jobs(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def warn(name: str, message: str) -> None:
-    """Writes ``WARNING <name>: <message>`` as a line to stderr. A stderr that
-    cannot be written (closed, None, a broken pipe) loses the line, not the run."""
+def stderr_line(line: str) -> None:
+    """Writes line and a newline to stderr. A stderr that cannot be written
+    (closed, None, a broken pipe) loses the line, not the run."""
     try:
-        sys.stderr.write(f"WARNING {name}: {message}\n")
+        sys.stderr.write(line + "\n")
         sys.stderr.flush()
     except (AttributeError, OSError, ValueError):
         pass
+
+
+def warn(name: str, message: str) -> None:
+    """Writes ``WARNING <name>: <message>`` as a line to stderr."""
+    stderr_line(f"WARNING {name}: {message}")

@@ -192,7 +192,7 @@ def oversample_factor(n_original: int, n_generated: int, ratio: float) -> int:
     """Duplication factor making originals at least ratio x generated."""
     if ratio < 1:
         raise MetricError("oversample ratio must be >= 1")
-    if n_original == 0 or n_generated == 0:
+    if n_original == 0:
         return 1
     return max(1, math.ceil(ratio * n_generated / n_original))
 
@@ -246,7 +246,7 @@ def _check_trace(obj: dict, required: tuple[str, ...] = (), optional: tuple[str,
             raise AnnotationError(f"{name!r} must be {kind}, got {json_kind(obj[name])}")
     # d counts inference hops, as generate's --d does: at least one, and one
     # more than the intermediate questions of a trace that lists them.
-    if "d" in required + optional and "d" in obj:
+    if "d" in required:
         if obj["d"] < 1:
             raise AnnotationError(f"'d' must be >= 1, got {obj['d']}")
         if "intermediates" in obj:

@@ -143,8 +143,6 @@ def _extract_triple(sentence_index: int, text: str, offset: int) -> Triple | Non
     sentence's own character offsets plus the given base offset.
     """
     matches = list(_WORD_RE.finditer(text))
-    if len(matches) < 3:
-        return None
     tokens = [m.group() for m in matches]
     pivot = _find_pivot(tokens)
     if pivot is None:

@@ -174,7 +174,7 @@ def bleu_n(corpus, n: int) -> float:
     ngrams = _NgramPass.of(corpus, n, cider=False)
     log_sum = 0.0
     for k in range(1, n + 1):
-        if ngrams.total[k] == 0 or ngrams.clipped[k] == 0:
+        if ngrams.clipped[k] == 0:  # clipped counts never exceed the total
             return 0.0
         log_sum += math.log(ngrams.clipped[k] / ngrams.total[k]) / n
     hyp_len, ref_len = ngrams.hyp_len, ngrams.ref_len
@@ -210,8 +210,6 @@ def rouge_l(hyp: str, ref: str, table: TokenTable | None = None) -> float:
     table = table or TokenTable()
     hyp_toks = table.tokens(hyp)
     ref_toks = table.tokens(ref)
-    if not hyp_toks or not ref_toks:
-        return 0.0
     lcs = lcs_length(hyp_toks, ref_toks)
     if lcs == 0:
         return 0.0
@@ -392,8 +390,6 @@ def meteor_simplified(hyp: str, ref: str, table: TokenTable | None = None) -> fl
     table = table or TokenTable()
     hyp_toks = table.tokens(hyp)
     ref_toks = table.tokens(ref)
-    if not hyp_toks or not ref_toks:
-        return 0.0
     matches, fell_back = _align(hyp_toks, ref_toks, table.stems(hyp), table.stems(ref))
     table.fallbacks += fell_back
     m = len(matches)
@@ -433,8 +429,6 @@ def token_f1(pred: str, gold: str) -> float:
     gold_toks = normalize_answer(gold).split()
     if not pred_toks and not gold_toks:
         return 1.0
-    if not pred_toks or not gold_toks:
-        return 0.0
     gold_count = _counts(gold_toks)
     overlap = sum(min(c, gold_count.get(t, 0)) for t, c in _counts(pred_toks).items())
     if overlap == 0:

@@ -113,7 +113,7 @@ def generate_stepwise(
             raise GenerationError(
                 f"backend failed at step {i}: {exc}", partial_questions=questions, failed_step=i
             ) from exc
-        if not question or not question.strip():
+        if not question.strip():
             raise GenerationError(
                 f"backend returned an empty question at step {i}", partial_questions=questions, failed_step=i
             )

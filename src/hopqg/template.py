@@ -73,7 +73,7 @@ def template_generate_initial(
 
 
 def _find_span(q: str, candidates: tuple[str, ...]) -> tuple[int, int] | None:
-    for cand in sorted((c for c in candidates if c), key=len, reverse=True):
+    for cand in sorted(candidates, key=len, reverse=True):
         m = re.search(rf"(?<!\w){re.escape(cand)}(?!\w)", q, re.IGNORECASE)
         if m:
             return m.start(), m.end()
@@ -95,7 +95,7 @@ def template_rewrite(
     Templates need the edge, not the context sentence."""
     # direction is the new hop's orientation: PARENT_TO_CHILD means the parent
     # is the subject of e_i, otherwise the child is and the clause goes passive.
-    head = e_i.split()[0].lower() if e_i.split() else ""
+    head = e_i.split()[0].lower()
     if direction is EdgeDirection.PARENT_TO_CHILD:
         predicate = f"{e_i} {n_i}"
         clause = f"the {parent_category or 'one'} that {e_i} {n_i}"

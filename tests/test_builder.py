@@ -35,7 +35,7 @@ from hopqg.dataset_builder import (
     select_initial_pair,
 )
 from hopqg.context import AnnotatedContext
-from hopqg.errors import AnnotationError, ConfigError, Failure, NodeNotFoundError
+from hopqg.errors import AnnotationError, BackendError, ConfigError, Failure, NodeNotFoundError
 from hopqg.graph import build_context_graph
 from hopqg.hotpot import (
     fallback_annotate,
@@ -97,6 +97,7 @@ def test_classifier_canonical_cases():
     assert clf.classify("Which film is longer, Sunset Years or The Long Road?") == "Comparison"
     assert clf.classify("Who starred in Heat Wave and won the Marlowe Prize?") == "Intersection"
     assert clf.classify("Who directed Dial M for Murder?") == "OneHop"
+    assert clf.classify("Who?") == "OneHop"
     with pytest.raises(AnnotationError):
         clf.classify("   ")
 
@@ -127,6 +128,10 @@ def test_decompose_bridge_bare_marker_and_retry():
     )
     assert sub1 == "Which committee awards the Marlowe Prize form?"
     assert sub2 == f"In which year did {PLACEHOLDER}?"
+    # With no article before the head, the head alone is replaced.
+    sub1, sub2 = dec.decompose("Who directed films that won awards?", "Bridge")
+    assert sub1 == "Which films won awards?"
+    assert sub2 == f"Who directed {PLACEHOLDER}?"
 
 
 def test_decompose_intersection_conjunction_split():
@@ -402,9 +407,13 @@ def test_process_record_bridge_keeps_its_first_sub_question():
     ("Who and won the Marlowe Prize?", "Intersection", rule_suite),
     # Bridge: a question of one word has no clause to split at.
     ("Who?", "Bridge", lambda: scripted_suite(label="Bridge")),
+    # Intersection: nothing at all stands before the conjunction.
+    ("And won the Marlowe Prize?", "Intersection", rule_suite),
     # Bridge: the clause after the only marker holds one word.
     ("Who directed the film that won?", "Bridge", rule_suite),
-], ids=["intersection-wh-only", "one-word", "one-word-clause"])
+    # Bridge: the head before the only marker is punctuation alone.
+    ("Who directed -- that won awards?", "Bridge", rule_suite),
+], ids=["intersection-wh-only", "intersection-first", "one-word", "one-word-clause", "punctuation-head"])
 def test_process_record_skips_a_question_the_rule_decomposer_cannot_split(question, label, suite):
     record = parse_record(dict(remake_record_doc(), question=question))
     assert process_record(record, suite()) == (Failure(SKIP_DECOMPOSE, SKIP_DECOMPOSE), label)
@@ -435,6 +444,18 @@ def test_process_record_skip_reasons_on_the_fig2_record(split, answers, reason):
     record = parse_record(remake_record_doc())
     outcome = process_record(record, scripted_suite(split=split, answers=answers))
     assert outcome == (Failure(reason, reason), "Bridge")
+
+
+def test_a_record_the_classifier_fails_on_counts_no_type(capsys):
+    suite = rule_suite()
+
+    def down(question):
+        raise BackendError("http://classifier.invalid/ returned HTTP 503")
+
+    suite.classifier.classify = down
+    examples, stats = build_dataset([parse_record(remake_record_doc()), parse_record(prize_record_doc())], suite)
+    assert (examples, stats["errors"], stats["types"]) == ([], 2, {})
+    assert capsys.readouterr().err.count("returned HTTP 503") == 2
 
 
 def all_records():
@@ -534,10 +555,11 @@ def test_parse_record_validation():
     [
         (lambda doc: doc.pop("question"), "missing field 'question'"),
         (lambda doc: doc.update(question=" "), "empty question"),
+        (lambda doc: doc.update(question=5), "empty question"),
         (lambda doc: doc.update(supporting_facts=[["A Perfect Murder", 1], ["Nowhere", 0]]),
          "supporting fact names unknown paragraph 'Nowhere'"),
     ],
-    ids=["missing", "empty", "unknown-paragraph"],
+    ids=["missing", "empty", "not-a-string", "unknown-paragraph"],
 )
 def test_parse_record_errors_name_no_place(edit, message):
     """Where a record sits is named by the reader of its file, not here."""
@@ -592,27 +614,34 @@ def test_fallback_annotate_skips_unsplittable_sentences():
 
 def test_fallback_annotate_edge_cases():
     """A particle joins a plain verb; a pivot at either edge of its sentence,
-    or a subject of punctuation alone, gives no triple; a blank sentence is
-    left out and takes no index."""
+    or a subject or object of punctuation alone, gives no triple; a blank
+    sentence is left out and takes no index. A word of three letters ending
+    in "ed" is no participle and no verb; a longer one is both, and a
+    participle takes a particle after it only."""
+    sentences = [
+        "Sea Post is", '" wrote Sea Post.', "The barn was red.", "The film was directed.",
+        "The city was named after its river.", "The red barn burned down.", "The company Mia founded.",
+        "Nora Hale wrote !!",
+    ]
     doc = hotpot_record_doc(
         "edge-1",
         "Who knows?",
         "x",
         paragraphs=[
             ("A", ["Nora Hale wrote for The Daily Post.", "   ", "Was born in Leeds."]),
-            ("B", ["Sea Post is", '" wrote Sea Post.']),
+            ("B", sentences),
         ],
         facts=[("A", 0), ("B", 0)],
     )
     ctx = fallback_annotate(parse_record(doc))
-    assert [(s.index, s.text) for s in ctx.sentences] == [
-        (0, "Nora Hale wrote for The Daily Post."),
-        (1, "Was born in Leeds."),
-        (2, "Sea Post is"),
-        (3, '" wrote Sea Post.'),
-    ]
+    assert [(s.index, s.text) for s in ctx.sentences] == list(enumerate([
+        "Nora Hale wrote for The Daily Post.", "Was born in Leeds.", *sentences,
+    ]))
     assert [tuple(span_text(ctx, span) for span in triple) for triple in ctx.triples] == [
         ("Nora Hale", "wrote for", "The Daily Post"),
+        ("The barn", "was", "red"),
+        ("The city", "was named", "after its river"),
+        ("The red barn", "burned", "down"),
     ]
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import concurrent.futures
 import gc
 import hashlib
 import io
@@ -763,6 +764,17 @@ def test_generate_bad_jsonl_line_names_path_and_line(tmp_path, capsys):
     assert f"{ctx}:3: invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"context":\n "x"}\n' + json.dumps(film_context_doc()) + "\n",
+    '{"context": "x"} ' + json.dumps(film_context_doc()) + "\n",
+    "{} {}",
+], ids=["spans-lines", "shares-its-line", "no-newline"])
+def test_jsonl_whose_first_value_is_not_a_line_of_its_own_fails_at_line_1(tmp_path, capsys, text):
+    ctx = write(tmp_path / "ctx.jsonl", text)
+    assert main(["generate", "--context", ctx, "--out", str(tmp_path / "t.jsonl")]) == 2
+    assert f"error: {ctx}:1: invalid JSON: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["generate", "build-graph"])
 def test_context_error_names_the_context(tmp_path, capsys, command):
     good, bad = film_context_doc(), film_context_doc()
@@ -877,6 +889,16 @@ def test_generate_remote_manifest_only_without_endpoint_exits_2(tmp_path, monkey
     assert not manifest.exists()
 
 
+def test_generate_remote_manifest_only_records_no_remote_stage(tmp_path, monkeypatch):
+    # Nothing listens there, and a manifest-only run calls no service.
+    monkeypatch.setenv("HOPQG_GENERATOR_URL", "http://127.0.0.1:9/generate")
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    out = tmp_path / "t.jsonl"
+    assert main(["generate", "--context", ctx, "--backend", "remote", "--manifest-only", "--out", str(out)]) == 0
+    assert not out.exists()
+    assert read_manifest(str(out) + ".manifest.json")["stages"] == {}
+
+
 @pytest.mark.parametrize("url", [
     "http://127.0.0.1:abc/x", "http://127.0.0.1:99999/x", "http://127.0.0.1/a b", "http://user:pw@127.0.0.1:9/x",
 ])
@@ -935,8 +957,10 @@ def test_build_dataset_counts_a_malformed_annotation_as_one_record_error(tmp_pat
 @pytest.mark.parametrize("service, method, reply, skip", [
     (RuleTypeClassifier, "classify", "Other", None),
     (RuleDecomposer, "decompose", None, "decompose-failed"),
+    (RuleDecomposer, "decompose", (" ", "Who directed Dial M for Murder?"), "decompose-failed"),
+    (RuleDecomposer, "decompose", ("Who directed Dial M for Murder?", "\t"), "decompose-failed"),
     (RuleQa, "answer", "", "qa-failed"),
-], ids=["unknown-label", "no-split", "no-answer"])
+], ids=["unknown-label", "no-split", "blank-first-split", "blank-second-split", "no-answer"])
 def test_build_dataset_counts_what_a_service_could_not_give(tmp_path, monkeypatch, capsys, service, method, reply, skip):
     monkeypatch.setattr(service, method, lambda self, *args: reply)
     hotpot = write_json(tmp_path / "hotpot.json", [remake_record_doc()])
@@ -1076,6 +1100,16 @@ def test_evaluate_pairs_lines_by_number(tmp_path, capsys):
     ref = write(tmp_path / "ref.txt", "a b c\nd e f\n\ng h i\n")
     assert main(["evaluate", "--hyp", hyp, "--ref", ref, "--metrics", "bleu1", "--out", out]) == 2
     assert f"{hyp}:2: blank line opposite a non-blank line of {ref}" in capsys.readouterr().err
+    ref = write(tmp_path / "ref.txt", "a b c\n \nd e f\ng h i\n")
+    hyp = write(tmp_path / "hyp.txt", "a b c\nx y z\nd e f\ng h i\n")
+    assert main(["evaluate", "--hyp", hyp, "--ref", ref, "--metrics", "bleu1", "--out", out]) == 2
+    assert f"{ref}:2: blank line opposite a non-blank line of {hyp}" in capsys.readouterr().err
+    # A file of blank lines only holds no line.
+    blank = write(tmp_path / "blank.txt", "\n \n\n")
+    for pair, message in [((blank, blank), "empty corpus"), ((blank, ref), "line counts differ: 0 vs 4"),
+                          ((hyp, blank), "line counts differ: 4 vs 0")]:
+        assert main(["evaluate", "--hyp", pair[0], "--ref", pair[1], "--metrics", "bleu1", "--out", out]) == 2
+        assert capsys.readouterr().err.endswith(message + "\n")
     # Blank lines opposite each other are skipped, and trailing ones are allowed.
     hyp = write(tmp_path / "hyp.txt", "a b c\n\nx y z\n\n\n")
     ref = write(tmp_path / "ref.txt", "a b c\n \nx y z")
@@ -1715,6 +1749,25 @@ def test_a_launch_with_stderr_closed_writes_what_an_open_one_does(tmp_path, monk
     assert written_files(closed, WARNING_INPUTS) == written_files(opened, WARNING_INPUTS)
 
 
+MISSING_INPUT_RUN = ["generate", "--context", "missing.json", "--out", "out.jsonl"]
+
+
+@pytest.mark.parametrize("stderr", [BrokenPipe, lambda: None, closed_file], ids=["broken-pipe", "none", "closed"])
+def test_an_error_line_that_cannot_be_written_is_lost_not_printed(tmp_path, monkeypatch, capsys, stderr):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stderr", stderr())
+    assert main(MISSING_INPUT_RUN) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_launch_with_stderr_closed_exits_2_with_stdout_empty(tmp_path):
+    launch = ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "hopqg.cli", *MISSING_INPUT_RUN]
+    done = subprocess.run(launch, cwd=tmp_path, env=checkout_env(), stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------ remote services
 
 
@@ -1829,6 +1882,26 @@ def test_generate_seeds_of_one_context_run_in_parallel(tmp_path):
                 "--config", remote_config(tmp_path, base, 2), "--out", out]
         assert main(args) == 0
     assert len((tmp_path / "traces.jsonl").read_text().splitlines()) == 2
+
+
+def test_a_remote_run_of_one_job_starts_no_pool(tmp_path, monkeypatch, service):
+    _, base = service
+    pools = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(kwargs)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+    ctx = write_json(tmp_path / "ctx.json", film_context_doc())
+    for count in (1, 2):
+        out = tmp_path / f"t{count}.jsonl"
+        args = ["generate", "--context", ctx, "--backend", "remote", "--d", "1", "--count", str(count),
+                "--config", remote_config(tmp_path, base, 2), "--out", str(out)]
+        assert main(args) == 0
+        assert len(out.read_text().splitlines()) == count
+    assert pools == [{"max_workers": 2}]  # the run of two jobs only
 
 
 def remote_stages(manifest, role):

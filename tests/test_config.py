@@ -116,6 +116,17 @@ def test_category_overrides_file_merges(tmp_path):
         load_config(str(path), env={})
 
 
+@pytest.mark.parametrize("value, kind", [(0, "an integer"), (True, "a boolean"), (2, "an integer"), (["x"], "an array")])
+def test_a_category_overrides_file_that_is_not_a_string_is_refused(tmp_path, value, kind):
+    """open() would take 0, true or 2 as a file descriptor and read, or
+    close, stdin, stdout or stderr; the value is refused before that."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"category_overrides_file": value}))
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path), env={})
+    assert str(info.value) == f"category_overrides_file must be a string, got {kind}"
+
+
 @pytest.mark.parametrize(
     "doc, extra, message",
     [

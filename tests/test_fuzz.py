@@ -164,6 +164,24 @@ def test_every_command_exits_cleanly_on_mutated_inputs(tmp_path, capsys):
         assert {0, 2} <= seen, (command, seen)
 
 
+def test_a_category_overrides_file_that_is_not_a_string_exits_2(tmp_path, capsys):
+    """Every command refuses the config before it opens anything: at 0, 1 or
+    2, open() would take the value as a descriptor of the test runner's own."""
+    traces = _traces()
+    rng = random.Random(2026)
+    for command in COMMANDS:
+        tmp = tmp_path / command
+        tmp.mkdir()
+        argv = _case(rng, command, traces, tmp, mutated=False)
+        inputs = sorted(tmp.iterdir())
+        for value in (0, True, 2, ["x"]):
+            (tmp / "config.json").write_text(json.dumps(dict(CONFIG, category_overrides_file=value)))
+            capsys.readouterr()
+            assert main(argv) == 2, (command, value)
+            assert capsys.readouterr().err.startswith("error: category_overrides_file must be a string, got ")
+            assert sorted(tmp.iterdir()) == inputs  # nothing written
+
+
 # Bytes that make UTF-8 text invalid wherever they are inserted: 0xc0, 0xfe
 # and 0xff occur in no UTF-8 text, and a continuation byte (0x80) is one
 # more than the lead bytes take.

@@ -111,6 +111,10 @@ def test_coreferent_alias_relabeled():
     it_positions = [i for i, t in enumerate(tokens) if t == "It"]
     assert it_positions
     assert all(gi.segments[i] is SegmentLabel.NODE_P for i in it_positions)
+    # A mention of whitespace alone is no alias.
+    fields = {name: getattr(gi, name) for name in ("step", "sentence", "node_child", "edge", "node_parent",
+                                                  "direction", "rewrite_type", "sub_question")}
+    assert GeneratorInput(**fields, parent_aliases=(" ", "It", "\t")) == gi
 
 
 SAFE_WORDS = ["alpha", "beta", "Gamma", "delta,", "Ep: silon".replace(" ", ""), "zeta9", "'eta'"]

@@ -204,6 +204,10 @@ def _set(path, value):
             _set(["triples", 1, "object", "end"], 45), "triple 1 object: span [34,45) outside its sentence", id="span-outside"
         ),
         pytest.param(
+            _set(["triples", 1, "subject", "start"], 5), "triple 1 subject: span [5,25) outside its sentence",
+            id="subject-outside",
+        ),
+        pytest.param(
             _set(["triples", 0, "object"], {"sent": 1, "start": 20, "end": 25}),
             "triple 0 spans multiple sentences",
             id="multi-sentence",
@@ -212,9 +216,17 @@ def _set(path, value):
             lambda doc: doc["coref_clusters"][0].pop(), "coref cluster 0 has fewer than two mentions", id="lone-mention"
         ),
         pytest.param(
+            _set(["coref_clusters", 0, 1, "sent"], 2), "coref cluster 0 mention: sentence index 2 out of range",
+            id="mention-sentence-index",
+        ),
+        pytest.param(
             _set(["named_entities", 1], {"sent": 0, "start": 34, "end": 39}),
             "named entity 1: span [34,39) outside its sentence",
             id="named-entity",
+        ),
+        pytest.param(
+            _set(["named_entities", 1, "sent"], 5), "named entity 1: sentence index 5 out of range",
+            id="named-entity-sentence-index",
         ),
     ],
 )

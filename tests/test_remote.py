@@ -275,19 +275,28 @@ def test_missing_answer_key_is_backend_error(stub_server):
 
 
 def test_a_reply_missing_its_field_is_backend_error(stub_server):
+    """A field that is missing, not a string, or blank where text is needed."""
     server, base = stub_server
-    server.behaviors["/generate"] = ok({"text": "Who starred in Top Gun?"})
     gi = GeneratorInput(
         step=1, sentence="Top Gun starred Tom Cruise.", node_child="Tom Cruise",
         edge="starred", node_parent="Top Gun", direction=EdgeDirection.PARENT_TO_CHILD,
     )
-    with pytest.raises(BackendError) as exc_info:
-        RemoteGeneratorBackend(base + "/generate", retries=0).initial(gi, StepInfo())
-    assert str(exc_info.value) == f"{base}/generate returned no question text"
-    server.behaviors["/decompose"] = ok({"subq1": "Q one?"})
-    with pytest.raises(BackendError) as exc_info:
-        RemoteDecomposer(base + "/decompose", retries=0).decompose("Q?")
-    assert str(exc_info.value) == f"{base}/decompose returned incomplete sub-questions"
+    for reply in ({"text": "Who starred in Top Gun?"}, {"question": 5}, {"question": " \n"}):
+        server.behaviors["/generate"] = ok(reply)
+        with pytest.raises(BackendError) as exc_info:
+            RemoteGeneratorBackend(base + "/generate", retries=0).initial(gi, StepInfo())
+        assert str(exc_info.value) == f"{base}/generate returned no question text"
+    for reply in ({"subq1": "Q one?"}, {"subq1": 5, "subq2": "Q two?"}, {"subq1": "", "subq2": "Q two?"},
+                  {"subq1": "Q one?", "subq2": ""}):
+        server.behaviors["/decompose"] = ok(reply)
+        with pytest.raises(BackendError) as exc_info:
+            RemoteDecomposer(base + "/decompose", retries=0).decompose("Q?")
+        assert str(exc_info.value) == f"{base}/decompose returned incomplete sub-questions"
+    for reply in ({}, {"label": 5}, {"label": ""}):
+        server.behaviors["/classify"] = ok(reply)
+        with pytest.raises(BackendError) as exc_info:
+            RemoteTypeClassifier(base + "/classify", retries=0).classify("Q?")
+        assert str(exc_info.value) == f"{base}/classify returned no label"
 
 
 @pytest.mark.parametrize("url", [
@@ -384,6 +393,21 @@ def test_idle_dropped_connection_reconnects_without_a_retry(idle_drop_server):
         assert client.post({"k": 2}) == {"k": 2}
     assert client.counts == {"requests": 2, "retries": 0, "failures": 0, "connections": 2}
     assert [payload for _, payload in server.requests] == [{"k": 1}, {"k": 2}]
+
+
+def test_a_stale_connection_whose_reconnect_fails_fails_the_call(idle_drop_server):
+    server, base = idle_drop_server
+    server.behaviors["/echo"] = lambda payload, n: (200, payload)
+    client = JsonClient(base + "/echo", retries=0)
+    assert client.post({"k": 1}) == {"k": 1}
+    wait_for(lambda: len(server.closed) == 1)
+    server.shutdown()
+    server.server_close()
+    # The kept connection is dead and nothing listens: the reconnect is refused.
+    with pytest.raises(BackendError, match="refused"):
+        client.post({"k": 2})
+    client.close()
+    assert client.counts == {"requests": 2, "retries": 0, "failures": 1, "connections": 1}
 
 
 def test_proxy_gets_the_absolute_url(stub_server, monkeypatch):
@@ -688,6 +712,7 @@ HEAD_GOLDEN = [
     ("http://[::1]:8080/qa", False, b"POST /qa HTTP/1.1\r\nHost: [::1]:8080\r\n", DIRECT_END),
     ("http://[fe80::1%25eth0]:8080/qa", False, b"POST /qa HTTP/1.1\r\nHost: [fe80::1]:8080\r\n", DIRECT_END),
     ("http://b\u00fccher.example/qa", False, b"POST /qa HTTP/1.1\r\nHost: xn--bcher-kva.example\r\n", DIRECT_END),
+    ("http://127.0.0.1:9", False, b"POST / HTTP/1.1\r\nHost: 127.0.0.1:9\r\n", DIRECT_END),
     ("http://svc.example:80/qa", False, b"POST /qa HTTP/1.1\r\nHost: svc.example\r\n", DIRECT_END),
     ("http://127.0.0.1:9/qa?v=1", True,
      b"POST http://127.0.0.1:9/qa?v=1 HTTP/1.1\r\nHost: 127.0.0.1:9\r\n", PROXY_END),
@@ -719,6 +744,10 @@ def test_request_heads_equal_the_golden(monkeypatch):
         with pytest.raises(BackendError, match="idna"):
             client.post({})
         assert client.counts == {"requests": 0, "retries": 0, "failures": 1, "connections": 0}
+    # A proxy user with no password sends no credentials.
+    monkeypatch.setenv("http_proxy", "http://user@proxy.invalid:3128")
+    start = b"POST http://127.0.0.1:9/qa?v=1 HTTP/1.1\r\nHost: 127.0.0.1:9\r\n"
+    assert JsonClient("http://127.0.0.1:9/qa?v=1")._head == (start + CONTENT_LENGTH, DIRECT_END)
 
 
 def test_https_client_makes_one_tls_context(monkeypatch):
@@ -765,7 +794,9 @@ CHUNKED = (
     [b"HTTP/1.1 100 Continue\r\n\r\n", b"HTTP/1.1 102 Processing\r\nX: 1\r\n\r\n" + json_reply()],
     [json_reply(headers=b"".join(b"X-%d: %d\r\n" % (k, k) for k in range(98)))],
     [json_reply(headers=b"Content-Length: 17\r\nX-Long: " + b"a" * (65536 - 10) + b"\r\n")],
-], ids=["chunked", "byte-at-a-time", "chunked-byte-at-a-time", "interim-replies", "100-headers", "longest-line"])
+    [json_reply(headers=b"Connection: keep-alive\r\n")],
+], ids=["chunked", "byte-at-a-time", "chunked-byte-at-a-time", "interim-replies", "100-headers", "longest-line",
+        "keep-alive"])
 def test_framed_replies_keep_the_connection(pieces):
     with raw_server(always(pieces)) as server:
         with closing(JsonClient(server.base + "/qa", retries=0)) as client:
@@ -826,9 +857,10 @@ def test_short_body_fails_the_attempt_and_the_retry_reconnects():
     (json_reply(headers=b"Content-Length: 18\r\n"), "bad Content-Length '18'"),
     (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad Content-Length '-1'"),
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size 'zz'"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n;x\r\n", "bad chunk size ''"),
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}xx0\r\n\r\n", "not followed by CRLF"),
 ], ids=["status-line", "status-code", "long-line", "101-headers", "two-lengths", "negative-length",
-        "chunk-size", "chunk-end"])
+        "chunk-size", "empty-chunk-size", "chunk-end"])
 def test_malformed_replies_fail_and_drop_the_connection(reply, match):
     # The server would keep the connection: the client drops it.
     with raw_server(always([reply])) as server:

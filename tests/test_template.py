@@ -1,6 +1,7 @@
 import pytest
 
 from hopqg.errors import RewriteError
+from hopqg.graph import build_context_graph
 from hopqg.planner import EdgeDirection, RewriteType
 from hopqg.template import (
     descriptor_category,
@@ -9,6 +10,7 @@ from hopqg.template import (
     template_generate_initial,
     template_rewrite,
 )
+from util import make_context
 
 
 def test_initial_person_answer():
@@ -93,6 +95,11 @@ def test_intersection_appends_when_parent_absent():
         RewriteType.INTERSECTION, EdgeDirection.PARENT_TO_CHILD,
     )
     assert q == "Who composed Silver Lake and also founded the Lyon Conservatory?"
+    q = template_rewrite(
+        "Who composed Silver Lake ", "the Lyon Conservatory", "Marie Dubois", "founded",
+        RewriteType.INTERSECTION, EdgeDirection.PARENT_TO_CHILD,
+    )
+    assert q == "Who composed Silver Lake and also founded the Lyon Conservatory?"
 
 
 def test_intersection_coreferent_alias_hit():
@@ -126,3 +133,8 @@ def test_descriptor_category_from_graph(film_graph):
     assert descriptor_category(film_graph, top_gun.id) == "film"
     tony = film_graph.find_node("Tony Scott")
     assert descriptor_category(film_graph, tony.id) is None
+    # A descriptor with no word of letters names no category; the next one does.
+    graph = build_context_graph(make_context(
+        ["Top Gun is 1986.", "Top Gun is a film."], [(0, "Top Gun", "is", "1986"), (1, "Top Gun", "is", "a film")],
+    ))
+    assert descriptor_category(graph, graph.find_node("Top Gun").id) == "film"
