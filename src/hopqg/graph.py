@@ -19,17 +19,14 @@ from .textutil import PRONOUNS, collapse, match_tokens, norm_key
 _NAME_CONNECTORS = {"of", "for", "the", "and", "de", "la", "von", "van", "da"}
 
 
-class Node:
-    """A graph node; build_context_graph sets is_named_entity once every node is made."""
+class Node(NamedTuple):
+    """A graph node, an immutable tuple: build_context_graph fixes its named-entity flag when it makes it."""
 
-    def __init__(
-        self, id: int, surface: str, mentions: list[Span], mention_texts: list[str], is_named_entity: bool = False
-    ) -> None:
-        self.id = id
-        self.surface = surface
-        self.mentions = mentions
-        self.mention_texts = mention_texts
-        self.is_named_entity = is_named_entity
+    id: int
+    surface: str
+    mentions: list[Span]
+    mention_texts: list[str]
+    is_named_entity: bool = False
 
     def all_texts(self) -> list[str]:
         return [self.surface] + self.mention_texts
@@ -43,12 +40,12 @@ class Edge(NamedTuple):
 
 
 class ContextGraph:
-    """A context's nodes and edges. Each node's incident edges, the entity
-    facets (``entity_link``, ``answer_nodes``) and the node lookup
-    (``find_node``, ``overlap_node``) are computed on first read, as not every
-    command reads them, and kept in an attribute that is None until then. No
-    lock is taken: a table is stored whole once computed, so threads that
-    race on a first read at worst compute equal tables twice."""
+    """A context's nodes and edges, immutable tuples made once. Each node's
+    incident edges, the entity facets (``entity_link``, ``answer_nodes``) and
+    the node lookup (``find_node``, ``overlap_node``) are computed on first
+    read, as not every command reads them, and kept in an attribute that is
+    None until then. No lock is taken: a table is stored whole once computed,
+    so threads that race on a first read at worst compute equal tables twice."""
 
     def __init__(self, context: AnnotatedContext, nodes: list[Node], edges: list[Edge]) -> None:
         self.context = context
@@ -119,12 +116,13 @@ class ContextGraph:
         exact: dict[str, Node] = {}
         tokens = []
         for node in self.nodes:
-            texts = node.all_texts()
+            # The surface is also a mention: each distinct text is keyed once.
+            texts = dict.fromkeys(node.all_texts())
             for t in texts:
                 exact.setdefault(norm_key(t), node)
             # Tokens never span a space, so these are the union of the
             # tokens of each distinct text.
-            tokens.append(set(match_tokens(" ".join(dict.fromkeys(texts)))))
+            tokens.append(set(match_tokens(" ".join(texts))))
         self._table = exact, tokens
         return self._table
 
@@ -284,11 +282,22 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
     for gid in range(len(group_mentions)):
         members.setdefault(uf.find(gid), []).append(gid)
     node_of = [0] * len(group_mentions)
-
-    nodes: list[Node] = []
     for node_id, gids in enumerate(members.values()):
         for gid in gids:
             node_of[gid] = node_id
+
+    # A node is a named entity if a mention of it matches an entity span or,
+    # in a context with no entity spans, if a mention is a capitalized run.
+    named_ids = None if ctx.named_entities is None else {
+        node_of[gid]
+        for sent, start, end in ctx.named_entities
+        for (_, m_start, m_end), gid in args_by_sent.get(sent, ())
+        if (start <= m_start and m_end <= end) or (m_start <= start and end <= m_end)
+    }
+
+    new = tuple.__new__
+    nodes: list[Node] = []
+    for node_id, gids in enumerate(members.values()):
         if len(gids) == 1:
             text_of = group_mentions[gids[0]]
         else:
@@ -305,24 +314,16 @@ def build_context_graph(ctx: AnnotatedContext) -> ContextGraph:
             if 0 < len(named) < len(gids):
                 keep = {m for gid in named for m in group_mentions[gid]}
                 pool = [t for m, t in zip(mentions, texts) if m in keep]
-        nodes.append(Node(node_id, max(pool, key=len), mentions, texts))
+        if named_ids is None:
+            is_ne = any(_capitalized_run(t, m, ctx) for t, m in zip(texts, mentions))
+        else:
+            is_ne = node_id in named_ids
+        nodes.append(new(Node, (node_id, max(pool, key=len), mentions, texts, is_ne)))
 
     # Distinct edges in first-seen order; a merge can make a self-loop, which is dropped.
     distinct = dict.fromkeys(
         (node_of[src], node_of[dst], rel, sent) for src, dst, rel, sent in raw_edges if node_of[src] != node_of[dst]
     )
-    edges = [tuple.__new__(Edge, e) for e in distinct]
-
-    if ctx.named_entities is not None:
-        # A node is a named entity if a mention of it matches one.
-        for sent, start, end in ctx.named_entities:
-            for (_, m_start, m_end), gid in args_by_sent.get(sent, ()):
-                if (start <= m_start and m_end <= end) or (m_start <= start and end <= m_end):
-                    nodes[node_of[gid]].is_named_entity = True
-    else:
-        for node in nodes:
-            node.is_named_entity = any(
-                _capitalized_run(t, m, ctx) for t, m in zip(node.mention_texts, node.mentions)
-            )
+    edges = [new(Edge, e) for e in distinct]
 
     return ContextGraph(ctx, nodes, edges)

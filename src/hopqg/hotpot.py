@@ -156,14 +156,14 @@ def _extract_triple(sentence_index: int, text: str, offset: int) -> Triple | Non
         raw_end = matches[tok_b].end()
         while raw_end > raw_start and text[raw_end - 1] in ".,!?;:\"'":
             raw_end -= 1
-        return Span(sentence_index, offset + raw_start, offset + raw_end)
+        return tuple.__new__(Span, (sentence_index, offset + raw_start, offset + raw_end))
 
     subj = span(0, start - 1)
     rel = span(start, end - 1)
     obj = span(end, len(tokens) - 1)
     if subj.end <= subj.start or obj.end <= obj.start:
         return None
-    return Triple(subject=subj, relation=rel, object=obj)
+    return tuple.__new__(Triple, (subj, rel, obj))
 
 
 def fallback_annotate(record: HotpotRecord) -> AnnotatedContext:
@@ -172,6 +172,7 @@ def fallback_annotate(record: HotpotRecord) -> AnnotatedContext:
     No coreference clusters and no entity spans are produced; downstream
     named-entity detection falls back to the capitalization heuristic.
     """
+    new = tuple.__new__
     sentences: list[Sentence] = []
     triples: list[Triple] = []
     parts: list[str] = []
@@ -184,7 +185,7 @@ def fallback_annotate(record: HotpotRecord) -> AnnotatedContext:
                 continue
             if parts:
                 cursor += 1  # the joining space
-            sentences.append(Sentence(index, cursor, cursor + len(text), text))
+            sentences.append(new(Sentence, (index, cursor, cursor + len(text), text)))
             triple = _extract_triple(index, text, cursor)
             if triple is not None:
                 triples.append(triple)

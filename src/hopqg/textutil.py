@@ -25,6 +25,7 @@ STOPWORDS = {
 _PUNCT = string.punctuation
 # str.translate table deleting each ASCII punctuation character.
 _DROP_PUNCT = str.maketrans("", "", _PUNCT)
+_ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
 
 
 def collapse(text: str) -> str:
@@ -74,5 +75,5 @@ def content_tokens(text: str) -> list[str]:
 def normalize_answer(text: str) -> str:
     """SQuAD-style: lowercase, strip punctuation and articles, squeeze spaces."""
     text = text.lower().translate(_DROP_PUNCT)
-    text = re.sub(r"\b(a|an|the)\b", " ", text)
+    text = _ARTICLES_RE.sub(" ", text)
     return " ".join(text.split())

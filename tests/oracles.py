@@ -462,13 +462,31 @@ def _oracle_spans_match(a, b) -> bool:
     return (b.start <= a.start and a.end <= b.end) or (a.start <= b.start and b.end <= a.end)
 
 
+# Lowercase words a capitalized name may hold inside it, never at its ends.
+_ORACLE_NAME_GLUE = ("of", "for", "the", "and", "de", "la", "von", "van", "da")
+
+
+def _oracle_is_capitalized_name(ctx, span) -> bool:
+    """Whether a mention reads as a name: every word, edge punctuation
+    removed, is non-empty and capitalized or inner glue, and it is not one
+    word opening its sentence."""
+    words = [w.strip(".,;:!?'\"()") for w in span_text(ctx, span).split()]
+    if not words or not all(words):
+        return False
+    if any(not w[0].isupper() and (w.lower() not in _ORACLE_NAME_GLUE or k in (0, len(words) - 1))
+           for k, w in enumerate(words)):
+        return False
+    return len(words) > 1 or span.start != ctx.sentences[span.sent].char_start
+
+
 def oracle_graph_merges(ctx) -> list[tuple[list, bool]]:
     """(sorted mentions, named-entity flag) per node, in node-id order.
 
     Tests every group mention against every coreference mention and every
     mention against every named-entity span, the all-pairs rule the
-    graph builder's per-sentence index must reproduce. Only meaningful for
-    contexts that carry named-entity annotations.
+    graph builder's per-sentence index must reproduce. A context with no
+    named-entity annotations flags a node when a mention of it reads as a
+    capitalized name.
     """
     key_to_group: dict = {}
     groups: list[list] = []
@@ -507,9 +525,10 @@ def oracle_graph_merges(ctx) -> list[tuple[list, bool]]:
     out = []
     for mentions in members.values():
         mentions = sorted(mentions)
-        is_ne = any(
-            _oracle_spans_match(m, ne) for m in mentions for ne in ctx.named_entities
-        )
+        if ctx.named_entities is None:
+            is_ne = any(_oracle_is_capitalized_name(ctx, m) for m in mentions)
+        else:
+            is_ne = any(_oracle_spans_match(m, ne) for m in mentions for ne in ctx.named_entities)
         out.append((mentions, is_ne))
     return out
 

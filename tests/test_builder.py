@@ -98,6 +98,9 @@ def test_classifier_canonical_cases():
     assert clf.classify("Who starred in Heat Wave and won the Marlowe Prize?") == "Intersection"
     assert clf.classify("Who directed Dial M for Murder?") == "OneHop"
     assert clf.classify("Who?") == "OneHop"
+    # A comparison needs both a comparative word and "or": either alone is not one.
+    assert clf.classify("Which director or writer made the film that won the Marlowe Prize?") == "Bridge"
+    assert clf.classify("Who directed the film that is longer than Golden Coast?") == "Bridge"
     with pytest.raises(AnnotationError):
         clf.classify("   ")
 
@@ -444,6 +447,12 @@ def test_process_record_skip_reasons_on_the_fig2_record(split, answers, reason):
     record = parse_record(remake_record_doc())
     outcome = process_record(record, scripted_suite(split=split, answers=answers))
     assert outcome == (Failure(reason, reason), "Bridge")
+
+
+@pytest.mark.parametrize("label", ["Other", "bridge", ["Bridge"], 3])
+def test_process_record_an_unknown_type_label_is_a_record_error(label):
+    outcome = process_record(parse_record(remake_record_doc()), scripted_suite(label=label))
+    assert outcome == (Failure(f"remake-1: unknown type label {label!r}"), label)
 
 
 def test_a_record_the_classifier_fails_on_counts_no_type(capsys):

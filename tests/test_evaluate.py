@@ -1,5 +1,10 @@
 """Filters, probe harness, reports, and augmentation accounting."""
 
+import hashlib
+import json
+import math
+import re
+
 import pytest
 
 from hopqg.errors import AnnotationError, BackendError, MetricError
@@ -191,6 +196,44 @@ def test_emit_augmentation_accounting_and_determinism(tmp_path):
     path = tmp_path / "aug.jsonl"
     write_jsonl(mixed, str(path))
     assert read_traces(str(path), path.read_text(encoding="utf-8")) == mixed
+
+
+def _dumps_lines(records) -> bytes:
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+
+
+def test_write_jsonl_writes_the_bytes_json_dumps_gives(tmp_path):
+    records = [
+        {"text": "Straße İzmir ☃ 𝄞 \u2028", "esc": 'quote " back \\ slash / tab\t nl\n'},
+        {"control": "".join(map(chr, range(32))) + "\x7f\x80"},
+        {"nested": [[], {}, [1, [2, {"a": []}]], {"b": {"c": {}}}], "": {}, "list": []},
+        {"floats": [0.1 + 0.2, 1e300, -0.0, 5e-324, math.nan, math.inf, -math.inf, 1.0, 2.5e-7]},
+        {"ints": [2**100, -(2**70), 0], "none": None, "flags": [True, False], 7: "int key", None: "null key"},
+        {},
+    ]
+    path = tmp_path / "out.jsonl"
+    digest = write_jsonl(records, str(path))
+    assert path.read_bytes() == _dumps_lines(records)
+    assert digest == hashlib.sha256(_dumps_lines(records)).hexdigest()
+
+
+def _cyclic() -> dict:
+    record = {"a": []}
+    record["a"].append(record)
+    return record
+
+
+@pytest.mark.parametrize("bad", [{"tags": {"x"}}, _cyclic()], ids=["set", "cycle"])
+def test_write_jsonl_raises_as_json_dumps_on_an_unencodable_record_and_writes_nothing(tmp_path, bad):
+    with pytest.raises((TypeError, ValueError)) as want:
+        json.dumps(bad, ensure_ascii=False)
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        write_jsonl([{"ok": [1]}, bad], str(path))
+    assert not path.exists()
+    # A failed call leaves nothing behind that a later one sees.
+    write_jsonl([{"ok": [1]}, {"again": {"b": []}}], str(path))
+    assert path.read_bytes() == _dumps_lines([{"ok": [1]}, {"again": {"b": []}}])
 
 
 def test_emit_augmentation_ratio_one_no_duplication():

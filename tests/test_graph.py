@@ -10,7 +10,7 @@ import pytest
 from hopqg.context import AnnotatedContext, Sentence, Span, Triple
 from hopqg.errors import AnnotationError, NodeNotFoundError
 from hopqg.geninput import GeneratorInput
-from hopqg.graph import build_context_graph
+from hopqg.graph import Node, build_context_graph
 from hopqg.planner import EdgeDirection, RewriteType
 
 from oracles import oracle_graph_merges, span_text
@@ -377,16 +377,29 @@ def test_first_reads_of_the_cached_tables_agree_across_threads():
         sys.setswitchinterval(interval)
 
 
+def test_nodes_are_immutable_with_the_flag_fixed_when_made(film_graph):
+    node = film_graph.nodes[0]
+    with pytest.raises(AttributeError):
+        node.is_named_entity = not node.is_named_entity
+    flipped = node._replace(is_named_entity=not node.is_named_entity)
+    assert flipped[:4] == node[:4] and flipped.is_named_entity is not node.is_named_entity
+    assert Node(7, "x", [], []).is_named_entity is False
+
+
 def test_build_is_deterministic(film_ctx):
     a = build_context_graph(film_ctx).to_json()
     b = build_context_graph(film_ctx).to_json()
     assert a == b
 
 
-def test_indexed_matching_equals_all_pairs_rule():
+@pytest.mark.parametrize("annotated", [True, False], ids=["named-entities", "capitalized-runs"])
+def test_indexed_matching_equals_all_pairs_rule(annotated):
     nodes = merged = named = 0
     for seed in range(200):
-        ctx = AnnotatedContext.from_json(random_context_doc(random.Random(seed)))
+        doc = random_context_doc(random.Random(seed))
+        if not annotated:
+            del doc["named_entities"]
+        ctx = AnnotatedContext.from_json(doc)
         graph = build_context_graph(ctx)
         expected = oracle_graph_merges(ctx)
         assert [(n.mentions, n.is_named_entity) for n in graph.nodes] == expected, seed
