@@ -31,8 +31,8 @@ from typing import Any, Callable
 from . import __version__
 from .config import ENDPOINT_ENV, PipelineConfig, load_config
 from .errors import (
-    AnnotationError, ConfigError, Failure, HopqgError, MetricError, invalid_json, map_jobs, read_records, stderr_line,
-    warn, write_jsonl, write_text,
+    AnnotationError, ConfigError, Failure, HopqgError, MetricError, encode_text, invalid_json, jsonl_text, map_jobs,
+    read_records, stderr_line, warn, write_bytes,
 )
 from .manifest import RunManifest
 
@@ -496,11 +496,15 @@ def _run(args: argparse.Namespace, manifest: RunManifest, steps: Steps) -> int:
         inputs = read(*[manifest.read(getattr(args, name)) for name in args.inputs])
     code, outputs = work(inputs)
     with manifest.timed("write"):
-        for path, content in outputs.items():
-            # A list of records is written as JSONL, a report as JSON.
-            manifest.outputs[path] = (
-                write_jsonl(content, path) if isinstance(content, list) else write_text(path, _dump_json(content))
-            )
+        # A list of records is written as JSONL, a report as JSON. Every
+        # output is encoded before any is opened, so one that UTF-8 cannot
+        # hold leaves no file.
+        encoded = {
+            path: encode_text(path, jsonl_text(content) if isinstance(content, list) else _dump_json(content))
+            for path, content in outputs.items()
+        }
+        for path, data in encoded.items():
+            manifest.outputs[path] = write_bytes(path, data)
     return code
 
 

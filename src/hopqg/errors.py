@@ -168,23 +168,45 @@ def read_records(path: str, text: str, noun: str, parse: Callable[[dict], object
     return parsed
 
 
-def write_text(path: str, text: str) -> str:
-    """Writes text to path as UTF-8 in one write; returns the bytes' sha256."""
-    data = text.encode("utf-8")
+def encode_text(path: str, text: str) -> bytes:
+    """text as UTF-8. A lone surrogate, which UTF-8 cannot hold (a JSON
+    \\ud800 escape decodes to one), raises AnnotationError naming path:line."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        raise AnnotationError(
+            f"{path}:{line}: lone surrogate U+{ord(text[exc.start]):04X} cannot be written as UTF-8"
+        ) from exc
+
+
+def write_bytes(path: str, data: bytes) -> str:
+    """Writes data to path in one write; returns its sha256."""
     with open(path, "wb") as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest()
 
 
-def write_jsonl(records: list[dict], path: str) -> str:
-    """Writes records to path as JSONL, each line json.dumps(r, ensure_ascii=False); returns the sha256."""
+def write_text(path: str, text: str) -> str:
+    """Writes text to path as UTF-8 in one write; returns the bytes' sha256."""
+    return write_bytes(path, encode_text(path, text))
+
+
+def jsonl_text(records: list[dict]) -> str:
+    """records as JSONL, each line json.dumps(r, ensure_ascii=False)."""
     # A private CPython helper, chosen on purpose: the C encoder JSONEncoder.encode
     # makes for every record, made once with encode's arguments (on 3.10-3.13, each
     # in CI). A failed encode leaves its markers dirty, so no two calls share one.
     e = json.JSONEncoder(ensure_ascii=False)
     encode = c_make_encoder({}, e.default, encode_basestring, e.indent, e.key_separator,
                             e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
-    return write_text(path, "".join(["".join(encode(record, 0)) + "\n" for record in records]))
+    return "".join(["".join(encode(record, 0)) + "\n" for record in records])
+
+
+def write_jsonl(records: list[dict], path: str) -> str:
+    """Writes records to path as JSONL (see jsonl_text); returns the sha256.
+    The CLI encodes all of a run's outputs before it opens any (cli._run)."""
+    return write_text(path, jsonl_text(records))
 
 
 class Failure(NamedTuple):

@@ -26,7 +26,8 @@ _PUNCT_RE = re.compile(r"([^\w\s])")
 
 
 def tokenize(text: str) -> list[str]:
-    return _PUNCT_RE.sub(r" \1 ", text.lower()).split()
+    # Spaces joining the split's pieces give the string sub(r" \1 ") built, with no template to expand.
+    return " ".join(_PUNCT_RE.split(text.lower())).split()
 
 
 def left_sum(values) -> float:
@@ -273,9 +274,12 @@ def _align(
     both maxima by three slack counters: per token, the hyp positions that
     may miss an exact match (miss) and the ref positions stem matches may
     take (lend); per stem class, the hyp positions that may stay unmatched
-    (idle). A branch stops before a counter would go below zero. The search
-    tries the diagonal continuation first and cuts a branch once its chunks
-    reach the best found; chunks never decrease along a path.
+    (idle). The counters are made only for what the search reads: the
+    tokens and stem classes of the branching positions, and the ref tokens
+    at those classes' ref positions, the ones the branches can take. A
+    branch stops before a counter would go below zero. The search tries the
+    diagonal continuation first and cuts a branch once its chunks reach the
+    best found; chunks never decrease along a path.
 
     Fewest chunks is a minimum common string partition, which is NP-hard,
     so past node_budget search nodes the search stops and falls back to the
@@ -289,30 +293,37 @@ def _align(
     hyp_class = _counts(hyp_stems)
     path = [-1] * m
     stop = [m] * (m + 1)  # the first position from i on whose class repeats, or m
+    branching = []
     for i in range(m - 1, -1, -1):
         opts = positions.get(hyp_stems[i], ())
         if len(opts) > 1 or opts and hyp_class[hyp_stems[i]] > 1:
             stop[i] = i
+            branching.append(i)
         else:
             stop[i] = stop[i + 1]
             path[i] = opts[0] if opts else -1
-    if stop[0] == m:
+    if not branching:
         return [(i, j) for i, j in enumerate(path) if j >= 0], False
     hyp_count, ref_count = _counts(hyp), _counts(ref)
-    miss = {t: c - min(c, ref_count.get(t, 0)) for t, c in hyp_count.items()}
-    lend = {u: c - min(c, hyp_count.get(u, 0)) for u, c in ref_count.items()}
-    idle = {s: c - min(c, len(positions.get(s, ()))) for s, c in hyp_class.items()}
-    compat = [positions.get(s, []) for s in hyp_stems]
+    miss, lend, idle = {}, {}, {}
+    for i in branching:
+        t, s = hyp[i], hyp_stems[i]
+        miss[t] = hyp_count[t] - min(hyp_count[t], ref_count.get(t, 0))
+        if s not in idle:
+            opts = positions[s]
+            idle[s] = hyp_class[s] - min(hyp_class[s], len(opts))
+            for u in map(ref.__getitem__, opts):
+                lend[u] = ref_count[u] - min(ref_count[u], hyp_count.get(u, 0))
     used = [False] * n  # no branch reaches a forced ref position
     best, best_chunks = None, m + 1
 
     def children(i: int, prev: int, chunks: int):
         """The children of a search node. The counters, used and path hold
         each child's choice until the next child is asked for."""
-        t = hyp[i]
+        t, s = hyp[i], hyp_stems[i]
         diag = prev + 1
-        opts = compat[i]
-        if 0 <= diag < n and ref_stems[diag] == hyp_stems[i]:
+        opts = positions[s]
+        if 0 <= diag < n and ref_stems[diag] == s:
             opts = [diag] + [j for j in opts if j != diag]
         for j in opts:
             c = chunks + (j != diag)
@@ -332,7 +343,6 @@ def _align(
             if stem_match:
                 miss[t] += 1
                 lend[u] += 1
-        s = hyp_stems[i]
         if miss[t] and idle[s] and chunks < best_chunks:
             miss[t] -= 1
             idle[s] -= 1
@@ -371,7 +381,8 @@ def _align(
         for exact_pass in (True, False):
             for i in range(m):
                 if best[i] < 0:
-                    best[i] = next((j for j in compat[i] if j not in taken and (ref[j] == hyp[i] or not exact_pass)), -1)
+                    opts = positions.get(hyp_stems[i], ())
+                    best[i] = next((j for j in opts if j not in taken and (ref[j] == hyp[i] or not exact_pass)), -1)
                     taken.add(best[i])
     return [(i, j) for i, j in enumerate(best) if j >= 0], nodes > node_budget
 

@@ -41,6 +41,7 @@ from util import (
     generate_for_context,
     make_context_doc,
     marked_film_context_doc,
+    novel_record_doc,
     prize_record_doc,
     remake_record_doc,
     serve_http,
@@ -1188,6 +1189,50 @@ def test_filter_command(tmp_path):
     manifest = read_manifest(out + ".manifest.json")
     assert manifest["stages"]["filter"]["count"] == 2
     assert manifest["stages"]["dropped"]["count"] == 3
+
+
+# JSON escapes: a lone surrogate, which UTF-8 cannot hold, and the pair
+# that decodes to one astral character (U+1F600), which it can.
+LONE_SURROGATE, SURROGATE_PAIR = "\\ud800", "\\ud83d\\ude00"
+
+
+def filter_with(tmp_path, escape):
+    lines = [
+        json.dumps({"question": "who directed the film that starred the actor ?", "answer": "x"}),
+        '{"question": "who directed the film that starred the %s actor ?", "answer": "x"}' % escape,
+    ]
+    traces = write(tmp_path / "t.jsonl", "\n".join(lines) + "\n")
+    out = str(tmp_path / "kept.jsonl")
+    return ["filter", "--traces", traces, "--out", out, "--rejects", str(tmp_path / "rejects.jsonl")], out, 2
+
+
+def generate_with(tmp_path, escape):
+    # One character for one: the spans of the context still hold.
+    text = json.dumps(film_context_doc()).replace("Cruise", "Cr%sise" % escape)
+    ctx = write(tmp_path / "ctx.json", text)
+    out = str(tmp_path / "traces.jsonl")
+    return ["generate", "--context", ctx, "--d", "2", "--answer", "Tom Cruise", "--out", out], out, 1
+
+
+def build_dataset_with(tmp_path, escape):
+    novel = json.dumps(novel_record_doc()).replace("the novel", "the %s novel" % escape)
+    hotpot = write(tmp_path / "hotpot.json", "[%s, %s]" % (json.dumps(remake_record_doc()), novel))
+    out = str(tmp_path / "examples.jsonl")
+    return ["build-dataset", "--hotpot", hotpot, "--out", out, "--stats", str(tmp_path / "stats.json")], out, 2
+
+
+@pytest.mark.parametrize("command", [filter_with, generate_with, build_dataset_with])
+def test_a_lone_surrogate_in_an_output_exits_2_naming_its_line_and_writes_nothing(tmp_path, capsys, command):
+    argv, out, line = command(tmp_path, LONE_SURROGATE)
+    inputs = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {out}:{line}: lone surrogate U+D800 cannot be written as UTF-8\n"
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+    argv, out, line = command(tmp_path, SURROGATE_PAIR)
+    assert main(argv) == 0
+    assert "\U0001f600" in read_lines(out)[line - 1]
+    assert os.path.exists(out + ".manifest.json")
 
 
 def test_filter_bad_jsonl_line_names_path_and_line(tmp_path, capsys):

@@ -73,6 +73,27 @@ def test_tokenize_lowercases_and_detaches_punctuation():
     assert tokenize("") == []
 
 
+# Characters whose class the tokenizer's pattern decides: word characters
+# (letters, digits, "_", an astral letter, combining marks), ASCII and
+# Unicode punctuation and symbols, every kind of whitespace str.split()
+# splits on, letters whose lowercase grows, and a lone surrogate.
+TOKENIZE_ALPHABET = (
+    list("aZ09_?,.'-") + ["\u00bf", "\u00ab", "\u2014", "\u2026", "\u3001", "\u201c", "\u203d", "\u20ac", "\u00a9"]
+    + [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+    + ["\u0301", "\u0308", "\U0001d518", "\U0001f600", "\u0130", "\u03a3", "\u00df", "\ud800"]
+)
+
+
+def test_tokenize_equals_the_substitution_form():
+    # The published tokenizer is this substitution; tokenize must give its tokens.
+    rng = random.Random(12)
+    texts = ["", " ", "\u3000", "a_b", "x\u0301!", "\U0001f600?"] + [
+        "".join(rng.choices(TOKENIZE_ALPHABET, k=rng.randint(0, 40))) for _ in range(3_000)
+    ]
+    for text in texts:
+        assert tokenize(text) == re.sub(r"([^\w\s])", r" \1 ", text.lower()).split(), repr(text)
+
+
 def test_lcs_kernel_matches_table_oracle():
     rng = random.Random(7)
     # Short pairs cover the empty and one-token cases; pairs of 60-150 tokens
@@ -488,6 +509,35 @@ def test_align_equals_the_full_search_oracle():
             assert _align(hyp, ref, *stems, node_budget=budget) == (want, False)
             compared += 1
     assert compared > 250
+
+
+# sha256 of _align's returns on align_budget_pairs() at each of ALIGN_BUDGETS,
+# taken from the full-set-up search that built every counter for every token.
+ALIGN_BUDGET_GOLDEN = "e098411350f40e2a6b8ccb615094f5f70b5655c023e918211b9327a4cad554b2"
+ALIGN_BUDGETS = (0, 1, 2, 3, 5, 8, 13, 100)
+
+
+def align_budget_pairs():
+    """300 seeded pairs, each with a stem class that repeats, so that each searches."""
+    rng = random.Random(41)
+    pairs = []
+    while len(pairs) < 300:
+        hyp = rng.choices(STEM_VOCAB, k=rng.randint(2, 24))
+        ref = rng.choices(STEM_VOCAB, k=rng.randint(2, 24))
+        if not only_forced(hyp, ref):
+            pairs.append((hyp, ref))
+    return pairs
+
+
+def test_align_returns_at_small_budgets_match_the_golden():
+    # Pins the alignments of searches that stop at their budget, which the
+    # full-search oracle cannot check: the best complete alignment found, or
+    # the greedy exact-then-stem pass when none was.
+    returns = [[align(hyp, ref, node_budget=budget) for hyp, ref in align_budget_pairs()] for budget in ALIGN_BUDGETS]
+    fell_back = [sum(f for _, f in per_budget) for per_budget in returns]
+    assert fell_back[0] == 300 and 0 < fell_back[-1] < 300
+    digest = hashlib.sha256(json.dumps(returns).encode()).hexdigest()
+    assert digest == ALIGN_BUDGET_GOLDEN
 
 
 def test_identity_scores_are_one():
